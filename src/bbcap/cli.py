@@ -164,18 +164,17 @@ def convergence_table(etas, ns_grid) -> list:
     for n_s in ns_grid:
         if n_s < 0 or not math.isfinite(n_s):
             raise ValueError(f"grid photon numbers must be finite and nonnegative, got {n_s!r}")
+    limits = region.capacity_region(spec).constraints
     rows = []
     for n_s in ns_grid:
-        for t in region.nonempty_subsets(spec.m):
-            inner = region.inner_bound_finite(spec, n_s, t)
-            limit = region.asymptotic_bound(spec, t)
+        for inner, limit in zip(region.capacity_region(spec, n_s).constraints, limits):
             rows.append(
                 {
                     "ns": float(n_s),
-                    "subset": sorted(t),
-                    "inner_bound_bits": inner,
-                    "asymptotic_bound_bits": limit,
-                    "gap_bits": limit - inner,
+                    "subset": sorted(inner.subset),
+                    "inner_bound_bits": inner.bound,
+                    "asymptotic_bound_bits": limit.bound,
+                    "gap_bits": limit.bound - inner.bound,
                 }
             )
     return rows

@@ -13,6 +13,11 @@ single combined rate coordinate.  The bound function is monotone and
 submodular, so the region is a polymatroid whose vertices come from the
 greedy rule over receiver orderings.
 
+A region holds the bound function as one vector ``f[mask]`` over the 2^m
+receiver subsets: receiver i is bit i - 1, ``f[0] = 0``, and ``math.inf``
+flags an unbounded subset.  Subset sums add their terms in ascending
+receiver order (``s[mask | 1 << i] = s[mask] + x_i`` for the highest bit i).
+
 Every finite-energy bound can also be evaluated as a Gaussian conditional
 entropy of the channel output; the closed form and the covariance-matrix
 route must agree to 1e-9, which the tests (and ``merging_gain`` itself)
@@ -21,9 +26,11 @@ exploit as a consistency check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
@@ -66,15 +73,67 @@ def _validate_subset(m: int, subset, allow_empty=False) -> frozenset:
     return t
 
 
+def _mask(t: frozenset) -> int:
+    return sum(1 << (i - 1) for i in t)
+
+
+def _ordered_subsets(m: int):
+    """(receivers, mask) of every nonempty subset, smallest first, lexicographic."""
+    bits = [1 << i for i in range(m)]
+    for size in range(1, m + 1):
+        yield from zip(
+            itertools.combinations(range(1, m + 1), size),
+            map(sum, itertools.combinations(bits, size)),
+        )
+
+
 def nonempty_subsets(m: int):
     """All 2^m - 1 nonempty receiver subsets, smallest first, lexicographic."""
-    for size in range(1, m + 1):
-        for combo in itertools.combinations(range(1, m + 1), size):
-            yield frozenset(combo)
+    for t, _ in _ordered_subsets(m):
+        yield frozenset(t)
 
 
-def _eta_sum(spec: BroadcastChannelSpec, subset) -> float:
-    return sum(spec.etas[i - 1] for i in subset)
+def _subset_sums(values) -> np.ndarray:
+    """``s[mask]``: the sum of ``values[i]`` over the bits i of ``mask``."""
+    s = np.zeros(1 << len(values))
+    for i, x in enumerate(values):
+        s[1 << i : 2 << i] = s[: 1 << i] + x
+    return s
+
+
+def _photon_number(n_s) -> float:
+    value = float(n_s)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"input photon number must be finite and nonnegative, got {n_s!r}")
+    return value
+
+
+def _closed_form(n_s, kept_helpers, kept_joint) -> list:
+    """-H(S1 | A, S2) = ``g(k n_s) - g(kept_joint n_s)`` for each k in ``kept_helpers``.
+
+    ``k = 1 - eta(S2)`` and ``kept_joint = 1 - eta(S1 u S2)``; each caller
+    forms them with its own additions, so its results stay bit for bit.
+    """
+    n_s = _photon_number(n_s)
+    g_joint = entropy_g(max(kept_joint, 0.0) * n_s)
+    return [entropy_g(max(k, 0.0) * n_s) - g_joint for k in kept_helpers]
+
+
+def _bounds(energy, eta_t: list, eta_comp: list, eta_all: float) -> list:
+    """f(T) per subset T from the sums of T and of its complement."""
+    if energy != UNCONSTRAINED:
+        return _closed_form(energy, [1.0 - e for e in eta_comp], 1.0 - eta_all)
+    if eta_all >= 1.0 - EXACT_TOL:  # no environment: the unbounded flag
+        return [0.0 if e <= EXACT_TOL else math.inf for e in eta_t]
+    return [math.log2((1.0 - e) / (1.0 - eta_all)) for e in eta_comp]
+
+
+def _bound(spec: BroadcastChannelSpec, energy, subset) -> float:
+    full = (1 << spec.m) - 1
+    mask = _mask(_validate_subset(spec.m, subset))
+    # one entry of _subset_sums(spec.etas), added in the same order
+    eta = lambda t: functools.reduce(add, (e for i, e in enumerate(spec.etas) if t >> i & 1), 0.0)
+    return _bounds(energy, [eta(mask)], [eta(full ^ mask)], eta(full))[0]
 
 
 @dataclass(frozen=True)
@@ -96,75 +155,65 @@ class RateConstraint:
         return math.isinf(self.bound)
 
 
-@dataclass
 class CapacityRegion:
-    """Polymatroid rate region: one constraint per nonempty receiver subset.
+    """Polymatroid rate region, held as one bound vector over receiver subsets.
 
     ``energy`` is either the string ``"unconstrained"`` or the finite input
-    photon number the inner bound was evaluated at.  Monotonicity and
-    submodularity of the bound function are checked exhaustively up to
-    m = 8 (within ``check_tol``; constraints involving the unbounded flag
-    are skipped).
+    photon number the inner bound was evaluated at.  ``constraints`` is
+    either one :class:`RateConstraint` per nonempty subset or the bound
+    vector itself: ``f[mask]`` over all 2^m subsets, receiver i at bit
+    i - 1, ``f[0] = 0`` and ``math.inf`` for an unbounded subset.  Only the
+    vector is kept; the ``constraints`` attribute is a view of it.
+    Monotonicity and submodularity of the bound function are checked at
+    every m (within ``check_tol``; comparisons that involve the unbounded
+    flag are skipped).
     """
 
-    m: int
-    energy: object
-    constraints: tuple
-    check_tol: float = EXACT_TOL
-
-    def __post_init__(self):
-        self.constraints = tuple(self.constraints)
-        expected = 2 ** self.m - 1
-        if len(self.constraints) != expected:
-            raise ValueError(
-                f"need {expected} constraints for m = {self.m}, got {len(self.constraints)}"
-            )
-        self._by_subset = {c.subset: c.bound for c in self.constraints}
-        if len(self._by_subset) != expected:
-            raise ValueError("duplicate constraint subsets")
-        for subset in self._by_subset:
-            _validate_subset(self.m, subset)
-        if self.m <= 8:
-            self._check_polymatroid()
+    def __init__(self, m: int, energy, constraints, check_tol: float = EXACT_TOL):
+        self.m, self.energy, self.check_tol = m, energy, check_tol
+        if isinstance(constraints, np.ndarray):
+            f = np.array(constraints, dtype=float)
+        else:
+            constraints = tuple(constraints)
+            masks = [_mask(_validate_subset(m, c.subset)) for c in constraints]
+            if sorted(masks) != list(range(1, 1 << m)):
+                raise ValueError(f"need one constraint per nonempty subset of 1..{m}")
+            f = np.zeros(1 << m)
+            f[masks] = [c.bound for c in constraints]
+        if f.shape != (1 << m,) or f[0] != 0.0:
+            raise ValueError(f"bound vector needs 2^{m} entries and f[0] = 0")
+        if np.any(np.isnan(f) | (f < -EXACT_TOL)):
+            raise ValueError("rate bounds must be nonnegative numbers, never NaN")
+        self._f = f
+        self._check_polymatroid()
 
     def bound(self, subset) -> float:
         """Bound for a receiver subset; f(empty) = 0."""
-        t = _validate_subset(self.m, subset, allow_empty=True)
-        if not t:
-            return 0.0
-        return self._by_subset[t]
+        return float(self._f[_mask(_validate_subset(self.m, subset, allow_empty=True))])
+
+    @property
+    def constraints(self) -> tuple:
+        """One RateConstraint per nonempty subset, smallest first."""
+        f = self._f.tolist()
+        return tuple(RateConstraint(frozenset(t), f[mask]) for t, mask in _ordered_subsets(self.m))
 
     @property
     def unbounded(self) -> bool:
-        return any(c.unbounded for c in self.constraints)
+        return bool(np.isinf(self._f).any())
 
     def _check_polymatroid(self):
-        f = self.bound
-        ground = range(1, self.m + 1)
-        for t in map(frozenset, itertools.chain.from_iterable(
-            itertools.combinations(ground, k) for k in range(self.m + 1)
-        )):
-            ft = f(t)
-            for j in ground:
-                if j in t:
-                    continue
-                ftj = f(t | {j})
-                if not (math.isinf(ftj) or math.isinf(ft)):
-                    if ftj < ft - self.check_tol:
-                        raise ValueError(
-                            f"bound not monotone: f({sorted(t | {j})}) < f({sorted(t)})"
-                        )
-                for k in ground:
-                    if k == j or k in t:
-                        continue
-                    ftk, ftjk = f(t | {k}), f(t | {j, k})
-                    vals = (ft, ftj, ftk, ftjk)
-                    if any(math.isinf(v) for v in vals):
-                        continue
-                    if ftjk - ftk > ftj - ft + self.check_tol:
-                        raise ValueError(
-                            f"bound not submodular at T = {sorted(t)}, j = {j}, k = {k}"
-                        )
+        # the gain f(T + j) - f(T) over every T without j must be >= 0 and
+        # must not grow when k joins T; NaN stands in for the unbounded
+        # flag, so every comparison that involves it is false
+        f, tol = np.where(np.isinf(self._f), np.nan, self._f), self.check_tol
+        for j in range(self.m):
+            gain = np.diff(f.reshape(-1, 2, 1 << j), axis=1).ravel()  # T with bit j dropped
+            if np.any(gain < -tol):
+                raise ValueError(f"bound not monotone in receiver {j + 1}")
+            for k in range(j + 1, self.m):
+                pair = gain.reshape(-1, 2, 1 << (k - 1))  # bit k of T is bit k - 1 here
+                if np.any(pair[:, 1] > pair[:, 0] + tol):
+                    raise ValueError(f"bound not submodular in receivers {j + 1} and {k + 1}")
 
 
 def inner_bound_finite(spec: BroadcastChannelSpec, n_s: float, subset) -> float:
@@ -174,14 +223,7 @@ def inner_bound_finite(spec: BroadcastChannelSpec, n_s: float, subset) -> float:
     negated conditional entropy -H(T | A, complement) of the channel output
     (see :func:`inner_bound_finite_gaussian` for that route).
     """
-    if n_s < 0:
-        raise ValueError(f"input photon number must be nonnegative, got {n_s!r}")
-    t = _validate_subset(spec.m, subset)
-    eta_comp = _eta_sum(spec, frozenset(range(1, spec.m + 1)) - t)
-    eta_all = spec.eta_total
-    return entropy_g(max(1.0 - eta_comp, 0.0) * n_s) - entropy_g(
-        max(1.0 - eta_all, 0.0) * n_s
-    )
+    return _bound(spec, _photon_number(n_s), subset)
 
 
 def inner_bound_finite_gaussian(
@@ -189,13 +231,7 @@ def inner_bound_finite_gaussian(
 ) -> float:
     """Same bound via -H(T | A, complement) on the covariance-matrix output."""
     t = _validate_subset(spec.m, subset)
-    recv = channel.receiver_labels(spec)
-    state = gaussian.reduce(
-        channel.output_state_tmsv(spec, n_s, ordering), ("A",) + recv
-    )
-    t_labels = [recv[i - 1] for i in sorted(t)]
-    rest = [lab for lab in recv if lab not in t_labels]
-    return -gaussian.conditional_entropy(state, t_labels, ["A"] + rest)
+    return merging_gain_gaussian(spec, n_s, t, frozenset(range(1, spec.m + 1)) - t, ordering)
 
 
 def asymptotic_bound(spec: BroadcastChannelSpec, subset) -> float:
@@ -207,36 +243,22 @@ def asymptotic_bound(spec: BroadcastChannelSpec, subset) -> float:
     float; see :func:`region_to_dict`) -- except for subsets of zero-weight
     receivers, which can never receive anything and get bound 0.
     """
-    t = _validate_subset(spec.m, subset)
-    eta_t = _eta_sum(spec, t)
-    eta_all = spec.eta_total
-    if eta_all >= 1.0 - EXACT_TOL:
-        return 0.0 if eta_t <= EXACT_TOL else math.inf
-    eta_comp = _eta_sum(spec, frozenset(range(1, spec.m + 1)) - t)
-    return math.log2((1.0 - eta_comp) / (1.0 - eta_all))
+    return _bound(spec, UNCONSTRAINED, subset)
 
 
 def capacity_region(spec: BroadcastChannelSpec, energy=UNCONSTRAINED) -> CapacityRegion:
-    """Full region: one bound per nonempty subset, at finite or unbounded energy."""
+    """Full region: the bound of every subset, at finite or unbounded energy."""
     if spec.m > MAX_REGION_RECEIVERS:
         raise ValueError(
             f"region construction limited to m <= {MAX_REGION_RECEIVERS} "
             f"(2^m constraints)"
         )
-    if energy == UNCONSTRAINED:
-        bound = lambda t: asymptotic_bound(spec, t)
-    else:
-        n_s = float(energy)
-        if n_s < 0 or not math.isfinite(n_s):
-            raise ValueError(
-                f"input photon number must be finite and nonnegative, got {energy!r}"
-            )
-        energy = n_s
-        bound = lambda t: inner_bound_finite(spec, n_s, t)
-    constraints = tuple(
-        RateConstraint(t, bound(t)) for t in nonempty_subsets(spec.m)
-    )
-    return CapacityRegion(spec.m, energy, constraints)
+    if energy != UNCONSTRAINED:
+        energy = _photon_number(energy)
+    s = _subset_sums(spec.etas)
+    # the complement of mask is full ^ mask = full - mask: s reversed
+    f = _bounds(energy, s.tolist(), s[::-1].tolist(), float(s[-1]))
+    return CapacityRegion(spec.m, energy, np.array(f))
 
 
 def contains(region: CapacityRegion, point) -> bool:
@@ -248,46 +270,42 @@ def contains(region: CapacityRegion, point) -> bool:
         raise ValueError(f"rate point must be finite, got {point!r}")
     if np.any(p < -EXACT_TOL):
         return False
-    for c in region.constraints:
-        if c.unbounded:
-            continue
-        if sum(p[i - 1] for i in c.subset) > c.bound + EXACT_TOL:
-            return False
-    return True
+    # unbounded entries compare false, so they constrain nothing
+    return not np.any(_subset_sums(p) > region._f + EXACT_TOL)
 
 
 def vertices(region: CapacityRegion) -> list:
     """All extreme points of the region, deduplicated and sorted.
 
-    Greedy corner rule over every ordered subset of receivers: walk the
-    ordering, giving each receiver the marginal bound increment; receivers
-    outside the subset stay at zero.  For a monotone submodular bound
-    function this enumerates exactly the polymatroid's vertex set (the
-    origin and axis projections close the down-set).
+    Greedy corner rule over every ordered subset of receivers, walked depth
+    first over bitmask prefixes: each step gives the next receiver the
+    marginal bound increment; receivers outside the prefix stay at zero.
+    For a monotone submodular bound function this enumerates exactly the
+    polymatroid's vertex set (the origin and axis projections close the
+    down-set).
     """
     if region.unbounded:
         raise ValueError("region is unbounded; vertices are undefined")
     if region.m > MAX_VERTEX_RECEIVERS:
         raise ValueError(f"vertex enumeration limited to m <= {MAX_VERTEX_RECEIVERS}")
-    m = region.m
-    points = [np.zeros(m)]
-    for size in range(1, m + 1):
-        for combo in itertools.combinations(range(1, m + 1), size):
-            for perm in itertools.permutations(combo):
-                p = np.zeros(m)
-                running = frozenset()
-                prev = 0.0
-                for i in perm:
-                    cur = region.bound(running | {i})
-                    p[i - 1] = max(cur - prev, 0.0)
-                    running |= {i}
-                    prev = cur
-                points.append(p)
+    m, f = region.m, region._f.tolist()
+    point = [0.0] * m
+    points = {tuple(point)}
+
+    def walk(mask):
+        for i in range(m):
+            if not mask >> i & 1:
+                point[i] = max(f[mask | 1 << i] - f[mask], 0.0)
+                points.add(tuple(point))
+                walk(mask | 1 << i)
+                point[i] = 0.0
+
+    walk(0)
     unique = []
-    for p in sorted(points, key=lambda q: tuple(q)):
-        if not unique or np.max(np.abs(p - unique[-1])) > VERTEX_DEDUPE_TOL:
+    for p in sorted(points):
+        if not unique or max(map(abs, map(sub, p, unique[-1]))) > VERTEX_DEDUPE_TOL:
             unique.append(p)
-    return [tuple(float(x) for x in p) for p in unique]
+    return unique
 
 
 def boundary_2d(region: CapacityRegion, n_points: int) -> list:
@@ -321,13 +339,11 @@ def boundary_2d(region: CapacityRegion, n_points: int) -> list:
         return [corners[0]] * n_points
     extra = max(n_points - len(corners), 0)
     # distribute interior samples across segments by length, remainders first
-    alloc = [0] * len(lengths)
-    if extra and total > 0:
-        shares = [extra * l / total for l in lengths]
-        alloc = [int(s) for s in shares]
-        for _ in range(extra - sum(alloc)):
-            k = max(range(len(lengths)), key=lambda i: shares[i] - alloc[i])
-            alloc[k] += 1
+    shares = [extra * l / total for l in lengths]
+    alloc = [int(s) for s in shares]
+    for _ in range(extra - sum(alloc)):
+        k = max(range(len(lengths)), key=lambda i: shares[i] - alloc[i])
+        alloc[k] += 1
     points = []
     for (a, b), k in zip(zip(corners, corners[1:]), alloc):
         points.append(a)
@@ -336,6 +352,14 @@ def boundary_2d(region: CapacityRegion, n_points: int) -> list:
             points.append((a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1])))
     points.append(corners[-1])
     return points
+
+
+def _disjoint_subsets(m: int, gained, helpers) -> tuple:
+    s1 = _validate_subset(m, gained)
+    s2 = _validate_subset(m, helpers, allow_empty=True)
+    if s1 & s2:
+        raise ValueError(f"subsets overlap: {sorted(s1 & s2)}")
+    return s1, s2
 
 
 def merging_gain(spec: BroadcastChannelSpec, n_s: float, gained, helpers=()) -> float:
@@ -348,8 +372,11 @@ def merging_gain(spec: BroadcastChannelSpec, n_s: float, gained, helpers=()) -> 
     and S1 carries positive transmittance, i.e. no merging step ever runs at
     an entanglement deficit.
     """
-    closed = _merging_gain_closed(spec, n_s, gained, helpers)
-    direct = merging_gain_gaussian(spec, n_s, gained, helpers)
+    s1, s2 = _disjoint_subsets(spec.m, gained, helpers)
+    eta_s1 = sum(spec.etas[i - 1] for i in s1)
+    eta_s2 = sum(spec.etas[i - 1] for i in s2)
+    closed = _closed_form(n_s, [1.0 - eta_s2], 1.0 - eta_s1 - eta_s2)[0]
+    direct = merging_gain_gaussian(spec, n_s, s1, s2)
     if abs(closed - direct) > EIGEN_TOL:
         raise RuntimeError(
             f"closed-form/covariance routes disagree: {closed!r} vs {direct!r}"
@@ -357,53 +384,27 @@ def merging_gain(spec: BroadcastChannelSpec, n_s: float, gained, helpers=()) -> 
     return closed
 
 
-def _merging_gain_closed(spec, n_s, gained, helpers) -> float:
-    if n_s < 0:
-        raise ValueError(f"input photon number must be nonnegative, got {n_s!r}")
-    s1 = _validate_subset(spec.m, gained)
-    s2 = _validate_subset(spec.m, helpers, allow_empty=True)
-    if s1 & s2:
-        raise ValueError(f"subsets overlap: {sorted(s1 & s2)}")
-    eta_s1 = _eta_sum(spec, s1)
-    eta_s2 = _eta_sum(spec, s2)
-    return entropy_g(max(1.0 - eta_s2, 0.0) * n_s) - entropy_g(
-        max(1.0 - eta_s1 - eta_s2, 0.0) * n_s
-    )
-
-
 def merging_gain_gaussian(
     spec: BroadcastChannelSpec, n_s: float, gained, helpers=(), ordering=None
 ) -> float:
     """Direct route: -H(S1 | A, S2) on the channel output (environment traced)."""
-    s1 = _validate_subset(spec.m, gained)
-    s2 = _validate_subset(spec.m, helpers, allow_empty=True)
-    if s1 & s2:
-        raise ValueError(f"subsets overlap: {sorted(s1 & s2)}")
+    s1, s2 = _disjoint_subsets(spec.m, gained, helpers)
     recv = channel.receiver_labels(spec)
     state = gaussian.reduce(
         channel.output_state_tmsv(spec, n_s, ordering), ("A",) + recv
     )
-    s1_labels = [recv[i - 1] for i in sorted(s1)]
-    s2_labels = [recv[i - 1] for i in sorted(s2)]
-    return -gaussian.conditional_entropy(state, s1_labels, ["A"] + s2_labels)
+    labels = lambda t: [recv[i - 1] for i in sorted(t)]
+    return -gaussian.conditional_entropy(state, labels(s1), ["A"] + labels(s2))
 
 
 def region_to_dict(region: CapacityRegion, round_to=None) -> dict:
     """JSON-ready form; unbounded constraints carry a flag, never a float inf."""
-
-    def fmt(x: float):
-        if round_to is None:
-            return float(x)
-        return float(f"{x:.{round_to}g}")
-
+    fmt = float if round_to is None else lambda x: float(f"{x:.{round_to}g}")
+    f = region._f.tolist()
     constraints = []
-    for c in sorted(region.constraints, key=lambda c: (len(c.subset), sorted(c.subset))):
-        entry = {"subset": sorted(c.subset)}
-        if c.unbounded:
-            entry["unbounded"] = True
-        else:
-            entry["bound_bits"] = fmt(c.bound)
-        constraints.append(entry)
+    for subset, mask in _ordered_subsets(region.m):
+        bound = {"unbounded": True} if math.isinf(f[mask]) else {"bound_bits": fmt(f[mask])}
+        constraints.append({"subset": list(subset), **bound})
     energy = region.energy if region.energy == UNCONSTRAINED else fmt(region.energy)
     return {"m": region.m, "energy": energy, "constraints": constraints}
 
@@ -411,9 +412,7 @@ def region_to_dict(region: CapacityRegion, round_to=None) -> dict:
 def region_from_dict(data: dict) -> CapacityRegion:
     """Rebuild a region from its JSON form (rounded bounds get a looser check)."""
     m = int(data["m"])
-    energy = data["energy"]
-    if energy != UNCONSTRAINED:
-        energy = float(energy)
+    energy = data["energy"] if data["energy"] == UNCONSTRAINED else float(data["energy"])
     constraints = []
     for entry in data["constraints"]:
         bound = math.inf if entry.get("unbounded") else float(entry["bound_bits"])

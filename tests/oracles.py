@@ -79,3 +79,26 @@ def match_point_sets(first, second, tol: float = 1e-9) -> bool:
         )
 
     return covered(first, second) and covered(second, first)
+
+
+def is_polymatroid_bruteforce(bounds: dict, m: int, tol: float) -> bool:
+    """Monotone and submodular within ``tol``, by the exhaustive triple loop.
+
+    ``bounds`` maps every nonempty frozenset of receivers to its bound; the
+    empty set has bound 0 and comparisons involving ``math.inf`` are skipped.
+    """
+    f = lambda t: bounds[frozenset(t)] if t else 0.0
+    ground = range(1, m + 1)
+    for size in range(m + 1):
+        for t in map(set, itertools.combinations(ground, size)):
+            for j in set(ground) - t:
+                vals = (f(t), f(t | {j}))
+                if not any(map(math.isinf, vals)) and vals[1] < vals[0] - tol:
+                    return False
+                for k in set(ground) - t - {j}:
+                    vals = (f(t), f(t | {j}), f(t | {k}), f(t | {j, k}))
+                    if any(map(math.isinf, vals)):
+                        continue
+                    if vals[3] - vals[2] > vals[1] - vals[0] + tol:
+                        return False
+    return True

@@ -22,7 +22,11 @@ from bbcap.region import (
     region_to_dict,
     vertices,
 )
-from oracles import match_point_sets, polytope_vertices_bruteforce
+from oracles import (
+    is_polymatroid_bruteforce,
+    match_point_sets,
+    polytope_vertices_bruteforce,
+)
 
 SPEC23 = BroadcastChannelSpec((0.2, 0.3))
 
@@ -63,6 +67,13 @@ class TestInnerBoundFinite:
             assert vals[0] == 0.0
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
             assert all(v >= 0.0 for v in vals)
+
+    @pytest.mark.parametrize("n_s", [-1.0, math.nan, math.inf])
+    def test_invalid_photon_number(self, n_s):
+        with pytest.raises(ValueError, match="photon number"):
+            inner_bound_finite(SPEC23, n_s, {1})
+        with pytest.raises(ValueError, match="photon number"):
+            capacity_region(SPEC23, n_s)
 
     def test_invalid_subset(self):
         with pytest.raises(ValueError):
@@ -153,6 +164,55 @@ class TestCapacityRegion:
         ]
         with pytest.raises(ValueError):
             CapacityRegion(2, UNCONSTRAINED, tuple(not_submodular))
+        nan_bound = {
+            "m": 1,
+            "energy": "unconstrained",
+            "constraints": [{"subset": [1], "bound_bits": math.nan}],
+        }
+        with pytest.raises(ValueError):
+            region_from_dict(nan_bound)
+
+    def test_polymatroid_check_runs_above_eight_receivers(self):
+        reg = capacity_region(BroadcastChannelSpec((0.05,) * 10), 3.0)
+        bounds = [c.bound for c in reg.constraints]
+        CapacityRegion(10, 3.0, reg.constraints)
+        bad = [RateConstraint(c.subset, b) for c, b in zip(reg.constraints, bounds)]
+        bad[-1] = RateConstraint(bad[-1].subset, bounds[-1] + 1.0)  # f(all) too large
+        with pytest.raises(ValueError):
+            CapacityRegion(10, 3.0, bad)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_check_agrees_with_exhaustive_loop(self, m):
+        # perturbed closed-form bounds, some with unbounded flags
+        rng = np.random.RandomState(60 + m)
+        verdicts = []
+        for _ in range(40):
+            reg = capacity_region(random_interior_spec(rng, m), float(rng.uniform(0.5, 5)))
+            bounds = {c.subset: c.bound for c in reg.constraints}
+            noisy, flagged = rng.rand(2) < 0.5
+            for t in bounds:
+                if noisy and rng.rand() < 0.3:
+                    bounds[t] = max(bounds[t] + rng.normal(scale=0.3), 0.0)
+                if flagged and rng.rand() < 0.2:
+                    bounds[t] = math.inf
+            expect = is_polymatroid_bruteforce(bounds, m, 1e-12)
+            constraints = [RateConstraint(t, b) for t, b in bounds.items()]
+            try:
+                CapacityRegion(m, UNCONSTRAINED, constraints)
+                verdicts.append(True)
+            except ValueError:
+                verdicts.append(False)
+            assert verdicts[-1] == expect
+        assert any(verdicts) and not all(verdicts)
+
+    def test_unbounded_entries_skip_the_check(self):
+        # f({1}) = inf next to finite bounds: inf - finite must not trip the test
+        constraints = [
+            RateConstraint(frozenset({1}), math.inf),
+            RateConstraint(frozenset({2}), 0.6),
+            RateConstraint(frozenset({1, 2}), 0.9),
+        ]
+        assert CapacityRegion(2, UNCONSTRAINED, constraints).unbounded
 
 
 class TestContains:
@@ -278,6 +338,11 @@ class TestMergingGain:
             direct = merging_gain_gaussian(spec, n_s, s1, s2)
             assert abs(closed - direct) < 1e-9
             assert closed > 0.0
+
+    @pytest.mark.parametrize("n_s", [-1.0, math.nan, math.inf])
+    def test_invalid_photon_number(self, n_s):
+        with pytest.raises(ValueError, match="photon number"):
+            merging_gain(SPEC23, n_s, {1})
 
     def test_overlap_and_empty_rejected(self):
         with pytest.raises(ValueError):
