@@ -150,10 +150,6 @@ class RateConstraint:
         if not math.isinf(self.bound) and self.bound < -EXACT_TOL:
             raise ValueError(f"negative rate bound {self.bound!r}")
 
-    @property
-    def unbounded(self) -> bool:
-        return math.isinf(self.bound)
-
 
 class CapacityRegion:
     """Polymatroid rate region, held as one bound vector over receiver subsets.
@@ -412,7 +408,9 @@ def region_to_dict(region: CapacityRegion, round_to=None) -> dict:
 def region_from_dict(data: dict) -> CapacityRegion:
     """Rebuild a region from its JSON form (rounded bounds get a looser check)."""
     m = int(data["m"])
-    energy = data["energy"] if data["energy"] == UNCONSTRAINED else float(data["energy"])
+    energy = data["energy"]
+    if energy != UNCONSTRAINED:
+        energy = float(energy)
     constraints = []
     for entry in data["constraints"]:
         bound = math.inf if entry.get("unbounded") else float(entry["bound_bits"])
