@@ -5,10 +5,14 @@ with a file under ``tests/golden/``.  The files were written once, before
 the region layer moved to its bitmask bound vector, and are never
 rewritten to make a case pass: a difference here is a change of output.
 
-Run ``python tests/test_golden.py`` to write the files of a new case.
+``PYTHONPATH=src python tests/test_golden.py NAME`` writes the file of a
+new case NAME.
 """
 
+import io
+import os
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -62,10 +66,6 @@ def test_output_matches_golden(name, capsys, monkeypatch):
 
 
 def _write(names) -> None:
-    import io
-    import os
-    from contextlib import redirect_stdout
-
     GOLDEN.mkdir(exist_ok=True)
     for name in names:
         argv, precision = CASES[name]

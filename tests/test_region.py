@@ -173,17 +173,17 @@ class TestCapacityRegion:
             region_from_dict(nan_bound)
 
     def test_polymatroid_check_runs_above_eight_receivers(self):
-        reg = capacity_region(BroadcastChannelSpec((0.05,) * 10), 3.0)
-        bounds = [c.bound for c in reg.constraints]
-        CapacityRegion(10, 3.0, reg.constraints)
-        bad = [RateConstraint(c.subset, b) for c, b in zip(reg.constraints, bounds)]
-        bad[-1] = RateConstraint(bad[-1].subset, bounds[-1] + 1.0)  # f(all) too large
+        constraints = list(capacity_region(BroadcastChannelSpec((0.05,) * 10), 3.0).constraints)
+        CapacityRegion(10, 3.0, constraints)
+        full = constraints[-1]
+        constraints[-1] = RateConstraint(full.subset, full.bound + 1.0)  # not submodular
         with pytest.raises(ValueError):
-            CapacityRegion(10, 3.0, bad)
+            CapacityRegion(10, 3.0, constraints)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_check_agrees_with_exhaustive_loop(self, m):
-        # perturbed closed-form bounds, some with unbounded flags
+        # perturbed closed-form bounds, some with unbounded flags next to
+        # finite ones (inf - finite must not trip the check)
         rng = np.random.RandomState(60 + m)
         verdicts = []
         for _ in range(40):
@@ -204,15 +204,6 @@ class TestCapacityRegion:
                 verdicts.append(False)
             assert verdicts[-1] == expect
         assert any(verdicts) and not all(verdicts)
-
-    def test_unbounded_entries_skip_the_check(self):
-        # f({1}) = inf next to finite bounds: inf - finite must not trip the test
-        constraints = [
-            RateConstraint(frozenset({1}), math.inf),
-            RateConstraint(frozenset({2}), 0.6),
-            RateConstraint(frozenset({1, 2}), 0.9),
-        ]
-        assert CapacityRegion(2, UNCONSTRAINED, constraints).unbounded
 
 
 class TestContains:
