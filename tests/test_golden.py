@@ -47,6 +47,7 @@ CASES = {
         ["convergence", "--etas", "0.2,0.3", "--ns-grid", "0.5,50", "--format", "csv"], None),
     "verify.json": (["verify", "--etas", "0.2,0.3", "--ns", "0.5"], None),
     "verify.csv": (["verify", "--etas", "0.2,0.3", "--ns", "0.4", "--format", "csv"], None),
+    "verify_m3_prec17.json": (["verify", "--etas", "0.1,0.25,0.3", "--ns", "0.1"], "17"),
 }
 
 
