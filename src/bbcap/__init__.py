@@ -7,13 +7,11 @@ cross-checks every entropy quantity.
 
 from .gaussian import (
     CovarianceState,
-    SymplecticTransform,
     SymplecticPairingError,
     entropy_g,
     tmsv,
     thermal_state,
     beam_splitter,
-    apply,
     reduce,
     permute_modes,
     symplectic_eigenvalues,

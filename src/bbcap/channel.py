@@ -84,7 +84,6 @@ class Stage(NamedTuple):
     """One splitter of the cascade: the through-arm keeps ``transmittance``."""
 
     transmittance: float
-    source: str
     output: str
 
 
@@ -202,7 +201,7 @@ def build_network(spec: BroadcastChannelSpec, ordering=None) -> BeamSplitterNetw
                 f"exhausts all transmittance after {j - 1} stage(s)"
             )
         t = (remainder - etas[label]) / remainder
-        stages.append(Stage(min(max(t, 0.0), 1.0), "trunk", label))
+        stages.append(Stage(min(max(t, 0.0), 1.0), label))
         split_so_far += etas[label]
     return BeamSplitterNetwork(spec, ordering, tuple(stages))
 
@@ -216,6 +215,7 @@ def apply_channel(
     adjoined and the cascade is applied to the through-arm.  The output
     retains the environment mode, so entropic identities on the purified
     state remain available; modes come back as ``(A, B1, ..., Bm, E)``.
+    The cascade runs on one covariance matrix, validated once at the end.
     """
     if state.n_modes != 2:
         raise ValueError(f"channel input must have exactly 2 modes, got {state.n_modes}")
@@ -225,26 +225,23 @@ def apply_channel(
         raise ValueError(
             f"input labels {state.mode_labels!r} collide with output labels"
         )
-    m = spec.m
-    n = 2 + m
+    n = 2 + spec.m
     cov = np.eye(2 * n)
     cov[:4, :4] = state.cov
-    mean = np.zeros(2 * n)
-    mean[:4] = state.mean
-    labels = (ref_label, arm_label) + tuple(s.output for s in net.stages)
-    out = CovarianceState(labels, mean, cov)
-
     arm = 1
     for j, stage in enumerate(net.stages):
         # ancilla slot 2+j becomes this stage's output: it picks up the
         # +sqrt(1 - t) share of the arm, the arm keeps +sqrt(t) of itself
-        bs = gaussian.beam_splitter(stage.transmittance, 2 + j, arm, n)
-        out = gaussian.apply(bs, out)
+        s = gaussian.beam_splitter(stage.transmittance, 2 + j, arm, n)
+        cov = s @ cov @ s.T
+        cov = 0.5 * (cov + cov.T)  # keep exactly symmetric under roundoff
 
-    final = list(out.mode_labels)
-    final[arm] = net.final_label
-    out = CovarianceState(tuple(final), out.mean, out.cov)
-    return gaussian.permute_modes(out, (ref_label,) + output_labels(spec))
+    # the arm leaves the cascade carrying the ordering's last output
+    slots = (ref_label, net.final_label) + tuple(stage.output for stage in net.stages)
+    labels = (ref_label,) + output_labels(spec)
+    idx = [slots.index(lab) for lab in labels]
+    qi = [q for i in idx for q in (2 * i, 2 * i + 1)]
+    return CovarianceState(labels, cov[np.ix_(qi, qi)])
 
 
 def output_state_tmsv(

@@ -10,8 +10,11 @@ Conventions used throughout the package:
 * Entropies are in bits; the von Neumann entropy of a Gaussian state is
   ``sum(entropy_g((nu_k - 1) / 2))`` over its symplectic eigenvalues.
 
-Means are carried along (and transformed) so displaced states remain
-representable, but every state produced by this package is zero-mean.
+Every state here is zero-mean, so a covariance matrix is the whole state.
+Gaussian unitaries are plain symplectic matrices acting as ``S V S.T``,
+and a partial trace is a principal submatrix; neither can turn a valid
+covariance matrix into an invalid one, so states derived that way are
+not validated again.
 """
 
 from __future__ import annotations
@@ -23,13 +26,11 @@ import numpy as np
 
 __all__ = [
     "CovarianceState",
-    "SymplecticTransform",
     "SymplecticPairingError",
     "entropy_g",
     "tmsv",
     "thermal_state",
     "beam_splitter",
-    "apply",
     "reduce",
     "permute_modes",
     "symplectic_eigenvalues",
@@ -41,7 +42,6 @@ __all__ = [
 # Tolerances: 1e-12 for algebraic identities, 1e-9 for anything that has
 # passed through an eigendecomposition.
 SYMMETRY_TOL = 1e-12
-SYMPLECTIC_TOL = 1e-12
 VALIDITY_TOL = 1e-9
 PAIRING_TOL = 1e-9
 
@@ -63,14 +63,12 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 @dataclass
 class CovarianceState:
-    """Gaussian state of ``n`` labeled modes: mean vector and covariance matrix.
+    """Zero-mean Gaussian state of ``n`` labeled modes: its covariance matrix.
 
     Attributes
     ----------
     mode_labels : tuple
         Distinct identifiers, one per mode, in quadrature-block order.
-    mean : ndarray, shape (2n,)
-        Mean quadrature vector.
     cov : ndarray, shape (2n, 2n)
         Symmetric covariance matrix satisfying the uncertainty relation
         (all symplectic eigenvalues >= 1 within ``VALIDITY_TOL``).
@@ -79,13 +77,11 @@ class CovarianceState:
     """
 
     mode_labels: tuple
-    mean: np.ndarray
     cov: np.ndarray
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
         self.mode_labels = tuple(self.mode_labels)
-        self.mean = np.array(self.mean, dtype=float).reshape(-1)
         self.cov = np.array(self.cov, dtype=float)
         if validate:
             self._check()
@@ -96,10 +92,6 @@ class CovarianceState:
             raise ValueError("state must have at least one mode")
         if len(set(self.mode_labels)) != n:
             raise ValueError(f"duplicate mode labels: {self.mode_labels}")
-        if self.mean.shape != (2 * n,):
-            raise ValueError(
-                f"mean has shape {self.mean.shape}, expected ({2 * n},)"
-            )
         if self.cov.shape != (2 * n, 2 * n):
             raise ValueError(
                 f"cov has shape {self.cov.shape}, expected ({2 * n}, {2 * n})"
@@ -123,32 +115,6 @@ class CovarianceState:
             return self.mode_labels.index(label)
         except ValueError:
             raise ValueError(f"unknown mode label {label!r}") from None
-
-
-@dataclass
-class SymplecticTransform:
-    """Linear map on quadratures, ``r -> S @ r``, with S @ Omega @ S.T = Omega."""
-
-    matrix: np.ndarray
-    validate: InitVar[bool] = True
-
-    def __post_init__(self, validate: bool) -> None:
-        self.matrix = np.array(self.matrix, dtype=float)
-        if validate:
-            self._check()
-
-    def _check(self) -> None:
-        s = self.matrix
-        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
-            raise ValueError(f"matrix has shape {s.shape}, expected (2n, 2n)")
-        omega = symplectic_form(s.shape[0] // 2)
-        defect = float(np.max(np.abs(s @ omega @ s.T - omega)))
-        if defect > SYMPLECTIC_TOL:
-            raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
 
 
 def entropy_g(x: float) -> float:
@@ -189,7 +155,7 @@ def tmsv(n_s: float, labels=("A", "A'")) -> CovarianceState:
             [0.0, -c, 0.0, d],
         ]
     )
-    return CovarianceState(labels, np.zeros(4), cov)
+    return CovarianceState(labels, cov)
 
 
 def thermal_state(nbar: float, label) -> CovarianceState:
@@ -197,13 +163,13 @@ def thermal_state(nbar: float, label) -> CovarianceState:
     if nbar < 0:
         raise ValueError(f"mean photon number must be nonnegative, got {nbar!r}")
     cov = (2.0 * nbar + 1.0) * np.eye(2)
-    return CovarianceState((label,), np.zeros(2), cov)
+    return CovarianceState((label,), cov)
 
 
-def beam_splitter(eta: float, mode_a: int, mode_b: int, n_modes: int) -> SymplecticTransform:
-    """Beam splitter of transmittance ``eta`` coupling two modes of an n-mode system.
+def beam_splitter(eta: float, mode_a: int, mode_b: int, n_modes: int) -> np.ndarray:
+    """Symplectic matrix of a beam splitter of transmittance ``eta`` on n modes.
 
-    On the target quadrature blocks the map is
+    It acts on a covariance matrix as ``S V S.T``.  On the target quadrature blocks the map is
     ``[[sqrt(eta) I2, sqrt(1-eta) I2], [-sqrt(1-eta) I2, sqrt(eta) I2]]``
     (identity elsewhere), i.e. mode_a keeps a sqrt(eta) share of itself and
     gains sqrt(1-eta) of mode_b.
@@ -224,19 +190,7 @@ def beam_splitter(eta: float, mode_a: int, mode_b: int, n_modes: int) -> Symplec
     s[a : a + 2, b : b + 2] = r * np.eye(2)
     s[b : b + 2, a : a + 2] = -r * np.eye(2)
     s[b : b + 2, b : b + 2] = t * np.eye(2)
-    return SymplecticTransform(s)
-
-
-def apply(transform: SymplecticTransform, state: CovarianceState) -> CovarianceState:
-    """Apply a symplectic transform: cov -> S cov S.T, mean -> S mean."""
-    s = transform.matrix
-    if s.shape[0] != 2 * state.n_modes:
-        raise ValueError(
-            f"transform acts on {s.shape[0] // 2} modes, state has {state.n_modes}"
-        )
-    cov = s @ state.cov @ s.T
-    cov = 0.5 * (cov + cov.T)  # keep exactly symmetric under roundoff
-    return CovarianceState(state.mode_labels, s @ state.mean, cov)
+    return s
 
 
 def reduce(state: CovarianceState, keep) -> CovarianceState:
@@ -250,9 +204,7 @@ def reduce(state: CovarianceState, keep) -> CovarianceState:
     idx = [i for i, lab in enumerate(state.mode_labels) if lab in keep_set]
     qi = np.array([j for i in idx for j in (2 * i, 2 * i + 1)])
     return CovarianceState(
-        tuple(state.mode_labels[i] for i in idx),
-        state.mean[qi],
-        state.cov[np.ix_(qi, qi)],
+        tuple(state.mode_labels[i] for i in idx), state.cov[np.ix_(qi, qi)], validate=False
     )
 
 
@@ -265,7 +217,7 @@ def permute_modes(state: CovarianceState, new_order) -> CovarianceState:
         raise ValueError(f"{new_order!r} is not a permutation of {state.mode_labels!r}")
     idx = [state.index(lab) for lab in new_order]
     qi = np.array([j for i in idx for j in (2 * i, 2 * i + 1)])
-    return CovarianceState(new_order, state.mean[qi], state.cov[np.ix_(qi, qi)])
+    return CovarianceState(new_order, state.cov[np.ix_(qi, qi)], validate=False)
 
 
 def symplectic_eigenvalues(state: CovarianceState) -> list:

@@ -151,6 +151,20 @@ class TestApplyChannel:
                 BroadcastChannelSpec((0.2, 0.3)), gaussian.thermal_state(1.0, "T")
             )
 
+    @pytest.mark.parametrize("m", [1, 4, 12])
+    def test_cascade_validates_once(self, m, monkeypatch):
+        # one spectrum for the TMSV input, one for the output; none per stage
+        sizes = []
+        real = gaussian.symplectic_eigenvalues
+
+        def counted(state):
+            sizes.append(state.n_modes)
+            return real(state)
+
+        monkeypatch.setattr(gaussian, "symplectic_eigenvalues", counted)
+        output_state_tmsv(BroadcastChannelSpec((0.9 / m,) * m), 1.3)
+        assert sizes == [2, m + 2]
+
 
 class TestImplementationsEquivalent:
     def test_all_orderings_two_receivers(self):
