@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -334,6 +335,18 @@ class TestMergingGain:
     def test_invalid_photon_number(self, n_s):
         with pytest.raises(ValueError, match="photon number"):
             merging_gain(SPEC23, n_s, {1})
+
+    def test_listing_order_does_not_matter(self):
+        # 12 and 4 collide in a small hash table, so a frozenset's iteration
+        # order follows the order the subset was listed in; the eta sum must not
+        spec = BroadcastChannelSpec((
+            0.0868837573799192, 0.0337286049680616, 0.028512631979593434,
+            0.06964126463465874, 0.016674500619536622, 0.12427365647873671,
+            0.09709345813538116, 0.11237630855694875, 0.05264649299311455,
+            0.12662893612869025, 0.018373819000804495, 0.09824397335843672,
+        ))
+        gains = {merging_gain(spec, 1.7, p) for p in itertools.permutations((12, 2, 4))}
+        assert len(gains) == 1
 
     def test_overlap_and_empty_rejected(self):
         with pytest.raises(ValueError):
