@@ -11,7 +11,7 @@ verify       number-basis oracle suite against the Gaussian computation
 Numeric output is printed with 9 significant digits by default; set
 ``BBC_CAPACITY_PRECISION`` to override.  Exit status: 0 on success, 1 on a
 domain or usage error, 2 when a verification is inconclusive (truncation
-budget not met).
+budget not met, or the run does not fit in memory).
 """
 
 from __future__ import annotations
@@ -327,6 +327,9 @@ def run(config: RunConfig) -> int:
         text = _RUNNERS[config.command](config, _precision())
     except InconclusiveVerificationError as exc:
         sys.stderr.write(f"bbcap: inconclusive: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        sys.stderr.write(f"bbcap: inconclusive: out of memory: {exc}\n")
         return 2
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"bbcap: error: {exc}\n")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bbcap import cli
+from bbcap import cli, fock
 from bbcap.region import contains, region_from_dict
 
 
@@ -163,6 +163,15 @@ class TestVerifyCommand:
     def test_high_energy_is_inconclusive(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--etas", "0.2,0.3", "--ns", "3")
         assert code == 2 and "inconclusive" in err
+
+    def test_out_of_memory_is_inconclusive(self, capsys, monkeypatch):
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.87 GiB")
+
+        monkeypatch.setattr(fock, "verify_conditional_entropies", too_big)
+        code, out, err = run_cli(capsys, "verify", "--etas", "0.2,0.3,0.1", "--ns", "2")
+        assert code == 2 and out == ""
+        assert err == "bbcap: inconclusive: out of memory: Unable to allocate 7.87 GiB\n"
 
     def test_explicit_ordering(self, capsys):
         code, out, _ = run_cli(
