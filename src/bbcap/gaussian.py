@@ -169,7 +169,8 @@ def thermal_state(nbar: float, label) -> CovarianceState:
 def beam_splitter(eta: float, mode_a: int, mode_b: int, n_modes: int) -> np.ndarray:
     """Symplectic matrix of a beam splitter of transmittance ``eta`` on n modes.
 
-    It acts on a covariance matrix as ``S V S.T``.  On the target quadrature blocks the map is
+    It acts on a covariance matrix as ``S V S.T``.  On the target quadrature
+    blocks the map is
     ``[[sqrt(eta) I2, sqrt(1-eta) I2], [-sqrt(1-eta) I2, sqrt(eta) I2]]``
     (identity elsewhere), i.e. mode_a keeps a sqrt(eta) share of itself and
     gains sqrt(1-eta) of mode_b.
@@ -204,7 +205,9 @@ def reduce(state: CovarianceState, keep) -> CovarianceState:
     idx = [i for i, lab in enumerate(state.mode_labels) if lab in keep_set]
     qi = np.array([j for i in idx for j in (2 * i, 2 * i + 1)])
     return CovarianceState(
-        tuple(state.mode_labels[i] for i in idx), state.cov[np.ix_(qi, qi)], validate=False
+        tuple(state.mode_labels[i] for i in idx),
+        state.cov[np.ix_(qi, qi)],
+        validate=False,
     )
 
 

@@ -369,7 +369,7 @@ def merging_gain(spec: BroadcastChannelSpec, n_s: float, gained, helpers=()) -> 
     an entanglement deficit.
     """
     s1, s2 = _disjoint_subsets(spec.m, gained, helpers)
-    # ascending receiver order, as in the bound vector: the listing order is no input
+    # ascending receiver order, as in the bound vector, however the caller listed them
     eta_s1 = sum(spec.etas[i - 1] for i in sorted(s1))
     eta_s2 = sum(spec.etas[i - 1] for i in sorted(s2))
     closed = _closed_form(n_s, [1.0 - eta_s2], 1.0 - eta_s1 - eta_s2)[0]
