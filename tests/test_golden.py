@@ -1,9 +1,9 @@
 """Golden-output lock on the command-line interface.
 
 Each case runs ``cli.main`` in process and compares stdout byte for byte
-with a file under ``tests/golden/``.  The files were written once, before
-the region layer moved to its bitmask bound vector, and are never
-rewritten to make a case pass: a difference here is a change of output.
+with a file under ``tests/golden/``.  Each file was written once, from the
+code as it stood before the refactor it locks, and is never rewritten to
+make a case pass: a difference here is a change of output.
 
 ``PYTHONPATH=src python tests/test_golden.py NAME`` writes the file of a
 new case NAME.
