@@ -48,6 +48,8 @@ CASES = {
     "verify.json": (["verify", "--etas", "0.2,0.3", "--ns", "0.5"], None),
     "verify.csv": (["verify", "--etas", "0.2,0.3", "--ns", "0.4", "--format", "csv"], None),
     "verify_m3_prec17.json": (["verify", "--etas", "0.1,0.25,0.3", "--ns", "0.1"], "17"),
+    "verify_m2_ordering_prec17.json": (
+        ["verify", "--etas", "0.3,0.4", "--ns", "0.9", "--ordering", "B2,E,B1"], "17"),
 }
 
 
