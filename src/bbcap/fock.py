@@ -13,12 +13,26 @@ cannot be met.
 Only vacuum-fed splitters are implemented; every stage of a broadcast
 cascade mixes the through-arm with a fresh vacuum port, which is all the
 channel model needs and keeps this oracle auditable.
+
+A state keeps its amplitude table also as numpy arrays (one row of
+occupations per entry, one amplitude per entry, in table order), and the
+beam splitter and the partial trace work on those arrays.  The partial
+trace numbers kept and traced occupations as mixed-radix integers, finds
+the blocks by label propagation, fills a block fed by a single traced
+configuration with one outer product and sums every other block element
+by element in a fixed order: the order in which the traced
+configurations first appear in the table.  The order is kept because
+every reported entropy depends on the last bits of these sums (the
+full-precision golden outputs lock them).  Before it allocates a block,
+the partial trace adds up the bytes its dense blocks will take and ends
+the check as inconclusive when they exceed ``MAX_DENSE_BYTES`` (1 GiB).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +64,7 @@ __all__ = [
 
 TAIL_BUDGET = 1e-10
 MAX_CUTOFF = 60
+MAX_DENSE_BYTES = 2**30
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-8
 
@@ -103,20 +118,25 @@ def truncation_budget(n_s: float, cutoff: int) -> TruncationBudget:
 
 @dataclass
 class FockState:
-    """Pure state as a sparse table of real amplitudes over occupation tuples."""
+    """Pure state as a sparse table of real amplitudes over occupation tuples.
+
+    Construction validates the table and keeps a copy as two arrays in its
+    order: ``_occ`` (one row of occupations per entry) and ``_amp``.  The
+    beam splitter and the partial trace read those, so the table is not
+    to be changed after construction.
+    """
 
     mode_labels: tuple
     amplitudes: dict
     cutoff: int
+    _occ: np.ndarray = field(init=False, repr=False, compare=False)
+    _amp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mode_labels = tuple(self.mode_labels)
         if len(set(self.mode_labels)) != len(self.mode_labels):
             raise ValueError(f"duplicate mode labels: {self.mode_labels}")
-        n = len(self.mode_labels)
-        for occ in self.amplitudes:
-            if len(occ) != n or any(k < 0 for k in occ):
-                raise ValueError(f"bad occupation tuple {occ!r} for {n} modes")
+        self._occ, self._amp = _arrays(self.amplitudes, len(self.mode_labels))
 
     @property
     def norm_sq(self) -> float:
@@ -131,6 +151,28 @@ class FockState:
             return self.mode_labels.index(label)
         except ValueError:
             raise ValueError(f"unknown mode label {label!r}") from None
+
+
+def _arrays(amplitudes: dict, n: int) -> tuple:
+    """Occupations as an (entries, n) int array and amplitudes, in dict order.
+
+    Raises ValueError naming an entry that is not n nonnegative integers.
+    """
+    keys = list(amplitudes)
+    bad = np.flatnonzero(np.fromiter(map(len, keys), np.int64, len(keys)) != n)
+    if not bad.size:
+        flat = np.fromiter(itertools.chain.from_iterable(keys), float, len(keys) * n)
+        with np.errstate(invalid="ignore"):
+            occ = flat.astype(np.int64)
+        bad = np.flatnonzero(((occ < 0) | (occ != flat)).reshape(len(keys), n).any(axis=1))
+    if bad.size:
+        raise ValueError(f"bad occupation tuple {keys[bad[0]]!r} for {n} modes")
+    return occ.reshape(len(keys), n), np.fromiter(amplitudes.values(), float, len(keys))
+
+
+def _as_dict(occ: np.ndarray, amp: np.ndarray) -> dict:
+    """Amplitude table keyed by the rows of ``occ`` (at least one column)."""
+    return dict(zip(zip(*occ.T.tolist()), amp.tolist()))
 
 
 def tmsv_fock(n_s: float, cutoff: int, labels=("A", "A'")) -> FockState:
@@ -166,16 +208,23 @@ def split_with_vacuum(state: FockState, source_mode, eta: float, new_label) -> F
     if new_label in state.mode_labels:
         raise ValueError(f"label {new_label!r} already in use")
     src = state.index(source_mode)
-    out = {}
-    for occ, amp in state.amplitudes.items():
-        n = occ[src]
-        for k in range(n + 1):
-            w = math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k)
-            if w == 0.0:
-                continue
-            new_occ = occ[:src] + (k,) + occ[src + 1 :] + (n - k,)
-            out[new_occ] = out.get(new_occ, 0.0) + amp * math.sqrt(w)
-    return FockState(state.mode_labels + (new_label,), out, state.cutoff)
+    occ, amp = state._occ, state._amp
+    n = occ[:, src]
+    top = int(n.max()) + 1 if n.size else 0
+    # entry n(n+1)/2 + k holds the weight of |k>_src |n-k>_new, from the
+    # scalar expression so that every amplitude keeps its last bit
+    w = np.array(
+        [math.comb(j, k) * eta**k * (1.0 - eta) ** (j - k) for j in range(top) for k in range(j + 1)]
+    )
+    row = np.repeat(np.arange(n.size), n + 1)
+    k = _ranges(np.zeros_like(n), n + 1)
+    entry = n[row] * (n[row] + 1) // 2 + k
+    nonzero = w[entry] != 0.0
+    row, k, entry = row[nonzero], k[nonzero], entry[nonzero]
+    out = np.concatenate([occ[row], (n[row] - k)[:, None]], axis=1)
+    out[:, src] = k
+    amps = _as_dict(out, amp[row] * np.sqrt(w[entry]))
+    return FockState(state.mode_labels + (new_label,), amps, state.cutoff)
 
 
 @dataclass
@@ -185,7 +234,10 @@ class DensityMatrix:
     ``blocks`` is a tuple of ``(basis, matrix)`` pairs: ``basis`` lists the
     occupation tuples spanning the block and ``matrix`` is the dense
     Hermitian block.  Blocks are the orthogonality sectors discovered during
-    the partial trace (photon-number sectors, for the states built here).
+    the partial trace (photon-number sectors, for the states built here);
+    :func:`reduce_density` lists each basis in lexicographic order and the
+    blocks in the order of their first tuple, and refuses blocks whose
+    ``8 * dim**2`` bytes add up to more than ``MAX_DENSE_BYTES``.
     The trace may fall short of 1 by the recorded truncation deficit.
     """
 
@@ -226,59 +278,115 @@ class DensityMatrix:
         return np.sort(vals)[::-1]
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] .. starts[i] + lengths[i] - 1``, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+def _lex_ids(cols: np.ndarray) -> tuple:
+    """Distinct rows of ``cols`` in lexicographic order, the index of each
+    one's first occurrence, and the id of every row.
+
+    Rows are read as numbers in base max + 1 (the cutoff + 1 for the states
+    built here); ``np.unique(axis=0)`` serves when those would overflow.
+    """
+    base = int(cols.max()) + 1 if cols.size else 1
+    if base ** cols.shape[1] >= 2**63:
+        rows, first, ids = np.unique(cols, axis=0, return_index=True, return_inverse=True)
+        return rows, first, ids.reshape(-1)
+    # mixed-radix numbers sort as their digit tuples do
+    code = cols @ base ** np.arange(cols.shape[1] - 1, -1, -1, dtype=np.int64)
+    _, first, ids = np.unique(code, return_index=True, return_inverse=True)
+    return cols[first], first, ids
+
+
 def reduce_density(state: FockState, keep) -> DensityMatrix:
     """Partial trace onto the modes in ``keep`` (result modes in that order).
 
-    Amplitudes are grouped by the traced-out occupation; kept tuples that
-    never share a traced configuration can have no coherence, so the result
-    is assembled block-by-block over those sectors.
+    Amplitudes are grouped by the traced-out occupation.  Kept tuples that
+    never share a traced configuration have no coherence, so the result is
+    assembled block by block over the connected components of the graph
+    joining each kept tuple to the traced configurations it meets, found by
+    label propagation on arrays.  Each block's basis lists its kept tuples
+    in lexicographic order, and blocks come in the order of their first
+    tuple.  A block fed by one traced configuration is the outer product of
+    its amplitudes; this covers the large rank-one sectors.  In the other
+    blocks every element sums its terms from zero in order of first
+    appearance of the traced configuration in the amplitude table: a fixed
+    summation order keeps every element, and with it every eigenvalue, the
+    same to the last bit.
+
+    Raises :class:`InconclusiveVerificationError`, before any block is
+    allocated, when the blocks would take more than ``MAX_DENSE_BYTES``.
     """
     keep = tuple(keep)
     if not keep:
         raise ValueError("must keep at least one mode")
     kept_pos = [state.index(lab) for lab in keep]
     traced_pos = [i for i in range(len(state.mode_labels)) if i not in kept_pos]
+    occ = state._occ
+    kept, _, kid = _lex_ids(occ[:, kept_pos])
+    _, first, gid = _lex_ids(occ[:, traced_pos])
+    gid = first[gid]  # a traced configuration is named by its first entry
 
-    groups = {}
-    for occ, amp in state.amplitudes.items():
-        k = tuple(occ[i] for i in kept_pos)
-        t = tuple(occ[i] for i in traced_pos)
-        groups.setdefault(t, []).append((k, amp))
+    # each kept tuple ends labelled with the smallest id in its component
+    label = np.arange(len(kept))
+    while True:
+        glabel = np.full(len(occ), len(kept))
+        np.minimum.at(glabel, gid, label[kid])
+        new = label.copy()
+        np.minimum.at(new, kid, glabel[gid])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, comp = np.unique(label, return_inverse=True)
+    sizes = np.bincount(comp)
+    dense_bytes = 8 * int((sizes**2).sum())
+    if dense_bytes > MAX_DENSE_BYTES:
+        raise InconclusiveVerificationError(
+            f"reducing to ({','.join(map(str, keep))}) needs {dense_bytes} bytes of dense "
+            f"blocks (largest {sizes.max()}x{sizes.max()}), above the budget of "
+            f"{MAX_DENSE_BYTES} bytes"
+        )
+    # kept ids ascend within each block
+    by_comp = np.argsort(comp, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    pos = np.empty_like(by_comp)
+    pos[by_comp] = _ranges(np.zeros_like(sizes), sizes)
+    bases = list(zip(*kept[by_comp].T.tolist()))
 
-    parent = {}
+    # amplitudes by block, then traced configuration, then basis position:
+    # a block with one configuration reads its amplitudes in basis order
+    acomp, apos = comp[kid], pos[kid]
+    order = np.lexsort((apos, gid, acomp))
+    amp, acomp, apos, gid = state._amp[order], acomp[order], apos[order], gid[order]
+    run = np.flatnonzero(np.diff(gid, prepend=-1))
+    length = np.diff(run, append=gid.size)
+    single = np.bincount(acomp[run], minlength=sizes.size) == 1
+    # in the other blocks, every pair within each traced configuration
+    multi = ~single[acomp[run]]
+    run, length = run[multi], length[multi]
+    per = np.repeat(length, length)
+    row = np.repeat(_ranges(run, length), per)
+    col = _ranges(np.repeat(run, length), per)
+    flat = apos[row] * sizes[acomp[row]] + apos[col]
+    terms = amp[row] * amp[col]
 
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for items in groups.values():
-        for k, _ in items:
-            parent.setdefault(k, k)
-        root = find(items[0][0])
-        for k, _ in items[1:]:
-            parent[find(k)] = root
-
-    components = {}
-    for k in parent:
-        components.setdefault(find(k), []).append(k)
-
-    bases = [tuple(sorted(v)) for v in components.values()]
-    bases.sort()
-    index = {}
-    for b, basis in enumerate(bases):
-        for i, k in enumerate(basis):
-            index[k] = (b, i)
-    mats = [np.zeros((len(basis), len(basis))) for basis in bases]
-    for items in groups.values():
-        b = index[items[0][0]][0]
-        pos = np.array([index[k][1] for k, _ in items])
-        vec = np.array([a for _, a in items])
-        mats[b][np.ix_(pos, pos)] += np.outer(vec, vec)
-    return DensityMatrix(keep, tuple(zip(bases, mats)), state.cutoff)
+    abound = np.cumsum(np.bincount(acomp, minlength=sizes.size)).tolist()
+    pbound = np.cumsum(np.bincount(acomp[row], minlength=sizes.size)).tolist()
+    blocks = []
+    for c, d in enumerate(sizes.tolist()):
+        if single[c]:
+            vec = amp[abound[c] - d : abound[c]]
+            mat = np.outer(vec, vec)
+        else:
+            mat = np.zeros(d * d)
+            lo = pbound[c - 1] if c else 0
+            np.add.at(mat, flat[lo : pbound[c]], terms[lo : pbound[c]])
+            mat = mat.reshape(d, d)
+        blocks.append((bases[starts[c] : starts[c] + d], mat))
+    return DensityMatrix(keep, tuple(blocks), state.cutoff)
 
 
 def entropy_fock(rho: DensityMatrix) -> float:
@@ -305,12 +413,10 @@ def channel_output_fock(
     for stage in net.stages:
         state = split_with_vacuum(state, "A'", stage.transmittance, stage.output)
     labels = tuple(net.final_label if lab == "A'" else lab for lab in state.mode_labels)
-    state = FockState(labels, state.amplitudes, state.cutoff)
     # canonical mode order (A, B1, ..., Bm, E)
     want = ("A",) + _channel.output_labels(spec)
-    perm = [state.index(lab) for lab in want]
-    amps = {tuple(occ[i] for i in perm): a for occ, a in state.amplitudes.items()}
-    return FockState(want, amps, state.cutoff)
+    perm = [labels.index(lab) for lab in want]
+    return FockState(want, _as_dict(state._occ[:, perm], state._amp), state.cutoff)
 
 
 def _require_budget(n_s: float, cutoff) -> tuple:

@@ -102,3 +102,59 @@ def is_polymatroid_bruteforce(bounds: dict, m: int, tol: float) -> bool:
                     if vals[3] - vals[2] > vals[1] - vals[0] + tol:
                         return False
     return True
+
+
+def reduce_density_reference(state, keep) -> tuple:
+    """Partial trace by union-find over kept tuples and dense ``np.ix_`` updates.
+
+    The loop version of ``fock.reduce_density``, kept as its bit-level
+    reference: it returns the ``(basis, matrix)`` blocks, with each matrix
+    element summed from zero over the traced configurations in order of
+    first appearance.
+    """
+    keep = tuple(keep)
+    if not keep:
+        raise ValueError("must keep at least one mode")
+    kept_pos = [state.index(lab) for lab in keep]
+    traced_pos = [i for i in range(len(state.mode_labels)) if i not in kept_pos]
+
+    groups = {}
+    for occ, amp in state.amplitudes.items():
+        k = tuple(occ[i] for i in kept_pos)
+        t = tuple(occ[i] for i in traced_pos)
+        groups.setdefault(t, []).append((k, amp))
+
+    parent = {}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for items in groups.values():
+        for k, _ in items:
+            parent.setdefault(k, k)
+        root = find(items[0][0])
+        for k, _ in items[1:]:
+            parent[find(k)] = root
+
+    components = {}
+    for k in parent:
+        components.setdefault(find(k), []).append(k)
+
+    bases = [tuple(sorted(v)) for v in components.values()]
+    bases.sort()
+    index = {}
+    for b, basis in enumerate(bases):
+        for i, k in enumerate(basis):
+            index[k] = (b, i)
+    mats = [np.zeros((len(basis), len(basis))) for basis in bases]
+    for items in groups.values():
+        b = index[items[0][0]][0]
+        pos = np.array([index[k][1] for k, _ in items])
+        vec = np.array([a for _, a in items])
+        mats[b][np.ix_(pos, pos)] += np.outer(vec, vec)
+    return tuple(zip(bases, mats))

@@ -173,6 +173,14 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == "bbcap: inconclusive: out of memory: Unable to allocate 7.87 GiB\n"
 
+    def test_dense_budget_is_inconclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 1000)
+        code, out, err = run_cli(capsys, "verify", "--etas", "0.2,0.3", "--ns", "0.5")
+        assert code == 2 and out == ""
+        assert err.startswith("bbcap: inconclusive: reducing to (A,B1,B2) needs ")
+        assert err.endswith(" bytes of dense blocks (largest 231x231), above the budget of "
+                            "1000 bytes\n")
+
     def test_explicit_ordering(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--etas", "0.2,0.3", "--ns", "0.2",

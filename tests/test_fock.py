@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bbcap.channel import BroadcastChannelSpec, output_state_tmsv
+from bbcap import fock
+from bbcap.channel import BroadcastChannelSpec, output_state_tmsv, receiver_labels
 from bbcap.fock import (
     DensityMatrix,
     FockState,
@@ -22,6 +23,7 @@ from bbcap.fock import (
     verify_conditional_entropies,
 )
 from bbcap.gaussian import entropy_g, reduce, von_neumann_entropy
+from oracles import reduce_density_reference
 
 SPEC23 = BroadcastChannelSpec((0.2, 0.3))
 
@@ -135,6 +137,110 @@ class TestReduceDensity:
             reduce_density(tmsv_fock(0.5, 5), ("X",))
         with pytest.raises(ValueError):
             reduce_density(tmsv_fock(0.5, 5), ())
+
+
+def _verify_keeps(spec) -> list:
+    """The mode sets ``verify_conditional_entropies`` reduces onto."""
+    recv = receiver_labels(spec)
+    rests = [tuple(lab for lab in recv if lab not in t) for r in range(1, spec.m + 1)
+             for t in itertools.combinations(recv, r)]
+    return [("A",) + recv] + [("A",) + rest for rest in rests] + [("E",)]
+
+
+def _cascade_with_extreme_stages():
+    st = tmsv_fock(0.7, 9)
+    for eta, label in ((1.0, "B1"), (0.0, "B2"), (0.35, "B3")):
+        st = split_with_vacuum(st, "A'", eta, label)
+    return st
+
+
+def _mixed_totals_state():
+    # kept tuple (0,) meets traced tuples of totals 0, 1 and 3; (1,) joins
+    # its block through (1,); entries are out of lexicographic order
+    amps = {(1, 2): 0.3, (0, 3): -0.2, (0, 0): 0.5, (1, 1): 0.4, (0, 1): -0.35, (2, 0): 0.25}
+    return FockState(("a", "b"), amps, 3)
+
+
+def _scrambled_state():
+    # every kept element sums several terms, in an order that is not sorted
+    rng = np.random.RandomState(7)
+    occs = list(itertools.product(range(4), repeat=3))
+    rng.shuffle(occs)
+    amps = rng.uniform(-1.0, 1.0, len(occs))
+    amps /= np.linalg.norm(amps)
+    return FockState(("a", "b", "c"), dict(zip(occs, amps.tolist())), 9)
+
+
+def _reference_cases():
+    cases = [("tmsv_keep_all", lambda: tmsv_fock(0.6, 8), ("A", "A'"))]
+    orderings = {1: ("E", "B1"), 2: ("B2", "E", "B1"), 3: ("B3", "E", "B1", "B2")}
+    for spec, cutoff in ((BroadcastChannelSpec((0.3,)), 20),
+                         (SPEC23, 15), (BroadcastChannelSpec((0.1, 0.25, 0.3)), 9)):
+        for ordering in (None, orderings[spec.m]):
+            for keep in _verify_keeps(spec):
+                name = f"m{spec.m}_{'-'.join(ordering or ('default',))}_{'-'.join(keep)}"
+                cases.append((name, lambda s=spec, c=cutoff, o=ordering:
+                              channel_output_fock(s, 0.4, c, o), keep))
+    schmidt = lambda: split_with_vacuum(tmsv_fock(0.5, 20), "A'", 0.8, "B")
+    cases.append(("schmidt_A-B", schmidt, ("A", "B")))
+    labels = ("A", "A'", "B1", "B2", "B3")
+    for r in range(1, len(labels) + 1):
+        for keep in itertools.combinations(labels, r):
+            cases.append((f"eta01_{'-'.join(keep)}", _cascade_with_extreme_stages, keep))
+    bell = FockState(("a", "b"), {(0, 0): math.sqrt(0.5), (1, 1): math.sqrt(0.5)}, 1)
+    cases += [("bell_a", lambda: bell, ("a",)), ("bell_ab", lambda: bell, ("a", "b"))]
+    cases.append(("empty", lambda: FockState(("a", "b"), {}, 3), ("a",)))
+    for keep in (("a",), ("b",), ("b", "a")):
+        cases.append((f"mixed_totals_{'-'.join(keep)}", _mixed_totals_state, keep))
+    for keep in (("a",), ("c", "a"), ("b", "c"), ("a", "b", "c")):
+        cases.append((f"scrambled_{'-'.join(keep)}", _scrambled_state, keep))
+    big = FockState(("a", "b", "c"), {(2**40, 0, 2**40): 0.6, (2**40, 1, 2**40 - 1): 0.8}, 2**41)
+    cases += [("huge_occupations_a-b", lambda: big, ("a", "b")),
+              ("huge_occupations_c", lambda: big, ("c",))]
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+class TestReduceDensityMatchesReference:
+    """The array partial trace against the union-find loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make, keep", [c[1:] for c in REFERENCE_CASES], ids=[c[0] for c in REFERENCE_CASES]
+    )
+    def test_same_blocks(self, make, keep):
+        state = make()
+        got = reduce_density(state, keep).blocks
+        want = reduce_density_reference(state, keep)
+        assert [basis for basis, _ in got] == [basis for basis, _ in want]
+        for (_, mat), (_, ref) in zip(got, want):
+            assert mat.dtype == ref.dtype and np.array_equal(mat, ref)
+
+    def test_empty_state_has_no_blocks(self):
+        rho = reduce_density(FockState(("a", "b"), {}, 3), ("a",))
+        assert rho.blocks == () and rho.eigenvalues().size == 0
+
+
+class TestDenseBudget:
+    def test_estimate_names_the_bytes(self, monkeypatch):
+        st = tmsv_fock(0.5, 20)  # keeping both modes: one 21x21 block
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 8 * 21 * 21 - 1)
+        with pytest.raises(InconclusiveVerificationError, match=r"needs 3528 bytes"):
+            reduce_density(st, st.mode_labels)
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 8 * 21 * 21)
+        assert len(reduce_density(st, st.mode_labels).blocks) == 1
+
+    def test_estimate_sums_every_block(self, monkeypatch):
+        st = tmsv_fock(0.5, 20)  # keeping one arm: twenty-one 1x1 blocks
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 8 * 21 - 1)
+        with pytest.raises(InconclusiveVerificationError, match=r"needs 168 bytes"):
+            reduce_density(st, ("A",))
+
+    def test_verification_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 1000)
+        with pytest.raises(InconclusiveVerificationError, match="budget of 1000 bytes"):
+            verify_conditional_entropies(SPEC23, 0.2, cutoff=15)
 
 
 class TestEntropyFock:

@@ -6,7 +6,8 @@ code as it stood before the refactor it locks, and is never rewritten to
 make a case pass: a difference here is a change of output.
 
 ``PYTHONPATH=src python tests/test_golden.py NAME`` writes the file of a
-new case NAME.
+new case NAME.  It refuses to overwrite a file that exists, so a
+regenerated golden shows up as a deletion in the diff.
 """
 
 import io
@@ -68,7 +69,18 @@ def test_output_matches_golden(name, capsys, monkeypatch):
     assert _run(name, capsys, monkeypatch) == (GOLDEN / name).read_bytes().decode()
 
 
+def test_writer_refuses_to_overwrite():
+    before = (GOLDEN / "verify.json").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        _write(["region_inf.json", "verify.json"])
+    assert "region_inf.json" in exc.value.code and "verify.json" in exc.value.code
+    assert (GOLDEN / "verify.json").read_bytes() == before
+
+
 def _write(names) -> None:
+    existing = [f"tests/golden/{name}" for name in names if (GOLDEN / name).exists()]
+    if existing:
+        sys.exit(f"refusing to overwrite {', '.join(existing)}: delete a file to regenerate it")
     GOLDEN.mkdir(exist_ok=True)
     for name in names:
         argv, precision = CASES[name]
