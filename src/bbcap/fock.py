@@ -14,18 +14,15 @@ Only vacuum-fed splitters are implemented; every stage of a broadcast
 cascade mixes the through-arm with a fresh vacuum port, which is all the
 channel model needs and keeps this oracle auditable.
 
-A state keeps its amplitude table also as numpy arrays (one row of
-occupations per entry, one amplitude per entry, in table order), and the
-beam splitter and the partial trace work on those arrays.  The partial
-trace numbers kept and traced occupations as mixed-radix integers, finds
-the blocks by label propagation, fills a block fed by a single traced
-configuration with one outer product and sums every other block element
-by element in a fixed order: the order in which the traced
-configurations first appear in the table.  The order is kept because
-every reported entropy depends on the last bits of these sums (the
-full-precision golden outputs lock them).  Before it allocates a block,
-the partial trace adds up the bytes its dense blocks will take and ends
-the check as inconclusive when they exceed ``MAX_DENSE_BYTES`` (1 GiB).
+A state keeps its amplitude table also as numpy arrays, which the beam
+splitter and the partial trace work on.  The partial trace numbers
+occupation tuples as mixed-radix integers, finds its blocks by label
+propagation, fills a block fed by one traced configuration with a single
+outer product, and sums every other element in the order in which the
+traced configurations first appear in the table.  That order is kept
+because the reported entropies depend on the last bits of these sums.
+Before allocating, it adds up the bytes of its dense blocks and ends the
+check as inconclusive above ``MAX_DENSE_BYTES`` (1 GiB).
 """
 
 from __future__ import annotations
@@ -349,7 +346,7 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
             f"blocks (largest {sizes.max()}x{sizes.max()}), above the budget of "
             f"{MAX_DENSE_BYTES} bytes"
         )
-    # kept ids ascend within each block
+    # basis position of each kept id; ids ascend within a block, as tuples do
     by_comp = np.argsort(comp, kind="stable")
     starts = np.cumsum(sizes) - sizes
     pos = np.empty_like(by_comp)
