@@ -53,6 +53,27 @@ CASES = {
         ["verify", "--etas", "0.3,0.4", "--ns", "0.9", "--ordering", "B2,E,B1"], "17"),
 }
 
+# rendering edges: at precision 1 a JSON float prints 10.0 where CSV prints
+# 1e+01, and the vertices energy stays unrounded at every precision
+REGION3 = ["region", "--etas", "0.2,0.35,0.1", "--ns", "12.5"]
+VERTICES3 = ["vertices", "--etas", "0.2,0.35,0.1", "--ns", "2.75"]
+BOUNDARY = ["boundary", "--etas", "0.2,0.3", "--ns", "1.7", "--points", "8", "--format", "json"]
+CONVERGENCE = ["convergence", "--etas", "0.2,0.3", "--ns-grid", "0.25,10,1000"]
+for _p in ("1", "3"):
+    CASES.update({
+        f"region_finite_prec{_p}.json": (REGION3, _p),
+        f"region_finite_prec{_p}.csv": (REGION3 + ["--format", "csv"], _p),
+        f"vertices_prec{_p}.json": (VERTICES3, _p),
+        f"boundary_finite_prec{_p}.json": (BOUNDARY, _p),
+        f"convergence_prec{_p}.json": (CONVERGENCE, _p),
+        f"convergence_prec{_p}.csv": (CONVERGENCE + ["--format", "csv"], _p),
+    })
+CASES.update({
+    "boundary_prec17.csv": (["boundary", "--etas", "0.15,0.4", "--ns", "0.6", "--points", "6"], "17"),
+    "convergence_prec17.json": (CONVERGENCE, "17"),
+    "convergence_prec17.csv": (CONVERGENCE + ["--format", "csv"], "17"),
+})
+
 
 def _run(name: str, capsys, monkeypatch) -> str:
     argv, precision = CASES[name]
@@ -67,6 +88,26 @@ def _run(name: str, capsys, monkeypatch) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, capsys, monkeypatch):
     assert _run(name, capsys, monkeypatch) == (GOLDEN / name).read_bytes().decode()
+
+
+def test_output_file_matches_golden(tmp_path, capsys, monkeypatch):
+    argv, precision = CASES["region_m3_prec17.json"]
+    monkeypatch.setenv("BBC_CAPACITY_PRECISION", precision)
+    target = tmp_path / "region.json"
+    assert cli.main(argv + ["--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == (GOLDEN / "region_m3_prec17.json").read_bytes()
+
+
+def test_usage_error_leaves_no_state(capsys, monkeypatch):
+    assert cli.main(["region"]) == 1
+    assert "--etas" in capsys.readouterr().err
+    assert _run("region_inf.json", capsys, monkeypatch) == (GOLDEN / "region_inf.json").read_text()
+
+
+def test_calls_in_one_process_match(capsys, monkeypatch):
+    for name in ("vertices_m5.csv", "convergence.json", "boundary.csv", "region_unbounded.json"):
+        assert _run(name, capsys, monkeypatch) == (GOLDEN / name).read_text(), name
 
 
 def test_writer_refuses_to_overwrite():
