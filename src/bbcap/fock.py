@@ -21,8 +21,9 @@ propagation, fills a block fed by one traced configuration with a single
 outer product, and sums every other element in the order in which the
 traced configurations first appear in the table.  That order is kept
 because the reported entropies depend on the last bits of these sums.
-Before allocating, it adds up the bytes of its dense blocks and ends the
-check as inconclusive above ``MAX_DENSE_BYTES`` (1 GiB).
+Before allocating, it adds up the bytes of its dense blocks and of the
+index and term arrays that fill them, and ends the check as inconclusive
+above ``MAX_DENSE_BYTES`` (1 GiB).
 """
 
 from __future__ import annotations
@@ -234,7 +235,8 @@ class DensityMatrix:
     the partial trace (photon-number sectors, for the states built here);
     :func:`reduce_density` lists each basis in lexicographic order and the
     blocks in the order of their first tuple, and refuses blocks whose
-    ``8 * dim**2`` bytes add up to more than ``MAX_DENSE_BYTES``.
+    ``8 * dim**2`` bytes, with the arrays that fill them, add up to more
+    than ``MAX_DENSE_BYTES``.
     The trace may fall short of 1 by the recorded truncation deficit.
     """
 
@@ -313,8 +315,9 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     summation order keeps every element, and with it every eigenvalue, the
     same to the last bit.
 
-    Raises :class:`InconclusiveVerificationError`, before any block is
-    allocated, when the blocks would take more than ``MAX_DENSE_BYTES``.
+    Raises :class:`InconclusiveVerificationError`, before any block or term
+    pair is allocated, when the blocks and the pairs would take more than
+    ``MAX_DENSE_BYTES``.
     """
     keep = tuple(keep)
     if not keep:
@@ -364,6 +367,14 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     # in the other blocks, every pair within each traced configuration
     multi = ~single[acomp[run]]
     run, length = run[multi], length[multi]
+    # row, col, flat index and term: four 8-byte arrays per pair
+    pair_bytes = 32 * int((length**2).sum())
+    if dense_bytes + pair_bytes > MAX_DENSE_BYTES:
+        raise InconclusiveVerificationError(
+            f"reducing to ({','.join(map(str, keep))}) needs {dense_bytes} bytes of dense "
+            f"blocks and {pair_bytes} bytes of term pairs, above the budget of "
+            f"{MAX_DENSE_BYTES} bytes"
+        )
     per = np.repeat(length, length)
     row = np.repeat(_ranges(run, length), per)
     col = _ranges(np.repeat(run, length), per)

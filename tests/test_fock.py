@@ -237,6 +237,20 @@ class TestDenseBudget:
         with pytest.raises(InconclusiveVerificationError, match=r"needs 168 bytes"):
             reduce_density(st, ("A",))
 
+    def test_estimate_counts_the_term_pairs(self, monkeypatch):
+        st = channel_output_fock(SPEC23, 0.5, 6)
+        # keeping A: seven 1x1 blocks (56 bytes).  Photon number is
+        # conserved, so each traced configuration meets one kept tuple; the
+        # vacuum block has one configuration and is an outer product, and in
+        # the six others every amplitude makes one 32-byte term pair
+        pair_bytes = 32 * (len(st.amplitudes) - 1)
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 56 + pair_bytes - 1)
+        with pytest.raises(InconclusiveVerificationError,
+                           match=rf"needs 56 bytes of dense blocks and {pair_bytes} bytes"):
+            reduce_density(st, ("A",))
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 56 + pair_bytes)
+        assert len(reduce_density(st, ("A",)).blocks) == 7
+
     def test_verification_is_inconclusive(self, monkeypatch):
         monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 1000)
         with pytest.raises(InconclusiveVerificationError, match="budget of 1000 bytes"):
