@@ -17,11 +17,13 @@ budget not met, or the run does not fit in memory).
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import itertools
 import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import fock, region
 from .channel import BroadcastChannelSpec
@@ -90,15 +92,9 @@ def _precision() -> int:
     return p
 
 
-def _fmt(x: float, prec: int) -> str:
-    return f"{x:.{prec}g}"
-
-
-def _round(x: float, prec: int) -> float:
-    return float(f"{x:.{prec}g}")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = _Parser(prog="bbcap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -194,78 +190,133 @@ def _emit(text: str, output) -> None:
             fh.write(text)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+class _Numbers(dict):
+    """Float -> output text at one precision, memoised over one rendering.
+
+    A JSON float is the value rounded to ``prec`` significant digits and
+    printed as ``json.dumps`` prints it; a CSV float is the rounded text
+    itself.  Vertex lists repeat a few hundred values many times.  Zeros are
+    never stored, because 0.0 and -0.0 are equal keys that print differently.
+    """
+
+    def __init__(self, prec: int, fmt: str):
+        self.spec = f".{prec}g"
+        self.json = fmt == "json"
+        self.zeros = self.texts((0.0, -0.0))
+
+    def texts(self, values) -> list:
+        """The text of each value, without the memo (for values that seldom repeat)."""
+        texts = [format(x, self.spec) for x in values]
+        return list(map(float.__repr__, map(float, texts))) if self.json else texts
+
+    def __missing__(self, x):
+        if not x:
+            return self.zeros[math.copysign(1.0, x) < 0]
+        (text,) = self.texts((x,))
+        self[x] = text
+        return text
+
+
+class _Raw(str):
+    """JSON text the writer copies as it is."""
+
+
+def _json(obj, num: _Numbers, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, with every float through ``num``.
+
+    Takes dicts, lists, strings, bools, ints and floats.  A tuple is a rate
+    point, floats only.
+    """
+    if isinstance(obj, float):
+        return num[obj]
+    if isinstance(obj, str):
+        return obj if type(obj) is _Raw else encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        inner = pad + "  "
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, num, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        inner = pad + "  "
+        if type(obj) is tuple:
+            items = list(map(num.__getitem__, obj))
+        else:
+            items = [_json(v, num, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    return int.__repr__(obj)
+
+
+def _csv(header: str, rows) -> str:
+    """One line per row of cell texts, under ``header``."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def _subsets(m: int, sep: str):
+    """(receivers joined by ``sep``, mask) of every nonempty subset, smallest
+    first, lexicographic: the order of ``region.region_to_dict``."""
+    labels, bits = [str(i) for i in range(1, m + 1)], [1 << i for i in range(m)]
+    for size in range(1, m + 1):
+        yield from zip(
+            map(sep.join, itertools.combinations(labels, size)),
+            map(sum, itertools.combinations(bits, size)),
+        )
 
 
 def _run_region(config: RunConfig, prec: int) -> str:
     reg = _region_for(config)
-    data = region.region_to_dict(reg, round_to=prec)
-    if config.fmt == "json":
-        return _json_text(data)
-    lines = ["subset,bound_bits"]
-    for entry in data["constraints"]:
-        subset = "+".join(str(i) for i in entry["subset"])
-        bound = "unbounded" if entry.get("unbounded") else _fmt(entry["bound_bits"], prec)
-        lines.append(f"{subset},{bound}")
-    return "\n".join(lines) + "\n"
+    f = reg._f.tolist()
+    num = _Numbers(prec, config.fmt)
+    bounds = num.texts(f)
+    if config.fmt == "csv":
+        rows = [(s, "unbounded" if f[mask] == math.inf else bounds[mask])
+                for s, mask in _subsets(reg.m, "+")]
+        return _csv("subset,bound_bits", rows)
+    # the constraint list sits at depth 1 of the indent-2 layout
+    entries = ",\n    ".join([
+        '{\n      "subset": [\n        ' + s + "\n      ],\n      "
+        + ('"unbounded": true' if f[mask] == math.inf else '"bound_bits": ' + bounds[mask])
+        + "\n    }"
+        for s, mask in _subsets(reg.m, ",\n        ")
+    ])
+    data = {"m": reg.m, "energy": reg.energy, "constraints": _Raw(f"[\n    {entries}\n  ]")}
+    return _json(data, num) + "\n"
 
 
 def _run_vertices(config: RunConfig, prec: int) -> str:
     reg = _region_for(config)
     pts = region.vertices(reg)
+    num = _Numbers(prec, config.fmt)
     if config.fmt == "json":
-        data = {
-            "m": reg.m,
-            "energy": reg.energy,
-            "vertices": [[_round(x, prec) for x in p] for p in pts],
-        }
-        return _json_text(data)
+        energy = reg.energy
+        if energy != region.UNCONSTRAINED:  # printed in full, unlike the region command's
+            energy = _Raw(float.__repr__(energy))
+        return _json({"m": reg.m, "energy": energy, "vertices": pts}, num) + "\n"
     header = ",".join(f"r{i}_bits" for i in range(1, reg.m + 1))
-    lines = [header] + [",".join(_fmt(x, prec) for x in p) for p in pts]
-    return "\n".join(lines) + "\n"
+    return _csv(header, [map(num.__getitem__, p) for p in pts])
 
 
 def _run_boundary(config: RunConfig, prec: int) -> str:
-    reg = _region_for(config)
-    pts = region.boundary_2d(reg, config.points)
+    pts = region.boundary_2d(_region_for(config), config.points)
+    num = _Numbers(prec, config.fmt)
     if config.fmt == "json":
-        return _json_text(
-            {"points": [[_round(x, prec), _round(y, prec)] for x, y in pts]}
-        )
-    lines = ["r1_bits,r2_bits"] + [f"{_fmt(x, prec)},{_fmt(y, prec)}" for x, y in pts]
-    return "\n".join(lines) + "\n"
+        return _json({"points": pts}, num) + "\n"
+    return _csv("r1_bits,r2_bits", [map(num.__getitem__, p) for p in pts])
 
 
 def _run_convergence(config: RunConfig, prec: int) -> str:
     rows = convergence_table(config.etas, config.ns_grid)
+    num = _Numbers(prec, config.fmt)
     if config.fmt == "json":
-        data = [
-            {
-                "ns": _round(r["ns"], prec),
-                "subset": r["subset"],
-                "inner_bound_bits": _round(r["inner_bound_bits"], prec),
-                "asymptotic_bound_bits": _round(r["asymptotic_bound_bits"], prec),
-                "gap_bits": _round(r["gap_bits"], prec),
-            }
+        return _json(rows, num) + "\n"
+    return _csv(
+        "ns,subset,inner_bound_bits,asymptotic_bound_bits,gap_bits",
+        [
+            (num[r["ns"]], "+".join(map(str, r["subset"])), num[r["inner_bound_bits"]],
+             num[r["asymptotic_bound_bits"]], num[r["gap_bits"]])
             for r in rows
-        ]
-        return _json_text(data)
-    lines = ["ns,subset,inner_bound_bits,asymptotic_bound_bits,gap_bits"]
-    for r in rows:
-        subset = "+".join(str(i) for i in r["subset"])
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r["ns"], prec),
-                    subset,
-                    _fmt(r["inner_bound_bits"], prec),
-                    _fmt(r["asymptotic_bound_bits"], prec),
-                    _fmt(r["gap_bits"], prec),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+        ],
+    )
 
 
 def _run_verify(config: RunConfig, prec: int) -> str:
@@ -277,39 +328,20 @@ def _run_verify(config: RunConfig, prec: int) -> str:
         fock.schmidt_spectrum_check(eta, config.ns, cutoff=report.cutoff)
         for eta in spec.etas
     ]
-    passed = report.passed and all(s.passed for s in schmidt)
-    data = report.to_dict()
-    data["schmidt"] = [s.to_dict() for s in schmidt]
-    data["pass"] = passed
-
-    def round_floats(obj):
-        if isinstance(obj, float):
-            return _round(obj, prec)
-        if isinstance(obj, list):
-            return [round_floats(x) for x in obj]
-        if isinstance(obj, dict):
-            return {k: round_floats(v) for k, v in obj.items()}
-        return obj
-
-    data = round_floats(data)
+    num = _Numbers(prec, config.fmt)
     if config.fmt == "json":
-        return _json_text(data)
-    lines = ["case,gaussian_bits,fock_bits,closed_form_bits,abs_dev,tail_mass,pass"]
-    for c in data["cases"]:
-        lines.append(
-            ",".join(
-                (
-                    c["case"].replace(",", ";"),
-                    _fmt(c["gaussian_bits"], prec),
-                    _fmt(c["fock_bits"], prec),
-                    _fmt(c["closed_form_bits"], prec),
-                    _fmt(c["abs_dev"], prec),
-                    _fmt(c["tail_mass"], prec),
-                    str(c["pass"]).lower(),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+        data = report.to_dict()
+        data["schmidt"] = [s.to_dict() for s in schmidt]
+        data["pass"] = report.passed and all(s.passed for s in schmidt)
+        return _json(data, num) + "\n"
+    return _csv(
+        "case,gaussian_bits,fock_bits,closed_form_bits,abs_dev,tail_mass,pass",
+        [
+            (c.case.replace(",", ";"), num[c.gaussian_bits], num[c.fock_bits],
+             num[c.closed_form_bits], num[c.abs_dev], num[c.tail_mass], str(c.passed).lower())
+            for c in report.cases
+        ],
+    )
 
 
 _RUNNERS = {
@@ -334,7 +366,11 @@ def run(config: RunConfig) -> int:
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"bbcap: error: {exc}\n")
         return 1
-    _emit(text, config.output)
+    try:
+        _emit(text, config.output)
+    except OSError as exc:
+        sys.stderr.write(f"bbcap: error: cannot write {config.output}: {exc.strerror}\n")
+        return 1
     return 0
 
 

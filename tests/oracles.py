@@ -1,11 +1,13 @@
 """Independent reference computations the tests check the library against.
 
 Nothing here imports the code paths under test: entropies come from plain
-spectral sums, split populations from explicit binomial mixing, and polytope
-vertices from hyperplane intersection.
+spectral sums, split populations from explicit binomial mixing, polytope
+vertices from hyperplane intersection, and command-line output from
+``json.dumps``.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -158,3 +160,120 @@ def reduce_density_reference(state, keep) -> tuple:
         vec = np.array([a for _, a in items])
         mats[b][np.ix_(pos, pos)] += np.outer(vec, vec)
     return tuple(zip(bases, mats))
+
+
+# The command-line rendering as it stood before the single JSON/CSV emitter:
+# each command's ``_run_*`` body, taking the computed values as arguments.
+# ``region`` takes ``region.region_to_dict(reg, round_to=prec)``; ``verify``
+# takes the report and the Schmidt checks (anything with ``to_dict``/``passed``).
+
+
+def _fmt(x: float, prec: int) -> str:
+    return f"{x:.{prec}g}"
+
+
+def _round(x: float, prec: int) -> float:
+    return float(f"{x:.{prec}g}")
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def render_region_reference(data: dict, fmt: str, prec: int) -> str:
+    if fmt == "json":
+        return _json_text(data)
+    lines = ["subset,bound_bits"]
+    for entry in data["constraints"]:
+        subset = "+".join(str(i) for i in entry["subset"])
+        bound = "unbounded" if entry.get("unbounded") else _fmt(entry["bound_bits"], prec)
+        lines.append(f"{subset},{bound}")
+    return "\n".join(lines) + "\n"
+
+
+def render_vertices_reference(m: int, energy, pts, fmt: str, prec: int) -> str:
+    if fmt == "json":
+        data = {
+            "m": m,
+            "energy": energy,
+            "vertices": [[_round(x, prec) for x in p] for p in pts],
+        }
+        return _json_text(data)
+    header = ",".join(f"r{i}_bits" for i in range(1, m + 1))
+    lines = [header] + [",".join(_fmt(x, prec) for x in p) for p in pts]
+    return "\n".join(lines) + "\n"
+
+
+def render_boundary_reference(pts, fmt: str, prec: int) -> str:
+    if fmt == "json":
+        return _json_text(
+            {"points": [[_round(x, prec), _round(y, prec)] for x, y in pts]}
+        )
+    lines = ["r1_bits,r2_bits"] + [f"{_fmt(x, prec)},{_fmt(y, prec)}" for x, y in pts]
+    return "\n".join(lines) + "\n"
+
+
+def render_convergence_reference(rows, fmt: str, prec: int) -> str:
+    if fmt == "json":
+        data = [
+            {
+                "ns": _round(r["ns"], prec),
+                "subset": r["subset"],
+                "inner_bound_bits": _round(r["inner_bound_bits"], prec),
+                "asymptotic_bound_bits": _round(r["asymptotic_bound_bits"], prec),
+                "gap_bits": _round(r["gap_bits"], prec),
+            }
+            for r in rows
+        ]
+        return _json_text(data)
+    lines = ["ns,subset,inner_bound_bits,asymptotic_bound_bits,gap_bits"]
+    for r in rows:
+        subset = "+".join(str(i) for i in r["subset"])
+        lines.append(
+            ",".join(
+                (
+                    _fmt(r["ns"], prec),
+                    subset,
+                    _fmt(r["inner_bound_bits"], prec),
+                    _fmt(r["asymptotic_bound_bits"], prec),
+                    _fmt(r["gap_bits"], prec),
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def render_verify_reference(report, schmidt, fmt: str, prec: int) -> str:
+    passed = report.passed and all(s.passed for s in schmidt)
+    data = report.to_dict()
+    data["schmidt"] = [s.to_dict() for s in schmidt]
+    data["pass"] = passed
+
+    def round_floats(obj):
+        if isinstance(obj, float):
+            return _round(obj, prec)
+        if isinstance(obj, list):
+            return [round_floats(x) for x in obj]
+        if isinstance(obj, dict):
+            return {k: round_floats(v) for k, v in obj.items()}
+        return obj
+
+    data = round_floats(data)
+    if fmt == "json":
+        return _json_text(data)
+    lines = ["case,gaussian_bits,fock_bits,closed_form_bits,abs_dev,tail_mass,pass"]
+    for c in data["cases"]:
+        lines.append(
+            ",".join(
+                (
+                    c["case"].replace(",", ";"),
+                    _fmt(c["gaussian_bits"], prec),
+                    _fmt(c["fock_bits"], prec),
+                    _fmt(c["closed_form_bits"], prec),
+                    _fmt(c["abs_dev"], prec),
+                    _fmt(c["tail_mass"], prec),
+                    str(c["pass"]).lower(),
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"

@@ -111,6 +111,12 @@ class TestBoundaryCommand:
         raw = target.read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")
 
+    def test_unwritable_output_is_an_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "region", "--etas", "0.2,0.3", "--output", str(target))
+        assert code == 1 and out == "" and not target.exists()
+        assert err.startswith(f"bbcap: error: cannot write {target}: ") and err.count("\n") == 1
+
     def test_wrong_m_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "boundary", "--etas", "0.5")
         assert code == 1 and "m = 2" in err
