@@ -94,7 +94,11 @@ def _precision() -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing leaves no state in it: ``_Parser.error`` raises, and each call
+    gets a fresh namespace.
+    """
     parser = _Parser(prog="bbcap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -249,7 +253,7 @@ def _json(obj, num: _Numbers, pad: str = "\n") -> str:
 
 def _csv(header: str, rows) -> str:
     """One line per row of cell texts, under ``header``."""
-    return "\n".join([header, *map(",".join, rows)]) + "\n"
+    return "\n".join([header, *map(",".join, rows)])
 
 
 def _subsets(m: int, sep: str):
@@ -263,10 +267,9 @@ def _subsets(m: int, sep: str):
         )
 
 
-def _run_region(config: RunConfig, prec: int) -> str:
+def _run_region(config: RunConfig, num: _Numbers) -> str:
     reg = _region_for(config)
     f = reg._f.tolist()
-    num = _Numbers(prec, config.fmt)
     bounds = num.texts(f)
     if config.fmt == "csv":
         rows = [(s, "unbounded" if f[mask] == math.inf else bounds[mask])
@@ -280,35 +283,32 @@ def _run_region(config: RunConfig, prec: int) -> str:
         for s, mask in _subsets(reg.m, ",\n        ")
     ])
     data = {"m": reg.m, "energy": reg.energy, "constraints": _Raw(f"[\n    {entries}\n  ]")}
-    return _json(data, num) + "\n"
+    return _json(data, num)
 
 
-def _run_vertices(config: RunConfig, prec: int) -> str:
+def _run_vertices(config: RunConfig, num: _Numbers) -> str:
     reg = _region_for(config)
     pts = region.vertices(reg)
-    num = _Numbers(prec, config.fmt)
     if config.fmt == "json":
         energy = reg.energy
         if energy != region.UNCONSTRAINED:  # printed in full, unlike the region command's
             energy = _Raw(float.__repr__(energy))
-        return _json({"m": reg.m, "energy": energy, "vertices": pts}, num) + "\n"
+        return _json({"m": reg.m, "energy": energy, "vertices": pts}, num)
     header = ",".join(f"r{i}_bits" for i in range(1, reg.m + 1))
     return _csv(header, [map(num.__getitem__, p) for p in pts])
 
 
-def _run_boundary(config: RunConfig, prec: int) -> str:
+def _run_boundary(config: RunConfig, num: _Numbers) -> str:
     pts = region.boundary_2d(_region_for(config), config.points)
-    num = _Numbers(prec, config.fmt)
     if config.fmt == "json":
-        return _json({"points": pts}, num) + "\n"
+        return _json({"points": pts}, num)
     return _csv("r1_bits,r2_bits", [map(num.__getitem__, p) for p in pts])
 
 
-def _run_convergence(config: RunConfig, prec: int) -> str:
+def _run_convergence(config: RunConfig, num: _Numbers) -> str:
     rows = convergence_table(config.etas, config.ns_grid)
-    num = _Numbers(prec, config.fmt)
     if config.fmt == "json":
-        return _json(rows, num) + "\n"
+        return _json(rows, num)
     return _csv(
         "ns,subset,inner_bound_bits,asymptotic_bound_bits,gap_bits",
         [
@@ -319,7 +319,7 @@ def _run_convergence(config: RunConfig, prec: int) -> str:
     )
 
 
-def _run_verify(config: RunConfig, prec: int) -> str:
+def _run_verify(config: RunConfig, num: _Numbers) -> str:
     spec = BroadcastChannelSpec(config.etas)
     report = fock.verify_conditional_entropies(
         spec, config.ns, cutoff=config.cutoff, ordering=config.ordering
@@ -328,12 +328,11 @@ def _run_verify(config: RunConfig, prec: int) -> str:
         fock.schmidt_spectrum_check(eta, config.ns, cutoff=report.cutoff)
         for eta in spec.etas
     ]
-    num = _Numbers(prec, config.fmt)
     if config.fmt == "json":
         data = report.to_dict()
         data["schmidt"] = [s.to_dict() for s in schmidt]
         data["pass"] = report.passed and all(s.passed for s in schmidt)
-        return _json(data, num) + "\n"
+        return _json(data, num)
     return _csv(
         "case,gaussian_bits,fock_bits,closed_form_bits,abs_dev,tail_mass,pass",
         [
@@ -356,7 +355,7 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute one parsed invocation; returns the process exit status."""
     try:
-        text = _RUNNERS[config.command](config, _precision())
+        text = _RUNNERS[config.command](config, _Numbers(_precision(), config.fmt))
     except InconclusiveVerificationError as exc:
         sys.stderr.write(f"bbcap: inconclusive: {exc}\n")
         return 2
@@ -367,7 +366,7 @@ def run(config: RunConfig) -> int:
         sys.stderr.write(f"bbcap: error: {exc}\n")
         return 1
     try:
-        _emit(text, config.output)
+        _emit(text + "\n", config.output)
     except OSError as exc:
         sys.stderr.write(f"bbcap: error: cannot write {config.output}: {exc.strerror}\n")
         return 1
