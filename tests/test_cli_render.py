@@ -44,7 +44,7 @@ def _draws(seed, ms, zero_weight_ms=()):
     rng = random.Random(seed)
     cases = []
     for i, m in enumerate(ms):
-        cases.append((f"m{m}", _etas(rng, m), "inf" if i % 3 == 2 else _ns(rng)))
+        cases.append((f"{i}_m{m}", _etas(rng, m), "inf" if i % 3 == 2 else _ns(rng)))
     for m in zero_weight_ms:
         cases.append((f"m{m}_zero_weight", _etas(rng, m, zeros=1 + m // 3), _ns(rng)))
     return cases
