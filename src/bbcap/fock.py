@@ -367,7 +367,9 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     # in the other blocks, every pair within each traced configuration
     multi = ~single[acomp[run]]
     run, length = run[multi], length[multi]
-    # row, col, flat index and term: four 8-byte arrays per pair
+    # at most four 8-byte arrays per pair live at once: row, col, terms
+    # and flat index, then three of them and one temporary; the blocks are
+    # filled from terms and flat index alone
     pair_bytes = 32 * int((length**2).sum())
     if dense_bytes + pair_bytes > MAX_DENSE_BYTES:
         raise InconclusiveVerificationError(
@@ -378,11 +380,16 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     per = np.repeat(length, length)
     row = np.repeat(_ranges(run, length), per)
     col = _ranges(np.repeat(run, length), per)
-    flat = apos[row] * sizes[acomp[row]] + apos[col]
-    terms = amp[row] * amp[col]
+    terms = amp[row]
+    flat = (apos * sizes[acomp])[row]
+    del row
+    terms *= amp[col]
+    flat += apos[col]
+    del col
 
     abound = np.cumsum(np.bincount(acomp, minlength=sizes.size)).tolist()
-    pbound = np.cumsum(np.bincount(acomp[row], minlength=sizes.size)).tolist()
+    pairs = np.bincount(acomp[run], weights=length**2, minlength=sizes.size)
+    pbound = np.cumsum(pairs).astype(np.int64).tolist()
     blocks = []
     for c, d in enumerate(sizes.tolist()):
         if single[c]:

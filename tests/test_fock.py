@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,21 @@ class TestDenseBudget:
             reduce_density(st, ("A",))
         monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 56 + pair_bytes)
         assert len(reduce_density(st, ("A",)).blocks) == 7
+
+    def test_peak_memory_stays_within_the_estimate(self, monkeypatch):
+        st = channel_output_fock(BroadcastChannelSpec((0.2, 0.3, 0.1)), 0.8, 14)
+        keep = ("A", "B2", "B3")  # 416704 bytes of blocks, 4846464 of term pairs
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 416704 + 4846464 - 1)
+        with pytest.raises(InconclusiveVerificationError, match="4846464 bytes of term pairs"):
+            reduce_density(st, keep)
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 416704 + 4846464)
+        tracemalloc.start()
+        try:
+            reduce_density(st, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 416704 + 4846464
 
     def test_verification_is_inconclusive(self, monkeypatch):
         monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 1000)
