@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -186,53 +185,44 @@ def _region_for(config: RunConfig):
     return region.capacity_region(spec, energy)
 
 
-def _emit(text: str, output) -> None:
+def _emit(text: str, output) -> int:
+    """Write ``text`` to stdout or to the file ``output``; the exit status."""
     if output is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"bbcap: error: cannot write {output}: {exc.strerror or exc}\n")
+        return 1
+    return 0
 
 
-class _Numbers(dict):
-    """Float -> output text at one precision, memoised over one rendering.
+def _numbers(prec: int, fmt: str):
+    """The formatter of floats at one precision.
 
     A JSON float is the value rounded to ``prec`` significant digits and
-    printed as ``json.dumps`` prints it; a CSV float is the rounded text
-    itself.  Vertex lists repeat a few hundred values many times.  Zeros are
-    never stored, because 0.0 and -0.0 are equal keys that print differently.
+    printed as ``json.dumps`` prints it; a CSV float is the rounded text.
     """
-
-    def __init__(self, prec: int, fmt: str):
-        self.spec = f".{prec}g"
-        self.json = fmt == "json"
-        self.zeros = self.texts((0.0, -0.0))
-
-    def texts(self, values) -> list:
-        """The text of each value, without the memo (for values that seldom repeat)."""
-        texts = [format(x, self.spec) for x in values]
-        return list(map(float.__repr__, map(float, texts))) if self.json else texts
-
-    def __missing__(self, x):
-        if not x:
-            return self.zeros[math.copysign(1.0, x) < 0]
-        (text,) = self.texts((x,))
-        self[x] = text
-        return text
+    spec = f".{prec}g"
+    if fmt == "csv":
+        return lambda x: format(x, spec)
+    return lambda x: float.__repr__(float(format(x, spec)))
 
 
 class _Raw(str):
     """JSON text the writer copies as it is."""
 
 
-def _json(obj, num: _Numbers, pad: str = "\n") -> str:
+def _json(obj, num, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, with every float through ``num``.
 
-    Takes dicts, lists, strings, bools, ints and floats.  A tuple is a rate
-    point, floats only.
+    Takes dicts, lists, strings, bools, ints and floats.  A tuple holds
+    JSON texts already written, one per item (a rate point, a subset).
     """
     if isinstance(obj, float):
-        return num[obj]
+        return num(obj)
     if isinstance(obj, str):
         return obj if type(obj) is _Raw else encode_basestring_ascii(obj)
     if isinstance(obj, dict):
@@ -241,10 +231,7 @@ def _json(obj, num: _Numbers, pad: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
         inner = pad + "  "
-        if type(obj) is tuple:
-            items = list(map(num.__getitem__, obj))
-        else:
-            items = [_json(v, num, inner) for v in obj]
+        items = obj if type(obj) is tuple else [_json(v, num, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -256,70 +243,65 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *map(",".join, rows)])
 
 
-def _subsets(m: int, sep: str):
-    """(receivers joined by ``sep``, mask) of every nonempty subset, smallest
-    first, lexicographic: the order of ``region.region_to_dict``."""
-    labels, bits = [str(i) for i in range(1, m + 1)], [1 << i for i in range(m)]
-    for size in range(1, m + 1):
-        yield from zip(
-            map(sep.join, itertools.combinations(labels, size)),
-            map(sum, itertools.combinations(bits, size)),
-        )
+def _points(pts, num) -> list:
+    """Rate points as rows of float texts."""
+    return [tuple(map(num, p)) for p in pts]
 
 
-def _run_region(config: RunConfig, num: _Numbers) -> str:
+def _run_region(config: RunConfig, num) -> str:
     reg = _region_for(config)
     f = reg._f.tolist()
-    bounds = num.texts(f)
+    subsets = region._ordered_subsets(reg.m, [str(i) for i in range(1, reg.m + 1)])
     if config.fmt == "csv":
-        rows = [(s, "unbounded" if f[mask] == math.inf else bounds[mask])
-                for s, mask in _subsets(reg.m, "+")]
-        return _csv("subset,bound_bits", rows)
-    # the constraint list sits at depth 1 of the indent-2 layout
+        return _csv("subset,bound_bits", [
+            ("+".join(t), "unbounded" if f[mask] == math.inf else num(f[mask]))
+            for t, mask in subsets
+        ])
+    # the largest output of all: its 2^m - 1 entries are written here, at
+    # depth 1 of the indent-2 layout, rather than one dict at a time by _json
     entries = ",\n    ".join([
-        '{\n      "subset": [\n        ' + s + "\n      ],\n      "
-        + ('"unbounded": true' if f[mask] == math.inf else '"bound_bits": ' + bounds[mask])
+        '{\n      "subset": [\n        ' + ",\n        ".join(t) + "\n      ],\n      "
+        + ('"unbounded": true' if f[mask] == math.inf else '"bound_bits": ' + num(f[mask]))
         + "\n    }"
-        for s, mask in _subsets(reg.m, ",\n        ")
+        for t, mask in subsets
     ])
     data = {"m": reg.m, "energy": reg.energy, "constraints": _Raw(f"[\n    {entries}\n  ]")}
     return _json(data, num)
 
 
-def _run_vertices(config: RunConfig, num: _Numbers) -> str:
+def _run_vertices(config: RunConfig, num) -> str:
     reg = _region_for(config)
-    pts = region.vertices(reg)
+    pts = _points(region.vertices(reg), num)
     if config.fmt == "json":
         energy = reg.energy
         if energy != region.UNCONSTRAINED:  # printed in full, unlike the region command's
             energy = _Raw(float.__repr__(energy))
         return _json({"m": reg.m, "energy": energy, "vertices": pts}, num)
-    header = ",".join(f"r{i}_bits" for i in range(1, reg.m + 1))
-    return _csv(header, [map(num.__getitem__, p) for p in pts])
+    return _csv(",".join(f"r{i}_bits" for i in range(1, reg.m + 1)), pts)
 
 
-def _run_boundary(config: RunConfig, num: _Numbers) -> str:
-    pts = region.boundary_2d(_region_for(config), config.points)
+def _run_boundary(config: RunConfig, num) -> str:
+    pts = _points(region.boundary_2d(_region_for(config), config.points), num)
     if config.fmt == "json":
         return _json({"points": pts}, num)
-    return _csv("r1_bits,r2_bits", [map(num.__getitem__, p) for p in pts])
+    return _csv("r1_bits,r2_bits", pts)
 
 
-def _run_convergence(config: RunConfig, num: _Numbers) -> str:
+def _run_convergence(config: RunConfig, num) -> str:
     rows = convergence_table(config.etas, config.ns_grid)
     if config.fmt == "json":
         return _json(rows, num)
     return _csv(
         "ns,subset,inner_bound_bits,asymptotic_bound_bits,gap_bits",
         [
-            (num[r["ns"]], "+".join(map(str, r["subset"])), num[r["inner_bound_bits"]],
-             num[r["asymptotic_bound_bits"]], num[r["gap_bits"]])
+            (num(r["ns"]), "+".join(map(str, r["subset"])), num(r["inner_bound_bits"]),
+             num(r["asymptotic_bound_bits"]), num(r["gap_bits"]))
             for r in rows
         ],
     )
 
 
-def _run_verify(config: RunConfig, num: _Numbers) -> str:
+def _run_verify(config: RunConfig, num) -> str:
     spec = BroadcastChannelSpec(config.etas)
     report = fock.verify_conditional_entropies(
         spec, config.ns, cutoff=config.cutoff, ordering=config.ordering
@@ -336,8 +318,8 @@ def _run_verify(config: RunConfig, num: _Numbers) -> str:
     return _csv(
         "case,gaussian_bits,fock_bits,closed_form_bits,abs_dev,tail_mass,pass",
         [
-            (c.case.replace(",", ";"), num[c.gaussian_bits], num[c.fock_bits],
-             num[c.closed_form_bits], num[c.abs_dev], num[c.tail_mass], str(c.passed).lower())
+            (c.case.replace(",", ";"), num(c.gaussian_bits), num(c.fock_bits),
+             num(c.closed_form_bits), num(c.abs_dev), num(c.tail_mass), str(c.passed).lower())
             for c in report.cases
         ],
     )
@@ -355,7 +337,7 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute one parsed invocation; returns the process exit status."""
     try:
-        text = _RUNNERS[config.command](config, _Numbers(_precision(), config.fmt))
+        text = _RUNNERS[config.command](config, _numbers(_precision(), config.fmt))
     except InconclusiveVerificationError as exc:
         sys.stderr.write(f"bbcap: inconclusive: {exc}\n")
         return 2
@@ -365,12 +347,7 @@ def run(config: RunConfig) -> int:
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"bbcap: error: {exc}\n")
         return 1
-    try:
-        _emit(text + "\n", config.output)
-    except OSError as exc:
-        sys.stderr.write(f"bbcap: error: cannot write {config.output}: {exc.strerror}\n")
-        return 1
-    return 0
+    return _emit(text + "\n", config.output)
 
 
 def main(argv=None) -> int:

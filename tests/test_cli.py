@@ -117,6 +117,26 @@ class TestBoundaryCommand:
         assert code == 1 and out == "" and not target.exists()
         assert err.startswith(f"bbcap: error: cannot write {target}: ") and err.count("\n") == 1
 
+    def test_write_error_without_errno_names_its_message(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise OSError("quota exceeded")
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        target = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "region", "--etas", "0.2,0.3", "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"bbcap: error: cannot write {target}: quota exceeded\n"
+
+    def test_stdout_failure_is_not_a_file_error(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli.sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            cli.main(["region", "--etas", "0.2,0.3"])
+        assert "cannot write" not in capsys.readouterr().err
+
     def test_wrong_m_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "boundary", "--etas", "0.5")
         assert code == 1 and "m = 2" in err
