@@ -33,7 +33,6 @@ from .channel import (
     implementations_equivalent,
 )
 from .region import (
-    RateConstraint,
     CapacityRegion,
     UNCONSTRAINED,
     nonempty_subsets,

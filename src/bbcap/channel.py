@@ -16,7 +16,7 @@ matrices can be compared bit-stably.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -146,15 +146,10 @@ class BeamSplitterNetwork:
     spec: BroadcastChannelSpec
     ordering: tuple
     stages: tuple
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool) -> None:
+    def __post_init__(self) -> None:
         self.ordering = tuple(self.ordering)
         self.stages = tuple(self.stages)
-        if validate:
-            self._check()
-
-    def _check(self) -> None:
         etas = _eta_by_label(self.spec)
         through = 1.0
         for j, stage in enumerate(self.stages):

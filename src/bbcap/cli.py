@@ -21,14 +21,13 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import fock, region
 from .channel import BroadcastChannelSpec
 from .fock import InconclusiveVerificationError
 
-__all__ = ["RunConfig", "main", "run", "convergence_table"]
+__all__ = ["main", "run", "convergence_table"]
 
 DEFAULT_PRECISION = 9
 
@@ -42,21 +41,6 @@ class _Parser(argparse.ArgumentParser):
     # so that 2 stays reserved for inconclusive verification
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one instance fully determines the output bytes."""
-
-    command: str
-    etas: tuple
-    ns: object = "inf"            # "inf" or a float
-    ordering: tuple = None
-    cutoff: int = None
-    points: int = 200
-    ns_grid: tuple = ()
-    output: str = None
-    fmt: str = "json"
 
 
 def _parse_floats(text: str, flag: str) -> tuple:
@@ -101,58 +85,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bbcap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ns_default="inf"):
-        p.add_argument("--etas", required=True,
-                       help="receiver transmittances, comma-separated")
-        p.add_argument("--ns", default=ns_default,
-                       help="input photon number, or 'inf' for the unconstrained region")
+    def command(name, summary, runner, fmt="json"):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(runner=runner, fmt=fmt)
+        p.add_argument("--etas", required=True, help="receiver transmittances, comma-separated")
         p.add_argument("--output", default=None, help="write to this file instead of stdout")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"))
+        return p
 
-    common(sub.add_parser("region", help="rate-region constraints"))
-    common(sub.add_parser("vertices", help="extreme points of the region"))
-    p = sub.add_parser("boundary", help="two-receiver boundary polyline")
-    common(p)
-    p.add_argument("--points", type=int, default=200, help="minimum number of points")
-    p = sub.add_parser("convergence", help="finite-energy bounds vs their limits")
-    p.add_argument("--etas", required=True)
+    for p in (
+        command("region", "rate-region constraints", _run_region),
+        command("vertices", "extreme points of the region", _run_vertices),
+        command("boundary", "two-receiver boundary polyline", _run_boundary, fmt="csv"),
+    ):
+        p.add_argument("--ns", default="inf",
+                       help="input photon number, or 'inf' for the unconstrained region")
+    p.add_argument("--points", type=int, default=200, help="minimum number of points")  # boundary
+    p = command("convergence", "finite-energy bounds vs their limits", _run_convergence)
     p.add_argument("--ns-grid", dest="ns_grid", required=True,
                    help="input photon numbers, comma-separated")
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
-    p = sub.add_parser("verify", help="number-basis oracle suite")
-    p.add_argument("--etas", required=True)
-    p.add_argument("--ns", required=True)
+    p = command("verify", "number-basis oracle suite", _run_verify)
+    p.add_argument("--ns", required=True, help="input photon number")
     p.add_argument("--cutoff", type=int, default=None,
                    help="photon-number cutoff (default: smallest meeting the tail budget)")
     p.add_argument("--ordering", default=None,
                    help="split ordering, e.g. E,B1,B2 (default: zero-weight labels first)")
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    ns_args = build_parser().parse_args(argv)
-    etas = _parse_floats(ns_args.etas, "--etas")
-    config = RunConfig(command=ns_args.command, etas=etas)
-    if hasattr(ns_args, "ns"):
-        config.ns = _parse_ns(str(ns_args.ns))
-    if ns_args.command == "verify":
-        if config.ns == "inf":
+def parse_args(argv) -> argparse.Namespace:
+    """The invocation, its numbers converted; it fully determines the output bytes.
+
+    Besides the options it carries ``runner``, the command's ``_run_*``.
+    """
+    args = build_parser().parse_args(argv)
+    args.etas = _parse_floats(args.etas, "--etas")
+    if hasattr(args, "ns"):
+        args.ns = _parse_ns(args.ns)
+    if args.command == "verify":
+        if args.ns == "inf":
             raise UsageError("argument --ns: verification needs finite energy")
-        config.cutoff = ns_args.cutoff
-        if ns_args.ordering is not None:
-            config.ordering = tuple(s.strip() for s in ns_args.ordering.split(","))
-    if ns_args.command == "boundary":
-        config.points = ns_args.points
-    if ns_args.command == "convergence":
-        config.ns_grid = _parse_floats(ns_args.ns_grid, "--ns-grid")
-        if not config.ns_grid:
+        if args.ordering is not None:
+            args.ordering = tuple(s.strip() for s in args.ordering.split(","))
+    if args.command == "convergence":
+        args.ns_grid = _parse_floats(args.ns_grid, "--ns-grid")
+        if not args.ns_grid:
             raise UsageError("argument --ns-grid: needs at least one value")
-    config.output = ns_args.output
-    config.fmt = ns_args.fmt or ("csv" if ns_args.command == "boundary" else "json")
-    return config
+    return args
 
 
 def convergence_table(etas, ns_grid) -> list:
@@ -163,25 +142,26 @@ def convergence_table(etas, ns_grid) -> list:
     for n_s in ns_grid:
         if n_s < 0 or not math.isfinite(n_s):
             raise ValueError(f"grid photon numbers must be finite and nonnegative, got {n_s!r}")
-    limits = region.capacity_region(spec).constraints
+    limits = region.capacity_region(spec)._f.tolist()
     rows = []
     for n_s in ns_grid:
-        for inner, limit in zip(region.capacity_region(spec, n_s).constraints, limits):
+        inner = region.capacity_region(spec, n_s)._f.tolist()
+        for t, mask in region._ordered_subsets(spec.m):
             rows.append(
                 {
                     "ns": float(n_s),
-                    "subset": sorted(inner.subset),
-                    "inner_bound_bits": inner.bound,
-                    "asymptotic_bound_bits": limit.bound,
-                    "gap_bits": limit.bound - inner.bound,
+                    "subset": list(t),
+                    "inner_bound_bits": inner[mask],
+                    "asymptotic_bound_bits": limits[mask],
+                    "gap_bits": limits[mask] - inner[mask],
                 }
             )
     return rows
 
 
-def _region_for(config: RunConfig):
-    spec = BroadcastChannelSpec(config.etas)
-    energy = region.UNCONSTRAINED if config.ns == "inf" else config.ns
+def _region_for(args):
+    spec = BroadcastChannelSpec(args.etas)
+    energy = region.UNCONSTRAINED if args.ns == "inf" else args.ns
     return region.capacity_region(spec, energy)
 
 
@@ -248,11 +228,11 @@ def _points(pts, num) -> list:
     return [tuple(map(num, p)) for p in pts]
 
 
-def _run_region(config: RunConfig, num) -> str:
-    reg = _region_for(config)
+def _run_region(args, num) -> str:
+    reg = _region_for(args)
     f = reg._f.tolist()
     subsets = region._ordered_subsets(reg.m, [str(i) for i in range(1, reg.m + 1)])
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         return _csv("subset,bound_bits", [
             ("+".join(t), "unbounded" if f[mask] == math.inf else num(f[mask]))
             for t, mask in subsets
@@ -269,10 +249,10 @@ def _run_region(config: RunConfig, num) -> str:
     return _json(data, num)
 
 
-def _run_vertices(config: RunConfig, num) -> str:
-    reg = _region_for(config)
+def _run_vertices(args, num) -> str:
+    reg = _region_for(args)
     pts = _points(region.vertices(reg), num)
-    if config.fmt == "json":
+    if args.fmt == "json":
         energy = reg.energy
         if energy != region.UNCONSTRAINED:  # printed in full, unlike the region command's
             energy = _Raw(float.__repr__(energy))
@@ -280,16 +260,16 @@ def _run_vertices(config: RunConfig, num) -> str:
     return _csv(",".join(f"r{i}_bits" for i in range(1, reg.m + 1)), pts)
 
 
-def _run_boundary(config: RunConfig, num) -> str:
-    pts = _points(region.boundary_2d(_region_for(config), config.points), num)
-    if config.fmt == "json":
+def _run_boundary(args, num) -> str:
+    pts = _points(region.boundary_2d(_region_for(args), args.points), num)
+    if args.fmt == "json":
         return _json({"points": pts}, num)
     return _csv("r1_bits,r2_bits", pts)
 
 
-def _run_convergence(config: RunConfig, num) -> str:
-    rows = convergence_table(config.etas, config.ns_grid)
-    if config.fmt == "json":
+def _run_convergence(args, num) -> str:
+    rows = convergence_table(args.etas, args.ns_grid)
+    if args.fmt == "json":
         return _json(rows, num)
     return _csv(
         "ns,subset,inner_bound_bits,asymptotic_bound_bits,gap_bits",
@@ -301,16 +281,16 @@ def _run_convergence(config: RunConfig, num) -> str:
     )
 
 
-def _run_verify(config: RunConfig, num) -> str:
-    spec = BroadcastChannelSpec(config.etas)
+def _run_verify(args, num) -> str:
+    spec = BroadcastChannelSpec(args.etas)
     report = fock.verify_conditional_entropies(
-        spec, config.ns, cutoff=config.cutoff, ordering=config.ordering
+        spec, args.ns, cutoff=args.cutoff, ordering=args.ordering
     )
     schmidt = [
-        fock.schmidt_spectrum_check(eta, config.ns, cutoff=report.cutoff)
+        fock.schmidt_spectrum_check(eta, args.ns, cutoff=report.cutoff)
         for eta in spec.etas
     ]
-    if config.fmt == "json":
+    if args.fmt == "json":
         data = report.to_dict()
         data["schmidt"] = [s.to_dict() for s in schmidt]
         data["pass"] = report.passed and all(s.passed for s in schmidt)
@@ -325,19 +305,10 @@ def _run_verify(config: RunConfig, num) -> str:
     )
 
 
-_RUNNERS = {
-    "region": _run_region,
-    "vertices": _run_vertices,
-    "boundary": _run_boundary,
-    "convergence": _run_convergence,
-    "verify": _run_verify,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one invocation from :func:`parse_args`; returns the process exit status."""
     try:
-        text = _RUNNERS[config.command](config, _numbers(_precision(), config.fmt))
+        text = args.runner(args, _numbers(_precision(), args.fmt))
     except InconclusiveVerificationError as exc:
         sys.stderr.write(f"bbcap: inconclusive: {exc}\n")
         return 2
@@ -347,16 +318,16 @@ def run(config: RunConfig) -> int:
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"bbcap: error: {exc}\n")
         return 1
-    return _emit(text + "\n", config.output)
+    return _emit(text + "\n", args.output)
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
+        args = parse_args(argv)
     except UsageError as exc:
         sys.stderr.write(f"bbcap: usage error: {exc}\n")
         return 1
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

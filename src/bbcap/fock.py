@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 TAIL_BUDGET = 1e-10
+ENTROPY_TOL = 1e-6     # three-route agreement of each verified entropy (bits)
+SCHMIDT_TOL = 1e-8     # per-eigenvalue deviation of a Schmidt spectrum
 MAX_CUTOFF = 60
 MAX_DENSE_BYTES = 2**30
 HERMITICITY_TOL = 1e-12
@@ -90,13 +92,13 @@ def tail_mass(n_s: float, cutoff: int) -> float:
     return (n_s / (n_s + 1.0)) ** (cutoff + 1)
 
 
-def cutoff_for_tail(n_s: float, budget: float = TAIL_BUDGET) -> int:
-    """Smallest cutoff whose tail mass is below ``budget`` (refuses above 60)."""
+def cutoff_for_tail(n_s: float) -> int:
+    """Smallest cutoff whose tail mass is below ``TAIL_BUDGET`` (refuses above 60)."""
     for m in range(MAX_CUTOFF + 1):
-        if tail_mass(n_s, m) < budget:
+        if tail_mass(n_s, m) < TAIL_BUDGET:
             return m
     raise InconclusiveVerificationError(
-        f"n_s = {n_s!r} needs a cutoff above {MAX_CUTOFF} for tail < {budget:g}"
+        f"n_s = {n_s!r} needs a cutoff above {MAX_CUTOFF} for tail < {TAIL_BUDGET:g}"
     )
 
 
@@ -258,14 +260,6 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(sum(np.trace(mat) for _, mat in self.blocks))
-
-    @property
-    def trace_deficit(self) -> float:
-        return 1.0 - self.trace
-
-    @property
-    def dim(self) -> int:
-        return sum(len(basis) for basis, _ in self.blocks)
 
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, descending."""
@@ -501,14 +495,13 @@ def verify_conditional_entropies(
     spec: BroadcastChannelSpec,
     n_s: float,
     cutoff=None,
-    tolerance: float = 1e-6,
     ordering=None,
 ) -> VerificationReport:
     """Check every merging rate -H(T | A, complement) three independent ways.
 
     For each nonempty receiver subset the number-basis value, the
     covariance-matrix value and the closed form must agree within
-    ``tolerance``; a global-purity case (H of all kept modes vs H of the
+    ``ENTROPY_TOL``; a global-purity case (H of all kept modes vs H of the
     environment) rides along.  Raises
     :class:`InconclusiveVerificationError` when the truncation budget is
     not met -- an inconclusive run, not a failed one.
@@ -549,7 +542,7 @@ def verify_conditional_entropies(
                 closed_form_bits=closed_val,
                 abs_dev=dev,
                 tail_mass=tail,
-                passed=dev < tolerance,
+                passed=dev < ENTROPY_TOL,
             )
         )
     # global purity: the kept modes and the environment share a spectrum
@@ -562,7 +555,7 @@ def verify_conditional_entropies(
             closed_form_bits=0.0,
             abs_dev=purity_dev,
             tail_mass=tail,
-            passed=purity_dev < tolerance,
+            passed=purity_dev < ENTROPY_TOL,
         )
     )
     max_dev = max(c.abs_dev for c in cases)
@@ -600,7 +593,7 @@ class SchmidtSpectrumReport:
 
 
 def schmidt_spectrum_check(
-    eta_receiver: float, n_s: float, cutoff=None, tolerance: float = 1e-8
+    eta_receiver: float, n_s: float, cutoff=None
 ) -> SchmidtSpectrumReport:
     """Certify the Schmidt spectrum after splitting one receiver off a TMSV.
 
@@ -608,7 +601,7 @@ def schmidt_spectrum_check(
     to the receiver leaves the (sender, receiver) pair entangled with the
     through-arm; its reduced spectrum must be the thermal weights of mean
     photon number ``(1 - eta_receiver) * n_s``, checked eigenvalue by
-    eigenvalue against the closed form.
+    eigenvalue against the closed form within ``SCHMIDT_TOL``.
     """
     if not 0.0 <= eta_receiver <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta_receiver!r}")
@@ -629,5 +622,5 @@ def schmidt_spectrum_check(
         spectrum=tuple(float(x) for x in padded),
         expected=tuple(float(x) for x in expected),
         max_abs_dev=max_dev,
-        passed=max_dev < tolerance,
+        passed=max_dev < SCHMIDT_TOL,
     )

@@ -19,9 +19,9 @@ flags an unbounded subset.  Subset sums add their terms in ascending
 receiver order (``s[mask | 1 << i] = s[mask] + x_i`` for the highest bit i).
 
 Every finite-energy bound can also be evaluated as a Gaussian conditional
-entropy of the channel output; the closed form and the covariance-matrix
-route must agree to 1e-9, which the tests (and ``merging_gain`` itself)
-exploit as a consistency check.
+entropy of the channel output (the ``*_gaussian`` functions); the closed
+form and the covariance-matrix route agree to 1e-9, which the tests and
+``verify`` check.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add, sub
 
 import numpy as np
@@ -39,7 +38,6 @@ from .channel import BroadcastChannelSpec
 from .gaussian import entropy_g
 
 __all__ = [
-    "RateConstraint",
     "CapacityRegion",
     "UNCONSTRAINED",
     "nonempty_subsets",
@@ -58,10 +56,16 @@ __all__ = [
 
 UNCONSTRAINED = "unconstrained"
 EXACT_TOL = 1e-12      # closed-form arithmetic
-EIGEN_TOL = 1e-9       # values that passed through an eigendecomposition
 VERTEX_DEDUPE_TOL = 1e-10
 MAX_REGION_RECEIVERS = 20   # 2^m constraints
 MAX_VERTEX_RECEIVERS = 8
+
+
+def _receiver_count(m) -> int:
+    """``m`` itself, refused before anything of size 2^m is allocated."""
+    if not 1 <= m <= MAX_REGION_RECEIVERS:
+        raise ValueError(f"receiver count m must be in 1..{MAX_REGION_RECEIVERS}, got {m!r}")
+    return m
 
 
 def _validate_subset(m: int, subset, allow_empty=False) -> frozenset:
@@ -111,11 +115,16 @@ def _photon_number(n_s) -> float:
     return value
 
 
+def _eta(spec: BroadcastChannelSpec, mask: int) -> float:
+    """eta summed over the receivers of ``mask``: one entry of ``_subset_sums(spec.etas)``."""
+    return functools.reduce(add, (e for i, e in enumerate(spec.etas) if mask >> i & 1), 0.0)
+
+
 def _closed_form(n_s, kept_helpers, kept_joint) -> list:
     """-H(S1 | A, S2) = ``g(k n_s) - g(kept_joint n_s)`` for each k in ``kept_helpers``.
 
-    ``k = 1 - eta(S2)`` and ``kept_joint = 1 - eta(S1 u S2)``; each caller
-    forms them with its own additions, so its results stay bit for bit.
+    ``k = 1 - eta(S2)`` and ``kept_joint = 1 - eta(S1 u S2)``, each eta a
+    subset sum in ascending receiver order, so every caller agrees bit for bit.
     """
     n_s = _photon_number(n_s)
     g_joint = entropy_g(max(kept_joint, 0.0) * n_s)
@@ -134,51 +143,24 @@ def _bounds(energy, eta_t: list, eta_comp: list, eta_all: float) -> list:
 def _bound(spec: BroadcastChannelSpec, energy, subset) -> float:
     full = (1 << spec.m) - 1
     mask = _mask(_validate_subset(spec.m, subset))
-    # one entry of _subset_sums(spec.etas), added in the same order
-    eta = lambda t: functools.reduce(add, (e for i, e in enumerate(spec.etas) if t >> i & 1), 0.0)
-    return _bounds(energy, [eta(mask)], [eta(full ^ mask)], eta(full))[0]
-
-
-@dataclass(frozen=True)
-class RateConstraint:
-    """Bound (bits/use) on the summed rate toward one receiver subset."""
-
-    subset: frozenset
-    bound: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "subset", frozenset(self.subset))
-        if not self.subset:
-            raise ValueError("constraint subset must be nonempty")
-        if not math.isinf(self.bound) and self.bound < -EXACT_TOL:
-            raise ValueError(f"negative rate bound {self.bound!r}")
+    return _bounds(energy, [_eta(spec, mask)], [_eta(spec, full ^ mask)], _eta(spec, full))[0]
 
 
 class CapacityRegion:
     """Polymatroid rate region, held as one bound vector over receiver subsets.
 
     ``energy`` is either the string ``"unconstrained"`` or the finite input
-    photon number the inner bound was evaluated at.  ``constraints`` is
-    either one :class:`RateConstraint` per nonempty subset or the bound
-    vector itself: ``f[mask]`` over all 2^m subsets, receiver i at bit
-    i - 1, ``f[0] = 0`` and ``math.inf`` for an unbounded subset.  Only the
-    vector is kept; the ``constraints`` attribute is a view of it.
-    Monotonicity and submodularity of the bound function are checked at
-    every m (within ``check_tol``; comparisons that involve the unbounded
-    flag are skipped).
+    photon number the inner bound was evaluated at.  ``f`` is the bound
+    vector: ``f[mask]`` over all 2^m subsets, receiver i at bit i - 1,
+    ``f[0] = 0`` and ``math.inf`` for an unbounded subset, for m in
+    1..``MAX_REGION_RECEIVERS``.  Monotonicity and submodularity of the
+    bound function are checked at every m (within ``check_tol``;
+    comparisons that involve the unbounded flag are skipped).
     """
 
-    def __init__(self, m: int, energy, constraints, check_tol: float = EXACT_TOL):
-        self.m, self.energy, self.check_tol = m, energy, check_tol
-        if isinstance(constraints, np.ndarray):
-            f = np.array(constraints, dtype=float)
-        else:
-            constraints = tuple(constraints)
-            masks = [_mask(_validate_subset(m, c.subset)) for c in constraints]
-            if sorted(masks) != list(range(1, 1 << m)):
-                raise ValueError(f"need one constraint per nonempty subset of 1..{m}")
-            f = np.zeros(1 << m)
-            f[masks] = [c.bound for c in constraints]
+    def __init__(self, m: int, energy, f, check_tol: float = EXACT_TOL):
+        self.m, self.energy, self.check_tol = _receiver_count(m), energy, check_tol
+        f = np.array(f, dtype=float)
         if f.shape != (1 << m,) or f[0] != 0.0:
             raise ValueError(f"bound vector needs 2^{m} entries and f[0] = 0")
         if np.any(np.isnan(f) | (f < -EXACT_TOL)):
@@ -189,12 +171,6 @@ class CapacityRegion:
     def bound(self, subset) -> float:
         """Bound for a receiver subset; f(empty) = 0."""
         return float(self._f[_mask(_validate_subset(self.m, subset, allow_empty=True))])
-
-    @property
-    def constraints(self) -> tuple:
-        """One RateConstraint per nonempty subset, smallest first."""
-        f = self._f.tolist()
-        return tuple(RateConstraint(frozenset(t), f[mask]) for t, mask in _ordered_subsets(self.m))
 
     @property
     def unbounded(self) -> bool:
@@ -247,17 +223,13 @@ def asymptotic_bound(spec: BroadcastChannelSpec, subset) -> float:
 
 def capacity_region(spec: BroadcastChannelSpec, energy=UNCONSTRAINED) -> CapacityRegion:
     """Full region: the bound of every subset, at finite or unbounded energy."""
-    if spec.m > MAX_REGION_RECEIVERS:
-        raise ValueError(
-            f"region construction limited to m <= {MAX_REGION_RECEIVERS} "
-            f"(2^m constraints)"
-        )
+    _receiver_count(spec.m)
     if energy != UNCONSTRAINED:
         energy = _photon_number(energy)
     s = _subset_sums(spec.etas)
     # the complement of mask is full ^ mask = full - mask: s reversed
     f = _bounds(energy, s.tolist(), s[::-1].tolist(), float(s[-1]))
-    return CapacityRegion(spec.m, energy, np.array(f))
+    return CapacityRegion(spec.m, energy, f)
 
 
 def contains(region: CapacityRegion, point) -> bool:
@@ -364,24 +336,18 @@ def _disjoint_subsets(m: int, gained, helpers) -> tuple:
 def merging_gain(spec: BroadcastChannelSpec, n_s: float, gained, helpers=()) -> float:
     """Entanglement gained when subset S1 merges back, aided by disjoint S2.
 
-    Evaluated two independent ways -- the complement-entropy closed form
-    ``g((1 - eta_S2) n_s) - g((1 - eta_S1 - eta_S2) n_s)`` and the direct
-    Gaussian conditional entropy -H(S1 | A, S2) of the channel output -- and
-    the routes must agree to 1e-9.  Strictly positive whenever ``n_s > 0``
-    and S1 carries positive transmittance, i.e. no merging step ever runs at
-    an entanglement deficit.
+    Closed form ``g((1 - eta_S2) n_s) - g((1 - eta_S1uS2) n_s)`` of
+    -H(S1 | A, S2); :func:`merging_gain_gaussian` evaluates the same entropy
+    on the channel output.  With S2 the complement of S1 it is
+    :func:`inner_bound_finite` bit for bit.  Strictly positive whenever
+    ``n_s > 0`` and S1 carries positive transmittance, i.e. no merging step
+    ever runs at an entanglement deficit.
     """
     s1, s2 = _disjoint_subsets(spec.m, gained, helpers)
-    # ascending receiver order, as in the bound vector, however the caller listed them
-    eta_s1 = sum(spec.etas[i - 1] for i in sorted(s1))
-    eta_s2 = sum(spec.etas[i - 1] for i in sorted(s2))
-    closed = _closed_form(n_s, [1.0 - eta_s2], 1.0 - eta_s1 - eta_s2)[0]
-    direct = merging_gain_gaussian(spec, n_s, s1, s2)
-    if abs(closed - direct) > EIGEN_TOL:
-        raise RuntimeError(
-            f"closed-form/covariance routes disagree: {closed!r} vs {direct!r}"
-        )
-    return closed
+    helper_mask = _mask(s2)
+    return _closed_form(
+        n_s, [1.0 - _eta(spec, helper_mask)], 1.0 - _eta(spec, _mask(s1) | helper_mask)
+    )[0]
 
 
 def merging_gain_gaussian(
@@ -411,12 +377,16 @@ def region_to_dict(region: CapacityRegion, round_to=None) -> dict:
 
 def region_from_dict(data: dict) -> CapacityRegion:
     """Rebuild a region from its JSON form (rounded bounds get a looser check)."""
-    m = int(data["m"])
+    m = _receiver_count(int(data["m"]))
     energy = data["energy"]
     if energy != UNCONSTRAINED:
         energy = float(energy)
-    constraints = []
-    for entry in data["constraints"]:
-        bound = math.inf if entry.get("unbounded") else float(entry["bound_bits"])
-        constraints.append(RateConstraint(frozenset(entry["subset"]), bound))
-    return CapacityRegion(m, energy, tuple(constraints), check_tol=1e-6)
+    entries = data["constraints"]
+    masks = [_mask(_validate_subset(m, entry["subset"])) for entry in entries]
+    if sorted(masks) != list(range(1, 1 << m)):
+        raise ValueError(f"need one constraint per nonempty subset of 1..{m}")
+    f = np.zeros(1 << m)
+    f[masks] = [
+        math.inf if entry.get("unbounded") else float(entry["bound_bits"]) for entry in entries
+    ]
+    return CapacityRegion(m, energy, f, check_tol=1e-6)

@@ -117,7 +117,7 @@ def test_schmidt_spectrum_certification():
     t0 = time.perf_counter()
     worst = 0.0
     for eta, n_s in itertools.product((0.2, 0.5), (0.3, 0.7)):
-        rep = schmidt_spectrum_check(eta, n_s, cutoff=25, tolerance=1e-8)
+        rep = schmidt_spectrum_check(eta, n_s, cutoff=25)
         assert rep.passed, f"eta={eta}, ns={n_s}: deviation {rep.max_abs_dev}"
         worst = max(worst, rep.max_abs_dev)
     elapsed = time.perf_counter() - t0

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from bbcap import channel
 from bbcap.channel import BroadcastChannelSpec
 from bbcap.gaussian import entropy_g
 from bbcap.region import (
     UNCONSTRAINED,
     CapacityRegion,
-    RateConstraint,
     asymptotic_bound,
     boundary_2d,
     capacity_region,
@@ -139,32 +139,26 @@ class TestCapacityRegion:
                 assert inner.bound(t) < outer.bound(t)
 
     def test_constraint_count_and_guard(self):
-        assert len(capacity_region(SPEC23).constraints) == 3
-        assert len(capacity_region(BroadcastChannelSpec((0.1,) * 4), 1.0).constraints) == 15
+        assert len(region_to_dict(capacity_region(SPEC23))["constraints"]) == 3
+        reg = capacity_region(BroadcastChannelSpec((0.1,) * 4), 1.0)
+        assert len(region_to_dict(reg)["constraints"]) == 15
         with pytest.raises(ValueError):
             capacity_region(BroadcastChannelSpec((0.001,) * 21))
 
+    @pytest.mark.parametrize("m", [0, 21, 64])
+    def test_receiver_count_refused_before_allocation(self, m):
+        with pytest.raises(ValueError, match=r"1\.\.20"):
+            CapacityRegion(m, UNCONSTRAINED, [0.0])
+        with pytest.raises(ValueError, match=r"1\.\.20"):
+            region_from_dict({"m": m, "energy": UNCONSTRAINED, "constraints": []})
+
     def test_polymatroid_validation_rejects_bad_bounds(self):
-        good = [
-            RateConstraint(frozenset({1}), 0.5),
-            RateConstraint(frozenset({2}), 0.6),
-            RateConstraint(frozenset({1, 2}), 0.9),
-        ]
-        CapacityRegion(2, UNCONSTRAINED, tuple(good))
-        not_monotone = [
-            RateConstraint(frozenset({1}), 0.5),
-            RateConstraint(frozenset({2}), 0.6),
-            RateConstraint(frozenset({1, 2}), 0.4),
-        ]
-        with pytest.raises(ValueError):
-            CapacityRegion(2, UNCONSTRAINED, tuple(not_monotone))
-        not_submodular = [
-            RateConstraint(frozenset({1}), 0.5),
-            RateConstraint(frozenset({2}), 0.6),
-            RateConstraint(frozenset({1, 2}), 1.5),
-        ]
-        with pytest.raises(ValueError):
-            CapacityRegion(2, UNCONSTRAINED, tuple(not_submodular))
+        # f[mask] over subsets {}, {1}, {2}, {1, 2}
+        CapacityRegion(2, UNCONSTRAINED, [0.0, 0.5, 0.6, 0.9])
+        with pytest.raises(ValueError):  # not monotone
+            CapacityRegion(2, UNCONSTRAINED, [0.0, 0.5, 0.6, 0.4])
+        with pytest.raises(ValueError):  # not submodular
+            CapacityRegion(2, UNCONSTRAINED, [0.0, 0.5, 0.6, 1.5])
         nan_bound = {
             "m": 1,
             "energy": "unconstrained",
@@ -174,12 +168,11 @@ class TestCapacityRegion:
             region_from_dict(nan_bound)
 
     def test_polymatroid_check_runs_above_eight_receivers(self):
-        constraints = list(capacity_region(BroadcastChannelSpec((0.05,) * 10), 3.0).constraints)
-        CapacityRegion(10, 3.0, constraints)
-        full = constraints[-1]
-        constraints[-1] = RateConstraint(full.subset, full.bound + 1.0)  # not submodular
+        f = capacity_region(BroadcastChannelSpec((0.05,) * 10), 3.0)._f.copy()
+        CapacityRegion(10, 3.0, f)
+        f[-1] += 1.0  # not submodular
         with pytest.raises(ValueError):
-            CapacityRegion(10, 3.0, constraints)
+            CapacityRegion(10, 3.0, f)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_check_agrees_with_exhaustive_loop(self, m):
@@ -189,7 +182,7 @@ class TestCapacityRegion:
         verdicts = []
         for _ in range(40):
             reg = capacity_region(random_interior_spec(rng, m), float(rng.uniform(0.5, 5)))
-            bounds = {c.subset: c.bound for c in reg.constraints}
+            bounds = {t: reg.bound(t) for t in nonempty_subsets(m)}
             noisy, flagged = rng.rand(2) < 0.5
             for t in bounds:
                 if noisy and rng.rand() < 0.3:
@@ -197,9 +190,11 @@ class TestCapacityRegion:
                 if flagged and rng.rand() < 0.2:
                     bounds[t] = math.inf
             expect = is_polymatroid_bruteforce(bounds, m, 1e-12)
-            constraints = [RateConstraint(t, b) for t, b in bounds.items()]
+            f = np.zeros(1 << m)
+            for t, b in bounds.items():
+                f[sum(1 << (i - 1) for i in t)] = b
             try:
-                CapacityRegion(m, UNCONSTRAINED, constraints)
+                CapacityRegion(m, UNCONSTRAINED, f)
                 verdicts.append(True)
             except ValueError:
                 verdicts.append(False)
@@ -318,18 +313,41 @@ class TestMergingGain:
     def test_routes_agree_on_random_draws(self):
         rng = np.random.RandomState(77)
         for _ in range(60):
-            m = rng.randint(1, 5)
+            m = rng.randint(1, 13)
             spec = random_interior_spec(rng, m)
-            n_s = rng.uniform(0.01, 10.0)
+            n_s = 10 ** rng.uniform(-2, 2)
             receivers = list(range(1, m + 1))
             rng.shuffle(receivers)
             k = rng.randint(1, m + 1)
             s1 = set(receivers[:k])
             s2 = set(receivers[k : k + rng.randint(0, m - k + 1)])
-            closed = merging_gain(spec, n_s, s1, s2)  # raises if routes disagree
+            closed = merging_gain(spec, n_s, s1, s2)
             direct = merging_gain_gaussian(spec, n_s, s1, s2)
             assert abs(closed - direct) < 1e-9
             assert closed > 0.0
+
+    def test_complement_helpers_give_the_inner_bound_exactly(self):
+        rng = np.random.RandomState(78)
+        for _ in range(200):
+            m = rng.randint(1, 13)
+            spec = random_interior_spec(rng, m)
+            n_s = 10 ** rng.uniform(-2, 4)
+            t = {int(i) for i in rng.choice(m, rng.randint(1, m + 1), replace=False) + 1}
+            complement = set(range(1, m + 1)) - t
+            assert merging_gain(spec, n_s, t, complement) == inner_bound_finite(spec, n_s, t)
+
+    def test_high_energy(self):
+        val = merging_gain(SPEC23, 1e4, {1}, {2})
+        assert val == pytest.approx(0.48538561202216, abs=1e-12)
+
+    def test_needs_no_covariance_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("covariance route called")
+
+        monkeypatch.setattr(channel, "output_state_tmsv", refuse)
+        assert merging_gain(SPEC23, 1.0, {2}, {1}) == pytest.approx(
+            entropy_g(0.8) - entropy_g(0.5), abs=1e-12
+        )
 
     @pytest.mark.parametrize("n_s", [-1.0, math.nan, math.inf])
     def test_invalid_photon_number(self, n_s):
