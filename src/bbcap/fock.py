@@ -3,12 +3,11 @@
 Everything here is deliberately independent of the covariance-matrix
 formalism: states are explicit amplitude tables over occupation tuples,
 beam splitters act by binomial amplitude splitting against a vacuum port,
-and entropies come from dense eigendecompositions of reduced density
-matrices.  Truncation is accounted for exactly: a squeezed-vacuum source
-truncated at total photon number M drops tail mass
-``(n_s / (n_s + 1))**(M + 1)``, and verification refuses to run (raising
-:class:`InconclusiveVerificationError`, not failing) when the tail budget
-cannot be met.
+and entropies come from the Schmidt spectra of reduced states.  Truncation
+is accounted for exactly: a squeezed-vacuum source truncated at total
+photon number M drops tail mass ``(n_s / (n_s + 1))**(M + 1)``, and
+verification refuses to run (raising :class:`InconclusiveVerificationError`,
+not failing) when the tail budget cannot be met.
 
 Only vacuum-fed splitters are implemented; every stage of a broadcast
 cascade mixes the through-arm with a fresh vacuum port, which is all the
@@ -16,14 +15,15 @@ channel model needs and keeps this oracle auditable.
 
 A state keeps its amplitude table also as numpy arrays, which the beam
 splitter and the partial trace work on.  The partial trace numbers
-occupation tuples as mixed-radix integers, finds its blocks by label
-propagation, fills a block fed by one traced configuration with a single
-outer product, and sums every other element in the order in which the
-traced configurations first appear in the table.  That order is kept
-because the reported entropies depend on the last bits of these sums.
-Before allocating, it adds up the bytes of its dense blocks and of the
-index and term arrays that fill them, and ends the check as inconclusive
-above ``MAX_DENSE_BYTES`` (1 GiB).
+occupation tuples as mixed-radix integers and finds its blocks by label
+propagation.  The global state is pure, so each block is M Mᵀ with M the
+block's kept x traced amplitude matrix (its Schmidt factor): every table
+entry fills one element of one factor, and the block's nonzero spectrum is
+the squared singular values of M.  Before allocating, the partial trace
+adds up 8 bytes per factor element and ``ENTRY_BYTES`` per table entry and
+ends the check as inconclusive above ``MAX_DENSE_BYTES`` (1 GiB);
+verification refuses, before building the table, a channel output of more
+than ``MAX_AMPLITUDES`` entries.
 """
 
 from __future__ import annotations
@@ -65,8 +65,12 @@ ENTROPY_TOL = 1e-6     # three-route agreement of each verified entropy (bits)
 SCHMIDT_TOL = 1e-8     # per-eigenvalue deviation of a Schmidt spectrum
 MAX_CUTOFF = 60
 MAX_DENSE_BYTES = 2**30
-HERMITICITY_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-8
+# a partial trace's index arrays and basis tuples, per table entry: at most
+# 210 bytes under tracemalloc over every keep set of channel outputs, m = 1..4
+ENTRY_BYTES = 256
+# about 1 GiB of table: building a channel output takes 430-500 bytes per
+# final entry at its peak (tracemalloc, m = 3 and 4, cutoffs 20-33)
+MAX_AMPLITUDES = 2**21
 
 
 class InconclusiveVerificationError(RuntimeError):
@@ -229,17 +233,18 @@ def split_with_vacuum(state: FockState, source_mode, eta: float, new_label) -> F
 
 @dataclass
 class DensityMatrix:
-    """Reduced density operator, stored block-diagonally.
+    """Reduced density operator of a pure state, stored block by block as
+    Schmidt factors.
 
-    ``blocks`` is a tuple of ``(basis, matrix)`` pairs: ``basis`` lists the
-    occupation tuples spanning the block and ``matrix`` is the dense
-    Hermitian block.  Blocks are the orthogonality sectors discovered during
-    the partial trace (photon-number sectors, for the states built here);
-    :func:`reduce_density` lists each basis in lexicographic order and the
-    blocks in the order of their first tuple, and refuses blocks whose
-    ``8 * dim**2`` bytes, with the arrays that fill them, add up to more
-    than ``MAX_DENSE_BYTES``.
-    The trace may fall short of 1 by the recorded truncation deficit.
+    ``blocks`` is a tuple of ``(basis, factor)`` pairs: ``basis`` lists the
+    occupation tuples spanning the block and ``factor`` is the block's
+    ``len(basis) x r`` amplitude matrix M against the r traced
+    configurations that meet it, so that the block is M Mᵀ.  Blocks are the
+    orthogonality sectors discovered during the partial trace
+    (photon-number sectors, for the states built here); :func:`reduce_density`
+    lists each basis in lexicographic order and the blocks in the order of
+    their first tuple.  The trace may fall short of 1 by the recorded
+    truncation deficit.
     """
 
     mode_labels: tuple
@@ -248,27 +253,24 @@ class DensityMatrix:
 
     def __post_init__(self):
         self.mode_labels = tuple(self.mode_labels)
-        self.blocks = tuple((tuple(basis), np.asarray(mat, float)) for basis, mat in self.blocks)
-        for basis, mat in self.blocks:
-            if mat.shape != (len(basis), len(basis)):
-                raise ValueError("block matrix does not match its basis size")
-            if float(np.max(np.abs(mat - mat.T))) > HERMITICITY_TOL:
-                raise ValueError("density matrix block is not Hermitian")
+        self.blocks = tuple((tuple(basis), np.asarray(fac, float)) for basis, fac in self.blocks)
+        for basis, fac in self.blocks:
+            if fac.ndim != 2 or fac.shape[0] != len(basis):
+                raise ValueError("block factor does not match its basis size")
         if self.trace > 1.0 + 1e-9:
             raise ValueError(f"trace {self.trace!r} exceeds 1")
 
     @property
     def trace(self) -> float:
-        return float(sum(np.trace(mat) for _, mat in self.blocks))
+        return float(sum(np.vdot(fac, fac) for _, fac in self.blocks))
 
     def eigenvalues(self) -> np.ndarray:
-        """All eigenvalues, descending."""
+        """The nonzero spectrum of every block, descending: the squared
+        singular values of its factor (its Schmidt coefficients)."""
         if not self.blocks:
             return np.zeros(0)
-        vals = np.concatenate(
-            [np.linalg.eigvalsh(mat) for _, mat in self.blocks]
-        )
-        return np.sort(vals)[::-1]
+        vals = np.concatenate([np.linalg.svd(fac, compute_uv=False) for _, fac in self.blocks])
+        return np.sort(vals**2)[::-1]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -277,40 +279,43 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _lex_ids(cols: np.ndarray) -> tuple:
-    """Distinct rows of ``cols`` in lexicographic order, the index of each
-    one's first occurrence, and the id of every row.
+    """Distinct rows of ``cols`` in lexicographic order and the id of every row.
 
     Rows are read as numbers in base max + 1 (the cutoff + 1 for the states
     built here); ``np.unique(axis=0)`` serves when those would overflow.
     """
     base = int(cols.max()) + 1 if cols.size else 1
     if base ** cols.shape[1] >= 2**63:
-        rows, first, ids = np.unique(cols, axis=0, return_index=True, return_inverse=True)
-        return rows, first, ids.reshape(-1)
+        rows, ids = np.unique(cols, axis=0, return_inverse=True)
+        return rows, ids.reshape(-1)
     # mixed-radix numbers sort as their digit tuples do
     code = cols @ base ** np.arange(cols.shape[1] - 1, -1, -1, dtype=np.int64)
     _, first, ids = np.unique(code, return_index=True, return_inverse=True)
-    return cols[first], first, ids
+    return cols[first], ids
+
+
+def _positions(comp: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Rank of each id among the ids of its block (ids ascend within a block)."""
+    pos = np.empty_like(comp)
+    pos[np.argsort(comp, kind="stable")] = _ranges(np.zeros_like(sizes), sizes)
+    return pos
 
 
 def reduce_density(state: FockState, keep) -> DensityMatrix:
     """Partial trace onto the modes in ``keep`` (result modes in that order).
 
-    Amplitudes are grouped by the traced-out occupation.  Kept tuples that
-    never share a traced configuration have no coherence, so the result is
-    assembled block by block over the connected components of the graph
-    joining each kept tuple to the traced configurations it meets, found by
-    label propagation on arrays.  Each block's basis lists its kept tuples
-    in lexicographic order, and blocks come in the order of their first
-    tuple.  A block fed by one traced configuration is the outer product of
-    its amplitudes; this covers the large rank-one sectors.  In the other
-    blocks every element sums its terms from zero in order of first
-    appearance of the traced configuration in the amplitude table: a fixed
-    summation order keeps every element, and with it every eigenvalue, the
-    same to the last bit.
+    Kept tuples that never share a traced configuration have no coherence,
+    so the result is assembled block by block over the connected components
+    of the graph joining each kept tuple to the traced configurations it
+    meets, found by label propagation on arrays.  Each block's basis lists
+    its kept tuples in lexicographic order, its factor's columns list its
+    traced configurations in the same order, and blocks come in the order
+    of their first tuple.  Every table entry fills exactly one element of
+    one factor, so the factors are a scatter that sums nothing.
 
-    Raises :class:`InconclusiveVerificationError`, before any block or term
-    pair is allocated, when the blocks and the pairs would take more than
+    Raises :class:`InconclusiveVerificationError`, before any factor is
+    allocated, when the factors (8 bytes per element) and ``ENTRY_BYTES``
+    per table entry for the index arrays and bases would take more than
     ``MAX_DENSE_BYTES``.
     """
     keep = tuple(keep)
@@ -319,14 +324,13 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     kept_pos = [state.index(lab) for lab in keep]
     traced_pos = [i for i in range(len(state.mode_labels)) if i not in kept_pos]
     occ = state._occ
-    kept, _, kid = _lex_ids(occ[:, kept_pos])
-    _, first, gid = _lex_ids(occ[:, traced_pos])
-    gid = first[gid]  # a traced configuration is named by its first entry
+    kept, kid = _lex_ids(occ[:, kept_pos])
+    traced, gid = _lex_ids(occ[:, traced_pos])
 
     # each kept tuple ends labelled with the smallest id in its component
     label = np.arange(len(kept))
     while True:
-        glabel = np.full(len(occ), len(kept))
+        glabel = np.full(len(traced), len(kept))
         np.minimum.at(glabel, gid, label[kid])
         new = label.copy()
         np.minimum.at(new, kid, glabel[gid])
@@ -335,82 +339,57 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
             break
         label = new
     _, comp = np.unique(label, return_inverse=True)
-    sizes = np.bincount(comp)
-    dense_bytes = 8 * int((sizes**2).sum())
-    if dense_bytes > MAX_DENSE_BYTES:
+    gcomp = np.empty(len(traced), dtype=comp.dtype)
+    gcomp[gid] = comp[kid]
+    rows = np.bincount(comp)
+    cols = np.bincount(gcomp, minlength=rows.size)
+    sizes = rows * cols
+    factor_bytes = 8 * int(sizes.sum())
+    need = factor_bytes + ENTRY_BYTES * len(occ)
+    if need > MAX_DENSE_BYTES:
+        big = int(np.argmax(sizes))
         raise InconclusiveVerificationError(
-            f"reducing to ({','.join(map(str, keep))}) needs {dense_bytes} bytes of dense "
-            f"blocks (largest {sizes.max()}x{sizes.max()}), above the budget of "
+            f"reducing to ({','.join(map(str, keep))}) needs {need} bytes, {factor_bytes} of "
+            f"them Schmidt factors (largest {rows[big]}x{cols[big]}), above the budget of "
             f"{MAX_DENSE_BYTES} bytes"
         )
-    # basis position of each kept id; ids ascend within a block, as tuples do
-    by_comp = np.argsort(comp, kind="stable")
+    bases = list(zip(*kept[np.argsort(comp, kind="stable")].T.tolist()))
+    # all factors, row-major one after another in one buffer
     starts = np.cumsum(sizes) - sizes
-    pos = np.empty_like(by_comp)
-    pos[by_comp] = _ranges(np.zeros_like(sizes), sizes)
-    bases = list(zip(*kept[by_comp].T.tolist()))
-
-    # amplitudes by block, then traced configuration, then basis position:
-    # a block with one configuration reads its amplitudes in basis order
-    acomp, apos = comp[kid], pos[kid]
-    order = np.lexsort((apos, gid, acomp))
-    amp, acomp, apos, gid = state._amp[order], acomp[order], apos[order], gid[order]
-    run = np.flatnonzero(np.diff(gid, prepend=-1))
-    length = np.diff(run, append=gid.size)
-    single = np.bincount(acomp[run], minlength=sizes.size) == 1
-    # in the other blocks, every pair within each traced configuration
-    multi = ~single[acomp[run]]
-    run, length = run[multi], length[multi]
-    # at most four 8-byte arrays per pair live at once: row, col, terms
-    # and flat index, then three of them and one temporary; the blocks are
-    # filled from terms and flat index alone
-    pair_bytes = 32 * int((length**2).sum())
-    if dense_bytes + pair_bytes > MAX_DENSE_BYTES:
-        raise InconclusiveVerificationError(
-            f"reducing to ({','.join(map(str, keep))}) needs {dense_bytes} bytes of dense "
-            f"blocks and {pair_bytes} bytes of term pairs, above the budget of "
-            f"{MAX_DENSE_BYTES} bytes"
-        )
-    per = np.repeat(length, length)
-    row = np.repeat(_ranges(run, length), per)
-    col = _ranges(np.repeat(run, length), per)
-    terms = amp[row]
-    flat = (apos * sizes[acomp])[row]
-    del row
-    terms *= amp[col]
-    flat += apos[col]
-    del col
-
-    abound = np.cumsum(np.bincount(acomp, minlength=sizes.size)).tolist()
-    pairs = np.bincount(acomp[run], weights=length**2, minlength=sizes.size)
-    pbound = np.cumsum(pairs).astype(np.int64).tolist()
-    blocks = []
-    for c, d in enumerate(sizes.tolist()):
-        if single[c]:
-            vec = amp[abound[c] - d : abound[c]]
-            mat = np.outer(vec, vec)
-        else:
-            mat = np.zeros(d * d)
-            lo = pbound[c - 1] if c else 0
-            np.add.at(mat, flat[lo : pbound[c]], terms[lo : pbound[c]])
-            mat = mat.reshape(d, d)
-        blocks.append((bases[starts[c] : starts[c] + d], mat))
+    flat = np.zeros(factor_bytes // 8)
+    acomp = comp[kid]
+    at = _positions(comp, rows)[kid]
+    at *= cols[acomp]
+    at += starts[acomp]
+    at += _positions(gcomp, cols)[gid]
+    flat[at] = state._amp
+    first = (np.cumsum(rows) - rows).tolist()
+    blocks = [
+        (bases[b : b + d], flat[s : s + d * r].reshape(d, r))
+        for b, d, r, s in zip(first, rows.tolist(), cols.tolist(), starts.tolist())
+    ]
     return DensityMatrix(keep, tuple(blocks), state.cutoff)
 
 
 def entropy_fock(rho: DensityMatrix) -> float:
-    """Spectral von Neumann entropy in bits, eigenvalues clipped at zero.
+    """Spectral von Neumann entropy in bits."""
+    return _shannon_bits(rho.eigenvalues())
 
-    Raises if any eigenvalue falls below -1e-8 (the reduction produced an
-    invalid operator rather than mere roundoff).
-    """
-    eigs = rho.eigenvalues()
-    low = float(eigs.min()) if eigs.size else 0.0
-    if low < EIGENVALUE_FLOOR:
-        raise RuntimeError(f"density matrix has eigenvalue {low!r} < {EIGENVALUE_FLOOR}")
-    p = np.clip(eigs, 0.0, None)
+
+def _shannon_bits(p: np.ndarray) -> float:
     p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum())
+
+
+def _photon_weights(n_s: float, cutoff: int, eta: float) -> np.ndarray:
+    """Photon-number distribution of the share ``eta`` of a TMSV arm
+    truncated at ``cutoff``: sum over k <= cutoff of
+    ``thermal_weight(n_s, k) * C(k, e) eta^e (1 - eta)^(k - e)``."""
+    p = np.zeros(cutoff + 1)
+    for k in range(cutoff + 1):
+        w = thermal_weight(n_s, k)
+        p[: k + 1] += [w * math.comb(k, e) * eta**e * (1 - eta) ** (k - e) for e in range(k + 1)]
+    return p
 
 
 def channel_output_fock(
@@ -506,9 +485,16 @@ def verify_conditional_entropies(
     :class:`InconclusiveVerificationError` when the truncation budget is
     not met -- an inconclusive run, not a failed one.
     """
-    if spec.m > 3:
-        raise ValueError("number-basis verification limited to m <= 3 receivers")
+    if spec.m > 4:
+        raise ValueError("number-basis verification limited to m <= 4 receivers")
     cutoff, tail = _require_budget(n_s, cutoff)
+    # every (B1..Bm, E) occupation with total <= cutoff is one entry
+    entries = math.comb(cutoff + spec.m + 1, spec.m + 1)
+    if entries > MAX_AMPLITUDES:
+        raise InconclusiveVerificationError(
+            f"the amplitude table at cutoff {cutoff} needs {entries} entries, above the "
+            f"budget of {MAX_AMPLITUDES}"
+        )
     state = channel_output_fock(spec, n_s, cutoff, ordering)
     recv = _channel.receiver_labels(spec)
     gauss_state = _gaussian.reduce(
@@ -545,8 +531,10 @@ def verify_conditional_entropies(
                 passed=dev < ENTROPY_TOL,
             )
         )
-    # global purity: the kept modes and the environment share a spectrum
-    purity_dev = abs(h_sender_all - fock_entropy((_channel.ENV_LABEL,)))
+    # global purity: the kept modes share the spectrum of the environment,
+    # whose truncated photon weights follow from the spec alone
+    h_env = _shannon_bits(_photon_weights(n_s, cutoff, spec.eta_env))
+    purity_dev = abs(h_sender_all - h_env)
     cases.append(
         VerificationCase(
             case="purity H(A,{})=H(E)".format(",".join(recv)),

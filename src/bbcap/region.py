@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from operator import add, sub
 
 import numpy as np
@@ -62,10 +63,11 @@ MAX_VERTEX_RECEIVERS = 8
 
 
 def _receiver_count(m) -> int:
-    """``m`` itself, refused before anything of size 2^m is allocated."""
-    if not 1 <= m <= MAX_REGION_RECEIVERS:
+    """``m`` as an int, refused before anything of size 2^m is allocated
+    unless it is a whole number of receivers in range."""
+    if not (isinstance(m, numbers.Integral) and 1 <= m <= MAX_REGION_RECEIVERS):
         raise ValueError(f"receiver count m must be in 1..{MAX_REGION_RECEIVERS}, got {m!r}")
-    return m
+    return int(m)
 
 
 def _validate_subset(m: int, subset, allow_empty=False) -> frozenset:
@@ -377,7 +379,7 @@ def region_to_dict(region: CapacityRegion, round_to=None) -> dict:
 
 def region_from_dict(data: dict) -> CapacityRegion:
     """Rebuild a region from its JSON form (rounded bounds get a looser check)."""
-    m = _receiver_count(int(data["m"]))
+    m = _receiver_count(data["m"])
     energy = data["energy"]
     if energy != UNCONSTRAINED:
         energy = float(energy)

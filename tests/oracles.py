@@ -109,10 +109,12 @@ def is_polymatroid_bruteforce(bounds: dict, m: int, tol: float) -> bool:
 def reduce_density_reference(state, keep) -> tuple:
     """Partial trace by union-find over kept tuples and dense ``np.ix_`` updates.
 
-    The loop version of ``fock.reduce_density``, kept as its bit-level
+    The dense loop version of ``fock.reduce_density``, kept as its
     reference: it returns the ``(basis, matrix)`` blocks, with each matrix
     element summed from zero over the traced configurations in order of
-    first appearance.
+    first appearance, so ``M Mᵀ`` of each Schmidt factor and the spectrum
+    of each factor are checked against a matrix that is summed, not
+    factored.
     """
     keep = tuple(keep)
     if not keep:

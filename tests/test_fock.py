@@ -8,7 +8,6 @@ import pytest
 from bbcap import fock
 from bbcap.channel import BroadcastChannelSpec, output_state_tmsv, receiver_labels
 from bbcap.fock import (
-    DensityMatrix,
     FockState,
     InconclusiveVerificationError,
     channel_output_fock,
@@ -110,7 +109,7 @@ class TestReduceDensity:
         rho = reduce_density(st, ("A'",))
         # every block is 1x1: the photon-number populations themselves
         assert all(len(basis) == 1 for basis, _ in rho.blocks)
-        pops = {basis[0][0]: float(mat[0, 0]) for basis, mat in rho.blocks}
+        pops = {basis[0][0]: float((fac @ fac.T)[0, 0]) for basis, fac in rho.blocks}
         for k in range(21):
             assert pops[k] == pytest.approx(thermal_weight(0.5, k), abs=1e-14)
 
@@ -118,7 +117,7 @@ class TestReduceDensity:
         st = channel_output_fock(SPEC23, 0.5, 21)
         rho = reduce_density(st, ("B1",))
         budget = truncation_budget(0.5, 21)
-        pops = {basis[0][0]: float(mat[0, 0]) for basis, mat in rho.blocks}
+        pops = {basis[0][0]: float((fac @ fac.T)[0, 0]) for basis, fac in rho.blocks}
         for k in range(6):
             assert pops[k] == pytest.approx(
                 thermal_weight(0.1, k), abs=budget.entropy_tolerance
@@ -204,8 +203,32 @@ def _reference_cases():
 REFERENCE_CASES = _reference_cases()
 
 
+def _staircase_state(n: int) -> FockState:
+    # kept i meets traced i and i + 1: one n x (n + 1) factor holding 2n entries
+    amps = {}
+    for i in range(n):
+        amps[(i, i)] = amps[(i, i + 1)] = math.sqrt(0.5 / n)
+    return FockState(("a", "b"), amps, n)
+
+
+def _estimate(state, rho) -> int:
+    """The bytes ``reduce_density`` budgets: its factors and its per-entry arrays."""
+    return 8 * sum(fac.size for _, fac in rho.blocks) + fock.ENTRY_BYTES * len(state.amplitudes)
+
+
+EPS = np.finfo(float).eps
+
+
 class TestReduceDensityMatchesReference:
-    """The array partial trace against the union-find loop, bit for bit."""
+    """The Schmidt factors against the dense blocks of the union-find loop.
+
+    Each element of M Mᵀ and of the reference block sums the same r products
+    (r traced configurations) in some order, so each is within
+    γ_r ‖m_i‖ ‖m_j‖ of the exact value, with γ_r ≈ r·eps and m_i the rows of M:
+    the two differ by at most 3·r·eps·‖m_i‖ ‖m_j‖.  Squared singular values
+    and ``eigvalsh`` are both backward stable, so by Weyl's inequality every
+    eigenvalue agrees within 8·n·eps·‖ρ‖₂ (n the largest side of any factor).
+    """
 
     @pytest.mark.parametrize(
         "make, keep", [c[1:] for c in REFERENCE_CASES], ids=[c[0] for c in REFERENCE_CASES]
@@ -215,8 +238,26 @@ class TestReduceDensityMatchesReference:
         got = reduce_density(state, keep).blocks
         want = reduce_density_reference(state, keep)
         assert [basis for basis, _ in got] == [basis for basis, _ in want]
-        for (_, mat), (_, ref) in zip(got, want):
-            assert mat.dtype == ref.dtype and np.array_equal(mat, ref)
+        for (_, fac), (_, ref) in zip(got, want):
+            norms = np.linalg.norm(fac, axis=1)
+            bound = 3 * fac.shape[1] * EPS * np.outer(norms, norms)
+            assert np.all(np.abs(fac @ fac.T - ref) <= bound)
+
+    @pytest.mark.parametrize(
+        "make, keep", [c[1:] for c in REFERENCE_CASES], ids=[c[0] for c in REFERENCE_CASES]
+    )
+    def test_same_spectrum(self, make, keep):
+        state = make()
+        rho = reduce_density(state, keep)
+        ref = reduce_density_reference(state, keep)
+        want = np.sort(np.concatenate([np.linalg.eigvalsh(b) for _, b in ref] or [[]]))[::-1]
+        vals = rho.eigenvalues()
+        got = np.zeros(want.size)
+        got[: vals.size] = vals
+        assert np.all(got >= 0.0)
+        n = max((max(fac.shape) for _, fac in rho.blocks), default=0)
+        scale = want[0] if want.size else 0.0
+        assert np.all(np.abs(got - want) <= 8 * n * EPS * scale)
 
     def test_empty_state_has_no_blocks(self):
         rho = reduce_density(FockState(("a", "b"), {}, 3), ("a",))
@@ -225,47 +266,50 @@ class TestReduceDensityMatchesReference:
 
 class TestDenseBudget:
     def test_estimate_names_the_bytes(self, monkeypatch):
-        st = tmsv_fock(0.5, 20)  # keeping both modes: one 21x21 block
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 8 * 21 * 21 - 1)
-        with pytest.raises(InconclusiveVerificationError, match=r"needs 3528 bytes"):
+        st = tmsv_fock(0.5, 20)  # keeping both modes: one 21x1 factor of 21 entries
+        need = 8 * 21 + fock.ENTRY_BYTES * 21
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need - 1)
+        factors = r"168 of them Schmidt factors \(largest 21x1\)"
+        with pytest.raises(InconclusiveVerificationError, match=rf"needs {need} bytes, {factors}"):
             reduce_density(st, st.mode_labels)
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 8 * 21 * 21)
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need)
         assert len(reduce_density(st, st.mode_labels).blocks) == 1
 
     def test_estimate_sums_every_block(self, monkeypatch):
-        st = tmsv_fock(0.5, 20)  # keeping one arm: twenty-one 1x1 blocks
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 8 * 21 - 1)
-        with pytest.raises(InconclusiveVerificationError, match=r"needs 168 bytes"):
+        st = tmsv_fock(0.5, 20)  # keeping one arm: twenty-one 1x1 factors
+        need = 8 * 21 + fock.ENTRY_BYTES * 21
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need - 1)
+        with pytest.raises(InconclusiveVerificationError, match=rf"needs {need} bytes, 168 of"):
             reduce_density(st, ("A",))
 
-    def test_estimate_counts_the_term_pairs(self, monkeypatch):
-        st = channel_output_fock(SPEC23, 0.5, 6)
-        # keeping A: seven 1x1 blocks (56 bytes).  Photon number is
-        # conserved, so each traced configuration meets one kept tuple; the
-        # vacuum block has one configuration and is an outer product, and in
-        # the six others every amplitude makes one 32-byte term pair
-        pair_bytes = 32 * (len(st.amplitudes) - 1)
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 56 + pair_bytes - 1)
-        with pytest.raises(InconclusiveVerificationError,
-                           match=rf"needs 56 bytes of dense blocks and {pair_bytes} bytes"):
-            reduce_density(st, ("A",))
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 56 + pair_bytes)
-        assert len(reduce_density(st, ("A",)).blocks) == 7
+    def test_estimate_counts_whole_factors(self, monkeypatch):
+        st = _staircase_state(30)  # 60 entries, one 30x31 factor
+        need = 8 * 30 * 31 + fock.ENTRY_BYTES * 60
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need - 1)
+        factors = r"7440 of them Schmidt factors \(largest 30x31\)"
+        with pytest.raises(InconclusiveVerificationError, match=rf"needs {need} bytes, {factors}"):
+            reduce_density(st, ("a",))
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need)
+        assert [fac.shape for _, fac in reduce_density(st, ("a",)).blocks] == [(30, 31)]
 
     def test_peak_memory_stays_within_the_estimate(self, monkeypatch):
-        st = channel_output_fock(BroadcastChannelSpec((0.2, 0.3, 0.1)), 0.8, 14)
-        keep = ("A", "B2", "B3")  # 416704 bytes of blocks, 4846464 of term pairs
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 416704 + 4846464 - 1)
-        with pytest.raises(InconclusiveVerificationError, match="4846464 bytes of term pairs"):
-            reduce_density(st, keep)
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 416704 + 4846464)
-        tracemalloc.start()
-        try:
-            reduce_density(st, keep)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 416704 + 4846464
+        # the per-entry arrays dominate the first case, the factor the second
+        cases = [(channel_output_fock(BroadcastChannelSpec((0.2, 0.3, 0.1)), 0.8, 14),
+                  ("A", "B1", "B2", "B3")),
+                 (_staircase_state(600), ("a",))]
+        needs = [_estimate(st, reduce_density(st, keep)) for st, keep in cases]
+        for (st, keep), need in zip(cases, needs):
+            monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need - 1)
+            with pytest.raises(InconclusiveVerificationError, match=f"needs {need} bytes"):
+                reduce_density(st, keep)
+            monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need)
+            tracemalloc.start()
+            try:
+                reduce_density(st, keep)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= need, keep
 
     def test_verification_is_inconclusive(self, monkeypatch):
         monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 1000)
@@ -290,11 +334,6 @@ class TestEntropyFock:
         assert entropy_fock(reduce_density(st, ("A",))) == pytest.approx(
             entropy_g(0.5), abs=1e-8
         )
-
-    def test_negative_eigenvalue_raises(self):
-        bad = DensityMatrix(("a",), ((((0,),), np.array([[-1e-6]])),), 1)
-        with pytest.raises(RuntimeError):
-            entropy_fock(bad)
 
 
 class TestVerifyConditionalEntropies:
@@ -328,7 +367,34 @@ class TestVerifyConditionalEntropies:
 
     def test_too_many_receivers(self):
         with pytest.raises(ValueError):
-            verify_conditional_entropies(BroadcastChannelSpec((0.1,) * 4), 0.2)
+            verify_conditional_entropies(BroadcastChannelSpec((0.1,) * 5), 0.2)
+
+    def test_four_receivers(self):
+        report = verify_conditional_entropies(BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25)), 0.1)
+        assert report.passed and len(report.cases) == 16
+        assert report.max_abs_dev < 1e-8
+
+    def test_amplitude_table_over_budget_is_inconclusive(self, monkeypatch):
+        spec = BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25))
+        # cutoff 9 at N_S = 0.1: C(14, 5) = 2002 entries
+        monkeypatch.setattr(fock, "MAX_AMPLITUDES", 2001)
+        monkeypatch.setattr(fock, "channel_output_fock", None)  # never reached
+        with pytest.raises(InconclusiveVerificationError,
+                           match="at cutoff 9 needs 2002 entries, above the budget of 2001"):
+            verify_conditional_entropies(spec, 0.1)
+
+    def test_purity_fails_when_a_stage_is_off(self, monkeypatch):
+        split = fock.split_with_vacuum
+        calls = []
+
+        def widened(state, mode, eta, label):
+            calls.append(label)
+            return split(state, mode, eta + 1e-3 if len(calls) == 1 else eta, label)
+
+        monkeypatch.setattr(fock, "split_with_vacuum", widened)
+        purity = verify_conditional_entropies(SPEC23, 0.5, cutoff=21).cases[-1]
+        assert purity.case.startswith("purity") and not purity.passed
+        assert purity.abs_dev > 1e-4
 
     def test_report_serializes_with_plain_types(self):
         import json

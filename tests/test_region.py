@@ -145,7 +145,7 @@ class TestCapacityRegion:
         with pytest.raises(ValueError):
             capacity_region(BroadcastChannelSpec((0.001,) * 21))
 
-    @pytest.mark.parametrize("m", [0, 21, 64])
+    @pytest.mark.parametrize("m", [0, 21, 64, 2.5, 2.9])
     def test_receiver_count_refused_before_allocation(self, m):
         with pytest.raises(ValueError, match=r"1\.\.20"):
             CapacityRegion(m, UNCONSTRAINED, [0.0])
