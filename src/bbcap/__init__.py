@@ -51,12 +51,10 @@ from .region import (
 from .fock import (
     FockState,
     DensityMatrix,
-    TruncationBudget,
     InconclusiveVerificationError,
     thermal_weight,
     tail_mass,
     cutoff_for_tail,
-    truncation_budget,
     tmsv_fock,
     split_with_vacuum,
     reduce_density,

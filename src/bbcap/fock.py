@@ -1,36 +1,36 @@
 """Brute-force verification path in a truncated number basis.
 
 Everything here is deliberately independent of the covariance-matrix
-formalism: states are explicit amplitude tables over occupation tuples,
-beam splitters act by binomial amplitude splitting against a vacuum port,
-and entropies come from the Schmidt spectra of reduced states.  Truncation
-is accounted for exactly: a squeezed-vacuum source truncated at total
-photon number M drops tail mass ``(n_s / (n_s + 1))**(M + 1)``, and
-verification refuses to run (raising :class:`InconclusiveVerificationError`,
-not failing) when the tail budget cannot be met.
+formalism: a state is an explicit amplitude table, an int array with one
+row of photon numbers per basis state and a float array of their real
+amplitudes; beam splitters act by binomial amplitude splitting against a
+vacuum port; and entropies come from the Schmidt spectra of reduced
+states.  Truncation is accounted for exactly: a squeezed-vacuum source
+truncated at total photon number M drops tail mass
+``(n_s / (n_s + 1))**(M + 1)``, and verification refuses to run (raising
+:class:`InconclusiveVerificationError`, not failing) when the tail budget
+cannot be met.
 
 Only vacuum-fed splitters are implemented; every stage of a broadcast
 cascade mixes the through-arm with a fresh vacuum port, which is all the
 channel model needs and keeps this oracle auditable.
 
-A state keeps its amplitude table also as numpy arrays, which the beam
-splitter and the partial trace work on.  The partial trace numbers
-occupation tuples as mixed-radix integers and finds its blocks by label
-propagation.  The global state is pure, so each block is M Mᵀ with M the
-block's kept x traced amplitude matrix (its Schmidt factor): every table
-entry fills one element of one factor, and the block's nonzero spectrum is
-the squared singular values of M.  Before allocating, the partial trace
-adds up 8 bytes per factor element and ``ENTRY_BYTES`` per table entry and
-ends the check as inconclusive above ``MAX_DENSE_BYTES`` (1 GiB);
-verification refuses, before building the table, a channel output of more
-than ``MAX_AMPLITUDES`` entries.
+The partial trace numbers occupation rows as mixed-radix integers and
+finds its blocks by label propagation.  The global state is pure, so each
+block is M Mᵀ with M the block's kept x traced amplitude matrix (its
+Schmidt factor): every table entry fills one element of one factor, and
+the block's nonzero spectrum is the squared singular values of M.  Before
+allocating, the partial trace adds up 8 bytes per factor element and
+``ENTRY_BYTES`` per table entry and ends the check as inconclusive above
+``MAX_DENSE_BYTES`` (1 GiB); verification refuses, before building the
+table, a channel output of more than ``MAX_AMPLITUDES`` entries.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .channel import BroadcastChannelSpec
 __all__ = [
     "FockState",
     "DensityMatrix",
-    "TruncationBudget",
     "InconclusiveVerificationError",
     "VerificationCase",
     "VerificationReport",
@@ -50,7 +49,6 @@ __all__ = [
     "thermal_weight",
     "tail_mass",
     "cutoff_for_tail",
-    "truncation_budget",
     "tmsv_fock",
     "split_with_vacuum",
     "reduce_density",
@@ -65,10 +63,10 @@ ENTROPY_TOL = 1e-6     # three-route agreement of each verified entropy (bits)
 SCHMIDT_TOL = 1e-8     # per-eigenvalue deviation of a Schmidt spectrum
 MAX_CUTOFF = 60
 MAX_DENSE_BYTES = 2**30
-# a partial trace's index arrays and basis tuples, per table entry: at most
-# 210 bytes under tracemalloc over every keep set of channel outputs, m = 1..4
+# a partial trace's index arrays and bases, per table entry: at most 180
+# bytes under tracemalloc over every keep set of channel outputs, m = 1..4
 ENTRY_BYTES = 256
-# about 1 GiB of table: building a channel output takes 430-500 bytes per
+# about 270 MB of table: building a channel output takes 109-131 bytes per
 # final entry at its peak (tracemalloc, m = 3 and 4, cutoffs 20-33)
 MAX_AMPLITUDES = 2**21
 
@@ -106,45 +104,43 @@ def cutoff_for_tail(n_s: float) -> int:
     )
 
 
-@dataclass(frozen=True)
-class TruncationBudget:
-    """Cutoff, its exact tail mass, and the entropy tolerance it supports."""
-
-    cutoff: int
-    tail_mass: float
-    entropy_tolerance: float
-
-
-def truncation_budget(n_s: float, cutoff: int) -> TruncationBudget:
-    tail = tail_mass(n_s, cutoff)
-    return TruncationBudget(cutoff, tail, max(1e-6, 50.0 * tail * max(cutoff, 1)))
-
-
 @dataclass
 class FockState:
-    """Pure state as a sparse table of real amplitudes over occupation tuples.
+    """Pure state as a sparse table of real amplitudes.
 
-    Construction validates the table and keeps a copy as two arrays in its
-    order: ``_occ`` (one row of occupations per entry) and ``_amp``.  The
-    beam splitter and the partial trace read those, so the table is not
-    to be changed after construction.
+    Row i of ``occupations`` (entries x modes, int64) holds the photon
+    numbers of one basis state, one column per mode in ``mode_labels``
+    order, and ``amplitudes[i]`` its amplitude.  Rows are distinct.  The
+    beam splitter and the partial trace read both arrays, so the table is
+    not to be changed after construction.
     """
 
     mode_labels: tuple
-    amplitudes: dict
+    occupations: np.ndarray
+    amplitudes: np.ndarray
     cutoff: int
-    _occ: np.ndarray = field(init=False, repr=False, compare=False)
-    _amp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mode_labels = tuple(self.mode_labels)
         if len(set(self.mode_labels)) != len(self.mode_labels):
             raise ValueError(f"duplicate mode labels: {self.mode_labels}")
-        self._occ, self._amp = _arrays(self.amplitudes, len(self.mode_labels))
+        occ = np.asarray(self.occupations)
+        if occ.ndim != 2 or occ.shape[1] != len(self.mode_labels):
+            raise ValueError(
+                f"occupations need shape (entries, {len(self.mode_labels)}), got {occ.shape}"
+            )
+        if not np.issubdtype(occ.dtype, np.integer):
+            raise ValueError(f"occupations must be integers, got dtype {occ.dtype}")
+        if (occ < 0).any():
+            raise ValueError("occupations must be nonnegative")
+        amp = np.asarray(self.amplitudes, dtype=float)
+        if amp.shape != (len(occ),):
+            raise ValueError(f"{len(occ)} occupation rows but amplitudes of shape {amp.shape}")
+        self.occupations, self.amplitudes = occ.astype(np.int64, copy=False), amp
 
     @property
     def norm_sq(self) -> float:
-        return float(sum(a * a for a in self.amplitudes.values()))
+        return float(self.amplitudes @ self.amplitudes)
 
     @property
     def tail(self) -> float:
@@ -155,28 +151,6 @@ class FockState:
             return self.mode_labels.index(label)
         except ValueError:
             raise ValueError(f"unknown mode label {label!r}") from None
-
-
-def _arrays(amplitudes: dict, n: int) -> tuple:
-    """Occupations as an (entries, n) int array and amplitudes, in dict order.
-
-    Raises ValueError naming an entry that is not n nonnegative integers.
-    """
-    keys = list(amplitudes)
-    bad = np.flatnonzero(np.fromiter(map(len, keys), np.int64, len(keys)) != n)
-    if not bad.size:
-        flat = np.fromiter(itertools.chain.from_iterable(keys), float, len(keys) * n)
-        with np.errstate(invalid="ignore"):
-            occ = flat.astype(np.int64)
-        bad = np.flatnonzero(((occ < 0) | (occ != flat)).reshape(len(keys), n).any(axis=1))
-    if bad.size:
-        raise ValueError(f"bad occupation tuple {keys[bad[0]]!r} for {n} modes")
-    return occ.reshape(len(keys), n), np.fromiter(amplitudes.values(), float, len(keys))
-
-
-def _as_dict(occ: np.ndarray, amp: np.ndarray) -> dict:
-    """Amplitude table keyed by the rows of ``occ`` (at least one column)."""
-    return dict(zip(zip(*occ.T.tolist()), amp.tolist()))
 
 
 def tmsv_fock(n_s: float, cutoff: int, labels=("A", "A'")) -> FockState:
@@ -190,12 +164,9 @@ def tmsv_fock(n_s: float, cutoff: int, labels=("A", "A'")) -> FockState:
     labels = tuple(labels)
     if len(labels) != 2:
         raise ValueError("tmsv_fock needs exactly two mode labels")
-    amps = {}
-    for k in range(cutoff + 1):
-        w = thermal_weight(n_s, k)
-        if w > 0.0:
-            amps[(k, k)] = math.sqrt(w)
-    return FockState(labels, amps, cutoff)
+    w = np.array([thermal_weight(n_s, k) for k in range(cutoff + 1)])
+    k = np.flatnonzero(w > 0.0)
+    return FockState(labels, np.stack([k, k], axis=1), np.sqrt(w[k]), cutoff)
 
 
 def split_with_vacuum(state: FockState, source_mode, eta: float, new_label) -> FockState:
@@ -212,7 +183,7 @@ def split_with_vacuum(state: FockState, source_mode, eta: float, new_label) -> F
     if new_label in state.mode_labels:
         raise ValueError(f"label {new_label!r} already in use")
     src = state.index(source_mode)
-    occ, amp = state._occ, state._amp
+    occ = state.occupations
     n = occ[:, src]
     top = int(n.max()) + 1 if n.size else 0
     # entry n(n+1)/2 + k holds the weight of |k>_src |n-k>_new, from the
@@ -227,8 +198,8 @@ def split_with_vacuum(state: FockState, source_mode, eta: float, new_label) -> F
     row, k, entry = row[nonzero], k[nonzero], entry[nonzero]
     out = np.concatenate([occ[row], (n[row] - k)[:, None]], axis=1)
     out[:, src] = k
-    amps = _as_dict(out, amp[row] * np.sqrt(w[entry]))
-    return FockState(state.mode_labels + (new_label,), amps, state.cutoff)
+    amps = state.amplitudes[row] * np.sqrt(w[entry])
+    return FockState(state.mode_labels + (new_label,), out, amps, state.cutoff)
 
 
 @dataclass
@@ -236,15 +207,14 @@ class DensityMatrix:
     """Reduced density operator of a pure state, stored block by block as
     Schmidt factors.
 
-    ``blocks`` is a tuple of ``(basis, factor)`` pairs: ``basis`` lists the
-    occupation tuples spanning the block and ``factor`` is the block's
-    ``len(basis) x r`` amplitude matrix M against the r traced
-    configurations that meet it, so that the block is M Mᵀ.  Blocks are the
-    orthogonality sectors discovered during the partial trace
+    ``blocks`` is a tuple of ``(basis, factor)`` pairs: ``basis`` is a
+    (d x kept modes) int array whose rows are the occupations spanning the
+    block and ``factor`` is the block's ``d x r`` amplitude matrix M against
+    the r traced configurations that meet it, so that the block is M Mᵀ.
+    Blocks are the orthogonality sectors discovered during the partial trace
     (photon-number sectors, for the states built here); :func:`reduce_density`
-    lists each basis in lexicographic order and the blocks in the order of
-    their first tuple.  The trace may fall short of 1 by the recorded
-    truncation deficit.
+    sorts each basis's rows lexicographically and the blocks by their first
+    row.  The trace may fall short of 1 by the recorded truncation deficit.
     """
 
     mode_labels: tuple
@@ -253,7 +223,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         self.mode_labels = tuple(self.mode_labels)
-        self.blocks = tuple((tuple(basis), np.asarray(fac, float)) for basis, fac in self.blocks)
+        self.blocks = tuple(self.blocks)
         for basis, fac in self.blocks:
             if fac.ndim != 2 or fac.shape[0] != len(basis):
                 raise ValueError("block factor does not match its basis size")
@@ -304,14 +274,15 @@ def _positions(comp: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def reduce_density(state: FockState, keep) -> DensityMatrix:
     """Partial trace onto the modes in ``keep`` (result modes in that order).
 
-    Kept tuples that never share a traced configuration have no coherence,
-    so the result is assembled block by block over the connected components
-    of the graph joining each kept tuple to the traced configurations it
-    meets, found by label propagation on arrays.  Each block's basis lists
-    its kept tuples in lexicographic order, its factor's columns list its
-    traced configurations in the same order, and blocks come in the order
-    of their first tuple.  Every table entry fills exactly one element of
-    one factor, so the factors are a scatter that sums nothing.
+    Kept configurations that never share a traced configuration have no
+    coherence, so the result is assembled block by block over the connected
+    components of the graph joining each kept configuration to the traced
+    configurations it meets, found by label propagation on arrays.  Each
+    block's basis holds its kept configurations as rows in lexicographic
+    order, its factor's columns list its traced configurations in the same
+    order, and blocks come in the order of their first row.  Every table
+    entry fills exactly one element of one factor, so the factors are a
+    scatter that sums nothing.
 
     Raises :class:`InconclusiveVerificationError`, before any factor is
     allocated, when the factors (8 bytes per element) and ``ENTRY_BYTES``
@@ -323,11 +294,11 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
         raise ValueError("must keep at least one mode")
     kept_pos = [state.index(lab) for lab in keep]
     traced_pos = [i for i in range(len(state.mode_labels)) if i not in kept_pos]
-    occ = state._occ
+    occ = state.occupations
     kept, kid = _lex_ids(occ[:, kept_pos])
     traced, gid = _lex_ids(occ[:, traced_pos])
 
-    # each kept tuple ends labelled with the smallest id in its component
+    # each kept configuration ends labelled with the smallest id in its component
     label = np.arange(len(kept))
     while True:
         glabel = np.full(len(traced), len(kept))
@@ -353,7 +324,7 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
             f"them Schmidt factors (largest {rows[big]}x{cols[big]}), above the budget of "
             f"{MAX_DENSE_BYTES} bytes"
         )
-    bases = list(zip(*kept[np.argsort(comp, kind="stable")].T.tolist()))
+    bases = kept[np.argsort(comp, kind="stable")]
     # all factors, row-major one after another in one buffer
     starts = np.cumsum(sizes) - sizes
     flat = np.zeros(factor_bytes // 8)
@@ -362,13 +333,13 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     at *= cols[acomp]
     at += starts[acomp]
     at += _positions(gcomp, cols)[gid]
-    flat[at] = state._amp
+    flat[at] = state.amplitudes
     first = (np.cumsum(rows) - rows).tolist()
     blocks = [
         (bases[b : b + d], flat[s : s + d * r].reshape(d, r))
         for b, d, r, s in zip(first, rows.tolist(), cols.tolist(), starts.tolist())
     ]
-    return DensityMatrix(keep, tuple(blocks), state.cutoff)
+    return DensityMatrix(keep, blocks, state.cutoff)
 
 
 def entropy_fock(rho: DensityMatrix) -> float:
@@ -404,12 +375,15 @@ def channel_output_fock(
     # canonical mode order (A, B1, ..., Bm, E)
     want = ("A",) + _channel.output_labels(spec)
     perm = [labels.index(lab) for lab in want]
-    return FockState(want, _as_dict(state._occ[:, perm], state._amp), state.cutoff)
+    return FockState(want, state.occupations[:, perm], state.amplitudes, state.cutoff)
 
 
 def _require_budget(n_s: float, cutoff) -> tuple:
+    _region._photon_number(n_s)
     if cutoff is None:
         cutoff = cutoff_for_tail(n_s)
+    elif not isinstance(cutoff, numbers.Integral):
+        raise ValueError(f"cutoff must be a whole number, got {cutoff!r}")
     cutoff = int(cutoff)
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")

@@ -123,7 +123,7 @@ def reduce_density_reference(state, keep) -> tuple:
     traced_pos = [i for i in range(len(state.mode_labels)) if i not in kept_pos]
 
     groups = {}
-    for occ, amp in state.amplitudes.items():
+    for occ, amp in zip(state.occupations.tolist(), state.amplitudes.tolist()):
         k = tuple(occ[i] for i in kept_pos)
         t = tuple(occ[i] for i in traced_pos)
         groups.setdefault(t, []).append((k, amp))

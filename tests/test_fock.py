@@ -8,6 +8,7 @@ import pytest
 from bbcap import fock
 from bbcap.channel import BroadcastChannelSpec, output_state_tmsv, receiver_labels
 from bbcap.fock import (
+    ENTROPY_TOL,
     FockState,
     InconclusiveVerificationError,
     channel_output_fock,
@@ -19,7 +20,6 @@ from bbcap.fock import (
     tail_mass,
     thermal_weight,
     tmsv_fock,
-    truncation_budget,
     verify_conditional_entropies,
 )
 from bbcap.gaussian import entropy_g, reduce, von_neumann_entropy
@@ -28,10 +28,34 @@ from oracles import reduce_density_reference
 SPEC23 = BroadcastChannelSpec((0.2, 0.3))
 
 
+def _state(labels, table: dict, cutoff: int) -> FockState:
+    """A ``FockState`` from a dict of occupation tuples to amplitudes."""
+    occ = np.array(list(table), dtype=np.int64).reshape(len(table), len(labels))
+    return FockState(labels, occ, np.array(list(table.values()), dtype=float), cutoff)
+
+
+class TestFockStateValidation:
+    @pytest.mark.parametrize(
+        "labels, occ, amps",
+        [
+            (("a", "b"), np.zeros((2, 3), np.int64), [0.6, 0.8]),
+            (("a", "b"), np.array([[0, 1], [-1, 2]]), [0.6, 0.8]),
+            (("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), [0.6, 0.8]),
+            (("a", "b"), np.array([[0, 1], [1, 0]]), [0.6, 0.8, 0.0]),
+            (("a", "a"), np.array([[0, 1], [1, 0]]), [0.6, 0.8]),
+        ],
+        ids=["column_count", "negative", "float_occupations", "amplitude_count",
+             "duplicate_labels"],
+    )
+    def test_bad_table_is_refused(self, labels, occ, amps):
+        with pytest.raises(ValueError):
+            FockState(labels, occ, amps, 2)
+
+
 class TestTmsvFock:
     def test_zero_energy_is_vacuum(self):
         st = tmsv_fock(0.0, 10)
-        assert st.amplitudes == {(0, 0): 1.0}
+        assert st.occupations.tolist() == [[0, 0]] and st.amplitudes.tolist() == [1.0]
         assert st.tail == 0.0
 
     def test_tail_matches_geometric_closed_form(self):
@@ -45,35 +69,32 @@ class TestTmsvFock:
 
     def test_marginal_spectrum_entropy_is_g(self):
         st = tmsv_fock(0.5, 25)
-        budget = truncation_budget(0.5, 25)
         rho = reduce_density(st, ("A",))
-        assert entropy_fock(rho) == pytest.approx(
-            entropy_g(0.5), abs=budget.entropy_tolerance
-        )
+        assert entropy_fock(rho) == pytest.approx(entropy_g(0.5), abs=ENTROPY_TOL)
 
     def test_support_is_diagonal_pairs(self):
         st = tmsv_fock(0.7, 15)
-        assert all(a == b for a, b in st.amplitudes)
+        assert np.array_equal(st.occupations[:, 0], st.occupations[:, 1])
 
 
 class TestSplitWithVacuum:
     def test_full_transmittance_appends_vacuum(self):
         st = tmsv_fock(0.5, 12)
         out = split_with_vacuum(st, "A'", 1.0, "B")
-        assert set(out.amplitudes) == {(k, k, 0) for k, _ in st.amplitudes}
+        assert out.occupations.tolist() == [[k, k, 0] for k, _ in st.occupations.tolist()]
         assert out.norm_sq == pytest.approx(st.norm_sq, abs=1e-15)
 
     def test_zero_transmittance_transfers_everything(self):
         st = tmsv_fock(0.5, 12)
         out = split_with_vacuum(st, "A'", 0.0, "B")
-        assert set(out.amplitudes) == {(k, 0, k) for k, _ in st.amplitudes}
+        assert out.occupations.tolist() == [[k, 0, k] for k, _ in st.occupations.tolist()]
 
     def test_single_photon_balanced_amplitudes(self):
-        one = FockState(("a",), {(1,): 1.0}, 1)
+        one = _state(("a",), {(1,): 1.0}, 1)
         out = split_with_vacuum(one, "a", 0.5, "b")
+        assert out.occupations.tolist() == [[0, 1], [1, 0]]
         # both output amplitudes positive under this package's convention
-        assert out.amplitudes[(1, 0)] == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert out.amplitudes[(0, 1)] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert out.amplitudes == pytest.approx([math.sqrt(0.5)] * 2, abs=1e-15)
         rho = reduce_density(out, ("a",))
         assert sorted(np.round(rho.eigenvalues(), 12)) == [0.5, 0.5]
 
@@ -83,8 +104,8 @@ class TestSplitWithVacuum:
         for step, label in enumerate(("B", "C")):
             st = split_with_vacuum(st, "A'", rng.uniform(0.2, 0.9), label)
             assert abs(st.norm_sq - (1.0 - tail_mass(0.8, 18))) < 1e-14
-            for occ in st.amplitudes:
-                assert occ[0] == sum(occ[1:])  # sender count = everything else
+            occ = st.occupations  # sender count = everything else
+            assert np.array_equal(occ[:, 0], occ[:, 1:].sum(axis=1))
 
     def test_bad_arguments(self):
         st = tmsv_fock(0.5, 5)
@@ -116,21 +137,17 @@ class TestReduceDensity:
     def test_channel_receiver_marginal_is_attenuated_thermal(self):
         st = channel_output_fock(SPEC23, 0.5, 21)
         rho = reduce_density(st, ("B1",))
-        budget = truncation_budget(0.5, 21)
         pops = {basis[0][0]: float((fac @ fac.T)[0, 0]) for basis, fac in rho.blocks}
         for k in range(6):
-            assert pops[k] == pytest.approx(
-                thermal_weight(0.1, k), abs=budget.entropy_tolerance
-            )
+            assert pops[k] == pytest.approx(thermal_weight(0.1, k), abs=ENTROPY_TOL)
         gauss = von_neumann_entropy(reduce(output_state_tmsv(SPEC23, 0.5), ["B1"]))
-        assert entropy_fock(rho) == pytest.approx(gauss, abs=budget.entropy_tolerance)
+        assert entropy_fock(rho) == pytest.approx(gauss, abs=ENTROPY_TOL)
 
     def test_receiver_pair_blocks_conserve_total_photons(self):
         st = channel_output_fock(SPEC23, 0.5, 15)
         rho = reduce_density(st, ("B1", "B2"))
         for basis, _ in rho.blocks:
-            totals = {sum(occ) for occ in basis}
-            assert len(totals) == 1
+            assert np.unique(basis.sum(axis=1)).size == 1
 
     def test_unknown_label(self):
         with pytest.raises(ValueError):
@@ -158,7 +175,7 @@ def _mixed_totals_state():
     # kept tuple (0,) meets traced tuples of totals 0, 1 and 3; (1,) joins
     # its block through (1,); entries are out of lexicographic order
     amps = {(1, 2): 0.3, (0, 3): -0.2, (0, 0): 0.5, (1, 1): 0.4, (0, 1): -0.35, (2, 0): 0.25}
-    return FockState(("a", "b"), amps, 3)
+    return _state(("a", "b"), amps, 3)
 
 
 def _scrambled_state():
@@ -168,7 +185,7 @@ def _scrambled_state():
     rng.shuffle(occs)
     amps = rng.uniform(-1.0, 1.0, len(occs))
     amps /= np.linalg.norm(amps)
-    return FockState(("a", "b", "c"), dict(zip(occs, amps.tolist())), 9)
+    return _state(("a", "b", "c"), dict(zip(occs, amps.tolist())), 9)
 
 
 def _reference_cases():
@@ -187,14 +204,14 @@ def _reference_cases():
     for r in range(1, len(labels) + 1):
         for keep in itertools.combinations(labels, r):
             cases.append((f"eta01_{'-'.join(keep)}", _cascade_with_extreme_stages, keep))
-    bell = FockState(("a", "b"), {(0, 0): math.sqrt(0.5), (1, 1): math.sqrt(0.5)}, 1)
+    bell = _state(("a", "b"), {(0, 0): math.sqrt(0.5), (1, 1): math.sqrt(0.5)}, 1)
     cases += [("bell_a", lambda: bell, ("a",)), ("bell_ab", lambda: bell, ("a", "b"))]
-    cases.append(("empty", lambda: FockState(("a", "b"), {}, 3), ("a",)))
+    cases.append(("empty", lambda: _state(("a", "b"), {}, 3), ("a",)))
     for keep in (("a",), ("b",), ("b", "a")):
         cases.append((f"mixed_totals_{'-'.join(keep)}", _mixed_totals_state, keep))
     for keep in (("a",), ("c", "a"), ("b", "c"), ("a", "b", "c")):
         cases.append((f"scrambled_{'-'.join(keep)}", _scrambled_state, keep))
-    big = FockState(("a", "b", "c"), {(2**40, 0, 2**40): 0.6, (2**40, 1, 2**40 - 1): 0.8}, 2**41)
+    big = _state(("a", "b", "c"), {(2**40, 0, 2**40): 0.6, (2**40, 1, 2**40 - 1): 0.8}, 2**41)
     cases += [("huge_occupations_a-b", lambda: big, ("a", "b")),
               ("huge_occupations_c", lambda: big, ("c",))]
     return cases
@@ -208,7 +225,7 @@ def _staircase_state(n: int) -> FockState:
     amps = {}
     for i in range(n):
         amps[(i, i)] = amps[(i, i + 1)] = math.sqrt(0.5 / n)
-    return FockState(("a", "b"), amps, n)
+    return _state(("a", "b"), amps, n)
 
 
 def _estimate(state, rho) -> int:
@@ -237,7 +254,9 @@ class TestReduceDensityMatchesReference:
         state = make()
         got = reduce_density(state, keep).blocks
         want = reduce_density_reference(state, keep)
-        assert [basis for basis, _ in got] == [basis for basis, _ in want]
+        assert [tuple(map(tuple, basis.tolist())) for basis, _ in got] == [
+            basis for basis, _ in want
+        ]
         for (_, fac), (_, ref) in zip(got, want):
             norms = np.linalg.norm(fac, axis=1)
             bound = 3 * fac.shape[1] * EPS * np.outer(norms, norms)
@@ -260,7 +279,7 @@ class TestReduceDensityMatchesReference:
         assert np.all(np.abs(got - want) <= 8 * n * EPS * scale)
 
     def test_empty_state_has_no_blocks(self):
-        rho = reduce_density(FockState(("a", "b"), {}, 3), ("a",))
+        rho = reduce_density(_state(("a", "b"), {}, 3), ("a",))
         assert rho.blocks == () and rho.eigenvalues().size == 0
 
 
@@ -326,7 +345,7 @@ class TestEntropyFock:
         )
 
     def test_balanced_qubit_is_one_bit(self):
-        bell = FockState(("a", "b"), {(0, 0): math.sqrt(0.5), (1, 1): math.sqrt(0.5)}, 1)
+        bell = _state(("a", "b"), {(0, 0): math.sqrt(0.5), (1, 1): math.sqrt(0.5)}, 1)
         assert entropy_fock(reduce_density(bell, ("a",))) == pytest.approx(1.0, abs=1e-12)
 
     def test_truncated_thermal_matches_g(self):
@@ -364,6 +383,17 @@ class TestVerifyConditionalEntropies:
             verify_conditional_entropies(SPEC23, 0.5, cutoff=10)
         with pytest.raises(InconclusiveVerificationError):
             verify_conditional_entropies(SPEC23, 3.0)  # needs cutoff > 60
+
+    @pytest.mark.parametrize("n_s", [math.nan, math.inf, -0.5])
+    @pytest.mark.parametrize("cutoff", [None, 20])
+    def test_bad_energy_is_refused(self, n_s, cutoff):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            verify_conditional_entropies(SPEC23, n_s, cutoff=cutoff)
+
+    def test_fractional_cutoff_is_refused(self):
+        with pytest.raises(ValueError, match="whole number, got 20.7"):
+            verify_conditional_entropies(SPEC23, 0.5, cutoff=20.7)
+        assert verify_conditional_entropies(SPEC23, 0.2, cutoff=np.int64(15)).cutoff == 15
 
     def test_too_many_receivers(self):
         with pytest.raises(ValueError):
@@ -435,6 +465,16 @@ class TestSchmidtSpectrum:
         with pytest.raises(InconclusiveVerificationError):
             schmidt_spectrum_check(0.2, 0.5, cutoff=8)
 
+    @pytest.mark.parametrize("n_s", [math.nan, math.inf])
+    @pytest.mark.parametrize("cutoff", [None, 20])
+    def test_bad_energy_is_refused(self, n_s, cutoff):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            schmidt_spectrum_check(0.2, n_s, cutoff=cutoff)
+
+    def test_fractional_cutoff_is_refused(self):
+        with pytest.raises(ValueError, match="whole number"):
+            schmidt_spectrum_check(0.2, 0.5, cutoff=25.0)
+
 
 class TestCutoffPolicy:
     def test_policy_cutoffs(self):
@@ -446,17 +486,11 @@ class TestCutoffPolicy:
         with pytest.raises(InconclusiveVerificationError):
             cutoff_for_tail(3.0)
 
-    def test_budget_tolerance_formula(self):
-        b = truncation_budget(0.5, 21)
-        assert b.tail_mass == pytest.approx((1.0 / 3.0) ** 22, rel=1e-12)
-        assert b.entropy_tolerance == max(1e-6, 50.0 * b.tail_mass * 21)
-
 
 class TestOracleVsGaussianEverywhere:
     def test_every_mode_subset_agrees(self):
         # every reduced entropy of the channel output, both routes
         n_s, cutoff = 0.5, 21
-        budget = truncation_budget(n_s, cutoff)
         fock_state = channel_output_fock(SPEC23, n_s, cutoff)
         gauss_state = output_state_tmsv(SPEC23, n_s)
         labels = gauss_state.mode_labels
@@ -464,4 +498,4 @@ class TestOracleVsGaussianEverywhere:
             for keep in itertools.combinations(labels, size):
                 h_fock = entropy_fock(reduce_density(fock_state, keep))
                 h_gauss = von_neumann_entropy(reduce(gauss_state, keep))
-                assert h_fock == pytest.approx(h_gauss, abs=budget.entropy_tolerance), keep
+                assert h_fock == pytest.approx(h_gauss, abs=ENTROPY_TOL), keep
