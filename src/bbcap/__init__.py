@@ -7,7 +7,6 @@ cross-checks every entropy quantity.
 
 from .gaussian import (
     CovarianceState,
-    SymplecticPairingError,
     entropy_g,
     tmsv,
     thermal_state,

@@ -22,8 +22,8 @@ Schmidt factor): every table entry fills one element of one factor, and
 the block's nonzero spectrum is the squared singular values of M.  Before
 allocating, the partial trace adds up 8 bytes per factor element and
 ``ENTRY_BYTES`` per table entry and ends the check as inconclusive above
-``MAX_DENSE_BYTES`` (1 GiB); verification refuses, before building the
-table, a channel output of more than ``MAX_AMPLITUDES`` entries.
+``MAX_DENSE_BYTES`` (1 GiB); verification refuses a channel output before
+building its table when 8 + ``ENTRY_BYTES`` bytes per entry exceed that.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ MAX_DENSE_BYTES = 2**30
 # a partial trace's index arrays and bases, per table entry: at most 180
 # bytes under tracemalloc over every keep set of channel outputs, m = 1..4
 ENTRY_BYTES = 256
-# about 270 MB of table: building a channel output takes 109-131 bytes per
-# final entry at its peak (tracemalloc, m = 3 and 4, cutoffs 20-33)
-MAX_AMPLITUDES = 2**21
 
 
 class InconclusiveVerificationError(RuntimeError):
@@ -110,9 +107,9 @@ class FockState:
 
     Row i of ``occupations`` (entries x modes, int64) holds the photon
     numbers of one basis state, one column per mode in ``mode_labels``
-    order, and ``amplitudes[i]`` its amplitude.  Rows are distinct.  The
-    beam splitter and the partial trace read both arrays, so the table is
-    not to be changed after construction.
+    order, and ``amplitudes[i]`` its amplitude.  Rows must be distinct, which
+    :func:`reduce_density` enforces.  The beam splitter and the partial trace
+    read both arrays, so the table is not to be changed after construction.
     """
 
     mode_labels: tuple
@@ -287,7 +284,8 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     Raises :class:`InconclusiveVerificationError`, before any factor is
     allocated, when the factors (8 bytes per element) and ``ENTRY_BYTES``
     per table entry for the index arrays and bases would take more than
-    ``MAX_DENSE_BYTES``.
+    ``MAX_DENSE_BYTES``, and ``ValueError`` when two rows of the table are
+    the same occupation (they would land on one factor element).
     """
     keep = tuple(keep)
     if not keep:
@@ -334,6 +332,8 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     at += starts[acomp]
     at += _positions(gcomp, cols)[gid]
     flat[at] = state.amplitudes
+    if np.count_nonzero(flat) != np.count_nonzero(state.amplitudes):
+        raise ValueError("occupation rows repeat: the table is not one amplitude per basis state")
     first = (np.cumsum(rows) - rows).tolist()
     blocks = [
         (bases[b : b + d], flat[s : s + d * r].reshape(d, r))
@@ -464,10 +464,11 @@ def verify_conditional_entropies(
     cutoff, tail = _require_budget(n_s, cutoff)
     # every (B1..Bm, E) occupation with total <= cutoff is one entry
     entries = math.comb(cutoff + spec.m + 1, spec.m + 1)
-    if entries > MAX_AMPLITUDES:
+    need = entries * (ENTRY_BYTES + 8)  # a factor element and index arrays per entry
+    if need > MAX_DENSE_BYTES:
         raise InconclusiveVerificationError(
-            f"the amplitude table at cutoff {cutoff} needs {entries} entries, above the "
-            f"budget of {MAX_AMPLITUDES}"
+            f"the amplitude table at cutoff {cutoff} needs {entries} entries, {need} bytes in "
+            f"every reduction, above the budget of {MAX_DENSE_BYTES} bytes"
         )
     state = channel_output_fock(spec, n_s, cutoff, ordering)
     recv = _channel.receiver_labels(spec)

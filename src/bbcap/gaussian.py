@@ -9,6 +9,11 @@ Conventions used throughout the package:
   ``nu >= 1``.
 * Entropies are in bits; the von Neumann entropy of a Gaussian state is
   ``sum(entropy_g((nu_k - 1) / 2))`` over its symplectic eigenvalues.
+* The symplectic spectrum is the positive half of the eigenvalues of the
+  Hermitian matrix ``i Lᵀ Ω L``, with ``L`` the Cholesky factor of the
+  covariance (Williamson's theorem).  Validation and entropy share that
+  one path: a covariance that is not positive definite has no factor and
+  is refused as an uncertainty violation.
 
 Every state here is zero-mean, so a covariance matrix is the whole state.
 Gaussian unitaries are plain symplectic matrices acting as ``S V S.T``,
@@ -26,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "CovarianceState",
-    "SymplecticPairingError",
     "entropy_g",
     "tmsv",
     "thermal_state",
@@ -43,13 +47,8 @@ __all__ = [
 # passed through an eigendecomposition.
 SYMMETRY_TOL = 1e-12
 VALIDITY_TOL = 1e-9
-PAIRING_TOL = 1e-9
 
 _LN2 = math.log(2.0)
-
-
-class SymplecticPairingError(RuntimeError):
-    """Eigenvalues of Omega @ cov failed to pair up within tolerance."""
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -70,8 +69,9 @@ class CovarianceState:
     mode_labels : tuple
         Distinct identifiers, one per mode, in quadrature-block order.
     cov : ndarray, shape (2n, 2n)
-        Symmetric covariance matrix satisfying the uncertainty relation
-        (all symplectic eigenvalues >= 1 within ``VALIDITY_TOL``).
+        Symmetric, positive definite covariance matrix satisfying the
+        uncertainty relation (all symplectic eigenvalues >= 1 within
+        ``VALIDITY_TOL``).
 
     Treat instances as immutable; operations return new states.
     """
@@ -224,24 +224,23 @@ def permute_modes(state: CovarianceState, new_order) -> CovarianceState:
 
 
 def symplectic_eigenvalues(state: CovarianceState) -> list:
-    """Symplectic spectrum: |eigenvalues of i Omega cov| paired up, descending.
+    """Symplectic spectrum, descending: the positive half of the spectrum of
+    the Hermitian matrix ``i Lᵀ Ω L``, with ``cov = L Lᵀ`` its Cholesky factor.
 
-    The 2n magnitudes must pair into n doublets within ``PAIRING_TOL``
-    (relative above unit scale); an unpaired spectrum signals numerical
-    degeneracy and raises :class:`SymplecticPairingError`.
+    ``i Lᵀ Ω L`` is similar to ``i Ω cov``, so its eigenvalues are the
+    symplectic eigenvalues in pairs ``±nu`` (Williamson's theorem).  A
+    covariance that is not positive definite has no Cholesky factor and no
+    symplectic spectrum; it raises ``ValueError`` as an uncertainty
+    violation, since every physical covariance is positive definite.
     """
     n = state.n_modes
-    omega = symplectic_form(n)
-    mags = np.sort(np.abs(np.linalg.eigvals(omega @ state.cov)))[::-1]
-    nus = []
-    for k in range(n):
-        hi, lo = mags[2 * k], mags[2 * k + 1]
-        if hi - lo > PAIRING_TOL * max(1.0, hi):
-            raise SymplecticPairingError(
-                f"unpaired symplectic spectrum: {hi!r} vs {lo!r}"
-            )
-        nus.append(0.5 * (hi + lo))
-    return nus
+    try:
+        chol = np.linalg.cholesky(state.cov)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "uncertainty relation violated: covariance not positive definite"
+        ) from None
+    return np.linalg.eigvalsh(1j * chol.T @ symplectic_form(n) @ chol)[n:][::-1].tolist()
 
 
 def von_neumann_entropy(state: CovarianceState) -> float:

@@ -1,20 +1,28 @@
-"""50-digit references for the Fock route of ``verify``.
+"""50-digit references for the closed forms and the Fock route.
 
-The truncated channel output on (A, B1, ..., Bm, E) is evaluated in stdlib
-``decimal`` at 50 significant digits, in closed multinomial form: the
-sender holds k <= cutoff photons with thermal weight
+Every input is ``Decimal(float)`` of the float the program parses, which is
+exact, so a reference answers for the same numbers as the program: their
+decimal strings differ from those floats by about 1e-17 in the entropy.
+Nothing here imports the package.
+
+The closed forms are the merging rate ``-H(T | A, T^c)``,
+``g((1 - eta_comp) N) - g((1 - eta_all) N)`` with
+``g(x) = (x + 1) log2(x + 1) - x log2 x``, and its unconstrained limit
+``log2((1 - eta_comp) / (1 - eta_all))``, with ``eta_comp`` summed over the
+complement receivers and ``eta_all`` over all of them.  The Gaussian route
+computes the same entropy, so one reference serves both.
+
+The truncated channel output on (A, B1, ..., Bm, E) is evaluated in closed
+multinomial form: the sender holds k <= cutoff photons with thermal weight
 ``w_k = N^k / (N + 1)^(k + 1)``, and the k photons of the other arm are
 shared among B1..Bm and E with the probabilities eta_1..eta_m and
 ``eta_E = 1 - sum(eta)``, so
 
     psi(k; b_1..b_m, e) = sqrt(w_k * k! / (b_1! ... b_m! e!) * eta_1^b_1 ... eta_E^e).
 
-The inputs are ``Decimal(float)`` of the floats the program parses, which is
-exact, so the reference answers for the same numbers as the program: their
-decimal strings differ from those floats by about 1e-17 in the entropy.
 Reduced states are split into the connected blocks of their kept tuples,
 and each block's spectrum is the spectrum of the Gram matrix on its smaller
-side, found by cyclic Jacobi rotations.  Nothing here imports the package.
+side, found by cyclic Jacobi rotations.
 """
 
 import itertools
@@ -22,6 +30,27 @@ import math
 from decimal import Decimal, localcontext
 
 DIGITS = 50
+
+
+def _g_bits(x: Decimal) -> Decimal:
+    """g(x) in bits; 0 at x = 0 (the x log x limit)."""
+    if x == 0:
+        return Decimal(0)
+    return ((x + 1) * (x + 1).ln() - x * x.ln()) / Decimal(2).ln()
+
+
+def closed_form_bits(etas, n_s, subset) -> Decimal:
+    """-H(T | A, T^c) for the receivers ``subset`` (1-based) at input energy
+    ``n_s``, or its unconstrained limit when ``n_s`` is None."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        eta = [Decimal(x) for x in etas]
+        kept_comp = 1 - sum((e for i, e in enumerate(eta, 1) if i not in subset), Decimal(0))
+        kept_all = 1 - sum(eta, Decimal(0))
+        if n_s is None:
+            return (kept_comp / kept_all).ln() / Decimal(2).ln()
+        n = Decimal(n_s)
+        return _g_bits(kept_comp * n) - _g_bits(kept_all * n)
 
 
 def _compositions(total: int, parts: int):

@@ -203,16 +203,18 @@ class TestVerifyCommand:
         monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 1000)
         code, out, err = run_cli(capsys, "verify", "--etas", "0.2,0.3", "--ns", "0.5")
         assert code == 2 and out == ""
-        assert err.startswith("bbcap: inconclusive: reducing to (A,B1,B2) needs ")
-        assert err.endswith(" bytes, 14168 of them Schmidt factors (largest 231x1), above the "
-                            "budget of 1000 bytes\n")
+        # 1771 entries of 8 + 256 bytes: refused before the table is built
+        assert err == ("bbcap: inconclusive: the amplitude table at cutoff 20 needs 1771 "
+                       "entries, 467544 bytes in every reduction, above the budget of 1000 "
+                       "bytes\n")
 
     def test_amplitude_table_over_budget_is_inconclusive(self, capsys):
         # m = 4 at N_S = 2: cutoff 56, C(61, 5) = 5949147 entries
         code, out, err = run_cli(capsys, "verify", "--etas", "0.1,0.2,0.15,0.25", "--ns", "2")
         assert code == 2 and out == ""
         assert err == ("bbcap: inconclusive: the amplitude table at cutoff 56 needs 5949147 "
-                       "entries, above the budget of 2097152\n")
+                       "entries, 1570574808 bytes in every reduction, above the budget of "
+                       "1073741824 bytes\n")
 
     def test_explicit_ordering(self, capsys):
         code, out, _ = run_cli(

@@ -149,6 +149,20 @@ class TestReduceDensity:
         for basis, _ in rho.blocks:
             assert np.unique(basis.sum(axis=1)).size == 1
 
+    @pytest.mark.parametrize(
+        "occ, amps, keep",
+        [
+            ([[0, 0], [0, 0]], [0.6, 0.8], ("a",)),
+            ([[0, 0], [0, 0]], [0.6, 0.8], ("a", "b")),
+            ([[0, 1], [1, 0], [0, 1]], [0.6, 0.6, 0.529], ("b",)),
+        ],
+    )
+    def test_repeated_rows_are_refused(self, occ, amps, keep):
+        # a scatter would keep one amplitude of each repeat: [0.64] for the first
+        state = FockState(("a", "b"), np.array(occ), amps, 1)
+        with pytest.raises(ValueError, match="occupation rows repeat"):
+            reduce_density(state, keep)
+
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             reduce_density(tmsv_fock(0.5, 5), ("X",))
@@ -406,11 +420,12 @@ class TestVerifyConditionalEntropies:
 
     def test_amplitude_table_over_budget_is_inconclusive(self, monkeypatch):
         spec = BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25))
-        # cutoff 9 at N_S = 0.1: C(14, 5) = 2002 entries
-        monkeypatch.setattr(fock, "MAX_AMPLITUDES", 2001)
+        # cutoff 9 at N_S = 0.1: C(14, 5) = 2002 entries of 8 + 256 bytes
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 2002 * 264 - 1)
         monkeypatch.setattr(fock, "channel_output_fock", None)  # never reached
         with pytest.raises(InconclusiveVerificationError,
-                           match="at cutoff 9 needs 2002 entries, above the budget of 2001"):
+                           match="at cutoff 9 needs 2002 entries, 528528 bytes in every "
+                                 "reduction, above the budget of 528527 bytes"):
             verify_conditional_entropies(spec, 0.1)
 
     def test_purity_fails_when_a_stage_is_off(self, monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 
 from bbcap.gaussian import (
     CovarianceState,
-    SymplecticPairingError,
     beam_splitter,
     conditional_entropy,
     entropy_g,
@@ -214,16 +213,6 @@ class TestSymplecticEigenvalues:
     def test_tmsv_joint_is_pure(self):
         assert symplectic_eigenvalues(tmsv(4.0)) == pytest.approx([1.0, 1.0], abs=1e-9)
 
-    def test_unpaired_spectrum_raises(self):
-        # Omega @ cov engineered to have eigenvalue magnitudes {5, 3, 3, 2},
-        # which cannot pair; only constructible with validation off
-        cov = np.zeros((4, 4))
-        cov[0, 1], cov[1, 0] = -2.0, 5.0
-        cov[2:, 2:] = 3.0 * np.eye(2)
-        bad = CovarianceState(("a", "b"), cov, validate=False)
-        with pytest.raises(SymplecticPairingError):
-            symplectic_eigenvalues(bad)
-
 
 class TestConditionalEntropy:
     def test_pure_tmsv_conditional_is_minus_g(self):
@@ -261,6 +250,16 @@ class TestStateValidation:
     def test_uncertainty_violation_rejected(self):
         with pytest.raises(ValueError):
             CovarianceState(("a",), 0.5 * np.eye(2))
+
+    @pytest.mark.parametrize(
+        "cov", [np.diag([2.0, -1.0]), np.diag([-2.0, -3.0]), np.array([[1.0, 2.0], [2.0, 1.0]])]
+    )
+    def test_non_positive_definite_rejected(self, cov):
+        with pytest.raises(ValueError, match="uncertainty relation violated"):
+            CovarianceState(("a",), cov)
+        # the entropy takes the same path, so an unvalidated state gets none
+        with pytest.raises(ValueError, match="uncertainty relation violated"):
+            von_neumann_entropy(CovarianceState(("a",), cov, validate=False))
 
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError):

@@ -1,24 +1,35 @@
-"""Accuracy of the Fock bits the verify goldens print, against 50 digits.
+"""Accuracy of the float fields the goldens print, against 50 digits.
 
 The golden test locks bytes, and bytes lock roundoff.  A numerics change
 that moves a golden is accepted only when every changed value is within
-``ULP_BOUND`` of the 50-digit reference of ``reference.py`` and no farther
-from it than the value it replaces, plus the same bound.  ``PREVIOUS``
-keeps the values the goldens held before the Fock spectra came from Schmidt
-factors (dense blocks summed term by term, then ``eigvalsh``).
+its bound of the 50-digit reference of ``reference.py`` and no farther
+from it than the value it replaces, plus the same bound.  ``PREVIOUS_FOCK``
+keeps the Fock bits the verify goldens held before the Fock spectra came
+from Schmidt factors (dense blocks summed term by term, then ``eigvalsh``);
+``PREVIOUS_GAUSSIAN`` keeps the Gaussian bits and deviations they held
+before the symplectic spectrum came from a Cholesky factor (magnitudes of
+``eig(Omega V)`` paired up).
 """
+
+import csv
+import functools
+import json
+import math
 
 import pytest
 
 from bbcap import cli, fock
 from bbcap.channel import BroadcastChannelSpec
-from reference import verify_fock_bits
-from test_golden import CASES
+from bbcap.gaussian import entropy_g
+from reference import closed_form_bits, verify_fock_bits
+from test_golden import CASES, GOLDEN
 
 # about 10 ulp of the entropies (at most 4 bits) whose difference is printed
 ULP_BOUND = 4e-15
+# a deviation is a difference of two values, each within ULP_BOUND
+DEV_BOUND = 2 * ULP_BOUND
 
-PREVIOUS = {
+PREVIOUS_FOCK = {
     "verify.json": {
         "-H(B1|A,B2)": 0.2121856912704223,
         "-H(B2|A,B1)": 0.30595867676516963,
@@ -50,16 +61,125 @@ PREVIOUS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PREVIOUS))
-def test_fock_bits_within_ulp_bound_of_reference(name):
+# (gaussian_bits, abs_dev) per case, and max_abs_dev
+PREVIOUS_GAUSSIAN = {
+    "verify.json": {
+        "-H(B1|A,B2)": (0.21218569170395485, 4.3353065581897e-10),
+        "-H(B2|A,B1)": (0.30595867738408056, 6.189083689989161e-10),
+        "-H(B1,B2|A,-)": (0.4750336324725306, 1.0331969724219903e-09),
+        "max_abs_dev": 1.0331969724219903e-09,
+    },
+    "verify.csv": {
+        "-H(B1|A,B2)": (0.19005752607112225, 2.2357571349829186e-10),
+        "-H(B2|A,B1)": (0.2747171418004086, 3.2032099195333785e-10),
+        "-H(B1,B2|A,-)": (0.428341890015258, 5.355001997386921e-10),
+        "max_abs_dev": 5.355001997386921e-10,
+    },
+    "verify_m3_prec17.json": {
+        "-H(B1|A,B2,B3)": (0.04704208921983194, 1.2984321950959554e-10),
+        "-H(B2|A,B1,B3)": (0.11199635305393546, 3.044408891650363e-10),
+        "-H(B3|A,B1,B2)": (0.13243558512155945, 3.5865263536827285e-10),
+        "-H(B1,B2|A,B3)": (0.15235325216540846, 4.1145456486368914e-10),
+        "-H(B1,B3|A,B2)": (0.17178893989824517, 4.632887684596909e-10),
+        "-H(B2,B3|A,B1)": (0.2275260851372557, 6.20141077378733e-10),
+        "-H(B1,B2,B3|A,-)": (0.26280129664860274, 7.401343982138542e-10),
+        "max_abs_dev": 7.401343982138542e-10,
+    },
+    "verify_m2_ordering_prec17.json": {
+        "-H(B1|A,B2)": (0.49140209488536035, 6.875959801533327e-10),
+        "-H(B2|A,B1)": (0.6209306129751961, 8.471718881963852e-10),
+        "-H(B1,B2|A,-)": (0.9482479425155796, 1.3097622986180113e-09),
+        "max_abs_dev": 1.3097622986180113e-09,
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _verify(name):
+    """The parsed call, the program's report and the exact Fock bits of a verify golden."""
     args = cli.parse_args(CASES[name][0])
     report = fock.verify_conditional_entropies(
         BroadcastChannelSpec(args.etas), args.ns, cutoff=args.cutoff, ordering=args.ordering
     )
-    exact = verify_fock_bits(args.etas, args.ns, report.cutoff)
-    assert sorted(c.case for c in report.cases) == sorted(exact) == sorted(PREVIOUS[name])
+    return args, report, verify_fock_bits(args.etas, args.ns, report.cutoff)
+
+
+def _assert_near(value, exact, bound, previous=None, what=""):
+    err = abs(value - float(exact))
+    assert err <= bound, (what, err)
+    if previous is not None:
+        before = abs(previous - float(exact))
+        assert err <= before + bound, (what, err, before)
+
+
+@pytest.mark.parametrize("name", sorted(PREVIOUS_FOCK))
+def test_fock_bits_within_ulp_bound_of_reference(name):
+    _, report, exact = _verify(name)
+    assert sorted(c.case for c in report.cases) == sorted(exact) == sorted(PREVIOUS_FOCK[name])
     for c in report.cases:
-        err = abs(c.fock_bits - float(exact[c.case]))
-        before = abs(PREVIOUS[name][c.case] - float(exact[c.case]))
-        assert err <= ULP_BOUND, (c.case, err)
-        assert err <= before + ULP_BOUND, (c.case, err, before)
+        _assert_near(c.fock_bits, exact[c.case], ULP_BOUND, PREVIOUS_FOCK[name][c.case], c.case)
+
+
+def _receivers(case: str) -> frozenset:
+    """The subset T of a case named ``-H(B1,B3|A,B2)``."""
+    return frozenset(int(label[1:]) for label in case[3 : case.index("|")].split(","))
+
+
+@pytest.mark.parametrize("name", sorted(PREVIOUS_GAUSSIAN))
+def test_gaussian_bits_within_ulp_bound_of_reference(name):
+    # exactly, the Gaussian route is the closed form and each deviation is
+    # |truncated Fock value - closed form|; the purity case's is 0
+    args, report, fock_exact = _verify(name)
+    previous = PREVIOUS_GAUSSIAN[name]
+    *cases, purity = report.cases
+    assert purity.case.startswith("purity") and [c.case for c in cases] == list(previous)[:-1]
+    devs = [0]
+    for c in cases:
+        closed = closed_form_bits(args.etas, args.ns, _receivers(c.case))
+        devs.append(abs(fock_exact[c.case] - closed))
+        _assert_near(c.gaussian_bits, closed, ULP_BOUND, previous[c.case][0], c.case)
+        _assert_near(c.closed_form_bits, closed, ULP_BOUND, what=c.case)
+        _assert_near(c.abs_dev, devs[-1], DEV_BOUND, previous[c.case][1], c.case)
+    _assert_near(report.max_abs_dev, max(devs), DEV_BOUND, previous["max_abs_dev"])
+
+
+def _golden_rows(name: str) -> list:
+    """The rows of a region or convergence golden, subsets as lists of ints."""
+    text = (GOLDEN / name).read_text()
+    if name.endswith(".json"):
+        data = json.loads(text)
+        return data["constraints"] if isinstance(data, dict) else data
+    rows = list(csv.DictReader(text.splitlines()))
+    for row in rows:
+        row["subset"] = [int(i) for i in row["subset"].split("+")]
+    return rows
+
+
+def _closed_bound(n_s) -> float:
+    """``ULP_BOUND``, or 10 ulp of g(n_s) when larger: no g term of the difference exceeds g(n_s)."""
+    return ULP_BOUND if n_s is None else max(ULP_BOUND, 10 * math.ulp(entropy_g(n_s)))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["region_m3_prec17.json", "region_m3_inf_prec17.csv",
+     "convergence_prec17.json", "convergence_prec17.csv"],
+)
+def test_closed_form_bits_within_ulp_bound_of_reference(name):
+    args = cli.parse_args(CASES[name][0])
+    rows = _golden_rows(name)
+    assert rows
+    for row in rows:
+        t = frozenset(row["subset"])
+        if "bound_bits" in row:
+            n_s = None if math.isinf(float(args.ns)) else float(args.ns)
+            bound = _closed_bound(n_s)
+            _assert_near(float(row["bound_bits"]), closed_form_bits(args.etas, n_s, t), bound, what=t)
+            continue
+        n_s = float(row["ns"])
+        inner = closed_form_bits(args.etas, n_s, t)
+        limit = closed_form_bits(args.etas, None, t)
+        bound = _closed_bound(n_s)
+        _assert_near(float(row["inner_bound_bits"]), inner, bound, what=(n_s, t))
+        _assert_near(float(row["asymptotic_bound_bits"]), limit, ULP_BOUND, what=(n_s, t))
+        _assert_near(float(row["gap_bits"]), limit - inner, bound + ULP_BOUND, what=(n_s, t))
