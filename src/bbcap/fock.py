@@ -19,11 +19,16 @@ The partial trace numbers occupation rows as mixed-radix integers and
 finds its blocks by label propagation.  The global state is pure, so each
 block is M Mᵀ with M the block's kept x traced amplitude matrix (its
 Schmidt factor): every table entry fills one element of one factor, and
-the block's nonzero spectrum is the squared singular values of M.  Before
-allocating, the partial trace adds up 8 bytes per factor element and
-``ENTRY_BYTES`` per table entry and ends the check as inconclusive above
-``MAX_DENSE_BYTES`` (1 GiB); verification refuses a channel output before
-building its table when 8 + ``ENTRY_BYTES`` bytes per entry exceed that.
+the block's nonzero spectrum is the squared singular values of M.
+
+Every reduction of a channel output therefore needs one 8-byte factor
+element and ``ENTRY_BYTES`` of index arrays and bases per table entry.
+Verification counts the entries before building the table and ends the
+check as inconclusive when that figure exceeds ``MAX_DENSE_BYTES`` (1 GiB);
+it is the oracle's one memory gate.
+
+:func:`verify_conditional_entropies` returns the record ``bbcap verify``
+prints, a plain dict, with its single pass verdict.
 """
 
 from __future__ import annotations
@@ -43,9 +48,6 @@ __all__ = [
     "FockState",
     "DensityMatrix",
     "InconclusiveVerificationError",
-    "VerificationCase",
-    "VerificationReport",
-    "SchmidtSpectrumReport",
     "thermal_weight",
     "tail_mass",
     "cutoff_for_tail",
@@ -279,13 +281,12 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     order, its factor's columns list its traced configurations in the same
     order, and blocks come in the order of their first row.  Every table
     entry fills exactly one element of one factor, so the factors are a
-    scatter that sums nothing.
+    scatter that sums nothing.  The factors take 8 bytes per element, which
+    for a channel output is one element per table entry; memory is budgeted
+    by :func:`verify_conditional_entropies`, not here.
 
-    Raises :class:`InconclusiveVerificationError`, before any factor is
-    allocated, when the factors (8 bytes per element) and ``ENTRY_BYTES``
-    per table entry for the index arrays and bases would take more than
-    ``MAX_DENSE_BYTES``, and ``ValueError`` when two rows of the table are
-    the same occupation (they would land on one factor element).
+    Raises ``ValueError`` when two rows of the table are the same occupation
+    (they would land on one factor element).
     """
     keep = tuple(keep)
     if not keep:
@@ -313,19 +314,10 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     rows = np.bincount(comp)
     cols = np.bincount(gcomp, minlength=rows.size)
     sizes = rows * cols
-    factor_bytes = 8 * int(sizes.sum())
-    need = factor_bytes + ENTRY_BYTES * len(occ)
-    if need > MAX_DENSE_BYTES:
-        big = int(np.argmax(sizes))
-        raise InconclusiveVerificationError(
-            f"reducing to ({','.join(map(str, keep))}) needs {need} bytes, {factor_bytes} of "
-            f"them Schmidt factors (largest {rows[big]}x{cols[big]}), above the budget of "
-            f"{MAX_DENSE_BYTES} bytes"
-        )
     bases = kept[np.argsort(comp, kind="stable")]
     # all factors, row-major one after another in one buffer
     starts = np.cumsum(sizes) - sizes
-    flat = np.zeros(factor_bytes // 8)
+    flat = np.zeros(int(sizes.sum()))
     acomp = comp[kid]
     at = _positions(comp, rows)[kid]
     at *= cols[acomp]
@@ -379,7 +371,7 @@ def channel_output_fock(
 
 
 def _require_budget(n_s: float, cutoff) -> tuple:
-    _region._photon_number(n_s)
+    _gaussian._photon_number(n_s)
     if cutoff is None:
         cutoff = cutoff_for_tail(n_s)
     elif not isinstance(cutoff, numbers.Integral):
@@ -400,64 +392,24 @@ def _require_budget(n_s: float, cutoff) -> tuple:
     return cutoff, tail
 
 
-@dataclass(frozen=True)
-class VerificationCase:
-    case: str
-    gaussian_bits: float
-    fock_bits: float
-    closed_form_bits: float
-    abs_dev: float
-    tail_mass: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "gaussian_bits": self.gaussian_bits,
-            "fock_bits": self.fock_bits,
-            "closed_form_bits": self.closed_form_bits,
-            "abs_dev": self.abs_dev,
-            "tail_mass": self.tail_mass,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    etas: tuple
-    n_s: float
-    cutoff: int
-    tail_mass: float
-    cases: tuple
-    max_abs_dev: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "etas": list(self.etas),
-            "ns": self.n_s,
-            "cutoff": self.cutoff,
-            "tail_mass": self.tail_mass,
-            "cases": [c.to_dict() for c in self.cases],
-            "max_abs_dev": self.max_abs_dev,
-            "pass": self.passed,
-        }
-
-
 def verify_conditional_entropies(
     spec: BroadcastChannelSpec,
     n_s: float,
     cutoff=None,
     ordering=None,
-) -> VerificationReport:
+) -> dict:
     """Check every merging rate -H(T | A, complement) three independent ways.
 
     For each nonempty receiver subset the number-basis value, the
     covariance-matrix value and the closed form must agree within
     ``ENTROPY_TOL``; a global-purity case (H of all kept modes vs H of the
-    environment) rides along.  Raises
-    :class:`InconclusiveVerificationError` when the truncation budget is
-    not met -- an inconclusive run, not a failed one.
+    environment) rides along, and every receiver's arm gets a
+    :func:`schmidt_spectrum_check` at the same cutoff.  Returns the record
+    ``bbcap verify`` prints: ``etas, ns, cutoff, tail_mass, cases,
+    max_abs_dev, pass, schmidt``, where ``pass`` holds when every case and
+    every Schmidt certificate passes.  Raises
+    :class:`InconclusiveVerificationError` when the truncation or memory
+    budget is not met -- an inconclusive run, not a failed one.
     """
     if spec.m > 4:
         raise ValueError("number-basis verification limited to m <= 4 receivers")
@@ -484,6 +436,11 @@ def verify_conditional_entropies(
             cache[key] = entropy_fock(reduce_density(state, key))
         return cache[key]
 
+    def case(name, gauss_val, fock_val, closed_val, dev) -> dict:
+        return {"case": name, "gaussian_bits": gauss_val, "fock_bits": fock_val,
+                "closed_form_bits": closed_val, "abs_dev": dev, "tail_mass": tail,
+                "pass": dev < ENTROPY_TOL}
+
     h_sender_all = fock_entropy(("A",) + recv)
     cases = []
     for t in _region.nonempty_subsets(spec.m):
@@ -495,76 +452,37 @@ def verify_conditional_entropies(
         )
         closed_val = _region.inner_bound_finite(spec, n_s, t)
         dev = max(abs(fock_val - gauss_val), abs(fock_val - closed_val))
-        cases.append(
-            VerificationCase(
-                case="-H({}|A,{})".format(",".join(t_labels), ",".join(rest) or "-"),
-                gaussian_bits=gauss_val,
-                fock_bits=fock_val,
-                closed_form_bits=closed_val,
-                abs_dev=dev,
-                tail_mass=tail,
-                passed=dev < ENTROPY_TOL,
-            )
-        )
+        name = "-H({}|A,{})".format(",".join(t_labels), ",".join(rest) or "-")
+        cases.append(case(name, gauss_val, fock_val, closed_val, dev))
     # global purity: the kept modes share the spectrum of the environment,
     # whose truncated photon weights follow from the spec alone
     h_env = _shannon_bits(_photon_weights(n_s, cutoff, spec.eta_env))
     purity_dev = abs(h_sender_all - h_env)
     cases.append(
-        VerificationCase(
-            case="purity H(A,{})=H(E)".format(",".join(recv)),
-            gaussian_bits=0.0,
-            fock_bits=purity_dev,
-            closed_form_bits=0.0,
-            abs_dev=purity_dev,
-            tail_mass=tail,
-            passed=purity_dev < ENTROPY_TOL,
-        )
+        case("purity H(A,{})=H(E)".format(",".join(recv)), 0.0, purity_dev, 0.0, purity_dev)
     )
-    max_dev = max(c.abs_dev for c in cases)
-    return VerificationReport(
-        etas=spec.etas,
-        n_s=n_s,
-        cutoff=cutoff,
-        tail_mass=tail,
-        cases=tuple(cases),
-        max_abs_dev=max_dev,
-        passed=all(c.passed for c in cases),
-    )
+    schmidt = [schmidt_spectrum_check(eta, n_s, cutoff=cutoff) for eta in spec.etas]
+    return {
+        "etas": list(spec.etas),
+        "ns": n_s,
+        "cutoff": cutoff,
+        "tail_mass": tail,
+        "cases": cases,
+        "max_abs_dev": max(c["abs_dev"] for c in cases),
+        "pass": all(c["pass"] for c in cases + schmidt),
+        "schmidt": schmidt,
+    }
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrumReport:
-    arm_transmittance: float
-    n_s: float
-    cutoff: int
-    tail_mass: float
-    spectrum: tuple
-    expected: tuple
-    max_abs_dev: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "arm_transmittance": self.arm_transmittance,
-            "ns": self.n_s,
-            "cutoff": self.cutoff,
-            "tail_mass": self.tail_mass,
-            "max_abs_dev": self.max_abs_dev,
-            "pass": self.passed,
-        }
-
-
-def schmidt_spectrum_check(
-    eta_receiver: float, n_s: float, cutoff=None
-) -> SchmidtSpectrumReport:
+def schmidt_spectrum_check(eta_receiver: float, n_s: float, cutoff=None) -> dict:
     """Certify the Schmidt spectrum after splitting one receiver off a TMSV.
 
     A TMSV arm sent through a single splitter that diverts ``eta_receiver``
     to the receiver leaves the (sender, receiver) pair entangled with the
     through-arm; its reduced spectrum must be the thermal weights of mean
     photon number ``(1 - eta_receiver) * n_s``, checked eigenvalue by
-    eigenvalue against the closed form within ``SCHMIDT_TOL``.
+    eigenvalue against the closed form within ``SCHMIDT_TOL``.  Returns the
+    record ``arm_transmittance, ns, cutoff, tail_mass, max_abs_dev, pass``.
     """
     if not 0.0 <= eta_receiver <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta_receiver!r}")
@@ -577,13 +495,11 @@ def schmidt_spectrum_check(
     padded = np.zeros(cutoff + 1)
     padded[: min(eigs.size, cutoff + 1)] = eigs[: cutoff + 1]
     max_dev = float(np.max(np.abs(padded - expected)))
-    return SchmidtSpectrumReport(
-        arm_transmittance=eta_receiver,
-        n_s=n_s,
-        cutoff=cutoff,
-        tail_mass=tail,
-        spectrum=tuple(float(x) for x in padded),
-        expected=tuple(float(x) for x in expected),
-        max_abs_dev=max_dev,
-        passed=max_dev < SCHMIDT_TOL,
-    )
+    return {
+        "arm_transmittance": eta_receiver,
+        "ns": n_s,
+        "cutoff": cutoff,
+        "tail_mass": tail,
+        "max_abs_dev": max_dev,
+        "pass": max_dev < SCHMIDT_TOL,
+    }

@@ -96,6 +96,8 @@ class CovarianceState:
             raise ValueError(
                 f"cov has shape {self.cov.shape}, expected ({2 * n}, {2 * n})"
             )
+        if not np.isfinite(self.cov).all():
+            raise ValueError("covariance entries must be finite")
         scale = max(1.0, float(np.max(np.abs(self.cov))))
         asym = float(np.max(np.abs(self.cov - self.cov.T)))
         if asym > SYMMETRY_TOL * scale:
@@ -133,6 +135,14 @@ def entropy_g(x: float) -> float:
     return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2
 
 
+def _photon_number(n_s) -> float:
+    """``n_s`` as a float, refused unless finite and nonnegative."""
+    value = float(n_s)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"input photon number must be finite and nonnegative, got {n_s!r}")
+    return value
+
+
 def tmsv(n_s: float, labels=("A", "A'")) -> CovarianceState:
     """Two-mode squeezed vacuum with mean photon number ``n_s`` per arm.
 
@@ -140,8 +150,7 @@ def tmsv(n_s: float, labels=("A", "A'")) -> CovarianceState:
     ``2 sqrt(n_s (n_s + 1)) diag(1, -1)``.  The joint state is pure and each
     arm alone is thermal with mean photon number ``n_s``.
     """
-    if n_s < 0:
-        raise ValueError(f"mean photon number must be nonnegative, got {n_s!r}")
+    _photon_number(n_s)
     labels = tuple(labels)
     if len(labels) != 2:
         raise ValueError("tmsv needs exactly two mode labels")
@@ -160,8 +169,7 @@ def tmsv(n_s: float, labels=("A", "A'")) -> CovarianceState:
 
 def thermal_state(nbar: float, label) -> CovarianceState:
     """Single thermal mode with mean photon number ``nbar``."""
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be nonnegative, got {nbar!r}")
+    _photon_number(nbar)
     cov = (2.0 * nbar + 1.0) * np.eye(2)
     return CovarianceState((label,), cov)
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import channel, gaussian
 from .channel import BroadcastChannelSpec
-from .gaussian import entropy_g
+from .gaussian import _photon_number, entropy_g
 
 __all__ = [
     "CapacityRegion",
@@ -71,12 +71,13 @@ def _receiver_count(m) -> int:
 
 
 def _validate_subset(m: int, subset, allow_empty=False) -> frozenset:
-    t = frozenset(int(i) for i in subset)
+    """``subset`` as a frozenset of ints, each a whole receiver index in 1..m."""
+    t = frozenset(subset)
     if not t and not allow_empty:
         raise ValueError("receiver subset must be nonempty")
-    if any(i < 1 or i > m for i in t):
-        raise ValueError(f"subset {sorted(t)} outside receivers 1..{m}")
-    return t
+    if not all(isinstance(i, numbers.Integral) and 1 <= i <= m for i in t):
+        raise ValueError(f"subset {sorted(t, key=repr)} outside receivers 1..{m}")
+    return frozenset(map(int, t))
 
 
 def _mask(t: frozenset) -> int:
@@ -108,13 +109,6 @@ def _subset_sums(values) -> np.ndarray:
     for i, x in enumerate(values):
         s[1 << i : 2 << i] = s[: 1 << i] + x
     return s
-
-
-def _photon_number(n_s) -> float:
-    value = float(n_s)
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"input photon number must be finite and nonnegative, got {n_s!r}")
-    return value
 
 
 def _eta(spec: BroadcastChannelSpec, mask: int) -> float:

@@ -167,7 +167,7 @@ def reduce_density_reference(state, keep) -> tuple:
 # The command-line rendering as it stood before the single JSON/CSV emitter:
 # each command's ``_run_*`` body, taking the computed values as arguments.
 # ``region`` takes ``region.region_to_dict(reg, round_to=prec)``; ``verify``
-# takes the report and the Schmidt checks (anything with ``to_dict``/``passed``).
+# takes the record of ``fock.verify_conditional_entropies``.
 
 
 def _fmt(x: float, prec: int) -> str:
@@ -245,12 +245,7 @@ def render_convergence_reference(rows, fmt: str, prec: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_verify_reference(report, schmidt, fmt: str, prec: int) -> str:
-    passed = report.passed and all(s.passed for s in schmidt)
-    data = report.to_dict()
-    data["schmidt"] = [s.to_dict() for s in schmidt]
-    data["pass"] = passed
-
+def render_verify_reference(record: dict, fmt: str, prec: int) -> str:
     def round_floats(obj):
         if isinstance(obj, float):
             return _round(obj, prec)
@@ -260,7 +255,7 @@ def render_verify_reference(report, schmidt, fmt: str, prec: int) -> str:
             return {k: round_floats(v) for k, v in obj.items()}
         return obj
 
-    data = round_floats(data)
+    data = round_floats(record)
     if fmt == "json":
         return _json_text(data)
     lines = ["case,gaussian_bits,fock_bits,closed_form_bits,abs_dev,tail_mass,pass"]

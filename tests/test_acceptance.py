@@ -83,11 +83,11 @@ def test_number_basis_oracle_matches_gaussian_and_closed_forms():
     worst = 0.0
     for n_s in (0.2, 0.5, 1.0):
         rep = verify_conditional_entropies(SPEC23, n_s)  # policy cutoff, tail < 1e-10
-        assert rep.tail_mass < 1e-10
-        assert rep.passed
-        assert rep.max_abs_dev < 1e-6
-        assert len([c for c in rep.cases if c.case.startswith("-H")]) == 3
-        worst = max(worst, rep.max_abs_dev)
+        assert rep["tail_mass"] < 1e-10
+        assert rep["pass"]
+        assert rep["max_abs_dev"] < 1e-6
+        assert len([c for c in rep["cases"] if c["case"].startswith("-H")]) == 3
+        worst = max(worst, rep["max_abs_dev"])
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     report("number-basis oracle", elapsed, f"max deviation {worst:.2e}")
@@ -118,8 +118,8 @@ def test_schmidt_spectrum_certification():
     worst = 0.0
     for eta, n_s in itertools.product((0.2, 0.5), (0.3, 0.7)):
         rep = schmidt_spectrum_check(eta, n_s, cutoff=25)
-        assert rep.passed, f"eta={eta}, ns={n_s}: deviation {rep.max_abs_dev}"
-        worst = max(worst, rep.max_abs_dev)
+        assert rep["pass"], f"eta={eta}, ns={n_s}: deviation {rep['max_abs_dev']}"
+        worst = max(worst, rep["max_abs_dev"])
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8
     assert elapsed < 60.0
@@ -166,8 +166,8 @@ def test_point_to_point_sanity():
     assert abs(finite - 0.6225562489182657) < 1e-9
     # number-basis cross-check of the same bound
     rep = verify_conditional_entropies(spec, 1.0)
-    case = next(c for c in rep.cases if c.case.startswith("-H"))
-    assert abs(case.closed_form_bits - finite) < 1e-12
-    assert case.abs_dev < 1e-6
+    case = next(c for c in rep["cases"] if c["case"].startswith("-H"))
+    assert abs(case["closed_form_bits"] - finite) < 1e-12
+    assert case["abs_dev"] < 1e-6
     elapsed = time.perf_counter() - t0
     report("point-to-point sanity", elapsed, f"bound {finite:.9f} bits")

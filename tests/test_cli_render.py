@@ -134,26 +134,20 @@ def test_convergence(etas, grid, prec, fmt, capsys, monkeypatch):
 @functools.cache
 def _verify(etas, ns, ordering):
     spec = BroadcastChannelSpec(tuple(float(x) for x in etas.split(",")))
-    report = fock.verify_conditional_entropies(
+    return fock.verify_conditional_entropies(
         spec, float(ns), ordering=ordering and tuple(ordering.split(",")))
-    schmidt = [fock.schmidt_spectrum_check(eta, float(ns), cutoff=report.cutoff)
-               for eta in spec.etas]
-    return report, schmidt
 
 
 @pytest.mark.parametrize("etas,ns,ordering,prec,fmt", _params(VERIFY_CASES))
 def test_verify(etas, ns, ordering, prec, fmt, capsys, monkeypatch):
-    report, schmidt = _verify(etas, ns, ordering)
-    # the command renders the same objects; the oracle suite runs once per case
-    pending = list(schmidt)
-    monkeypatch.setattr(fock, "verify_conditional_entropies", lambda *a, **k: report)
-    monkeypatch.setattr(fock, "schmidt_spectrum_check", lambda *a, **k: pending.pop(0))
+    record = _verify(etas, ns, ordering)
+    # the command renders the same record; the oracle suite runs once per case
+    monkeypatch.setattr(fock, "verify_conditional_entropies", lambda *a, **k: record)
     argv = ["verify", "--etas", etas, "--ns", ns, "--format", fmt]
     if ordering:
         argv += ["--ordering", ordering]
     out = _cli(capsys, monkeypatch, prec, argv)
-    assert not pending
-    _same(out, render_verify_reference(report, schmidt, fmt, int(prec)))
+    _same(out, render_verify_reference(record, fmt, int(prec)))
 
 
 def _random_doubles(n, seed=7):

@@ -202,6 +202,14 @@ def _scrambled_state():
     return _state(("a", "b", "c"), dict(zip(occs, amps.tolist())), 9)
 
 
+def _staircase_state(n: int) -> FockState:
+    # kept i meets traced i and i + 1: one n x (n + 1) factor holding 2n entries
+    amps = {}
+    for i in range(n):
+        amps[(i, i)] = amps[(i, i + 1)] = math.sqrt(0.5 / n)
+    return _state(("a", "b"), amps, n)
+
+
 def _reference_cases():
     cases = [("tmsv_keep_all", lambda: tmsv_fock(0.6, 8), ("A", "A'"))]
     orderings = {1: ("E", "B1"), 2: ("B2", "E", "B1"), 3: ("B3", "E", "B1", "B2")}
@@ -225,6 +233,7 @@ def _reference_cases():
         cases.append((f"mixed_totals_{'-'.join(keep)}", _mixed_totals_state, keep))
     for keep in (("a",), ("c", "a"), ("b", "c"), ("a", "b", "c")):
         cases.append((f"scrambled_{'-'.join(keep)}", _scrambled_state, keep))
+    cases.append(("staircase_a", lambda: _staircase_state(30), ("a",)))
     big = _state(("a", "b", "c"), {(2**40, 0, 2**40): 0.6, (2**40, 1, 2**40 - 1): 0.8}, 2**41)
     cases += [("huge_occupations_a-b", lambda: big, ("a", "b")),
               ("huge_occupations_c", lambda: big, ("c",))]
@@ -232,19 +241,6 @@ def _reference_cases():
 
 
 REFERENCE_CASES = _reference_cases()
-
-
-def _staircase_state(n: int) -> FockState:
-    # kept i meets traced i and i + 1: one n x (n + 1) factor holding 2n entries
-    amps = {}
-    for i in range(n):
-        amps[(i, i)] = amps[(i, i + 1)] = math.sqrt(0.5 / n)
-    return _state(("a", "b"), amps, n)
-
-
-def _estimate(state, rho) -> int:
-    """The bytes ``reduce_density`` budgets: its factors and its per-entry arrays."""
-    return 8 * sum(fac.size for _, fac in rho.blocks) + fock.ENTRY_BYTES * len(state.amplitudes)
 
 
 EPS = np.finfo(float).eps
@@ -298,50 +294,21 @@ class TestReduceDensityMatchesReference:
 
 
 class TestDenseBudget:
-    def test_estimate_names_the_bytes(self, monkeypatch):
-        st = tmsv_fock(0.5, 20)  # keeping both modes: one 21x1 factor of 21 entries
-        need = 8 * 21 + fock.ENTRY_BYTES * 21
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need - 1)
-        factors = r"168 of them Schmidt factors \(largest 21x1\)"
-        with pytest.raises(InconclusiveVerificationError, match=rf"needs {need} bytes, {factors}"):
-            reduce_density(st, st.mode_labels)
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need)
-        assert len(reduce_density(st, st.mode_labels).blocks) == 1
-
-    def test_estimate_sums_every_block(self, monkeypatch):
-        st = tmsv_fock(0.5, 20)  # keeping one arm: twenty-one 1x1 factors
-        need = 8 * 21 + fock.ENTRY_BYTES * 21
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need - 1)
-        with pytest.raises(InconclusiveVerificationError, match=rf"needs {need} bytes, 168 of"):
-            reduce_density(st, ("A",))
-
-    def test_estimate_counts_whole_factors(self, monkeypatch):
-        st = _staircase_state(30)  # 60 entries, one 30x31 factor
-        need = 8 * 30 * 31 + fock.ENTRY_BYTES * 60
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need - 1)
-        factors = r"7440 of them Schmidt factors \(largest 30x31\)"
-        with pytest.raises(InconclusiveVerificationError, match=rf"needs {need} bytes, {factors}"):
-            reduce_density(st, ("a",))
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need)
-        assert [fac.shape for _, fac in reduce_density(st, ("a",)).blocks] == [(30, 31)]
-
-    def test_peak_memory_stays_within_the_estimate(self, monkeypatch):
-        # the per-entry arrays dominate the first case, the factor the second
-        cases = [(channel_output_fock(BroadcastChannelSpec((0.2, 0.3, 0.1)), 0.8, 14),
-                  ("A", "B1", "B2", "B3")),
-                 (_staircase_state(600), ("a",))]
-        needs = [_estimate(st, reduce_density(st, keep)) for st, keep in cases]
-        for (st, keep), need in zip(cases, needs):
-            monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need - 1)
-            with pytest.raises(InconclusiveVerificationError, match=f"needs {need} bytes"):
-                reduce_density(st, keep)
-            monkeypatch.setattr(fock, "MAX_DENSE_BYTES", need)
+    def test_peak_memory_stays_within_the_estimate(self):
+        # the figure verification budgets: a factor element and ENTRY_BYTES per entry
+        spec = BroadcastChannelSpec((0.2, 0.3, 0.1))
+        st = channel_output_fock(spec, 0.8, 14)
+        entries = math.comb(14 + spec.m + 1, spec.m + 1)
+        need = entries * (fock.ENTRY_BYTES + 8)
+        assert len(st.amplitudes) == entries
+        for keep in _verify_keeps(spec):
             tracemalloc.start()
             try:
-                reduce_density(st, keep)
+                rho = reduce_density(st, keep)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert sum(fac.size for _, fac in rho.blocks) == entries, keep
             assert peak <= need, keep
 
     def test_verification_is_inconclusive(self, monkeypatch):
@@ -372,25 +339,25 @@ class TestEntropyFock:
 class TestVerifyConditionalEntropies:
     def test_half_energy_reference_case(self):
         report = verify_conditional_entropies(SPEC23, 0.5, cutoff=25)
-        assert report.passed
-        assert report.max_abs_dev < 1e-6
-        by_case = {c.case: c for c in report.cases}
+        assert report["pass"]
+        assert report["max_abs_dev"] < 1e-6
+        by_case = {c["case"]: c for c in report["cases"]}
         first = by_case["-H(B1|A,B2)"]
-        assert first.fock_bits == pytest.approx(
+        assert first["fock_bits"] == pytest.approx(
             entropy_g(0.35) - entropy_g(0.25), abs=1e-6
         )
-        assert first.closed_form_bits == pytest.approx(0.21218569170395585, abs=1e-12)
+        assert first["closed_form_bits"] == pytest.approx(0.21218569170395585, abs=1e-12)
 
     def test_zero_energy_all_zero(self):
         report = verify_conditional_entropies(SPEC23, 0.0, cutoff=5)
-        assert report.passed
-        for case in report.cases:
-            assert case.fock_bits == pytest.approx(0.0, abs=1e-12)
+        assert report["pass"]
+        for case in report["cases"]:
+            assert case["fock_bits"] == pytest.approx(0.0, abs=1e-12)
 
     def test_purity_case_present(self):
         report = verify_conditional_entropies(SPEC23, 0.5, cutoff=21)
-        purity = [c for c in report.cases if c.case.startswith("purity")]
-        assert len(purity) == 1 and purity[0].abs_dev < 1e-6
+        purity = [c for c in report["cases"] if c["case"].startswith("purity")]
+        assert len(purity) == 1 and purity[0]["abs_dev"] < 1e-6
 
     def test_budget_violation_is_inconclusive(self):
         with pytest.raises(InconclusiveVerificationError):
@@ -407,7 +374,7 @@ class TestVerifyConditionalEntropies:
     def test_fractional_cutoff_is_refused(self):
         with pytest.raises(ValueError, match="whole number, got 20.7"):
             verify_conditional_entropies(SPEC23, 0.5, cutoff=20.7)
-        assert verify_conditional_entropies(SPEC23, 0.2, cutoff=np.int64(15)).cutoff == 15
+        assert verify_conditional_entropies(SPEC23, 0.2, cutoff=np.int64(15))["cutoff"] == 15
 
     def test_too_many_receivers(self):
         with pytest.raises(ValueError):
@@ -415,8 +382,8 @@ class TestVerifyConditionalEntropies:
 
     def test_four_receivers(self):
         report = verify_conditional_entropies(BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25)), 0.1)
-        assert report.passed and len(report.cases) == 16
-        assert report.max_abs_dev < 1e-8
+        assert report["pass"] and len(report["cases"]) == 16
+        assert report["max_abs_dev"] < 1e-8
 
     def test_amplitude_table_over_budget_is_inconclusive(self, monkeypatch):
         spec = BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25))
@@ -437,42 +404,63 @@ class TestVerifyConditionalEntropies:
             return split(state, mode, eta + 1e-3 if len(calls) == 1 else eta, label)
 
         monkeypatch.setattr(fock, "split_with_vacuum", widened)
-        purity = verify_conditional_entropies(SPEC23, 0.5, cutoff=21).cases[-1]
-        assert purity.case.startswith("purity") and not purity.passed
-        assert purity.abs_dev > 1e-4
+        report = verify_conditional_entropies(SPEC23, 0.5, cutoff=21)
+        purity = report["cases"][-1]
+        assert purity["case"].startswith("purity") and purity["pass"] is False
+        assert purity["abs_dev"] > 1e-4
+        assert report["pass"] is False
+
+    def test_pass_needs_every_schmidt_certificate(self, monkeypatch):
+        monkeypatch.setattr(fock, "SCHMIDT_TOL", 0.0)
+        report = verify_conditional_entropies(SPEC23, 0.2, cutoff=15)
+        assert all(c["pass"] for c in report["cases"])
+        assert [s["pass"] for s in report["schmidt"]] == [False, False]
+        assert report["pass"] is False
 
     def test_report_serializes_with_plain_types(self):
         import json
 
         report = verify_conditional_entropies(SPEC23, 0.2, cutoff=15)
-        parsed = json.loads(json.dumps(report.to_dict()))
-        assert parsed["pass"] is True
-        assert {"case", "gaussian_bits", "fock_bits", "closed_form_bits",
-                "abs_dev", "tail_mass", "pass"} <= set(parsed["cases"][0])
+        assert json.loads(json.dumps(report)) == report
+        assert report["pass"] is True
+        assert list(report) == ["etas", "ns", "cutoff", "tail_mass", "cases", "max_abs_dev",
+                                "pass", "schmidt"]
+        assert list(report["cases"][0]) == ["case", "gaussian_bits", "fock_bits",
+                                            "closed_form_bits", "abs_dev", "tail_mass", "pass"]
+        assert [s["arm_transmittance"] for s in report["schmidt"]] == [0.2, 0.3]
+        assert list(report["schmidt"][0]) == ["arm_transmittance", "ns", "cutoff", "tail_mass",
+                                              "max_abs_dev", "pass"]
+
+
+def _schmidt_spectrum(eta_receiver, n_s, cutoff):
+    """The (A, B) spectrum that ``schmidt_spectrum_check`` certifies."""
+    state = split_with_vacuum(tmsv_fock(n_s, cutoff), "A'", 1.0 - eta_receiver, "B")
+    return reduce_density(state, ("A", "B")).eigenvalues()
 
 
 class TestSchmidtSpectrum:
     def test_untouched_tmsv(self):
-        report = schmidt_spectrum_check(0.0, 0.5, cutoff=25)
-        assert report.passed
+        assert schmidt_spectrum_check(0.0, 0.5, cutoff=25)["pass"]
+        spectrum = _schmidt_spectrum(0.0, 0.5, 25)
         for k in range(10):
-            assert report.spectrum[k] == pytest.approx(
+            assert spectrum[k] == pytest.approx(
                 thermal_weight(0.5, k), abs=1e-10
             )
 
     def test_reference_case(self):
         report = schmidt_spectrum_check(0.2, 0.5, cutoff=25)
-        assert report.passed and report.max_abs_dev < 1e-8
+        assert report["pass"] and report["max_abs_dev"] < 1e-8
+        spectrum = _schmidt_spectrum(0.2, 0.5, 25)
         for k in range(10):
-            assert report.spectrum[k] == pytest.approx(
+            assert spectrum[k] == pytest.approx(
                 thermal_weight(0.4, k), abs=1e-8
             )
 
     def test_spectrum_is_geometric(self):
-        report = schmidt_spectrum_check(0.3, 0.6, cutoff=25)
+        assert schmidt_spectrum_check(0.3, 0.6, cutoff=25)["pass"]
         mu = 0.7 * 0.6
         ratio = mu / (mu + 1.0)
-        spans = report.spectrum[:8]
+        spans = _schmidt_spectrum(0.3, 0.6, 25)[:8]
         for a, b in zip(spans, spans[1:]):
             assert b / a == pytest.approx(ratio, abs=1e-6)
 

@@ -89,6 +89,11 @@ class TestTmsv:
         with pytest.raises(ValueError):
             tmsv(-0.1)
 
+    @pytest.mark.parametrize("n_s", [math.nan, math.inf])
+    def test_non_finite_energy_raises(self, n_s):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            tmsv(n_s)
+
 
 class TestThermalState:
     @pytest.mark.parametrize(
@@ -102,6 +107,11 @@ class TestThermalState:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             thermal_state(-2.0, "T")
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    def test_non_finite_raises(self, nbar):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            thermal_state(nbar, "T")
 
 
 class TestBeamSplitter:
@@ -260,6 +270,11 @@ class TestStateValidation:
         # the entropy takes the same path, so an unvalidated state gets none
         with pytest.raises(ValueError, match="uncertainty relation violated"):
             von_neumann_entropy(CovarianceState(("a",), cov, validate=False))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, x):
+        with pytest.raises(ValueError, match="covariance entries must be finite"):
+            CovarianceState(("a",), [[x, 0.0], [0.0, 1.0]])
 
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError):

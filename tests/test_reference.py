@@ -13,15 +13,17 @@ before the symplectic spectrum came from a Cholesky factor (magnitudes of
 
 import csv
 import functools
+import itertools
 import json
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
 from bbcap import cli, fock
 from bbcap.channel import BroadcastChannelSpec
 from bbcap.gaussian import entropy_g
-from reference import closed_form_bits, verify_fock_bits
+from reference import DIGITS, closed_form_bits, verify_fock_bits
 from test_golden import CASES, GOLDEN
 
 # about 10 ulp of the entropies (at most 4 bits) whose difference is printed
@@ -96,12 +98,12 @@ PREVIOUS_GAUSSIAN = {
 
 @functools.lru_cache(maxsize=None)
 def _verify(name):
-    """The parsed call, the program's report and the exact Fock bits of a verify golden."""
+    """The parsed call, the program's record and the exact Fock bits of a verify golden."""
     args = cli.parse_args(CASES[name][0])
     report = fock.verify_conditional_entropies(
         BroadcastChannelSpec(args.etas), args.ns, cutoff=args.cutoff, ordering=args.ordering
     )
-    return args, report, verify_fock_bits(args.etas, args.ns, report.cutoff)
+    return args, report, verify_fock_bits(args.etas, args.ns, report["cutoff"])
 
 
 def _assert_near(value, exact, bound, previous=None, what=""):
@@ -115,9 +117,11 @@ def _assert_near(value, exact, bound, previous=None, what=""):
 @pytest.mark.parametrize("name", sorted(PREVIOUS_FOCK))
 def test_fock_bits_within_ulp_bound_of_reference(name):
     _, report, exact = _verify(name)
-    assert sorted(c.case for c in report.cases) == sorted(exact) == sorted(PREVIOUS_FOCK[name])
-    for c in report.cases:
-        _assert_near(c.fock_bits, exact[c.case], ULP_BOUND, PREVIOUS_FOCK[name][c.case], c.case)
+    names = [c["case"] for c in report["cases"]]
+    assert sorted(names) == sorted(exact) == sorted(PREVIOUS_FOCK[name])
+    for c in report["cases"]:
+        n = c["case"]
+        _assert_near(c["fock_bits"], exact[n], ULP_BOUND, PREVIOUS_FOCK[name][n], n)
 
 
 def _receivers(case: str) -> frozenset:
@@ -131,16 +135,17 @@ def test_gaussian_bits_within_ulp_bound_of_reference(name):
     # |truncated Fock value - closed form|; the purity case's is 0
     args, report, fock_exact = _verify(name)
     previous = PREVIOUS_GAUSSIAN[name]
-    *cases, purity = report.cases
-    assert purity.case.startswith("purity") and [c.case for c in cases] == list(previous)[:-1]
+    *cases, purity = report["cases"]
+    names = [c["case"] for c in cases]
+    assert purity["case"].startswith("purity") and names == list(previous)[:-1]
     devs = [0]
-    for c in cases:
-        closed = closed_form_bits(args.etas, args.ns, _receivers(c.case))
-        devs.append(abs(fock_exact[c.case] - closed))
-        _assert_near(c.gaussian_bits, closed, ULP_BOUND, previous[c.case][0], c.case)
-        _assert_near(c.closed_form_bits, closed, ULP_BOUND, what=c.case)
-        _assert_near(c.abs_dev, devs[-1], DEV_BOUND, previous[c.case][1], c.case)
-    _assert_near(report.max_abs_dev, max(devs), DEV_BOUND, previous["max_abs_dev"])
+    for n, c in zip(names, cases):
+        closed = closed_form_bits(args.etas, args.ns, _receivers(n))
+        devs.append(abs(fock_exact[n] - closed))
+        _assert_near(c["gaussian_bits"], closed, ULP_BOUND, previous[n][0], n)
+        _assert_near(c["closed_form_bits"], closed, ULP_BOUND, what=n)
+        _assert_near(c["abs_dev"], devs[-1], DEV_BOUND, previous[n][1], n)
+    _assert_near(report["max_abs_dev"], max(devs), DEV_BOUND, previous["max_abs_dev"])
 
 
 def _golden_rows(name: str) -> list:
@@ -183,3 +188,76 @@ def test_closed_form_bits_within_ulp_bound_of_reference(name):
         _assert_near(float(row["inner_bound_bits"]), inner, bound, what=(n_s, t))
         _assert_near(float(row["asymptotic_bound_bits"]), limit, ULP_BOUND, what=(n_s, t))
         _assert_near(float(row["gap_bits"]), limit - inner, bound + ULP_BOUND, what=(n_s, t))
+
+
+def _closed_forms(etas, n_s) -> dict:
+    """The 50-digit bound of every receiver subset, the empty one included (0)."""
+    ground = range(1, len(etas) + 1)
+    return {
+        frozenset(t): closed_form_bits(etas, n_s, frozenset(t)) if t else Decimal(0)
+        for r in range(len(etas) + 1) for t in itertools.combinations(ground, r)
+    }
+
+
+def test_vertex_coordinates_within_ulp_bound_of_reference():
+    # each coordinate is one greedy increment f(S u {i}) - f(S): a difference
+    # of two bounds, each within ULP_BOUND, so within DEV_BOUND
+    args = cli.parse_args(CASES["vertices_m3_prec17.json"][0])
+    got = json.loads((GOLDEN / "vertices_m3_prec17.json").read_text())["vertices"]
+    f = _closed_forms(args.etas, args.ns)
+    m = len(args.etas)
+    want = set()
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        for r in range(m + 1):
+            for order in itertools.permutations(range(1, m + 1), r):
+                point = [Decimal(0)] * m
+                for k, i in enumerate(order):
+                    before = frozenset(order[:k])
+                    point[i - 1] = max(f[before | {i}] - f[before], Decimal(0))
+                want.add(tuple(point))
+    assert len(got) == len(want)
+    for p in got:
+        assert any(all(abs(x - float(y)) <= DEV_BOUND for x, y in zip(p, q)) for q in want), p
+
+
+def _boundary_reference(etas, n_s, n_points) -> list:
+    """``region.boundary_2d`` in 50 digits: closed-form corners joined by
+    segments whose interior points are spread by length, remainders first."""
+    f = _closed_forms(etas, n_s)
+    f1, f2, f12 = f[frozenset({1})], f[frozenset({2})], f[frozenset({1, 2})]
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        zero = Decimal(0)
+        corners = [(zero, f2), (f12 - f2, f2), (f1, f12 - f1), (f1, zero)]
+        if f12 >= f1 + f2:
+            corners = [(zero, f2), (f1, f2), (f1, zero)]
+        lengths = [((b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2).sqrt()
+                   for a, b in zip(corners, corners[1:])]
+        extra = n_points - len(corners)
+        shares = [extra * l / sum(lengths) for l in lengths]
+        alloc = [int(x) for x in shares]
+        for _ in range(extra - sum(alloc)):
+            k = max(range(len(lengths)), key=lambda i: shares[i] - alloc[i])
+            alloc[k] += 1
+        points = []
+        for (a, b), k in zip(zip(corners, corners[1:]), alloc):
+            points.append(a)
+            for step in range(1, k + 1):
+                frac = Decimal(step) / (k + 1)
+                points.append((a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1])))
+        points.append(corners[-1])
+    return points
+
+
+def test_boundary_points_within_ulp_bound_of_reference():
+    # a corner coordinate is a bound or a difference of two (DEV_BOUND); an
+    # interior point interpolates two corners, which keeps their error, and
+    # its three float operations on values below 1 add under ULP_BOUND
+    args = cli.parse_args(CASES["boundary_prec17.csv"][0])
+    rows = list(csv.reader((GOLDEN / "boundary_prec17.csv").read_text().splitlines()))[1:]
+    want = _boundary_reference(args.etas, args.ns, args.points)
+    assert len(rows) == len(want) == args.points
+    for row, point in zip(rows, want):
+        for text, exact in zip(row, point):
+            _assert_near(float(text), exact, DEV_BOUND + ULP_BOUND, what=(row, point))

@@ -75,12 +75,32 @@ class TestInnerBoundFinite:
             inner_bound_finite(SPEC23, n_s, {1})
         with pytest.raises(ValueError, match="photon number"):
             capacity_region(SPEC23, n_s)
+        # the covariance route refuses it with the same words
+        with pytest.raises(ValueError, match="photon number must be finite and nonnegative"):
+            inner_bound_finite_gaussian(SPEC23, n_s, {1})
+        with pytest.raises(ValueError, match="photon number must be finite and nonnegative"):
+            merging_gain_gaussian(SPEC23, n_s, {1}, {2})
 
     def test_invalid_subset(self):
         with pytest.raises(ValueError):
             inner_bound_finite(SPEC23, 1.0, set())
         with pytest.raises(ValueError):
             inner_bound_finite(SPEC23, 1.0, {3})
+
+    def test_fractional_receiver_index_is_refused(self):
+        outside = "outside receivers 1..2"
+        with pytest.raises(ValueError, match=outside):
+            inner_bound_finite(SPEC23, 1.0, {1.9})
+        with pytest.raises(ValueError, match=outside):
+            capacity_region(SPEC23).bound({1.5})
+        with pytest.raises(ValueError, match=outside):
+            merging_gain(SPEC23, 1.0, {2}, {1.0})
+        data = region_to_dict(capacity_region(SPEC23))
+        data["constraints"][0]["subset"] = [1.2]
+        with pytest.raises(ValueError, match=outside):
+            region_from_dict(data)
+        # whole numbers of any integer type still name a receiver
+        assert inner_bound_finite(SPEC23, 1.0, {np.int64(2)}) == inner_bound_finite(SPEC23, 1.0, {2})
 
 
 class TestAsymptoticBound:
