@@ -10,7 +10,6 @@ from .gaussian import (
     entropy_g,
     tmsv,
     thermal_state,
-    beam_splitter,
     reduce,
     permute_modes,
     symplectic_eigenvalues,

@@ -8,6 +8,12 @@ peeling one output off a single through-arm fed with vacuum ancillas.
 All orderings realize the same channel: the reduced state on (sender,
 receivers) is ordering-independent.
 
+The cascade is passive, so it acts on mode amplitudes as an orthogonal
+matrix (Weedbrook et al., RMP 84, 621, arXiv:1110.3234, §II.C).  With
+vacuum on the other ports the arm reaches output j with a real amplitude
+u_j, ``u_j**2 = eta_j``, and the outputs' covariance is
+``I + u uᵀ ⊗ (V_arm - I)``: no per-stage matrix is needed.
+
 Output modes are always reported in the fixed order
 ``(A, B1, ..., Bm, E)`` regardless of the split ordering, so covariance
 matrices can be compared bit-stably.
@@ -15,7 +21,9 @@ matrices can be compared bit-stably.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,6 +50,11 @@ __all__ = [
 
 ENV_LABEL = "E"
 ETA_TOL = 1e-12
+# Orderings agree to this, relative to max(1, max|V|).  Each amplitude u_j
+# is a product of at most m + 1 rounded square roots, each within 2 eps, so
+# an output entry is within (4m + 9) eps of max(1, max|V|) and two orderings
+# within (8m + 18) eps, 1.3e-14 at MAX_RECEIVERS; the rest is left for the
+# rounding of the stage transmittances (see implementations_equivalent).
 ORDERING_EQUIV_TOL = 1e-12
 MAX_RECEIVERS = 12          # network construction guard
 MAX_SWEEP_RECEIVERS = 8     # all-orderings sweeps grow factorially
@@ -87,8 +100,13 @@ class Stage(NamedTuple):
     output: str
 
 
+@functools.lru_cache(maxsize=None)
+def _receiver_labels(m: int) -> tuple:
+    return tuple(f"B{i}" for i in range(1, m + 1))
+
+
 def receiver_labels(spec: BroadcastChannelSpec) -> tuple:
-    return tuple(f"B{i}" for i in range(1, spec.m + 1))
+    return _receiver_labels(spec.m)
 
 
 def output_labels(spec: BroadcastChannelSpec) -> tuple:
@@ -204,39 +222,38 @@ def build_network(spec: BroadcastChannelSpec, ordering=None) -> BeamSplitterNetw
 def apply_channel(
     spec: BroadcastChannelSpec, state: CovarianceState, ordering=None
 ) -> CovarianceState:
-    """Send the second mode of a two-mode state through the channel.
+    """Send the second mode (the arm) of a two-mode state through the channel.
 
-    The first mode is kept as the sender's reference; m vacuum ancillas are
-    adjoined and the cascade is applied to the through-arm.  The output
-    retains the environment mode, so entropic identities on the purified
-    state remain available; modes come back as ``(A, B1, ..., Bm, E)``.
-    The cascade runs on one covariance matrix, validated once at the end.
+    The first mode is kept as the sender's reference.  The output retains
+    the environment mode, so entropic identities on the purified state
+    remain available; modes come back as ``(A, B1, ..., Bm, E)``.  The
+    stages give each output its amplitude u_j: the through-arm's product of
+    ``sqrt(t)`` shares so far, times ``sqrt(1 - t)`` of its own stage.  The
+    covariance is written block by block, ``V_AA``, ``u_j V_A,arm`` and
+    ``I + u_j u_k (V_arm - I)``, and validated once.
     """
     if state.n_modes != 2:
         raise ValueError(f"channel input must have exactly 2 modes, got {state.n_modes}")
     net = build_network(spec, ordering)
-    ref_label, arm_label = state.mode_labels
-    if ref_label in net.ordering or arm_label in net.ordering:
-        raise ValueError(
-            f"input labels {state.mode_labels!r} collide with output labels"
-        )
-    n = 2 + spec.m
-    cov = np.eye(2 * n)
-    cov[:4, :4] = state.cov
-    arm = 1
-    for j, stage in enumerate(net.stages):
-        # ancilla slot 2+j becomes this stage's output: it picks up the
-        # +sqrt(1 - t) share of the arm, the arm keeps +sqrt(t) of itself
-        s = gaussian.beam_splitter(stage.transmittance, 2 + j, arm, n)
-        cov = s @ cov @ s.T
-        cov = 0.5 * (cov + cov.T)  # keep exactly symmetric under roundoff
+    amp = {}
+    through = 1.0
+    for stage in net.stages:
+        amp[stage.output] = through * math.sqrt(1.0 - stage.transmittance)
+        through *= math.sqrt(stage.transmittance)
+    amp[net.final_label] = through
+    labels = output_labels(spec)
+    u = np.array([amp[label] for label in labels])
 
-    # the arm leaves the cascade carrying the ordering's last output
-    slots = (ref_label, net.final_label) + tuple(stage.output for stage in net.stages)
-    labels = (ref_label,) + output_labels(spec)
-    idx = [slots.index(lab) for lab in labels]
-    qi = [q for i in idx for q in (2 * i, 2 * i + 1)]
-    return CovarianceState(labels, cov[np.ix_(qi, qi)])
+    v = state.cov
+    size = 2 * len(labels) + 2
+    cov = np.empty((size, size))
+    cov[:2, :2] = v[:2, :2]
+    cov[:2, 2:] = (v[:2, None, 2:] * u[:, None]).reshape(2, size - 2)
+    cov[2:, :2] = cov[:2, 2:].T
+    arm = np.multiply.outer(u, u)[:, None, :, None] * (v[2:, 2:] - np.eye(2))[:, None]
+    cov[2:, 2:] = arm.reshape(size - 2, size - 2)
+    cov.reshape(-1)[2 * size + 2 :: size + 1] += 1.0  # the vacuum's I on the outputs
+    return CovarianceState((state.mode_labels[0],) + labels, cov)
 
 
 def output_state_tmsv(
@@ -253,7 +270,11 @@ def implementations_equivalent(
 
     Compares the reduced covariance matrices on (A, receivers) pairwise and
     returns ``(equivalent, max_deviation)`` with equivalence meaning maximum
-    element-wise deviation below 1e-12.
+    element-wise deviation at most ``ORDERING_EQUIV_TOL * max(1, max|V|)``,
+    the scale at which an amplitude's rounding reaches the entries.  The
+    stage transmittances add their own: ``1 - t_j`` holds ``eta_j`` only to
+    about ``eps * remainder / eta_j``, inside the tolerance while each
+    output's share of the remainder it splits from is above about 1e-8.
     """
     orderings = [validate_ordering(spec, o) for o in orderings]
     if len(orderings) < 2:
@@ -265,4 +286,5 @@ def implementations_equivalent(
     max_dev = 0.0
     for a, b in itertools.combinations(covs, 2):
         max_dev = max(max_dev, float(np.max(np.abs(a - b))))
-    return max_dev <= ORDERING_EQUIV_TOL, max_dev
+    scale = max(1.0, max(float(np.max(np.abs(c))) for c in covs))
+    return max_dev <= ORDERING_EQUIV_TOL * scale, max_dev

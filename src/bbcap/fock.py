@@ -76,8 +76,7 @@ class InconclusiveVerificationError(RuntimeError):
 
 def thermal_weight(nbar: float, n: int) -> float:
     """Photon-number distribution of a thermal state: nbar^n / (nbar+1)^(n+1)."""
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be nonnegative, got {nbar!r}")
+    nbar = _gaussian._photon_number(nbar)
     if nbar == 0:
         return 1.0 if n == 0 else 0.0
     r = nbar / (nbar + 1.0)
@@ -86,8 +85,7 @@ def thermal_weight(nbar: float, n: int) -> float:
 
 def tail_mass(n_s: float, cutoff: int) -> float:
     """Probability mass beyond total photon number ``cutoff`` in a TMSV."""
-    if n_s < 0:
-        raise ValueError(f"mean photon number must be nonnegative, got {n_s!r}")
+    n_s = _gaussian._photon_number(n_s)
     if n_s == 0:
         return 0.0
     return (n_s / (n_s + 1.0)) ** (cutoff + 1)

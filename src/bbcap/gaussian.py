@@ -16,10 +16,12 @@ Conventions used throughout the package:
   is refused as an uncertainty violation.
 
 Every state here is zero-mean, so a covariance matrix is the whole state.
-Gaussian unitaries are plain symplectic matrices acting as ``S V S.T``,
-and a partial trace is a principal submatrix; neither can turn a valid
-covariance matrix into an invalid one, so states derived that way are
-not validated again.
+A partial trace is a principal submatrix and a mode reordering a
+permutation of blocks; neither can turn a valid covariance matrix into an
+invalid one, so states derived that way are not validated again.  The
+passive networks of :mod:`bbcap.channel` act on mode amplitudes as an
+orthogonal matrix, so the channel writes its output covariance directly
+from the amplitudes and validates it once, with no beam-splitter matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "entropy_g",
     "tmsv",
     "thermal_state",
-    "beam_splitter",
     "reduce",
     "permute_modes",
     "symplectic_eigenvalues",
@@ -172,34 +173,6 @@ def thermal_state(nbar: float, label) -> CovarianceState:
     _photon_number(nbar)
     cov = (2.0 * nbar + 1.0) * np.eye(2)
     return CovarianceState((label,), cov)
-
-
-def beam_splitter(eta: float, mode_a: int, mode_b: int, n_modes: int) -> np.ndarray:
-    """Symplectic matrix of a beam splitter of transmittance ``eta`` on n modes.
-
-    It acts on a covariance matrix as ``S V S.T``.  On the target quadrature
-    blocks the map is
-    ``[[sqrt(eta) I2, sqrt(1-eta) I2], [-sqrt(1-eta) I2, sqrt(eta) I2]]``
-    (identity elsewhere), i.e. mode_a keeps a sqrt(eta) share of itself and
-    gains sqrt(1-eta) of mode_b.
-    """
-    if not -1e-12 <= eta <= 1.0 + 1e-12:
-        raise ValueError(f"transmittance must lie in [0, 1], got {eta!r}")
-    eta = min(max(eta, 0.0), 1.0)
-    if mode_a == mode_b:
-        raise ValueError("beam splitter needs two distinct modes")
-    for m in (mode_a, mode_b):
-        if not 0 <= m < n_modes:
-            raise ValueError(f"mode index {m} out of range for {n_modes} modes")
-    t = math.sqrt(eta)
-    r = math.sqrt(1.0 - eta)
-    s = np.eye(2 * n_modes)
-    a, b = 2 * mode_a, 2 * mode_b
-    s[a : a + 2, a : a + 2] = t * np.eye(2)
-    s[a : a + 2, b : b + 2] = r * np.eye(2)
-    s[b : b + 2, a : a + 2] = -r * np.eye(2)
-    s[b : b + 2, b : b + 2] = t * np.eye(2)
-    return s
 
 
 def reduce(state: CovarianceState, keep) -> CovarianceState:

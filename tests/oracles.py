@@ -2,8 +2,8 @@
 
 Nothing here imports the code paths under test: entropies come from plain
 spectral sums, split populations from explicit binomial mixing, polytope
-vertices from hyperplane intersection, and command-line output from
-``json.dumps``.
+vertices from hyperplane intersection, channel outputs from a cascade of
+dense beam-splitter matrices, and command-line output from ``json.dumps``.
 """
 
 import itertools
@@ -104,6 +104,57 @@ def is_polymatroid_bruteforce(bounds: dict, m: int, tol: float) -> bool:
                     if vals[3] - vals[2] > vals[1] - vals[0] + tol:
                         return False
     return True
+
+
+def beam_splitter(eta: float, mode_a: int, mode_b: int, n_modes: int) -> np.ndarray:
+    """Symplectic matrix of a beam splitter of transmittance ``eta`` on n modes.
+
+    It acts on a covariance matrix as ``S V S.T``.  On the target quadrature
+    blocks the map is
+    ``[[sqrt(eta) I2, sqrt(1-eta) I2], [-sqrt(1-eta) I2, sqrt(eta) I2]]``
+    (identity elsewhere), i.e. mode_a keeps a sqrt(eta) share of itself and
+    gains sqrt(1-eta) of mode_b.
+    """
+    if not -1e-12 <= eta <= 1.0 + 1e-12:
+        raise ValueError(f"transmittance must lie in [0, 1], got {eta!r}")
+    eta = min(max(eta, 0.0), 1.0)
+    if mode_a == mode_b:
+        raise ValueError("beam splitter needs two distinct modes")
+    for m in (mode_a, mode_b):
+        if not 0 <= m < n_modes:
+            raise ValueError(f"mode index {m} out of range for {n_modes} modes")
+    t = math.sqrt(eta)
+    r = math.sqrt(1.0 - eta)
+    s = np.eye(2 * n_modes)
+    a, b = 2 * mode_a, 2 * mode_b
+    s[a : a + 2, a : a + 2] = t * np.eye(2)
+    s[a : a + 2, b : b + 2] = r * np.eye(2)
+    s[b : b + 2, a : a + 2] = -r * np.eye(2)
+    s[b : b + 2, b : b + 2] = t * np.eye(2)
+    return s
+
+
+def apply_channel_dense(net, cov4) -> np.ndarray:
+    """Output covariance of ``channel.apply_channel``, by the dense cascade.
+
+    ``net`` is a ``BeamSplitterNetwork`` and ``cov4`` the two-mode input's
+    covariance.  m vacuum ancillas are adjoined; stage j mixes ancilla 2+j
+    with the through-arm (mode 1) by ``S V Sᵀ`` with a 2n×2n beam-splitter
+    matrix, and the arm ends carrying the ordering's last label.  Modes are
+    returned in the order ``(A, B1, ..., Bm, E)``.
+    """
+    m = len(net.stages)
+    n = m + 2
+    cov = np.eye(2 * n)
+    cov[:4, :4] = cov4
+    for j, stage in enumerate(net.stages):
+        s = beam_splitter(stage.transmittance, 2 + j, 1, n)
+        cov = s @ cov @ s.T
+        cov = 0.5 * (cov + cov.T)
+    slots = ("A", net.ordering[-1]) + tuple(stage.output for stage in net.stages)
+    labels = ("A",) + tuple(f"B{i}" for i in range(1, m + 1)) + ("E",)
+    qi = [q for lab in labels for q in (2 * slots.index(lab), 2 * slots.index(lab) + 1)]
+    return cov[np.ix_(qi, qi)]
 
 
 def reduce_density_reference(state, keep) -> tuple:

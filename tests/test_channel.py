@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from bbcap import gaussian
+from bbcap import channel, gaussian
 from bbcap.channel import (
     BeamSplitterNetwork,
     BroadcastChannelSpec,
@@ -16,7 +18,14 @@ from bbcap.channel import (
     receiver_labels,
     validate_ordering,
 )
-from bbcap.gaussian import reduce, symplectic_eigenvalues, tmsv, von_neumann_entropy
+from bbcap.gaussian import (
+    CovarianceState,
+    reduce,
+    symplectic_eigenvalues,
+    tmsv,
+    von_neumann_entropy,
+)
+from oracles import apply_channel_dense, beam_splitter
 
 
 def random_spec(rng, m, eta_total_max=0.95):
@@ -166,6 +175,52 @@ class TestApplyChannel:
         assert sizes == [2, m + 2]
 
 
+def _mixed_input():
+    """A two-mode input that is no TMSV: a TMSV arm mixed with a thermal mode."""
+    cov = np.eye(6)
+    cov[:4, :4] = tmsv(0.7).cov
+    cov[4:, 4:] *= 2.0 * 1.5 + 1.0
+    s = beam_splitter(0.6, 1, 2, 3)
+    return CovarianceState(("A", "A'"), (s @ cov @ s.T)[:4, :4])
+
+
+class TestDenseCascadeOracle:
+    """The amplitude-vector output against a cascade of dense splitter matrices."""
+
+    @staticmethod
+    def _assert_matches(spec, state, ordering):
+        got = apply_channel(spec, state, ordering).cov
+        want = apply_channel_dense(build_network(spec, ordering), state.cov)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, ordering
+
+    @pytest.mark.parametrize("n_s", [1e-2, 1.0, 1e2])
+    def test_every_ordering_up_to_three_receivers(self, n_s):
+        rng = np.random.RandomState(31)
+        for m in (1, 2, 3):
+            spec = random_spec(rng, m)
+            for ordering in all_orderings(spec):
+                self._assert_matches(spec, tmsv(n_s), ordering)
+
+    @pytest.mark.parametrize("n_s", [1e-2, 1.0, 1e2])
+    def test_seeded_orderings_four_to_twelve_receivers(self, n_s):
+        rng = np.random.RandomState(32)
+        for m in range(4, 13):
+            spec = random_spec(rng, m)
+            for _ in range(20):
+                ordering = tuple(rng.permutation(output_labels(spec)))
+                self._assert_matches(spec, tmsv(n_s), ordering)
+
+    def test_input_that_is_not_a_tmsv(self):
+        state = _mixed_input()
+        assert gaussian.von_neumann_entropy(state) > 0.1  # mixed, so no TMSV
+        rng = np.random.RandomState(33)
+        for m in (1, 3, 7):
+            spec = random_spec(rng, m)
+            for ordering in itertools.islice(all_orderings(spec), 24):
+                self._assert_matches(spec, state, ordering)
+
+
 class TestImplementationsEquivalent:
     def test_all_orderings_two_receivers(self):
         spec = BroadcastChannelSpec((0.2, 0.3))
@@ -183,6 +238,30 @@ class TestImplementationsEquivalent:
         a = reduce(output_state_tmsv(BroadcastChannelSpec((0.2, 0.3)), 1.0), keep)
         b = reduce(output_state_tmsv(BroadcastChannelSpec((0.2001, 0.3)), 1.0), keep)
         assert float(np.max(np.abs(a.cov - b.cov))) > 1e-12
+
+    @pytest.mark.parametrize("n_s", [10.0**k for k in np.arange(-2.0, 4.5, 0.5)])
+    def test_one_eta_moved_by_1e_9_is_never_equivalent(self, n_s, monkeypatch):
+        # the second ordering's output is taken from a channel whose eta_1
+        # is 1e-9 larger: the scaled tolerance must not absorb that change
+        spec = BroadcastChannelSpec((0.2, 0.3))
+        moved = BroadcastChannelSpec((0.2 + 1e-9, 0.3))
+        real = channel.output_state_tmsv
+        calls = []
+
+        def output(spec_, n_s_, ordering):
+            calls.append(ordering)
+            return real(spec_ if len(calls) == 1 else moved, n_s_, ordering)
+
+        monkeypatch.setattr(channel, "output_state_tmsv", output)
+        orderings = [("B1", "B2", "E"), ("E", "B2", "B1")]
+        try:
+            ok, dev = implementations_equivalent(spec, orderings, n_s)
+        except ValueError as exc:
+            # above a few thousand photons the covariance route refuses its
+            # own output (ROADMAP item 2): a refusal, not a verdict
+            assert n_s > 1e3 and "uncertainty relation violated" in str(exc)
+            return
+        assert not ok, dev
 
     def test_four_receivers_full_sweep(self):
         spec = BroadcastChannelSpec((0.15, 0.2, 0.1, 0.25))

@@ -490,6 +490,22 @@ class TestCutoffPolicy:
             cutoff_for_tail(3.0)
 
 
+@pytest.mark.parametrize("n_s", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n_s: tmsv_fock(n_s, 5),
+        lambda n_s: thermal_weight(n_s, 2),
+        lambda n_s: tail_mass(n_s, 3),
+        cutoff_for_tail,
+    ],
+    ids=["tmsv_fock", "thermal_weight", "tail_mass", "cutoff_for_tail"],
+)
+def test_photon_number_must_be_finite_and_nonnegative(call, n_s):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        call(n_s)
+
+
 class TestOracleVsGaussianEverywhere:
     def test_every_mode_subset_agrees(self):
         # every reduced entropy of the channel output, both routes

@@ -5,7 +5,6 @@ import pytest
 
 from bbcap.gaussian import (
     CovarianceState,
-    beam_splitter,
     conditional_entropy,
     entropy_g,
     permute_modes,
@@ -16,7 +15,12 @@ from bbcap.gaussian import (
     tmsv,
     von_neumann_entropy,
 )
-from oracles import thermal_entropy_spectral, split_thermal_populations, spectral_entropy
+from oracles import (
+    beam_splitter,
+    spectral_entropy,
+    split_thermal_populations,
+    thermal_entropy_spectral,
+)
 
 G_HALF = 1.3774437510817343  # (1.5 log2 1.5 + 0.5), checked against the spectral sum
 

@@ -7,8 +7,8 @@ from it than the value it replaces, plus the same bound.  ``PREVIOUS_FOCK``
 keeps the Fock bits the verify goldens held before the Fock spectra came
 from Schmidt factors (dense blocks summed term by term, then ``eigvalsh``);
 ``PREVIOUS_GAUSSIAN`` keeps the Gaussian bits and deviations they held
-before the symplectic spectrum came from a Cholesky factor (magnitudes of
-``eig(Omega V)`` paired up).
+before the channel output came from the arm's amplitude vector (a cascade
+of dense beam-splitter matrices, ``S V Sᵀ`` per stage).
 """
 
 import csv
@@ -16,11 +16,12 @@ import functools
 import itertools
 import json
 import math
+import random
 from decimal import Decimal, localcontext
 
 import pytest
 
-from bbcap import cli, fock
+from bbcap import cli, fock, region
 from bbcap.channel import BroadcastChannelSpec
 from bbcap.gaussian import entropy_g
 from reference import DIGITS, closed_form_bits, verify_fock_bits
@@ -66,32 +67,32 @@ PREVIOUS_FOCK = {
 # (gaussian_bits, abs_dev) per case, and max_abs_dev
 PREVIOUS_GAUSSIAN = {
     "verify.json": {
-        "-H(B1|A,B2)": (0.21218569170395485, 4.3353065581897e-10),
-        "-H(B2|A,B1)": (0.30595867738408056, 6.189083689989161e-10),
-        "-H(B1,B2|A,-)": (0.4750336324725306, 1.0331969724219903e-09),
+        "-H(B1|A,B2)": (0.21218569170395585, 4.3353065581897e-10),
+        "-H(B2|A,B1)": (0.30595867738407934, 6.189083689989161e-10),
+        "-H(B1,B2|A,-)": (0.4750336324725305, 1.0331969724219903e-09),
         "max_abs_dev": 1.0331969724219903e-09,
     },
     "verify.csv": {
-        "-H(B1|A,B2)": (0.19005752607112225, 2.2357571349829186e-10),
+        "-H(B1|A,B2)": (0.19005752607112214, 2.235756024759894e-10),
         "-H(B2|A,B1)": (0.2747171418004086, 3.2032099195333785e-10),
-        "-H(B1,B2|A,-)": (0.428341890015258, 5.355001997386921e-10),
-        "max_abs_dev": 5.355001997386921e-10,
+        "-H(B1,B2|A,-)": (0.4283418900152589, 5.355007548502044e-10),
+        "max_abs_dev": 5.355007548502044e-10,
     },
     "verify_m3_prec17.json": {
-        "-H(B1|A,B2,B3)": (0.04704208921983194, 1.2984321950959554e-10),
-        "-H(B2|A,B1,B3)": (0.11199635305393546, 3.044408891650363e-10),
-        "-H(B3|A,B1,B2)": (0.13243558512155945, 3.5865263536827285e-10),
-        "-H(B1,B2|A,B3)": (0.15235325216540846, 4.1145456486368914e-10),
-        "-H(B1,B3|A,B2)": (0.17178893989824517, 4.632887684596909e-10),
-        "-H(B2,B3|A,B1)": (0.2275260851372557, 6.20141077378733e-10),
-        "-H(B1,B2,B3|A,-)": (0.26280129664860274, 7.401343982138542e-10),
-        "max_abs_dev": 7.401343982138542e-10,
+        "-H(B1|A,B2,B3)": (0.04704208921983205, 1.2984321950959554e-10),
+        "-H(B2|A,B1,B3)": (0.11199635305393485, 3.044408891650363e-10),
+        "-H(B3|A,B1,B2)": (0.1324355851215619, 3.586532459909364e-10),
+        "-H(B1,B2|A,B3)": (0.15235325216541024, 4.114551754863527e-10),
+        "-H(B1,B3|A,B2)": (0.17178893989824523, 4.632887684596909e-10),
+        "-H(B2,B3|A,B1)": (0.22752608513725836, 6.201430757801774e-10),
+        "-H(B1,B2,B3|A,-)": (0.2628012966486045, 7.40134842303064e-10),
+        "max_abs_dev": 7.40134842303064e-10,
     },
     "verify_m2_ordering_prec17.json": {
-        "-H(B1|A,B2)": (0.49140209488536035, 6.875959801533327e-10),
-        "-H(B2|A,B1)": (0.6209306129751961, 8.471718881963852e-10),
-        "-H(B1,B2|A,-)": (0.9482479425155796, 1.3097622986180113e-09),
-        "max_abs_dev": 1.3097622986180113e-09,
+        "-H(B1|A,B2)": (0.491402094885361, 6.875962021979376e-10),
+        "-H(B2|A,B1)": (0.620930612975195, 8.471707779733606e-10),
+        "-H(B1,B2|A,-)": (0.9482479425155799, 1.3097625206626162e-09),
+        "max_abs_dev": 1.3097625206626162e-09,
     },
 }
 
@@ -261,3 +262,32 @@ def test_boundary_points_within_ulp_bound_of_reference():
     for row, point in zip(rows, want):
         for text, exact in zip(row, point):
             _assert_near(float(text), exact, DEV_BOUND + ULP_BOUND, what=(row, point))
+
+
+def _lock_cases():
+    """(etas, subsets) at m in {1, 2, 4, 6, 12}: every subset at m <= 4, 24 seeded above."""
+    rng = random.Random(15)
+    for m in (1, 2, 4, 6, 12):
+        raw = [rng.random() for _ in range(m + 1)]
+        etas = tuple(0.95 * x / sum(raw) for x in raw[:m])
+        ground = range(1, m + 1)
+        if m <= 4:
+            subsets = [frozenset(t) for r in ground for t in itertools.combinations(ground, r)]
+        else:
+            subsets = [frozenset(rng.sample(ground, rng.randint(1, m))) for _ in range(24)]
+        yield etas, subsets
+
+
+def test_covariance_route_within_1e_12_of_reference():
+    # 603 cases: 67 subsets at each half-decade N_S from 1e-2 to 1e2
+    worst = 0.0
+    count = 0
+    for etas, subsets in _lock_cases():
+        spec = BroadcastChannelSpec(etas)
+        for n_s in (10.0 ** (k / 2) for k in range(-4, 5)):
+            for t in subsets:
+                got = region.inner_bound_finite_gaussian(spec, n_s, t)
+                worst = max(worst, abs(got - float(closed_form_bits(etas, n_s, t))))
+                count += 1
+    assert count == 603
+    assert worst <= 1e-12, worst
