@@ -8,6 +8,10 @@ peeling one output off a single through-arm fed with vacuum ancillas.
 All orderings realize the same channel: the reduced state on (sender,
 receivers) is ordering-independent.
 
+A cascade is its shares: with ``r_j`` the suffix sums of eta in split
+order, stage j hands its output ``eta_j / r_j`` of the arm and passes on
+``r_{j+1} / r_j``, neither as one minus the other.
+
 The cascade is passive, so it acts on mode amplitudes as an orthogonal
 matrix (Weedbrook et al., RMP 84, 621, arXiv:1110.3234, §II.C).  With
 vacuum on the other ports the arm reaches output j with a real amplitude
@@ -50,11 +54,13 @@ __all__ = [
 
 ENV_LABEL = "E"
 ETA_TOL = 1e-12
-# Orderings agree to this, relative to max(1, max|V|).  Each amplitude u_j
-# is a product of at most m + 1 rounded square roots, each within 2 eps, so
-# an output entry is within (4m + 9) eps of max(1, max|V|) and two orderings
-# within (8m + 18) eps, 1.3e-14 at MAX_RECEIVERS; the rest is left for the
-# rounding of the stage transmittances (see implementations_equivalent).
+# Orderings agree to this, relative to max(1, max|V|).  Every stage value is
+# a suffix sum of eta (at most m additions of nonnegative terms) and one
+# division, so within (m + 2) eps.  Its square root and the running product
+# add 2 eps, so an amplitude u_j, a product of at most m + 1 such factors,
+# is within (m + 1)(m + 6)/2 eps, an output entry within (m + 1)(m + 6) + 5
+# eps of max(1, max|V|), and two orderings within twice that: 1.1e-13 at
+# MAX_RECEIVERS.
 ORDERING_EQUIV_TOL = 1e-12
 MAX_RECEIVERS = 12          # network construction guard
 MAX_SWEEP_RECEIVERS = 8     # all-orderings sweeps grow factorially
@@ -94,9 +100,11 @@ class BroadcastChannelSpec:
 
 
 class Stage(NamedTuple):
-    """One splitter of the cascade: the through-arm keeps ``transmittance``."""
+    """One splitter of the cascade: ``output`` takes ``share`` of the arm
+    reaching it, and the through-arm keeps ``transmittance``."""
 
     transmittance: float
+    share: float
     output: str
 
 
@@ -114,8 +122,8 @@ def output_labels(spec: BroadcastChannelSpec) -> tuple:
 
 
 def _eta_by_label(spec: BroadcastChannelSpec) -> dict:
-    etas = dict(zip(receiver_labels(spec), spec.etas))
-    etas[ENV_LABEL] = 1.0 - sum(spec.etas)
+    etas = dict(zip(receiver_labels(spec), (max(e, 0.0) for e in spec.etas)))
+    etas[ENV_LABEL] = spec.eta_env
     return etas
 
 
@@ -138,9 +146,7 @@ def default_ordering(spec: BroadcastChannelSpec) -> tuple:
     valid spec.
     """
     etas = _eta_by_label(spec)
-    zeros = [lab for lab in output_labels(spec) if etas[lab] <= ETA_TOL]
-    positive = [lab for lab in output_labels(spec) if etas[lab] > ETA_TOL]
-    return tuple(zeros + positive)
+    return tuple(sorted(etas, key=lambda label: etas[label] > ETA_TOL))
 
 
 def all_orderings(spec: BroadcastChannelSpec):
@@ -150,41 +156,15 @@ def all_orderings(spec: BroadcastChannelSpec):
     return itertools.permutations(output_labels(spec))
 
 
-@dataclass
-class BeamSplitterNetwork:
+class BeamSplitterNetwork(NamedTuple):
     """Cascade implementing a broadcast channel for one split ordering.
 
-    Stage j peels off ``ordering[j-1]`` with a share
-    ``eta_j / (1 - sum of already-split etas)`` of the through-arm; the
-    stored ``transmittance`` is the complementary through fraction
-    ``(1 - sum_{k<=j} eta_k) / (1 - sum_{l<j} eta_l)``.  The arm left after
-    the final stage carries ``ordering[-1]``.
+    ``stages[j]`` peels off ``ordering[j]``; the arm left after the final
+    stage carries ``ordering[-1]``.
     """
 
-    spec: BroadcastChannelSpec
     ordering: tuple
     stages: tuple
-
-    def __post_init__(self) -> None:
-        self.ordering = tuple(self.ordering)
-        self.stages = tuple(self.stages)
-        etas = _eta_by_label(self.spec)
-        through = 1.0
-        for j, stage in enumerate(self.stages):
-            if not -ETA_TOL <= stage.transmittance <= 1.0 + ETA_TOL:
-                raise ValueError(f"stage {j + 1} transmittance {stage.transmittance!r}")
-            rebuilt = (1.0 - stage.transmittance) * through
-            if abs(rebuilt - etas[stage.output]) > ETA_TOL:
-                raise ValueError(
-                    f"stage {j + 1} rebuilds eta[{stage.output}] = {rebuilt!r}, "
-                    f"expected {etas[stage.output]!r}"
-                )
-            through *= stage.transmittance
-        if abs(through - etas[self.final_label]) > ETA_TOL:
-            raise ValueError(
-                f"through-arm carries {through!r}, expected "
-                f"eta[{self.final_label}] = {etas[self.final_label]!r}"
-            )
 
     @property
     def final_label(self):
@@ -192,7 +172,13 @@ class BeamSplitterNetwork:
 
 
 def build_network(spec: BroadcastChannelSpec, ordering=None) -> BeamSplitterNetwork:
-    """Derive the cascade's stage transmittances for a split ordering.
+    """The cascade's stages for a split ordering, from the suffix sums of eta.
+
+    With ``r_j`` the sum of eta over ``ordering[j:]``, stage j carries
+    ``transmittance = r_{j+1} / r_j`` and ``share = eta_j / r_j``.  Float
+    sums of nonnegative terms are monotone, so both lie in [0, 1], and the
+    shares times the transmittances before them rebuild each eta to within
+    a few ulps, however small it is.
 
     Raises :class:`DegenerateSplitError` when a prefix of the ordering
     already exhausts all transmittance, i.e. a later stage would
@@ -204,19 +190,16 @@ def build_network(spec: BroadcastChannelSpec, ordering=None) -> BeamSplitterNetw
         default_ordering(spec) if ordering is None else validate_ordering(spec, ordering)
     )
     etas = _eta_by_label(spec)
+    rest = list(itertools.accumulate(etas[label] for label in reversed(ordering)))[::-1]
     stages = []
-    split_so_far = 0.0
-    for j, label in enumerate(ordering[:-1], start=1):
-        remainder = 1.0 - split_so_far
-        if remainder <= ETA_TOL:
+    for j, label in enumerate(ordering[:-1]):
+        if rest[j] <= ETA_TOL:
             raise DegenerateSplitError(
-                f"stage {j} (splitting off {label!r}): ordering {ordering!r} "
-                f"exhausts all transmittance after {j - 1} stage(s)"
+                f"stage {j + 1} (splitting off {label!r}): ordering {ordering!r} "
+                f"exhausts all transmittance after {j} stage(s)"
             )
-        t = (remainder - etas[label]) / remainder
-        stages.append(Stage(min(max(t, 0.0), 1.0), label))
-        split_so_far += etas[label]
-    return BeamSplitterNetwork(spec, ordering, tuple(stages))
+        stages.append(Stage(rest[j + 1] / rest[j], etas[label] / rest[j], label))
+    return BeamSplitterNetwork(ordering, tuple(stages))
 
 
 def apply_channel(
@@ -228,7 +211,7 @@ def apply_channel(
     the environment mode, so entropic identities on the purified state
     remain available; modes come back as ``(A, B1, ..., Bm, E)``.  The
     stages give each output its amplitude u_j: the through-arm's product of
-    ``sqrt(t)`` shares so far, times ``sqrt(1 - t)`` of its own stage.  The
+    ``sqrt(transmittance)`` so far, times ``sqrt(share)`` of its own stage.  The
     covariance is written block by block, ``V_AA``, ``u_j V_A,arm`` and
     ``I + u_j u_k (V_arm - I)``, and validated once.
     """
@@ -238,7 +221,7 @@ def apply_channel(
     amp = {}
     through = 1.0
     for stage in net.stages:
-        amp[stage.output] = through * math.sqrt(1.0 - stage.transmittance)
+        amp[stage.output] = through * math.sqrt(stage.share)
         through *= math.sqrt(stage.transmittance)
     amp[net.final_label] = through
     labels = output_labels(spec)
@@ -272,9 +255,9 @@ def implementations_equivalent(
     returns ``(equivalent, max_deviation)`` with equivalence meaning maximum
     element-wise deviation at most ``ORDERING_EQUIV_TOL * max(1, max|V|)``,
     the scale at which an amplitude's rounding reaches the entries.  The
-    stage transmittances add their own: ``1 - t_j`` holds ``eta_j`` only to
-    about ``eps * remainder / eta_j``, inside the tolerance while each
-    output's share of the remainder it splits from is above about 1e-8.
+    stage values are suffix sums and one division, each within (m + 2) eps
+    relative (see ``ORDERING_EQUIV_TOL``), so the bound holds for every
+    share, however small.
     """
     orderings = [validate_ordering(spec, o) for o in orderings]
     if len(orderings) < 2:

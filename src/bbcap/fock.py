@@ -358,13 +358,12 @@ def channel_output_fock(
 ) -> FockState:
     """Broadcast-channel output state on (A, B1, ..., Bm, E), truncated."""
     net = _channel.build_network(spec, ordering)
-    state = tmsv_fock(n_s, cutoff)
+    state = tmsv_fock(n_s, cutoff, ("A", net.final_label))
     for stage in net.stages:
-        state = split_with_vacuum(state, "A'", stage.transmittance, stage.output)
-    labels = tuple(net.final_label if lab == "A'" else lab for lab in state.mode_labels)
+        state = split_with_vacuum(state, net.final_label, stage.transmittance, stage.output)
     # canonical mode order (A, B1, ..., Bm, E)
     want = ("A",) + _channel.output_labels(spec)
-    perm = [labels.index(lab) for lab in want]
+    perm = [state.index(lab) for lab in want]
     return FockState(want, state.occupations[:, perm], state.amplitudes, state.cutoff)
 
 

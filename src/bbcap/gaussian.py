@@ -184,11 +184,8 @@ def reduce(state: CovarianceState, keep) -> CovarianceState:
         if label not in state.mode_labels:
             raise ValueError(f"unknown mode label {label!r}")
     idx = [i for i, lab in enumerate(state.mode_labels) if lab in keep_set]
-    qi = np.array([j for i in idx for j in (2 * i, 2 * i + 1)])
     return CovarianceState(
-        tuple(state.mode_labels[i] for i in idx),
-        state.cov[np.ix_(qi, qi)],
-        validate=False,
+        tuple(state.mode_labels[i] for i in idx), _mode_blocks(state.cov, idx), validate=False
     )
 
 
@@ -200,8 +197,13 @@ def permute_modes(state: CovarianceState, new_order) -> CovarianceState:
     ) != state.n_modes:
         raise ValueError(f"{new_order!r} is not a permutation of {state.mode_labels!r}")
     idx = [state.index(lab) for lab in new_order]
-    qi = np.array([j for i in idx for j in (2 * i, 2 * i + 1)])
-    return CovarianceState(new_order, state.cov[np.ix_(qi, qi)], validate=False)
+    return CovarianceState(new_order, _mode_blocks(state.cov, idx), validate=False)
+
+
+def _mode_blocks(cov: np.ndarray, idx: list) -> np.ndarray:
+    """Covariance of the modes ``idx``, in that order, from the (n, 2, n, 2) view."""
+    k = 2 * len(idx)
+    return cov.reshape(len(cov) // 2, 2, -1, 2)[idx][:, :, idx].reshape(k, k)
 
 
 def symplectic_eigenvalues(state: CovarianceState) -> list:

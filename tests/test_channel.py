@@ -5,7 +5,6 @@ import pytest
 
 from bbcap import channel, gaussian
 from bbcap.channel import (
-    BeamSplitterNetwork,
     BroadcastChannelSpec,
     DegenerateSplitError,
     all_orderings,
@@ -62,55 +61,73 @@ class TestSpecValidation:
 class TestBuildNetwork:
     def test_environment_then_receivers_split(self):
         # splitting E first then B2 leaves B1 on the through-arm:
-        # stage transmittances (eta_1 + eta_2, eta_1 / (eta_1 + eta_2))
+        # stage transmittances (eta_1 + eta_2, eta_1 / (eta_1 + eta_2)),
+        # shares (eta_E, eta_2 / (eta_1 + eta_2))
         net = build_network(BroadcastChannelSpec((0.2, 0.3)), ("E", "B2", "B1"))
         assert [s.transmittance for s in net.stages] == pytest.approx(
             [0.5, 0.4], abs=1e-15
         )
+        assert [s.share for s in net.stages] == pytest.approx([0.5, 0.6], abs=1e-15)
         assert [s.output for s in net.stages] == ["E", "B2"]
         assert net.final_label == "B1"
 
     def test_receiver_first_split(self):
-        # peeling B1 off first: through transmittances (1 - eta_1, eta_2 / (1 - eta_1))
+        # peeling B1 off first: through transmittances (1 - eta_1, eta_2 / (1 - eta_1)),
+        # shares (eta_1, eta_E / (1 - eta_1))
         net = build_network(BroadcastChannelSpec((0.2, 0.3)), ("B1", "E", "B2"))
         assert [s.transmittance for s in net.stages] == pytest.approx(
             [0.8, 0.375], abs=1e-15
         )
+        assert [s.share for s in net.stages] == pytest.approx([0.2, 0.625], abs=1e-15)
 
     def test_single_receiver(self):
         net = build_network(BroadcastChannelSpec((0.35,)), ("E", "B1"))
         assert [s.transmittance for s in net.stages] == pytest.approx(
             [0.35], abs=1e-15
         )
+        assert [s.share for s in net.stages] == pytest.approx([0.65], abs=1e-15)
         assert net.final_label == "B1"
 
-    def test_transmittance_reconstruction_random(self):
+    def test_shares_rebuild_every_eta_to_relative_ulps(self):
+        # share_j times the transmittances before it is eta_j / r_1 with
+        # every factor within (m + 2) eps, however small eta_j is
         rng = np.random.RandomState(3)
-        for _ in range(25):
-            m = rng.randint(1, 5)
-            spec = random_spec(rng, m)
-            order = tuple(rng.permutation(output_labels(spec)))
-            net = build_network(spec, order)  # network validates reconstruction
+        eps = np.finfo(float).eps
+        for _ in range(3000):
+            m = rng.randint(1, 13)
+            labels = output_labels(BroadcastChannelSpec((0.0,) * m))
+            ordering = tuple(rng.permutation(labels))
+            w = 10.0 ** rng.uniform(-30.0, 0.0, m + 1)
+            w[-1] = rng.uniform(0.1, 1.0)  # the arm keeps a share to the end
+            w /= w.sum()
+            by_label = dict(zip(ordering, w.tolist()))
+            spec = BroadcastChannelSpec(tuple(by_label[lab] for lab in labels[:-1]))
+            net = build_network(spec, ordering)
             through = 1.0
             rebuilt = {}
             for stage in net.stages:
-                rebuilt[stage.output] = (1.0 - stage.transmittance) * through
+                assert 0.0 <= stage.share <= 1.0 and 0.0 <= stage.transmittance <= 1.0
+                rebuilt[stage.output] = stage.share * through
                 through *= stage.transmittance
             rebuilt[net.final_label] = through
-            for i, label in enumerate(receiver_labels(spec)):
-                assert rebuilt[label] == pytest.approx(spec.etas[i], abs=1e-12)
-            assert rebuilt["E"] == pytest.approx(spec.eta_env, abs=1e-12)
+            want = dict(zip(labels, spec.etas + (spec.eta_env,)))
+            for label in labels:
+                err = abs(rebuilt[label] - want[label])
+                assert err <= 2 * (m + 2) * eps * want[label], (label, err, want[label])
+
+    def test_eta_just_below_zero_takes_nothing(self):
+        # the spec admits eta down to -1e-12; the cascade treats it as 0
+        spec = BroadcastChannelSpec((-1e-13, 0.5))
+        for ordering in all_orderings(spec):
+            net = build_network(spec, ordering)
+            assert all(s.share >= 0.0 for s in net.stages)
+        ok, _ = implementations_equivalent(spec, list(all_orderings(spec)), 1.0)
+        assert ok
 
     def test_degenerate_prefix_raises_with_stage_named(self):
         spec = BroadcastChannelSpec((1.0, 0.0))
         with pytest.raises(DegenerateSplitError, match="stage 2"):
             build_network(spec, ("B1", "B2", "E"))
-
-    def test_tampered_network_rejected(self):
-        net = build_network(BroadcastChannelSpec((0.2, 0.3)), ("E", "B2", "B1"))
-        bad = [net.stages[0]._replace(transmittance=0.7), net.stages[1]]
-        with pytest.raises(ValueError):
-            BeamSplitterNetwork(net.spec, net.ordering, tuple(bad))
 
     def test_default_ordering_puts_zero_weight_first(self):
         spec = BroadcastChannelSpec((1.0, 0.0))
@@ -262,6 +279,17 @@ class TestImplementationsEquivalent:
             assert n_s > 1e3 and "uncertainty relation violated" in str(exc)
             return
         assert not ok, dev
+
+    @pytest.mark.parametrize("n_s", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("x", [0.3, 0.5, 0.9])
+    def test_tiny_share_every_ordering(self, x, n_s):
+        # an eta far below the remainder it splits from: every ordering
+        # must keep it to a few ulps of eta, not of the remainder
+        for eta in np.logspace(-12, -4, 17).tolist():
+            for etas in ((eta, x), (x, eta)):
+                spec = BroadcastChannelSpec(etas)
+                ok, dev = implementations_equivalent(spec, list(all_orderings(spec)), n_s)
+                assert ok, (etas, n_s, dev)
 
     def test_four_receivers_full_sweep(self):
         spec = BroadcastChannelSpec((0.15, 0.2, 0.1, 0.25))
