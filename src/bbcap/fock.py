@@ -4,28 +4,25 @@ Everything here is deliberately independent of the covariance-matrix
 formalism: a state is an explicit amplitude table, an int array with one
 row of photon numbers per basis state and a float array of their real
 amplitudes; beam splitters act by binomial amplitude splitting against a
-vacuum port; and entropies come from the Schmidt spectra of reduced
-states.  Truncation is accounted for exactly: a squeezed-vacuum source
-truncated at total photon number M drops tail mass
-``(n_s / (n_s + 1))**(M + 1)``, and verification refuses to run (raising
-:class:`InconclusiveVerificationError`, not failing) when the tail budget
-cannot be met.
+vacuum port; and entropies come from the spectra of reduced states.
+Truncation is accounted for exactly: a squeezed-vacuum source truncated at
+total photon number M drops tail mass ``(n_s / (n_s + 1))**(M + 1)``, and
+verification refuses to run (raising :class:`InconclusiveVerificationError`,
+not failing) when the tail budget cannot be met.  Only vacuum-fed
+splitters are implemented, which is all the channel model needs.
 
-Only vacuum-fed splitters are implemented; every stage of a broadcast
-cascade mixes the through-arm with a fresh vacuum port, which is all the
-channel model needs and keeps this oracle auditable.
-
-The partial trace numbers occupation rows as mixed-radix integers and
-finds its blocks by label propagation.  The global state is pure, so each
-block is M Mᵀ with M the block's kept x traced amplitude matrix (its
-Schmidt factor): every table entry fills one element of one factor, and
-the block's nonzero spectrum is the squared singular values of M.
-
-Every reduction of a channel output therefore needs one 8-byte factor
-element and ``ENTRY_BYTES`` of index arrays and bases per table entry.
-Verification counts the entries before building the table and ends the
-check as inconclusive when that figure exceeds ``MAX_DENSE_BYTES`` (1 GiB);
-it is the oracle's one memory gate.
+Verification builds the channel output one sender-photon sector k at a
+time, once the whole table would hold more than ``RUN_ENTRIES`` entries.
+Keeping A and receivers R, the entry <k, n_R; n_traced> lies in the block
+of traced photon count t = k - |n_R|.  Each block is rank one, so its one
+eigenvalue is its squared norm, summed by ``np.bincount``.  Rank one is
+certified from the amplitudes, not assumed (:func:`_certify`), and a block
+that fails fails its case.  ``MAX_DENSE_BYTES`` (1 GiB) gates the largest
+run, at ``SECTOR_ENTRY_BYTES`` per entry, plus the reference rows, before
+any sector is built; it is the oracle's one memory gate.
+:func:`reduce_density`, the general partial trace, gives each block as its
+Schmidt factor M (block = M Mᵀ); :func:`schmidt_spectrum_check` takes the
+squared singular values of M.
 
 :func:`verify_conditional_entropies` returns the record ``bbcap verify``
 prints, a plain dict, with its single pass verdict.
@@ -33,6 +30,7 @@ prints, a plain dict, with its single pass verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -65,9 +63,12 @@ ENTROPY_TOL = 1e-6     # three-route agreement of each verified entropy (bits)
 SCHMIDT_TOL = 1e-8     # per-eigenvalue deviation of a Schmidt spectrum
 MAX_CUTOFF = 60
 MAX_DENSE_BYTES = 2**30
-# a partial trace's index arrays and bases, per table entry: at most 180
-# bytes under tracemalloc over every keep set of channel outputs, m = 1..4
-ENTRY_BYTES = 256
+RUN_ENTRIES = 2**16    # larger tables are built one sender-photon sector at a time
+# bytes per entry of a run while it is built and reduced, beyond the reference
+# rows: at most 261 under tracemalloc over 46 channel outputs (m = 1..4, runs
+# of 36 to 135,751 entries), at most 199 for runs above 1000 entries; the
+# first call also caches 0.13 MB of binomial coefficients
+SECTOR_ENTRY_BYTES = 384
 
 
 class InconclusiveVerificationError(RuntimeError):
@@ -180,14 +181,35 @@ def split_with_vacuum(state: FockState, source_mode, eta: float, new_label) -> F
     if new_label in state.mode_labels:
         raise ValueError(f"label {new_label!r} already in use")
     src = state.index(source_mode)
-    occ = state.occupations
+    n = state.occupations[:, src]
+    w = _binomial_weights(eta, int(n.max()) + 1 if n.size else 0)
+    occ, amps = _split_rows(state.occupations, state.amplitudes, src, w)
+    return FockState(state.mode_labels + (new_label,), occ, amps, state.cutoff)
+
+
+def _binomial_weights(eta: float, top: int) -> np.ndarray:
+    """Entry n(n+1)/2 + k, for n < top, holds the weight of |k>_src |n-k>_new,
+    ``C(n, k) * eta**k * (1 - eta)**(n - k)`` from scalar powers and in that
+    order, so that every amplitude keeps its last bit."""
+    comb, n, k = (a[: top * (top + 1) // 2] for a in _pascal(max(top, MAX_CUTOFF + 1)))
+    kept = np.array([eta**i for i in range(top)], dtype=float)
+    lost = np.array([(1.0 - eta) ** i for i in range(top)], dtype=float)
+    return comb * kept[k] * lost[n - k]
+
+
+@functools.lru_cache(maxsize=4)
+def _pascal(top: int) -> tuple:
+    """C(n, k) as floats, n and k, for the entries n(n+1)/2 + k, n < top; the
+    rows below any top are a prefix.  Shared between calls: read only."""
+    n = np.repeat(np.arange(top), np.arange(1, top + 1))
+    k = np.arange(n.size) - n * (n + 1) // 2
+    return np.array([float(math.comb(a, b)) for a, b in zip(n.tolist(), k.tolist())]), n, k
+
+
+def _split_rows(occ: np.ndarray, amps: np.ndarray, src: int, w: np.ndarray) -> tuple:
+    """The table after column ``src`` splits against vacuum with weights ``w``
+    (:func:`_binomial_weights`); the new mode is the last column."""
     n = occ[:, src]
-    top = int(n.max()) + 1 if n.size else 0
-    # entry n(n+1)/2 + k holds the weight of |k>_src |n-k>_new, from the
-    # scalar expression so that every amplitude keeps its last bit
-    w = np.array(
-        [math.comb(j, k) * eta**k * (1.0 - eta) ** (j - k) for j in range(top) for k in range(j + 1)]
-    )
     row = np.repeat(np.arange(n.size), n + 1)
     k = _ranges(np.zeros_like(n), n + 1)
     entry = n[row] * (n[row] + 1) // 2 + k
@@ -195,8 +217,7 @@ def split_with_vacuum(state: FockState, source_mode, eta: float, new_label) -> F
     row, k, entry = row[nonzero], k[nonzero], entry[nonzero]
     out = np.concatenate([occ[row], (n[row] - k)[:, None]], axis=1)
     out[:, src] = k
-    amps = state.amplitudes[row] * np.sqrt(w[entry])
-    return FockState(state.mode_labels + (new_label,), out, amps, state.cutoff)
+    return out, amps[row] * np.sqrt(w[entry])
 
 
 @dataclass
@@ -280,8 +301,8 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     order, and blocks come in the order of their first row.  Every table
     entry fills exactly one element of one factor, so the factors are a
     scatter that sums nothing.  The factors take 8 bytes per element, which
-    for a channel output is one element per table entry; memory is budgeted
-    by :func:`verify_conditional_entropies`, not here.
+    for a channel output is one element per table entry, and index arrays
+    take up to about 180 bytes more per entry; no budget is applied here.
 
     Raises ``ValueError`` when two rows of the table are the same occupation
     (they would land on one factor element).
@@ -357,14 +378,113 @@ def channel_output_fock(
     spec: BroadcastChannelSpec, n_s: float, cutoff: int, ordering=None
 ) -> FockState:
     """Broadcast-channel output state on (A, B1, ..., Bm, E), truncated."""
+    (occ, amps), = _sector_runs(spec, n_s, cutoff, ordering)
+    return FockState(("A",) + _channel.output_labels(spec), occ, amps, cutoff)
+
+
+def _sector_runs(spec: BroadcastChannelSpec, n_s: float, cutoff: int, ordering=None, cap=None):
+    """The channel output, modes (A, B1, ..., Bm, E), as (occupations,
+    amplitudes) pairs: the whole table, or one sender-photon sector at a time
+    when the table holds more than ``cap`` entries."""
     net = _channel.build_network(spec, ordering)
-    state = tmsv_fock(n_s, cutoff, ("A", net.final_label))
-    for stage in net.stages:
-        state = split_with_vacuum(state, net.final_label, stage.transmittance, stage.output)
-    # canonical mode order (A, B1, ..., Bm, E)
-    want = ("A",) + _channel.output_labels(spec)
-    perm = [state.index(lab) for lab in want]
-    return FockState(want, state.occupations[:, perm], state.amplitudes, state.cutoff)
+    source = tmsv_fock(n_s, cutoff)
+    # each stage's weights once, to the cutoff: split_with_vacuum's amplitudes, bit for bit
+    weights = [_binomial_weights(stage.transmittance, cutoff + 1) for stage in net.stages]
+    built = ("A", net.final_label) + tuple(stage.output for stage in net.stages)
+    perm = [built.index(lab) for lab in ("A",) + _channel.output_labels(spec)]
+    rows = len(source.amplitudes)
+    whole = cap is None or math.comb(cutoff + spec.m + 1, spec.m + 1) <= cap
+    for lo, hi in [(0, rows)] if whole else [(i, i + 1) for i in range(rows)]:
+        occ, amps = source.occupations[lo:hi], source.amplitudes[lo:hi]
+        for w in weights:
+            occ, amps = _split_rows(occ, amps, 1, w)
+        yield occ[:, perm], amps
+
+
+def _run_budget(m: int, cutoff: int) -> tuple:
+    """Entries of the largest run: the whole table, or above ``RUN_ENTRIES``
+    the largest sector (cutoff photons over m + 1 outputs); reference entries
+    (a row per block of each reduction keeping 1..m-1 receivers); their bytes."""
+    table, sector = math.comb(cutoff + m + 1, m + 1), math.comb(cutoff + m, m)
+    run = table if table <= RUN_ENTRIES else sector
+    refs = sum(math.comb(m, r) * math.comb(cutoff + m + 1 - r, m + 1 - r) for r in range(1, m))
+    return run, refs, run * SECTOR_ENTRY_BYTES + 8 * refs
+
+
+def _rank(parts, binom: np.ndarray) -> np.ndarray:
+    """Combinadic rank of q-part rows given as q columns: with partial sums
+    S_j, the q-subset {S_j + j - 1} ranks as the sum of C(S_j + j - 1, j), so
+    the rows of total s take ranks C(s - 1 + q, q) to C(s + q, q) - 1."""
+    rank = total = parts[0]
+    for j, part in enumerate(parts[1:], 2):
+        total = total + part
+        rank = rank + binom[j][total + (j - 1)]
+    return rank
+
+
+def _block_spectra(runs, m: int, cutoff: int) -> dict:
+    """``{R: [weights, certified]}`` for every reduction onto (A, R), R a tuple
+    of receiver columns: ``weights[t]`` is the squared norm of the block of
+    traced photon count t, its one eigenvalue once :func:`_certify` finds it
+    rank one.  Blocks of one row (R empty) or one column (R all) need no check."""
+    binom = np.array([[math.comb(c, j) for c in range(cutoff + m + 2)] for j in range(m + 2)])
+    keeps = [tuple(i for i in range(1, m + 1) if mask >> (i - 1) & 1) for mask in range(2**m)]
+    spectra = {kept: [np.zeros(cutoff + 1), True] for kept in keeps}
+    # reference rows by column rank; per block the pivot's column and value, |row|² / pivot²
+    refs = {kept: (np.zeros(math.comb(cutoff + m + 1 - len(kept), m + 1 - len(kept))),
+                   np.full(cutoff + 1, -1), np.zeros(cutoff + 1), np.zeros(cutoff + 1))
+            for kept in keeps[1:-1]}
+    for occ, amps in runs:
+        cols, sq = np.ascontiguousarray(occ.T), amps * amps
+        # squares added in chunks of 64 entries, then pairwise over the chunks
+        chunk, bins = np.arange(sq.size) // 64 * (cutoff + 1), (sq.size // 64 + 1) * (cutoff + 1)
+        for kept, spectrum in spectra.items():
+            t = cols[0] - sum(cols[i] for i in kept)
+            spectrum[0] += np.bincount(t + chunk, sq, bins).reshape(-1, cutoff + 1).T.copy().sum(1)
+            if kept in refs and spectrum[1]:
+                traced = [cols[i] for i in range(1, m + 2) if i not in kept]
+                spectrum[1] = _certify(refs[kept], cols[0], [cols[i] for i in kept] + [t],
+                                       traced, amps, sq, binom, m)
+    return spectra
+
+
+def _certify(ref, k, kept, traced, amps, sq, binom, m: int) -> bool:
+    """Rank-one certificate of one reduction over one run of sectors ``k``,
+    whose rows are the columns ``kept`` (n_R, t) and columns ``traced``.
+
+    Block t's reference row r0 (n_R = 0) comes with sector t, before any other
+    row of the block; its largest entry is the pivot a[r0, c0].  Every entry
+    must satisfy a[r, c] a[r0, c0] = a[r, c0] a[r0, c], and every row have
+    the squared norm a[r, c0]² |a[r0]|² / a[r0, c0]², so that no entry of
+    weight is missing, within the rounding bounds derived in CHANGES.md.
+    """
+    ref_row, c0, p0, scale = ref
+    eps, floor = np.finfo(float).eps, 2.0**-500  # floor: stage weights that underflowed
+    t, q = kept[-1], len(kept)
+    col = _rank(traced, binom)
+    new = t == k
+    tr, cr, ar = t[new], col[new], amps[new]
+    ref_row[cr] = ar
+    top = np.zeros(len(p0))
+    np.maximum.at(top, tr, np.abs(ar))
+    at_top = np.abs(ar) == top[tr]
+    c0[tr[at_top]], p0[tr[at_top]] = cr[at_top], ar[at_top]
+    fresh = np.flatnonzero(np.bincount(tr, minlength=len(p0)))
+    scale[fresh] = np.divide(np.sqrt(np.bincount(tr, sq[new], len(p0))[fresh]), p0[fresh],
+                             out=np.zeros(fresh.size), where=p0[fresh] != 0.0) ** 2
+    # rows (n_R, t) as q-part rows of total k, ranked from the first of the run
+    lo, hi = int(k[0]), int(k[-1])  # a run's sectors come in order
+    row = _rank(kept, binom) - binom[q][lo + q - 1]
+    rows = int(binom[q][hi + q] - binom[q][lo + q - 1])
+    at_pivot = col == c0[t]
+    pivot, row_t = np.zeros(rows), np.zeros(rows, dtype=t.dtype)
+    pivot[row[at_pivot]] = amps[at_pivot]
+    row_t[row] = t
+    lhs, rhs = amps * p0[t], pivot[row] * ref_row[col]
+    got, want = np.bincount(row, sq, rows), pivot * pivot * scale[row_t]
+    width = math.comb(hi + len(traced) - 1, len(traced) - 1)  # columns of the widest block
+    return not (np.any(np.abs(lhs - rhs) > (12 * m + 2) * eps * np.abs(lhs) + floor) or np.any(
+        np.abs(got - want) > (12 * m + width + 6) * eps * np.maximum(got, want) + width * floor))
 
 
 def _require_budget(n_s: float, cutoff) -> tuple:
@@ -399,7 +519,8 @@ def verify_conditional_entropies(
 
     For each nonempty receiver subset the number-basis value, the
     covariance-matrix value and the closed form must agree within
-    ``ENTROPY_TOL``; a global-purity case (H of all kept modes vs H of the
+    ``ENTROPY_TOL``, and the Fock value's blocks must pass their rank-one
+    certificate; a global-purity case (H of all kept modes vs H of the
     environment) rides along, and every receiver's arm gets a
     :func:`schmidt_spectrum_check` at the same cutoff.  Returns the record
     ``bbcap verify`` prints: ``etas, ns, cutoff, tail_mass, cases,
@@ -411,46 +532,40 @@ def verify_conditional_entropies(
     if spec.m > 4:
         raise ValueError("number-basis verification limited to m <= 4 receivers")
     cutoff, tail = _require_budget(n_s, cutoff)
-    # every (B1..Bm, E) occupation with total <= cutoff is one entry
-    entries = math.comb(cutoff + spec.m + 1, spec.m + 1)
-    need = entries * (ENTRY_BYTES + 8)  # a factor element and index arrays per entry
+    run, refs, need = _run_budget(spec.m, cutoff)
     if need > MAX_DENSE_BYTES:
         raise InconclusiveVerificationError(
-            f"the amplitude table at cutoff {cutoff} needs {entries} entries, {need} bytes in "
-            f"every reduction, above the budget of {MAX_DENSE_BYTES} bytes"
+            f"the largest run of sectors at cutoff {cutoff} holds {run} entries and the "
+            f"reference rows {refs}: {need} bytes, above the budget of {MAX_DENSE_BYTES} bytes"
         )
-    state = channel_output_fock(spec, n_s, cutoff, ordering)
+    spectra = _block_spectra(_sector_runs(spec, n_s, cutoff, ordering, RUN_ENTRIES), spec.m,
+                             cutoff)
     recv = _channel.receiver_labels(spec)
     gauss_state = _gaussian.reduce(
         _channel.output_state_tmsv(spec, n_s, ordering), ("A",) + recv
     )
 
-    cache = {}
+    def fock_entropy(labels) -> tuple:
+        weights, certified = spectra[tuple(recv.index(lab) + 1 for lab in labels)]
+        return _shannon_bits(weights), certified
 
-    def fock_entropy(labels) -> float:
-        key = tuple(labels)
-        if key not in cache:
-            cache[key] = entropy_fock(reduce_density(state, key))
-        return cache[key]
-
-    def case(name, gauss_val, fock_val, closed_val, dev) -> dict:
+    def case(name, gauss_val, fock_val, closed_val, dev, certified=True) -> dict:
         return {"case": name, "gaussian_bits": gauss_val, "fock_bits": fock_val,
                 "closed_form_bits": closed_val, "abs_dev": dev, "tail_mass": tail,
-                "pass": dev < ENTROPY_TOL}
+                "pass": dev < ENTROPY_TOL and certified}
 
-    h_sender_all = fock_entropy(("A",) + recv)
+    h_sender_all, _ = fock_entropy(recv)
     cases = []
     for t in _region.nonempty_subsets(spec.m):
         t_labels = tuple(recv[i - 1] for i in sorted(t))
         rest = tuple(lab for lab in recv if lab not in t_labels)
-        fock_val = fock_entropy(("A",) + rest) - h_sender_all
-        gauss_val = -_gaussian.conditional_entropy(
-            gauss_state, t_labels, ("A",) + rest
-        )
+        h_rest, certified = fock_entropy(rest)
+        fock_val = h_rest - h_sender_all
+        gauss_val = _region._merging_rate(gauss_state, t_labels, ("A",) + rest)
         closed_val = _region.inner_bound_finite(spec, n_s, t)
         dev = max(abs(fock_val - gauss_val), abs(fock_val - closed_val))
         name = "-H({}|A,{})".format(",".join(t_labels), ",".join(rest) or "-")
-        cases.append(case(name, gauss_val, fock_val, closed_val, dev))
+        cases.append(case(name, gauss_val, fock_val, closed_val, dev, certified))
     # global purity: the kept modes share the spectrum of the environment,
     # whose truncated photon weights follow from the spec alone
     h_env = _shannon_bits(_photon_weights(n_s, cutoff, spec.eta_env))

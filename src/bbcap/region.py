@@ -356,7 +356,12 @@ def merging_gain_gaussian(
         channel.output_state_tmsv(spec, n_s, ordering), ("A",) + recv
     )
     labels = lambda t: [recv[i - 1] for i in sorted(t)]
-    return -gaussian.conditional_entropy(state, labels(s1), ["A"] + labels(s2))
+    return _merging_rate(state, labels(s1), ["A"] + labels(s2))
+
+
+def _merging_rate(state, gained, conditioned) -> float:
+    """-H(gained | conditioned) in bits; a zero entropy gives +0.0, not -0.0."""
+    return 0.0 - gaussian.conditional_entropy(state, gained, conditioned)
 
 
 def region_to_dict(region: CapacityRegion, round_to=None) -> dict:

@@ -201,20 +201,26 @@ class TestVerifyCommand:
 
     def test_dense_budget_is_inconclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 1000)
+        monkeypatch.setattr(fock, "_sector_runs", None)  # refused before any sector is built
         code, out, err = run_cli(capsys, "verify", "--etas", "0.2,0.3", "--ns", "0.5")
         assert code == 2 and out == ""
-        # 1771 entries of 8 + 256 bytes: refused before the table is built
-        assert err == ("bbcap: inconclusive: the amplitude table at cutoff 20 needs 1771 "
-                       "entries, 467544 bytes in every reduction, above the budget of 1000 "
-                       "bytes\n")
+        # one run of all 1771 entries at 384 bytes, and C(22, 2) = 231 reference
+        # entries for each of the two reductions keeping one receiver
+        assert err == ("bbcap: inconclusive: the largest run of sectors at cutoff 20 holds "
+                       "1771 entries and the reference rows 462: 683760 bytes, above the "
+                       "budget of 1000 bytes\n")
 
-    def test_amplitude_table_over_budget_is_inconclusive(self, capsys):
-        # m = 4 at N_S = 2: cutoff 56, C(61, 5) = 5949147 entries
+    def test_four_receivers_at_two_photons_passes(self, capsys):
+        # m = 4 at N_S = 2: cutoff 56, C(61, 5) = 5949147 entries, streamed in runs
         code, out, err = run_cli(capsys, "verify", "--etas", "0.1,0.2,0.15,0.25", "--ns", "2")
-        assert code == 2 and out == ""
-        assert err == ("bbcap: inconclusive: the amplitude table at cutoff 56 needs 5949147 "
-                       "entries, 1570574808 bytes in every reduction, above the budget of "
-                       "1073741824 bytes\n")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["pass"] is True and data["cutoff"] == 56 and len(data["cases"]) == 16
+
+    def test_zero_energy_prints_no_negative_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--etas", "0.4", "--ns", "0")
+        assert code == 0 and "-0.0" not in out
+        assert json.loads(out)["cases"][0]["gaussian_bits"] == 0.0
 
     def test_explicit_ordering(self, capsys):
         code, out, _ = run_cli(

@@ -295,26 +295,156 @@ class TestReduceDensityMatchesReference:
 
 class TestDenseBudget:
     def test_peak_memory_stays_within_the_estimate(self):
-        # the figure verification budgets: a factor element and ENTRY_BYTES per entry
-        spec = BroadcastChannelSpec((0.2, 0.3, 0.1))
-        st = channel_output_fock(spec, 0.8, 14)
-        entries = math.comb(14 + spec.m + 1, spec.m + 1)
-        need = entries * (fock.ENTRY_BYTES + 8)
-        assert len(st.amplitudes) == entries
-        for keep in _verify_keeps(spec):
+        # the figure verification budgets: SECTOR_ENTRY_BYTES per entry of the
+        # largest run, plus 8 bytes per reference entry
+        for etas, n_s in (((0.7,), 2.0), ((0.2, 0.3), 1.6), ((0.2, 0.3, 0.1), 0.05),
+                          ((0.2, 0.3, 0.1), 1.0), ((0.1, 0.2, 0.15, 0.25), 0.3),
+                          ((0.1, 0.2, 0.15, 0.25), 1.0)):
+            spec = BroadcastChannelSpec(etas)
+            cutoff = cutoff_for_tail(n_s)
+            run, _, need = fock._run_budget(spec.m, cutoff)
+            sizes = []
+
+            def runs():
+                for occ, amps in fock._sector_runs(spec, n_s, cutoff, None, fock.RUN_ENTRIES):
+                    sizes.append(len(amps))
+                    yield occ, amps
+
             tracemalloc.start()
             try:
-                rho = reduce_density(st, keep)
+                spectra = fock._block_spectra(runs(), spec.m, cutoff)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert sum(fac.size for _, fac in rho.blocks) == entries, keep
-            assert peak <= need, keep
+            assert all(certified for _, certified in spectra.values()), etas
+            assert max(sizes) <= run, etas
+            assert sum(sizes) == math.comb(cutoff + spec.m + 1, spec.m + 1), etas
+            assert peak <= need, (etas, n_s, peak, need)
 
     def test_verification_is_inconclusive(self, monkeypatch):
         monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 1000)
+        monkeypatch.setattr(fock, "_sector_runs", None)  # refused before any sector is built
         with pytest.raises(InconclusiveVerificationError, match="budget of 1000 bytes"):
             verify_conditional_entropies(SPEC23, 0.2, cutoff=15)
+
+
+def _tampered_runs(monkeypatch, change):
+    """Route verification through runs whose amplitude table ``change`` edits."""
+    runs = fock._sector_runs
+
+    def tampered(*args, **kwargs):
+        for occ, amps in runs(*args, **kwargs):
+            yield change(occ, amps.copy())
+
+    monkeypatch.setattr(fock, "_sector_runs", tampered)
+
+
+def _scaled(entry, factor):
+    def change(occ, amps):
+        amps[(occ == entry).all(axis=1)] *= factor
+        return occ, amps
+    return change
+
+
+# (etas, n_s, ordering): the four verify goldens' inputs, a zero-weight
+# receiver, eta_E = 0 and custom orderings
+SPECTRUM_CASES = [
+    ((0.2, 0.3), 0.5, None), ((0.2, 0.3), 0.4, None), ((0.1, 0.25, 0.3), 0.1, None),
+    ((0.3, 0.4), 0.9, ("B2", "E", "B1")), ((0.0, 0.4), 0.6, None), ((0.5, 0.5), 0.7, None),
+    ((0.1, 0.2, 0.15), 0.3, ("E", "B3", "B1", "B2")), ((0.1, 0.2, 0.15, 0.25), 0.2, None),
+]
+
+
+class TestRankOneCertificate:
+    """The streamed block weights and their rank-one certificate.
+
+    Every amplitude is the rounded product of sqrt(w_k), common to its row,
+    and m stage factors, each within 5.5 u (u = eps/2) of its exact value,
+    so within kappa = 3m eps of a rank-one table.  The certificate accepts
+    |a[r,c] a[r0,c0] - a[r,c0] a[r0,c]| up to (12m + 2) eps |a[r,c] a[r0,c0]|,
+    so scaling one amplitude by 1 + delta is detected whenever delta is at
+    least (24m + 4) eps: 1.2e-14 at m = 2, 2.3e-14 at m = 4 (CHANGES.md).
+    """
+
+    def test_one_amplitude_off_by_1e_12_fails(self, monkeypatch):
+        _tampered_runs(monkeypatch, _scaled((3, 1, 1, 1), 1 + 1e-12))
+        report = verify_conditional_entropies(SPEC23, 0.5, cutoff=21)
+        # the entropies cannot see it; the certificate does
+        assert all(c["abs_dev"] < ENTROPY_TOL for c in report["cases"])
+        assert [c["pass"] for c in report["cases"]] == [False, False, True, True]
+        assert report["pass"] is False
+
+    @pytest.mark.parametrize("entry", [(3, 1, 1, 1), (5, 2, 2, 1), (2, 0, 2, 0), (6, 2, 0, 4),
+                                       (1, 1, 0, 0)])
+    def test_smallest_detected_change(self, monkeypatch, entry):
+        delta = (24 * SPEC23.m + 4) * EPS
+        _tampered_runs(monkeypatch, _scaled(entry, 1 + delta))
+        assert verify_conditional_entropies(SPEC23, 0.5, cutoff=21)["pass"] is False
+
+    def test_untouched_table_passes_through_the_same_route(self, monkeypatch):
+        _tampered_runs(monkeypatch, _scaled((3, 1, 1, 1), 1.0))
+        assert verify_conditional_entropies(SPEC23, 0.5, cutoff=21)["pass"] is True
+
+    def test_missing_entry_fails(self, monkeypatch):
+        # weight 3.9e-10: too light for any entropy to notice, not for its row's norm
+        def drop(occ, amps):
+            keep = ~(occ == (10, 8, 1, 1)).all(axis=1)
+            return occ[keep], amps[keep]
+
+        _tampered_runs(monkeypatch, drop)
+        report = verify_conditional_entropies(SPEC23, 0.5, cutoff=21)
+        assert all(c["abs_dev"] < ENTROPY_TOL for c in report["cases"])
+        assert report["pass"] is False
+
+    @pytest.mark.parametrize("etas, n_s, ordering", SPECTRUM_CASES)
+    def test_streamed_spectra_match_svd(self, etas, n_s, ordering):
+        # block t's weight sums its d r squares (within d r u) and the SVD's
+        # top squared singular value is within 8 max(d, r) eps; the other
+        # singular values come from rounding alone
+        spec = BroadcastChannelSpec(etas)
+        cutoff = cutoff_for_tail(n_s)
+        state = channel_output_fock(spec, n_s, cutoff, ordering)
+        spectra = fock._block_spectra(fock._sector_runs(spec, n_s, cutoff, ordering),
+                                      spec.m, cutoff)
+        assert len(spectra) == 2**spec.m
+        for kept, (weights, certified) in spectra.items():
+            assert certified, kept
+            rho = reduce_density(state, ("A",) + tuple(f"B{i}" for i in kept))
+            blocks = np.zeros(cutoff + 1, dtype=bool)
+            for basis, fac in rho.blocks:
+                t = basis[0, 0] - basis[0, 1:].sum()
+                sv = np.linalg.svd(fac, compute_uv=False) ** 2
+                d, r = fac.shape
+                bound = (d * r / 2 + 8 * max(d, r)) * EPS
+                assert abs(weights[t] - sv[0]) <= bound * sv[0], (kept, t)
+                assert sv[1:].sum() <= min(d, r) * ((3 * spec.m + 8 * max(d, r)) * EPS) ** 2 * sv[0]
+                blocks[t] = True
+            assert not weights[~blocks].any(), kept
+
+    def test_sectors_join_to_the_whole_table(self):
+        spec, n_s, ordering = BroadcastChannelSpec((0.1, 0.25, 0.3)), 0.8, ("B3", "E", "B1", "B2")
+        cutoff = cutoff_for_tail(n_s)
+        state = channel_output_fock(spec, n_s, cutoff, ordering)
+        whole = fock._block_spectra(fock._sector_runs(spec, n_s, cutoff, ordering), 3, cutoff)
+        sectors = list(fock._sector_runs(spec, n_s, cutoff, ordering, state.amplitudes.size - 1))
+        assert [occ[:, 0].tolist() for occ, _ in sectors] == [
+            [k] * math.comb(k + 3, 3) for k in range(cutoff + 1)]
+        assert np.array_equal(np.concatenate([occ for occ, _ in sectors]), state.occupations)
+        assert np.array_equal(np.concatenate([a for _, a in sectors]), state.amplitudes)
+        for kept, (weights, certified) in fock._block_spectra(iter(sectors), 3, cutoff).items():
+            # each weight adds the same squares in another grouping, each sum
+            # within (entries - 1) u of the exact one
+            assert certified
+            np.testing.assert_allclose(weights, whole[kept][0],
+                                       rtol=state.amplitudes.size * EPS, atol=0)
+
+    def test_binomial_weights_are_the_scalar_expression(self):
+        rng = np.random.RandomState(3)
+        for eta in [0.0, 1.0, 0.5, 1e-300, 1 - 1e-16] + list(rng.uniform(0, 1, 20) ** 4):
+            for top in (0, 1, 7, 61):
+                want = [math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k)
+                        for n in range(top) for k in range(n + 1)]
+                assert fock._binomial_weights(eta, top).tolist() == want
 
 
 class TestEntropyFock:
@@ -387,23 +517,26 @@ class TestVerifyConditionalEntropies:
 
     def test_amplitude_table_over_budget_is_inconclusive(self, monkeypatch):
         spec = BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25))
-        # cutoff 9 at N_S = 0.1: C(14, 5) = 2002 entries of 8 + 256 bytes
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 2002 * 264 - 1)
-        monkeypatch.setattr(fock, "channel_output_fock", None)  # never reached
+        # cutoff 9 at N_S = 0.1: one run of all C(14, 5) = 2002 entries at 384
+        # bytes, and 4 C(13, 4) + 6 C(12, 3) + 4 C(11, 2) = 4400 reference entries
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 2002 * 384 + 8 * 4400 - 1)
+        monkeypatch.setattr(fock, "_sector_runs", None)  # never reached
         with pytest.raises(InconclusiveVerificationError,
-                           match="at cutoff 9 needs 2002 entries, 528528 bytes in every "
-                                 "reduction, above the budget of 528527 bytes"):
+                           match="the largest run of sectors at cutoff 9 holds 2002 entries and "
+                                 "the reference rows 4400: 803968 bytes, above the budget of "
+                                 "803967 bytes"):
             verify_conditional_entropies(spec, 0.1)
 
     def test_purity_fails_when_a_stage_is_off(self, monkeypatch):
-        split = fock.split_with_vacuum
+        weights = fock._binomial_weights
         calls = []
 
-        def widened(state, mode, eta, label):
-            calls.append(label)
-            return split(state, mode, eta + 1e-3 if len(calls) == 1 else eta, label)
+        def widened(eta, top):
+            calls.append(eta)
+            return weights(eta + 1e-3 if len(calls) == 1 else eta, top)
 
-        monkeypatch.setattr(fock, "split_with_vacuum", widened)
+        # the first weights verification computes are the first stage's
+        monkeypatch.setattr(fock, "_binomial_weights", widened)
         report = verify_conditional_entropies(SPEC23, 0.5, cutoff=21)
         purity = report["cases"][-1]
         assert purity["case"].startswith("purity") and purity["pass"] is False

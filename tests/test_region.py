@@ -330,6 +330,15 @@ class TestMergingGain:
     def test_zero_energy(self):
         assert merging_gain(SPEC23, 0.0, {1}, {2}) == 0.0
 
+    def test_zero_rate_is_positive_zero_on_both_routes(self):
+        # 0.0 == -0.0, so compare signs: a zero conditional entropy negates to -0.0
+        for value in (merging_gain(SPEC23, 0.0, {1}, {2}),
+                      merging_gain_gaussian(SPEC23, 0.0, {1}, {2}),
+                      merging_gain_gaussian(BroadcastChannelSpec((0.4,)), 0.0, {1}),
+                      inner_bound_finite_gaussian(SPEC23, 0.0, {1}),
+                      inner_bound_finite_gaussian(SPEC23, 0.0, {1, 2})):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_routes_agree_on_random_draws(self):
         rng = np.random.RandomState(77)
         for _ in range(60):
