@@ -38,6 +38,17 @@ def split_thermal_populations(nbar: float, eta: float, k_max: int, terms: int = 
     return pops
 
 
+def split_photon_weights_loop(w, eta: float) -> np.ndarray:
+    """Photon weights of the share ``eta`` of a mode with photon weights
+    ``w`` (n < len(w)), by a double loop over the scalar terms
+    ``w[n] * C(n, k) * eta**k * (1 - eta)**(n - k)``, each added into bin k
+    in ascending n."""
+    p = np.zeros(len(w))
+    for n, wn in enumerate(w):
+        p[: n + 1] += [wn * math.comb(n, k) * eta**k * (1 - eta) ** (n - k) for k in range(n + 1)]
+    return p
+
+
 def spectral_entropy(probs) -> float:
     return float(-sum(p * math.log2(p) for p in probs if p > 0))
 

@@ -23,7 +23,7 @@ from bbcap.fock import (
     verify_conditional_entropies,
 )
 from bbcap.gaussian import entropy_g, reduce, von_neumann_entropy
-from oracles import reduce_density_reference
+from oracles import reduce_density_reference, split_photon_weights_loop
 
 SPEC23 = BroadcastChannelSpec((0.2, 0.3))
 
@@ -396,6 +396,15 @@ class TestRankOneCertificate:
         assert all(c["abs_dev"] < ENTROPY_TOL for c in report["cases"])
         assert report["pass"] is False
 
+    @pytest.mark.parametrize("entry", [(21, 1, 0, 20), (21, 0, 0, 21)])
+    def test_nan_amplitude_fails(self, monkeypatch, entry):
+        _tampered_runs(monkeypatch, _scaled(entry, math.nan))
+        with np.errstate(invalid="ignore"):
+            report = verify_conditional_entropies(SPEC23, 0.5, cutoff=21)
+        # every weight sum that meets the entry is NaN, and so is every entropy
+        assert not any(c["pass"] for c in report["cases"] + report["schmidt"])
+        assert report["pass"] is False
+
     @pytest.mark.parametrize("etas, n_s, ordering", SPECTRUM_CASES)
     def test_streamed_spectra_match_svd(self, etas, n_s, ordering):
         # block t's weight sums its d r squares (within d r u) and the SVD's
@@ -543,6 +552,17 @@ class TestVerifyConditionalEntropies:
         assert purity["abs_dev"] > 1e-4
         assert report["pass"] is False
 
+    def test_photon_weights_are_the_double_loop(self):
+        # the purity reference, bit for bit: same scalar terms, same bin order
+        rng = np.random.RandomState(5)
+        draws = [(0.5, 20, 0.0), (0.5, 20, 1.0), (0.0, 0, 0.3), (2.0, fock.MAX_CUTOFF, 0.5)]
+        draws += [(rng.uniform(0, 2), rng.randint(0, fock.MAX_CUTOFF + 1),
+                   rng.uniform() ** rng.choice([1, 4, 20])) for _ in range(300)]
+        for n_s, cutoff, eta in draws:
+            w = [thermal_weight(n_s, n) for n in range(cutoff + 1)]
+            assert (fock._photon_weights(n_s, int(cutoff), eta).tolist()
+                    == split_photon_weights_loop(w, eta).tolist()), (n_s, cutoff, eta)
+
     def test_pass_needs_every_schmidt_certificate(self, monkeypatch):
         monkeypatch.setattr(fock, "SCHMIDT_TOL", 0.0)
         report = verify_conditional_entropies(SPEC23, 0.2, cutoff=15)
@@ -610,6 +630,78 @@ class TestSchmidtSpectrum:
     def test_fractional_cutoff_is_refused(self):
         with pytest.raises(ValueError, match="whole number"):
             schmidt_spectrum_check(0.2, 0.5, cutoff=25.0)
+
+
+class TestSchmidtRecord:
+    """Each receiver's Schmidt record reads the certified (A, Bj) block
+    weights of the one channel output that verification builds."""
+
+    @pytest.mark.parametrize("etas", [(0.3,), (0.2, 0.3), (0.1, 0.25, 0.3),
+                                      (0.1, 0.2, 0.15, 0.25)])
+    def test_one_channel_output_and_no_partial_trace(self, monkeypatch, etas):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verification took a second route")
+
+        monkeypatch.setattr(fock, "reduce_density", refuse)
+        monkeypatch.setattr(fock, "split_with_vacuum", refuse)
+        monkeypatch.setattr(fock.DensityMatrix, "eigenvalues", refuse)
+        runs, calls = fock._sector_runs, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return runs(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "_sector_runs", counted)
+        report = verify_conditional_entropies(BroadcastChannelSpec(etas), 0.2)
+        assert report["pass"] is True and len(report["schmidt"]) == len(etas)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("etas, n_s, ordering", SPECTRUM_CASES)
+    def test_weights_match_the_single_splitter_svd(self, monkeypatch, etas, n_s, ordering):
+        # both sides add squares of amplitudes each within a few ulp of the
+        # exact ones; the bound of test_streamed_spectra_match_svd, at the
+        # size d x r of the output's block, covers the two roundings
+        spec, spectra = BroadcastChannelSpec(etas), []
+        block_spectra = fock._block_spectra
+
+        def recorded(*args):
+            spectra.append(block_spectra(*args))
+            return spectra[-1]
+
+        monkeypatch.setattr(fock, "_block_spectra", recorded)
+        report = verify_conditional_entropies(spec, n_s, ordering=ordering)
+        cutoff = report["cutoff"]
+        for j, (eta, record) in enumerate(zip(etas, report["schmidt"]), 1):
+            weights, certified = spectra[0][(j,)]
+            assert certified and record["pass"] is True, j
+            sv = _schmidt_spectrum(eta, n_s, cutoff)
+            assert sv.size == cutoff + 1
+            for t in range(cutoff + 1):
+                d, r = cutoff - t + 1, math.comb(t + spec.m - 1, spec.m - 1)
+                assert abs(weights[t] - sv[t]) <= (d * r / 2 + 8 * max(d, r)) * EPS * sv[t], (j, t)
+            expected = [thermal_weight((1.0 - eta) * n_s, t) for t in range(cutoff + 1)]
+            assert record["max_abs_dev"] == np.max(np.abs(weights - expected))
+
+    @pytest.mark.parametrize("entry, passes", [((1, 1, 0, 0), [True, False]),
+                                               ((1, 0, 1, 0), [False, True])])
+    def test_one_amplitude_off_by_1e_12_fails_its_receiver(self, monkeypatch, entry, passes):
+        # (1, 1, 0, 0) breaks rank one in (A, B2)'s block t = 1, against
+        # (1, 0, 0, 1); in (A, B1) it is the one column of block t = 0
+        _tampered_runs(monkeypatch, _scaled(entry, 1 + 1e-12))
+        schmidt = verify_conditional_entropies(SPEC23, 0.5, cutoff=21)["schmidt"]
+        assert [s["pass"] for s in schmidt] == passes
+        assert all(s["max_abs_dev"] < fock.SCHMIDT_TOL for s in schmidt)
+
+    @pytest.mark.parametrize("etas", [(1 + 1e-12,), (-1e-12, 0.5)])
+    def test_shares_just_outside_the_unit_interval(self, etas):
+        # a spec admits every eta within ETA_TOL of [0, 1]
+        assert verify_conditional_entropies(BroadcastChannelSpec(etas), 0.5)["pass"] is True
+
+    @pytest.mark.parametrize("eta", [0.0, 0.2, 1.0])
+    def test_check_is_the_one_receiver_record(self, eta):
+        report = verify_conditional_entropies(BroadcastChannelSpec((eta,)), 0.5, cutoff=25)
+        assert schmidt_spectrum_check(eta, 0.5, cutoff=25) == report["schmidt"][0]
+        assert report["schmidt"][0]["pass"] is True
 
 
 class TestCutoffPolicy:
