@@ -23,6 +23,8 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import fock, region
 from .channel import BroadcastChannelSpec
 from .fock import InconclusiveVerificationError
@@ -224,8 +226,10 @@ def _csv(header: str, rows) -> str:
 
 
 def _points(pts, num) -> list:
-    """Rate points as rows of float texts."""
-    return [tuple(map(num, p)) for p in pts]
+    """The rows of a point array as tuples of float texts, each distinct value formatted once."""
+    values, index = np.unique(pts.ravel(), return_inverse=True)
+    texts = np.array([num(x) for x in values.tolist()], dtype=object)
+    return list(map(tuple, texts[index].reshape(pts.shape).tolist()))
 
 
 def _run_region(args, num) -> str:

@@ -60,6 +60,7 @@ EXACT_TOL = 1e-12      # closed-form arithmetic
 VERTEX_DEDUPE_TOL = 1e-10
 MAX_REGION_RECEIVERS = 20   # 2^m constraints
 MAX_VERTEX_RECEIVERS = 8
+MAX_BOUNDARY_POINTS = 100_000  # about the vertex count at MAX_VERTEX_RECEIVERS
 
 
 def _receiver_count(m) -> int:
@@ -241,53 +242,54 @@ def contains(region: CapacityRegion, point) -> bool:
     return not np.any(_subset_sums(p) > region._f + EXACT_TOL)
 
 
-def vertices(region: CapacityRegion) -> list:
-    """All extreme points of the region, deduplicated and sorted.
+def vertices(region: CapacityRegion) -> np.ndarray:
+    """All extreme points of the region, as an ``(n, m)`` array in lexicographic row order.
 
-    Greedy corner rule over every ordered subset of receivers, walked depth
-    first over bitmask prefixes: each step gives the next receiver the
-    marginal bound increment; receivers outside the prefix stay at zero.
-    For a monotone submodular bound function this enumerates exactly the
-    polymatroid's vertex set (the origin and axis projections close the
-    down-set).
+    Greedy corner rule over every ordered subset of receivers, expanded one
+    level per receiver from the origin: each prefix grows by each receiver
+    not in it, which gets the marginal bound increment.  For a monotone
+    submodular bound this is exactly the polymatroid's vertex set (origin and
+    axis projections close the down-set).  A row within ``VERTEX_DEDUPE_TOL``
+    of the last row kept is dropped.
     """
     if region.unbounded:
         raise ValueError("region is unbounded; vertices are undefined")
     if region.m > MAX_VERTEX_RECEIVERS:
         raise ValueError(f"vertex enumeration limited to m <= {MAX_VERTEX_RECEIVERS}")
-    m, f = region.m, region._f.tolist()
-    point = [0.0] * m
-    points = {tuple(point)}
+    f, bits = region._f, 1 << np.arange(region.m)
+    masks, levels = np.zeros(1, dtype=np.int64), [np.zeros((1, region.m))]
+    for _ in bits:
+        parent, i = np.nonzero(~masks[:, None] & bits)  # each receiver not yet in the prefix
+        prefix, masks = masks[parent], masks[parent] | bits[i]
+        levels.append(levels[-1][parent])
+        levels[-1][np.arange(len(i)), i] = np.maximum(f[masks] - f[prefix], 0.0)
+    pts = np.concatenate(levels)
+    pts = pts[np.lexsort(pts.T[::-1])]  # the order of Python's tuple sort
+    gap = np.abs(pts[1:] - pts[:-1]).max(axis=1)
+    new = np.flatnonzero(gap)  # rows that differ from the one before; exact duplicates go
+    pts, gap = np.concatenate((pts[:1], pts[new + 1])), gap[new]
+    if (gap <= VERTEX_DEDUPE_TOL).any():  # near ties: compare with the last row kept
+        rows, kept = pts.tolist(), [0]
+        for k in range(1, len(rows)):
+            if max(map(abs, map(sub, rows[k], rows[kept[-1]]))) > VERTEX_DEDUPE_TOL:
+                kept.append(k)
+        pts = pts[kept]
+    return pts
 
-    def walk(mask):
-        for i in range(m):
-            if not mask >> i & 1:
-                point[i] = max(f[mask | 1 << i] - f[mask], 0.0)
-                points.add(tuple(point))
-                walk(mask | 1 << i)
-                point[i] = 0.0
 
-    walk(0)
-    unique = []
-    for p in sorted(points):
-        if not unique or max(map(abs, map(sub, p, unique[-1]))) > VERTEX_DEDUPE_TOL:
-            unique.append(p)
-    return unique
-
-
-def boundary_2d(region: CapacityRegion, n_points: int) -> list:
+def boundary_2d(region: CapacityRegion, n_points: int) -> np.ndarray:
     """Upper-right boundary polyline of a two-receiver region.
 
-    Returns at least ``n_points`` rate pairs from the r2-axis intercept to
-    the r1-axis intercept, ordered by first coordinate, always passing
-    through the corner vertices.
+    Returns at least ``n_points`` rate pairs, as an ``(n, 2)`` array, from
+    the r2-axis intercept to the r1-axis intercept, ordered by first
+    coordinate, always passing through the corner vertices.
     """
     if region.m != 2:
         raise ValueError(f"boundary_2d needs m = 2, got m = {region.m}")
     if region.unbounded:
         raise ValueError("region is unbounded; boundary is undefined")
-    if n_points < 2:
-        raise ValueError("need at least two boundary points")
+    if not 2 <= n_points <= MAX_BOUNDARY_POINTS:
+        raise ValueError(f"need 2..{MAX_BOUNDARY_POINTS} boundary points, got {n_points}")
     f1, f2, f12 = region.bound({1}), region.bound({2}), region.bound({1, 2})
     if f12 < f1 + f2 - EXACT_TOL:  # the sum face is a real facet
         path = [(0.0, f2), (f12 - f2, f2), (f1, f12 - f1), (f1, 0.0)]
@@ -297,13 +299,10 @@ def boundary_2d(region: CapacityRegion, n_points: int) -> list:
     for p in path[1:]:
         if max(abs(p[0] - corners[-1][0]), abs(p[1] - corners[-1][1])) > EXACT_TOL:
             corners.append(p)
-
-    lengths = [
-        math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(corners, corners[1:])
-    ]
+    lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(corners, corners[1:])]
     total = sum(lengths)
     if total == 0.0:  # both receivers weightless; the region is the origin
-        return [corners[0]] * n_points
+        return np.tile(corners[0], (n_points, 1))
     extra = max(n_points - len(corners), 0)
     # distribute interior samples across segments by length, remainders first
     shares = [extra * l / total for l in lengths]
@@ -313,12 +312,9 @@ def boundary_2d(region: CapacityRegion, n_points: int) -> list:
         alloc[k] += 1
     points = []
     for (a, b), k in zip(zip(corners, corners[1:]), alloc):
-        points.append(a)
-        for step in range(1, k + 1):
-            frac = step / (k + 1)
-            points.append((a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1])))
-    points.append(corners[-1])
-    return points
+        frac = np.arange(k + 1)[:, None] / (k + 1)  # the corner a, then k interior samples
+        points.append(np.add(a, frac * np.subtract(b, a)))
+    return np.concatenate(points + [corners[-1:]])
 
 
 def _disjoint_subsets(m: int, gained, helpers) -> tuple:

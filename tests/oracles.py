@@ -2,13 +2,15 @@
 
 Nothing here imports the code paths under test: entropies come from plain
 spectral sums, split populations from explicit binomial mixing, polytope
-vertices from hyperplane intersection, channel outputs from a cascade of
-dense beam-splitter matrices, and command-line output from ``json.dumps``.
+vertices from hyperplane intersection or a depth-first greedy walk, channel
+outputs from a cascade of dense beam-splitter matrices, and command-line
+output from ``json.dumps``.
 """
 
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -92,6 +94,30 @@ def match_point_sets(first, second, tol: float = 1e-9) -> bool:
         )
 
     return covered(first, second) and covered(second, first)
+
+
+def vertices_reference(region, tol: float = 1e-10) -> list:
+    """Greedy corners of a bounded region by a depth-first walk over bitmask
+    prefixes: sorted tuples, exact duplicates dropped by a set, then every
+    point within ``tol`` (max norm) of the last point kept dropped."""
+    m, f = region.m, region._f.tolist()
+    point = [0.0] * m
+    points = {tuple(point)}
+
+    def walk(mask):
+        for i in range(m):
+            if not mask >> i & 1:
+                point[i] = max(f[mask | 1 << i] - f[mask], 0.0)
+                points.add(tuple(point))
+                walk(mask | 1 << i)
+                point[i] = 0.0
+
+    walk(0)
+    unique = []
+    for p in sorted(points):
+        if not unique or max(map(abs, map(operator.sub, p, unique[-1]))) > tol:
+            unique.append(p)
+    return unique
 
 
 def is_polymatroid_bruteforce(bounds: dict, m: int, tol: float) -> bool:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -100,6 +101,13 @@ class TestBoundaryCommand:
         assert len(lines) - 1 >= 200
         assert "0.485426827,0.514573173" in lines
         assert "0.321928095,0.678071905" in lines
+
+    def test_point_count_beyond_cap_refused_at_once(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "boundary", "--etas", "0.2,0.3", "--points", str(10**9))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("bbcap: error: ") and err.count("\n") == 1
 
     def test_line_endings_and_file_output(self, capsys, tmp_path):
         target = tmp_path / "boundary.csv"

@@ -12,6 +12,7 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from bbcap import cli, fock, region
@@ -22,6 +23,7 @@ from oracles import (
     render_region_reference,
     render_verify_reference,
     render_vertices_reference,
+    vertices_reference,
 )
 
 PRECISIONS = ("1", "9", "16", "17")
@@ -111,7 +113,33 @@ def test_region(etas, ns, prec, fmt, capsys, monkeypatch):
 def test_vertices(etas, ns, prec, fmt, capsys, monkeypatch):
     out = _cli(capsys, monkeypatch, prec, ["vertices", "--etas", etas, "--ns", ns, "--format", fmt])
     reg = _region(etas, ns)
-    _same(out, render_vertices_reference(reg.m, reg.energy, region.vertices(reg), fmt, int(prec)))
+    _same(out, render_vertices_reference(reg.m, reg.energy, vertices_reference(reg), fmt, int(prec)))
+
+
+# Above the vertex goldens (m <= 5): every format and precision at m = 6, and
+# one case each at m = 7 and 8, where the reference alone (the walk, then one
+# format call per coordinate, or json.dumps) takes 0.3 to 4 s per case.  The
+# rows of ``region.vertices`` are checked bit for bit here too, at finite
+# energy; test_region.py checks them at unconstrained energy.
+LARGE_ETAS = {6: "0.05,0.06,0.07,0.08,0.09,0.1", 7: "0.05,0.06,0.07,0.08,0.09,0.1,0.11",
+              8: "0.05,0.06,0.07,0.08,0.09,0.1,0.11,0.12"}
+LARGE_CASES = [(6, fmt, prec) for fmt in FORMATS for prec in ("3", "9", "17")] + [
+    (7, "csv", "17"), (8, "csv", "3")]
+
+
+@functools.cache
+def _large_reference(m: int) -> tuple:
+    reg = _region(LARGE_ETAS[m], "1.5")
+    return reg, vertices_reference(reg)
+
+
+@pytest.mark.parametrize("m,fmt,prec", LARGE_CASES)
+def test_vertices_above_the_goldens(m, fmt, prec, capsys, monkeypatch):
+    argv = ["vertices", "--etas", LARGE_ETAS[m], "--ns", "1.5", "--format", fmt]
+    out = _cli(capsys, monkeypatch, prec, argv)
+    reg, pts = _large_reference(m)
+    assert region.vertices(reg).tobytes() == np.array(pts).tobytes()
+    _same(out, render_vertices_reference(m, reg.energy, pts, fmt, int(prec)))
 
 
 @pytest.mark.parametrize("etas,ns,prec,fmt", _params(BOUNDARY_CASES))

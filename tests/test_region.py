@@ -8,6 +8,7 @@ from bbcap import channel
 from bbcap.channel import BroadcastChannelSpec
 from bbcap.gaussian import entropy_g
 from bbcap.region import (
+    MAX_BOUNDARY_POINTS,
     UNCONSTRAINED,
     CapacityRegion,
     asymptotic_bound,
@@ -27,6 +28,7 @@ from oracles import (
     is_polymatroid_bruteforce,
     match_point_sets,
     polytope_vertices_bruteforce,
+    vertices_reference,
 )
 
 SPEC23 = BroadcastChannelSpec((0.2, 0.3))
@@ -282,6 +284,67 @@ class TestVertices:
             vertices(capacity_region(BroadcastChannelSpec((0.7, 0.3))))
 
 
+def _same_rows_bitwise(got, reference):
+    """``got`` holds the reference's rows, in its order, bit for bit."""
+    want = np.array(reference, dtype=float).reshape(len(reference), -1)
+    assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got).any()  # no -0.0, which compares equal to 0.0
+
+
+class TestVerticesReference:
+    """The level-wise enumeration against the depth-first walk it replaced."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_every_receiver_count_and_energy(self, m):
+        # m = 8 at finite energy: test_cli_render.py, next to the output bytes
+        rng = np.random.RandomState(70 + m)
+        spec = random_interior_spec(rng, m)
+        for energy in [UNCONSTRAINED, float(rng.uniform(0.1, 50.0))][: 1 if m == 8 else 2]:
+            reg = capacity_region(spec, energy)
+            _same_rows_bitwise(vertices(reg), vertices_reference(reg))
+
+    @pytest.mark.parametrize("etas", [
+        (0.15, 0.15, 0.15, 0.15),                # exact ties: many orderings, one point
+        (0.2, 0.0, 0.3, 0.0, 0.1),               # zero-weight receivers
+        (0.0, 0.0, 0.0),                         # the origin alone
+        (0.25, 0.25, 0.0, 0.1, 0.1, 0.0),
+    ])
+    @pytest.mark.parametrize("energy", [UNCONSTRAINED, 0.0, 2.5])
+    def test_ties_and_zero_weights(self, etas, energy):
+        reg = capacity_region(BroadcastChannelSpec(etas), energy)
+        _same_rows_bitwise(vertices(reg), vertices_reference(reg))
+
+    def test_near_ties_compare_with_the_last_point_kept(self):
+        # sorted, the corners are (0, 0), (0, d), (d, d), (2d, 0): a chain of
+        # steps of d = 0.6e-10.  Each step is within the dedupe tolerance, so
+        # comparing with the previous row would keep (0, 0) alone; comparing
+        # with the last row kept also keeps (2d, 0), 1.2e-10 away
+        d = 0.6e-10
+        reg = CapacityRegion(2, UNCONSTRAINED, [0.0, 2 * d, d, 2 * d])
+        pts = vertices(reg)
+        _same_rows_bitwise(pts, vertices_reference(reg))
+        assert pts.tolist() == [[0.0, 0.0], [2 * d, 0.0]]
+
+    @pytest.mark.parametrize("n_s", [1e-11, 1e-9])
+    def test_near_ties_at_low_energy(self, n_s):
+        # bounds of 1e-10 or less: most corners sit within the dedupe
+        # tolerance of another one, so the near-tie pass runs over every row
+        reg = capacity_region(BroadcastChannelSpec((0.05, 0.06, 0.07, 0.08, 0.09, 0.1, 0.11)), n_s)
+        pts = vertices(reg)
+        _same_rows_bitwise(pts, vertices_reference(reg))
+        assert len(pts) < 13700  # 1 + the ordered subsets of 7 receivers
+
+    def test_gains_clip_to_positive_zero(self):
+        # monotone within the check tolerance, yet f({1, 2}) - f({1}) = -1e-13
+        reg = CapacityRegion(2, UNCONSTRAINED, [0.0, 0.5, 0.3, 0.5 - 1e-13])
+        _same_rows_bitwise(vertices(reg), vertices_reference(reg))
+        # a -0.0 bound gives the gain -0.0 - 0.0 = -0.0, which would print as "-0"
+        pts = vertices(CapacityRegion(2, UNCONSTRAINED, [0.0, 0.5, -0.0, 0.5]))
+        assert not np.signbit(pts).any()
+        assert pts.tolist() == [[0.0, 0.0], [0.5, 0.0]]
+
+
 class TestBoundary2d:
     def test_passes_through_corners(self):
         pts = boundary_2d(capacity_region(SPEC23), 50)
@@ -313,6 +376,13 @@ class TestBoundary2d:
     def test_wrong_receiver_count(self):
         with pytest.raises(ValueError):
             boundary_2d(capacity_region(BroadcastChannelSpec((0.5,))), 10)
+
+    def test_point_count_capped(self):
+        reg = capacity_region(SPEC23)
+        assert boundary_2d(reg, MAX_BOUNDARY_POINTS).shape == (MAX_BOUNDARY_POINTS, 2)
+        for n in (1, MAX_BOUNDARY_POINTS + 1, 10**9):
+            with pytest.raises(ValueError, match="boundary points"):
+                boundary_2d(reg, n)
 
 
 class TestMergingGain:
