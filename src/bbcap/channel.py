@@ -16,7 +16,11 @@ The cascade is passive, so it acts on mode amplitudes as an orthogonal
 matrix (Weedbrook et al., RMP 84, 621, arXiv:1110.3234, §II.C).  With
 vacuum on the other ports the arm reaches output j with a real amplitude
 u_j, ``u_j**2 = eta_j``, and the outputs' covariance is
-``I + u uᵀ ⊗ (V_arm - I)``: no per-stage matrix is needed.
+``I + u uᵀ ⊗ (V_arm - I)``: no per-stage matrix is needed.  The output on
+(A, B1..Bm, E) is pure, so a set of modes and its complement share their
+entropy: ``-H(S1 | A, S2) = H(S1 | R, E)``, R the receivers outside S1 and
+S2.  The outputs alone are the split of a thermal arm, ``V_arm = (2 n_s +
+1) I``, with no reference mode or squeezing.
 
 Output modes are always reported in the fixed order
 ``(A, B1, ..., Bm, E)`` regardless of the split ordering, so covariance
@@ -202,41 +206,46 @@ def build_network(spec: BroadcastChannelSpec, ordering=None) -> BeamSplitterNetw
     return BeamSplitterNetwork(ordering, tuple(stages))
 
 
+def _arm_outputs(spec: BroadcastChannelSpec, excess: np.ndarray, ordering=None) -> tuple:
+    """The outputs' amplitudes ``u`` and covariance ``I + u uᵀ ⊗ excess`` for an arm
+    ``V_arm = I + excess``, in output order: u_j is the through-arm's product of
+    ``sqrt(transmittance)`` so far, times ``sqrt(share)`` of its own stage."""
+    net = build_network(spec, ordering)
+    amp, through = {}, 1.0
+    for stage in net.stages:
+        amp[stage.output] = through * math.sqrt(stage.share)
+        through *= math.sqrt(stage.transmittance)
+    amp[net.final_label] = through
+    u = np.array([amp[label] for label in output_labels(spec)])
+    size = 2 * len(u)
+    cov = (np.multiply.outer(u, u)[:, None, :, None] * excess[:, None]).reshape(size, size)
+    cov.reshape(-1)[:: size + 1] += 1.0  # the vacuum's I
+    return u, cov
+
+
 def apply_channel(
     spec: BroadcastChannelSpec, state: CovarianceState, ordering=None
 ) -> CovarianceState:
     """Send the second mode (the arm) of a two-mode state through the channel.
 
-    The first mode is kept as the sender's reference.  The output retains
-    the environment mode, so entropic identities on the purified state
-    remain available; modes come back as ``(A, B1, ..., Bm, E)``.  The
-    stages give each output its amplitude u_j: the through-arm's product of
-    ``sqrt(transmittance)`` so far, times ``sqrt(share)`` of its own stage.  The
-    covariance is written block by block, ``V_AA``, ``u_j V_A,arm`` and
-    ``I + u_j u_k (V_arm - I)``, and validated once.
+    The first mode is kept as the sender's reference and the output keeps E:
+    modes come back as ``(A, B1, ..., Bm, E)``.  The blocks ``V_AA``, ``u_j
+    V_A,arm`` and :func:`_arm_outputs`' are written once, and validated once.
     """
     if state.n_modes != 2:
         raise ValueError(f"channel input must have exactly 2 modes, got {state.n_modes}")
-    net = build_network(spec, ordering)
-    amp = {}
-    through = 1.0
-    for stage in net.stages:
-        amp[stage.output] = through * math.sqrt(stage.share)
-        through *= math.sqrt(stage.transmittance)
-    amp[net.final_label] = through
-    labels = output_labels(spec)
-    u = np.array([amp[label] for label in labels])
-
     v = state.cov
-    size = 2 * len(labels) + 2
-    cov = np.empty((size, size))
-    cov[:2, :2] = v[:2, :2]
-    cov[:2, 2:] = (v[:2, None, 2:] * u[:, None]).reshape(2, size - 2)
-    cov[2:, :2] = cov[:2, 2:].T
-    arm = np.multiply.outer(u, u)[:, None, :, None] * (v[2:, 2:] - np.eye(2))[:, None]
-    cov[2:, 2:] = arm.reshape(size - 2, size - 2)
-    cov.reshape(-1)[2 * size + 2 :: size + 1] += 1.0  # the vacuum's I on the outputs
-    return CovarianceState((state.mode_labels[0],) + labels, cov)
+    u, arm = _arm_outputs(spec, v[2:, 2:] - np.eye(2), ordering)
+    cross = (v[:2, None, 2:] * u[:, None]).reshape(2, len(arm))
+    cov = np.block([[v[:2, :2], cross], [cross.T, arm]])
+    return CovarianceState((state.mode_labels[0],) + output_labels(spec), cov)
+
+
+def _thermal_output(spec: BroadcastChannelSpec, n_s: float, ordering=None) -> CovarianceState:
+    """:func:`output_state_tmsv` with A traced: the outputs (B1, ..., Bm, E) of a
+    thermal arm of ``n_s`` photons, written and validated once."""
+    _, cov = _arm_outputs(spec, 2.0 * gaussian._photon_number(n_s) * np.eye(2), ordering)
+    return CovarianceState(output_labels(spec), cov)
 
 
 def output_state_tmsv(
@@ -266,8 +275,6 @@ def implementations_equivalent(
     covs = [
         gaussian.reduce(output_state_tmsv(spec, n_s, o), keep).cov for o in orderings
     ]
-    max_dev = 0.0
-    for a, b in itertools.combinations(covs, 2):
-        max_dev = max(max_dev, float(np.max(np.abs(a - b))))
+    max_dev = max(float(np.max(np.abs(a - b))) for a, b in itertools.combinations(covs, 2))
     scale = max(1.0, max(float(np.max(np.abs(c))) for c in covs))
     return max_dev <= ORDERING_EQUIV_TOL * scale, max_dev

@@ -200,8 +200,7 @@ class _Raw(str):
 def _json(obj, num, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, with every float through ``num``.
 
-    Takes dicts, lists, strings, bools, ints and floats.  A tuple holds
-    JSON texts already written, one per item (a rate point, a subset).
+    Takes dicts, lists, strings, bools, ints and floats.
     """
     if isinstance(obj, float):
         return num(obj)
@@ -211,9 +210,9 @@ def _json(obj, num, pad: str = "\n") -> str:
         inner = pad + "  "
         items = [f"{encode_basestring_ascii(k)}: {_json(v, num, inner)}" for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         inner = pad + "  "
-        items = obj if type(obj) is tuple else [_json(v, num, inner) for v in obj]
+        items = [_json(v, num, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -226,10 +225,16 @@ def _csv(header: str, rows) -> str:
 
 
 def _points(pts, num) -> list:
-    """The rows of a point array as tuples of float texts, each distinct value formatted once."""
+    """The rows of a point array as lists of float texts, each distinct value formatted once."""
     values, index = np.unique(pts.ravel(), return_inverse=True)
     texts = np.array([num(x) for x in values.tolist()], dtype=object)
-    return list(map(tuple, texts[index].reshape(pts.shape).tolist()))
+    return texts[index].reshape(pts.shape).tolist()
+
+
+def _json_points(rows) -> _Raw:
+    """The JSON list of point rows at depth 1 of the indent-2 layout, in one join."""
+    rows = ["[\n      " + ",\n      ".join(row) + "\n    ]" for row in rows]
+    return _Raw("[\n    " + ",\n    ".join(rows) + "\n  ]")
 
 
 def _run_region(args, num) -> str:
@@ -260,14 +265,14 @@ def _run_vertices(args, num) -> str:
         energy = reg.energy
         if energy != region.UNCONSTRAINED:  # printed in full, unlike the region command's
             energy = _Raw(float.__repr__(energy))
-        return _json({"m": reg.m, "energy": energy, "vertices": pts}, num)
+        return _json({"m": reg.m, "energy": energy, "vertices": _json_points(pts)}, num)
     return _csv(",".join(f"r{i}_bits" for i in range(1, reg.m + 1)), pts)
 
 
 def _run_boundary(args, num) -> str:
     pts = _points(region.boundary_2d(_region_for(args), args.points), num)
     if args.fmt == "json":
-        return _json({"points": pts}, num)
+        return _json({"points": _json_points(pts)}, num)
     return _csv("r1_bits,r2_bits", pts)
 
 

@@ -546,9 +546,7 @@ def verify_conditional_entropies(
     spectra = _block_spectra(_sector_runs(spec, n_s, cutoff, ordering, RUN_ENTRIES), spec.m,
                              cutoff)
     recv = _channel.receiver_labels(spec)
-    gauss_state = _gaussian.reduce(
-        _channel.output_state_tmsv(spec, n_s, ordering), ("A",) + recv
-    )
+    gauss_state = _channel._thermal_output(spec, n_s, ordering)
 
     def fock_entropy(labels) -> tuple:
         weights, certified = spectra[tuple(recv.index(lab) + 1 for lab in labels)]
@@ -566,7 +564,7 @@ def verify_conditional_entropies(
         rest = tuple(lab for lab in recv if lab not in t_labels)
         h_rest, certified = fock_entropy(rest)
         fock_val = h_rest - h_sender_all
-        gauss_val = _region._merging_rate(gauss_state, t_labels, ("A",) + rest)
+        gauss_val = _gaussian.conditional_entropy(gauss_state, t_labels, (_channel.ENV_LABEL,))
         closed_val = _region.inner_bound_finite(spec, n_s, t)
         dev = max(abs(fock_val - gauss_val), abs(fock_val - closed_val))
         name = "-H({}|A,{})".format(",".join(t_labels), ",".join(rest) or "-")

@@ -9,11 +9,12 @@ Conventions used throughout the package:
   ``nu >= 1``.
 * Entropies are in bits; the von Neumann entropy of a Gaussian state is
   ``sum(entropy_g((nu_k - 1) / 2))`` over its symplectic eigenvalues.
-* The symplectic spectrum is the positive half of the eigenvalues of the
-  Hermitian matrix ``i Lᵀ Ω L``, with ``L`` the Cholesky factor of the
-  covariance (Williamson's theorem).  Validation and entropy share that
-  one path: a covariance that is not positive definite has no factor and
-  is refused as an uncertainty violation.
+* The symplectic spectrum is the positive half of the eigenvalues of
+  ``i Lᵀ (Ω L)``, ``L`` the covariance's Cholesky factor and ``Ω L`` its
+  row pairs swapped, the second negated (Williamson's theorem).  A
+  covariance with no factor is refused as an uncertainty violation.
+  Rounding resolves ``nu - 1`` to ``NU_FLOOR * dim * max(1, max|V|)``:
+  below it ``nu`` is the vacuum's, and validity allows that much below 1.
 
 Every state here is zero-mean, so a covariance matrix is the whole state.
 A partial trace is a principal submatrix and a mode reordering a
@@ -41,24 +42,17 @@ __all__ = [
     "symplectic_eigenvalues",
     "von_neumann_entropy",
     "conditional_entropy",
-    "symplectic_form",
 ]
 
 # Tolerances: 1e-12 for algebraic identities, 1e-9 for anything that has
 # passed through an eigendecomposition.
 SYMMETRY_TOL = 1e-12
 VALIDITY_TOL = 1e-9
+# in units of eps * dim * max(1, max|V|), rounding moves a vacuum nu by about
+# 1 writing V, 2 in the Cholesky factor and 1 in eigvalsh (worst seen: 1.6)
+NU_FLOOR = 4 * np.finfo(float).eps
 
 _LN2 = math.log(2.0)
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form: block-diagonal [[0, 1], [-1, 0]] per mode."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    return omega
 
 
 @dataclass
@@ -72,7 +66,7 @@ class CovarianceState:
     cov : ndarray, shape (2n, 2n)
         Symmetric, positive definite covariance matrix satisfying the
         uncertainty relation (all symplectic eigenvalues >= 1 within
-        ``VALIDITY_TOL``).
+        ``max(VALIDITY_TOL, NU_FLOOR * dim * max(1, max|V|))``).
 
     Treat instances as immutable; operations return new states.
     """
@@ -104,10 +98,8 @@ class CovarianceState:
         if asym > SYMMETRY_TOL * scale:
             raise ValueError(f"covariance not symmetric (max asymmetry {asym:.3e})")
         nu_min = min(symplectic_eigenvalues(self))
-        if nu_min < 1.0 - VALIDITY_TOL:
-            raise ValueError(
-                f"uncertainty relation violated: min symplectic eigenvalue {nu_min!r}"
-            )
+        if nu_min < 1.0 - max(VALIDITY_TOL, _resolution(self.cov)):
+            raise ValueError(f"uncertainty relation violated: min symplectic eigenvalue {nu_min}")
 
     @property
     def n_modes(self) -> int:
@@ -208,13 +200,13 @@ def _mode_blocks(cov: np.ndarray, idx: list) -> np.ndarray:
 
 def symplectic_eigenvalues(state: CovarianceState) -> list:
     """Symplectic spectrum, descending: the positive half of the spectrum of
-    the Hermitian matrix ``i Lᵀ Ω L``, with ``cov = L Lᵀ`` its Cholesky factor.
+    the Hermitian matrix ``i Lᵀ (Ω L)``, with ``cov = L Lᵀ`` its Cholesky factor.
 
     ``i Lᵀ Ω L`` is similar to ``i Ω cov``, so its eigenvalues are the
-    symplectic eigenvalues in pairs ``±nu`` (Williamson's theorem).  A
-    covariance that is not positive definite has no Cholesky factor and no
-    symplectic spectrum; it raises ``ValueError`` as an uncertainty
-    violation, since every physical covariance is positive definite.
+    symplectic eigenvalues in pairs ``±nu`` (Williamson's theorem); ``Ω L``
+    has rows ``(p_k, -x_k)`` of ``L`` per mode k.  A covariance that is not
+    positive definite has no Cholesky factor; it raises ``ValueError`` as
+    an uncertainty violation, since every physical covariance is one.
     """
     n = state.n_modes
     try:
@@ -223,16 +215,20 @@ def symplectic_eigenvalues(state: CovarianceState) -> list:
         raise ValueError(
             "uncertainty relation violated: covariance not positive definite"
         ) from None
-    return np.linalg.eigvalsh(1j * chol.T @ symplectic_form(n) @ chol)[n:][::-1].tolist()
+    omega_l = chol.reshape(n, 2, -1)[:, ::-1] * [[1.0], [-1.0]]
+    return np.linalg.eigvalsh(1j * (chol.T @ omega_l.reshape(2 * n, 2 * n)))[n:][::-1].tolist()
+
+
+def _resolution(cov: np.ndarray) -> float:
+    """The smallest ``nu - 1`` that rounding leaves resolved in ``cov``'s spectrum."""
+    return NU_FLOOR * len(cov) * max(1.0, float(np.max(np.abs(cov))))
 
 
 def von_neumann_entropy(state: CovarianceState) -> float:
-    """Entropy in bits: sum of g((nu - 1)/2) over symplectic eigenvalues."""
-    total = 0.0
-    for nu in symplectic_eigenvalues(state):
-        # nu may undershoot 1 by up to VALIDITY_TOL; clamp to the vacuum value
-        total += entropy_g(max(nu - 1.0, 0.0) / 2.0)
-    return total
+    """Entropy in bits: sum of g((nu - 1)/2) over symplectic eigenvalues resolved above 1."""
+    floor = _resolution(state.cov)
+    return sum((entropy_g((nu - 1.0) / 2.0) for nu in symplectic_eigenvalues(state)
+                if nu - 1.0 >= floor), 0.0)
 
 
 def conditional_entropy(state: CovarianceState, subsystem, conditioned_on) -> float:

@@ -143,6 +143,15 @@ def is_polymatroid_bruteforce(bounds: dict, m: int, tol: float) -> bool:
     return True
 
 
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Standard symplectic form: block-diagonal [[0, 1], [-1, 0]] per mode."""
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    for k in range(n_modes):
+        omega[2 * k, 2 * k + 1] = 1.0
+        omega[2 * k + 1, 2 * k] = -1.0
+    return omega
+
+
 def beam_splitter(eta: float, mode_a: int, mode_b: int, n_modes: int) -> np.ndarray:
     """Symplectic matrix of a beam splitter of transmittance ``eta`` on n modes.
 

@@ -192,6 +192,48 @@ class TestApplyChannel:
         assert sizes == [2, m + 2]
 
 
+class TestThermalOutput:
+    """The outputs of a thermal arm: the TMSV output with the reference traced."""
+
+    @pytest.mark.parametrize("n_s", [1e-2, 1.0, 1e2])
+    def test_is_the_tmsv_output_on_the_outputs(self, n_s):
+        rng = np.random.RandomState(34)
+        for m in (1, 2, 5, 12):
+            spec = random_spec(rng, m)
+            ordering = tuple(rng.permutation(output_labels(spec)))
+            got = channel._thermal_output(spec, n_s, ordering)
+            want = reduce(output_state_tmsv(spec, n_s, ordering), output_labels(spec))
+            assert got.mode_labels == want.mode_labels
+            assert float(np.max(np.abs(got.cov - want.cov))) <= 1e-12 * (2 * n_s + 1)
+
+    @pytest.mark.parametrize("m", [1, 4, 12])
+    def test_validates_once(self, m, monkeypatch):
+        sizes = []
+        real = gaussian.symplectic_eigenvalues
+
+        def counted(state):
+            sizes.append(state.n_modes)
+            return real(state)
+
+        monkeypatch.setattr(gaussian, "symplectic_eigenvalues", counted)
+        channel._thermal_output(BroadcastChannelSpec((0.9 / m,) * m), 1.3)
+        assert sizes == [m + 1]
+
+    @pytest.mark.parametrize("n_s", [10.0**k for k in range(-2, 9)])
+    def test_all_outputs_hold_the_arm_entropy(self, n_s):
+        # a passive split of one thermal mode: one symplectic eigenvalue 2 n_s + 1
+        # and m vacuum ones, which must add no entropy at any energy.  The
+        # spectrum holds nu to a few eps absolute, which g amplifies by its
+        # slope log2(1 + 1/n_s) (half of it per unit of nu)
+        rng = np.random.RandomState(35)
+        eps = np.finfo(float).eps
+        for m in (1, 6, 12):
+            state = channel._thermal_output(random_spec(rng, m), n_s)
+            want = gaussian.entropy_g(n_s)
+            bound = 16 * np.spacing(want) + 8 * eps * np.log2(1.0 + 1.0 / n_s)
+            assert abs(von_neumann_entropy(state) - want) <= bound
+
+
 def _mixed_input():
     """A two-mode input that is no TMSV: a TMSV arm mixed with a thermal mode."""
     cov = np.eye(6)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bbcap import gaussian
 from bbcap.gaussian import (
     CovarianceState,
     conditional_entropy,
@@ -10,7 +11,6 @@ from bbcap.gaussian import (
     permute_modes,
     reduce,
     symplectic_eigenvalues,
-    symplectic_form,
     thermal_state,
     tmsv,
     von_neumann_entropy,
@@ -19,6 +19,7 @@ from oracles import (
     beam_splitter,
     spectral_entropy,
     split_thermal_populations,
+    symplectic_form,
     thermal_entropy_spectral,
 )
 
@@ -227,6 +228,17 @@ class TestSymplecticEigenvalues:
     def test_tmsv_joint_is_pure(self):
         assert symplectic_eigenvalues(tmsv(4.0)) == pytest.approx([1.0, 1.0], abs=1e-9)
 
+    def test_row_swaps_match_the_dense_form(self):
+        # i Lᵀ (Ω L) from row swaps against i Lᵀ Ω L with Ω built densely
+        rng = np.random.RandomState(41)
+        for n in range(1, 14):
+            a = rng.standard_normal((2 * n, 2 * n)) * rng.uniform(0.1, 10.0)
+            cov = a @ a.T + (1.0 + np.max(np.abs(a))) ** 2 * np.eye(2 * n)
+            chol = np.linalg.cholesky(cov)
+            dense = np.linalg.eigvalsh(1j * chol.T @ symplectic_form(n) @ chol)[n:][::-1]
+            got = symplectic_eigenvalues(CovarianceState(range(n), cov))
+            assert np.max(np.abs(np.subtract(got, dense))) <= 1e-12 * np.max(np.abs(cov))
+
 
 class TestConditionalEntropy:
     def test_pure_tmsv_conditional_is_minus_g(self):
@@ -264,6 +276,17 @@ class TestStateValidation:
     def test_uncertainty_violation_rejected(self):
         with pytest.raises(ValueError):
             CovarianceState(("a",), 0.5 * np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_refusal_scales_with_the_covariance(self, scale):
+        # nu = sqrt(det) = 1 - d for diag(scale, (1 - d)^2 / scale); rounding
+        # resolves nu - 1 only to NU_FLOOR * dim * max|V|, so a deficit
+        # inside that is the vacuum, with no entropy, and one beyond it is refused
+        floor = gaussian.NU_FLOOR * 2 * scale
+        inside = CovarianceState(("a",), np.diag([scale, (1.0 - floor / 2) ** 2 / scale]))
+        assert repr(von_neumann_entropy(inside)) == "0.0"
+        with pytest.raises(ValueError, match="uncertainty relation violated"):
+            CovarianceState(("a",), np.diag([scale, (1.0 - max(2 * floor, 2e-9)) ** 2 / scale]))
 
     @pytest.mark.parametrize(
         "cov", [np.diag([2.0, -1.0]), np.diag([-2.0, -3.0]), np.array([[1.0, 2.0], [2.0, 1.0]])]

@@ -7,8 +7,8 @@ from it than the value it replaces, plus the same bound.  ``PREVIOUS_FOCK``
 keeps the Fock bits the verify goldens held before the Fock spectra came
 from Schmidt factors (dense blocks summed term by term, then ``eigvalsh``);
 ``PREVIOUS_GAUSSIAN`` keeps the Gaussian bits and deviations they held
-before the channel output came from the arm's amplitude vector (a cascade
-of dense beam-splitter matrices, ``S V Sᵀ`` per stage).
+before those bits came from the thermal arm's outputs, as H(T | E) (they
+were -H(T | A, complement) on the two-mode squeezed vacuum's output).
 """
 
 import csv
@@ -67,32 +67,32 @@ PREVIOUS_FOCK = {
 # (gaussian_bits, abs_dev) per case, and max_abs_dev
 PREVIOUS_GAUSSIAN = {
     "verify.json": {
-        "-H(B1|A,B2)": (0.21218569170395585, 4.3353065581897e-10),
-        "-H(B2|A,B1)": (0.30595867738407934, 6.189083689989161e-10),
-        "-H(B1,B2|A,-)": (0.4750336324725305, 1.0331969724219903e-09),
-        "max_abs_dev": 1.0331969724219903e-09,
+        "-H(B1|A,B2)": (0.2121856917039565, 4.3353076684127245e-10),
+        "-H(B2|A,B1)": (0.30595867738408045, 6.189081469543112e-10),
+        "-H(B1,B2|A,-)": (0.47503363247253116, 1.0331967503773853e-09),
+        "max_abs_dev": 1.0331967503773853e-09,
     },
     "verify.csv": {
-        "-H(B1|A,B2)": (0.19005752607112214, 2.235756024759894e-10),
-        "-H(B2|A,B1)": (0.2747171418004086, 3.2032099195333785e-10),
-        "-H(B1,B2|A,-)": (0.4283418900152589, 5.355007548502044e-10),
-        "max_abs_dev": 5.355007548502044e-10,
+        "-H(B1|A,B2)": (0.19005752607112236, 2.2357582452059432e-10),
+        "-H(B2|A,B1)": (0.27471714180040885, 3.2032099195333785e-10),
+        "-H(B1,B2|A,-)": (0.42834189001525913, 5.355014209840192e-10),
+        "max_abs_dev": 5.355014209840192e-10,
     },
     "verify_m3_prec17.json": {
-        "-H(B1|A,B2,B3)": (0.04704208921983205, 1.2984321950959554e-10),
-        "-H(B2|A,B1,B3)": (0.11199635305393485, 3.044408891650363e-10),
-        "-H(B3|A,B1,B2)": (0.1324355851215619, 3.586532459909364e-10),
-        "-H(B1,B2|A,B3)": (0.15235325216541024, 4.114551754863527e-10),
-        "-H(B1,B3|A,B2)": (0.17178893989824523, 4.632887684596909e-10),
-        "-H(B2,B3|A,B1)": (0.22752608513725836, 6.201430757801774e-10),
-        "-H(B1,B2,B3|A,-)": (0.2628012966486045, 7.40134842303064e-10),
-        "max_abs_dev": 7.40134842303064e-10,
+        "-H(B1|A,B2,B3)": (0.047042089219831995, 1.29843330531898e-10),
+        "-H(B2|A,B1,B3)": (0.11199635305393468, 3.0444111120964124e-10),
+        "-H(B3|A,B1,B2)": (0.13243558512156078, 3.586527463905753e-10),
+        "-H(B1,B2|A,B3)": (0.15235325216540885, 4.114544538413867e-10),
+        "-H(B1,B3|A,B2)": (0.17178893989824384, 4.6328843539278353e-10),
+        "-H(B2,B3|A,B1)": (0.22752608513725608, 6.20141299423338e-10),
+        "-H(B1,B2,B3|A,-)": (0.26280129664860313, 7.401343982138542e-10),
+        "max_abs_dev": 7.401343982138542e-10,
     },
     "verify_m2_ordering_prec17.json": {
-        "-H(B1|A,B2)": (0.491402094885361, 6.875962021979376e-10),
-        "-H(B2|A,B1)": (0.620930612975195, 8.471707779733606e-10),
-        "-H(B1,B2|A,-)": (0.9482479425155799, 1.3097625206626162e-09),
-        "max_abs_dev": 1.3097625206626162e-09,
+        "-H(B1|A,B2)": (0.491402094885361, 6.875968683317524e-10),
+        "-H(B2|A,B1)": (0.6209306129751948, 8.471705559287557e-10),
+        "-H(B1,B2|A,-)": (0.9482479425155796, 1.3097627427072212e-09),
+        "max_abs_dev": 1.3097627427072212e-09,
     },
 }
 
@@ -279,15 +279,17 @@ def _lock_cases():
 
 
 def test_covariance_route_within_1e_12_of_reference():
-    # 603 cases: 67 subsets at each half-decade N_S from 1e-2 to 1e2
+    # 1005 cases: 67 subsets at each half-decade N_S from 1e-2 to 1e2 and
+    # at each decade on to 1e8
+    energies = [10.0 ** (k / 2) for k in range(-4, 5)] + [10.0**k for k in range(3, 9)]
     worst = 0.0
     count = 0
     for etas, subsets in _lock_cases():
         spec = BroadcastChannelSpec(etas)
-        for n_s in (10.0 ** (k / 2) for k in range(-4, 5)):
+        for n_s in energies:
             for t in subsets:
                 got = region.inner_bound_finite_gaussian(spec, n_s, t)
                 worst = max(worst, abs(got - float(closed_form_bits(etas, n_s, t))))
                 count += 1
-    assert count == 603
+    assert count == 1005
     assert worst <= 1e-12, worst

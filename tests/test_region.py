@@ -6,7 +6,7 @@ import pytest
 
 from bbcap import channel
 from bbcap.channel import BroadcastChannelSpec
-from bbcap.gaussian import entropy_g
+from bbcap.gaussian import conditional_entropy, entropy_g
 from bbcap.region import (
     MAX_BOUNDARY_POINTS,
     UNCONSTRAINED,
@@ -425,6 +425,29 @@ class TestMergingGain:
             assert abs(closed - direct) < 1e-9
             assert closed > 0.0
 
+    def test_tmsv_route_matches_thermal_route(self):
+        # -H(S1 | A, S2) on the TMSV output against H(S1 | R, E) on the
+        # thermal arm's outputs, equal by purity.  Each route resolves its
+        # spectra to about 4 ulp(2 n_s + 1) per matrix row (NU_FLOOR), so
+        # the two agree within twice that at the TMSV output's 2(m + 2) rows
+        rng = np.random.RandomState(79)
+        for _ in range(150):
+            m = rng.randint(1, 13)
+            spec = random_interior_spec(rng, m)
+            n_s = 10 ** rng.uniform(-2, 2)
+            receivers = list(range(1, m + 1))
+            rng.shuffle(receivers)
+            k = rng.randint(1, m + 1)
+            s1 = receivers[:k]
+            s2 = receivers[k:] if rng.rand() < 0.5 else receivers[k : k + rng.randint(0, m - k + 1)]
+            recv = channel.receiver_labels(spec)
+            tmsv_route = -conditional_entropy(
+                channel.output_state_tmsv(spec, n_s), [recv[i - 1] for i in s1],
+                ["A"] + [recv[i - 1] for i in s2])
+            thermal_route = merging_gain_gaussian(spec, n_s, s1, s2)
+            bound = 8 * math.ulp(2 * n_s + 1) * 2 * (m + 2)
+            assert abs(tmsv_route - thermal_route) <= bound, (m, n_s, s1, s2)
+
     def test_complement_helpers_give_the_inner_bound_exactly(self):
         rng = np.random.RandomState(78)
         for _ in range(200):
@@ -444,6 +467,9 @@ class TestMergingGain:
             raise AssertionError("covariance route called")
 
         monkeypatch.setattr(channel, "output_state_tmsv", refuse)
+        monkeypatch.setattr(channel, "_thermal_output", refuse)
+        with pytest.raises(AssertionError, match="covariance route called"):
+            merging_gain_gaussian(SPEC23, 1.0, {2}, {1})
         assert merging_gain(SPEC23, 1.0, {2}, {1}) == pytest.approx(
             entropy_g(0.8) - entropy_g(0.5), abs=1e-12
         )
