@@ -260,21 +260,22 @@ def implementations_equivalent(
 ) -> tuple:
     """Do the given orderings produce the same channel?
 
-    Compares the reduced covariance matrices on (A, receivers) pairwise and
+    Compares the receivers' block of :func:`_thermal_output` pairwise and
     returns ``(equivalent, max_deviation)`` with equivalence meaning maximum
     element-wise deviation at most ``ORDERING_EQUIV_TOL * max(1, max|V|)``,
     the scale at which an amplitude's rounding reaches the entries.  The
     stage values are suffix sums and one division, each within (m + 2) eps
     relative (see ``ORDERING_EQUIV_TOL``), so the bound holds for every
-    share, however small.
+    share, however small.  The block is ``I + u_R u_Rᵀ ⊗ 2 n_s I``, and on
+    (A, receivers) the cross block with A is ``u_R`` times ``V_A,arm``: it
+    carries nothing the block lacks, and the thermal outputs are valid at
+    every energy.
     """
     orderings = [validate_ordering(spec, o) for o in orderings]
     if len(orderings) < 2:
         raise ValueError("need at least two orderings to compare")
-    keep = ("A",) + receiver_labels(spec)
-    covs = [
-        gaussian.reduce(output_state_tmsv(spec, n_s, o), keep).cov for o in orderings
-    ]
+    size = 2 * spec.m
+    covs = [_thermal_output(spec, n_s, o).cov[:size, :size] for o in orderings]
     max_dev = max(float(np.max(np.abs(a - b))) for a, b in itertools.combinations(covs, 2))
     scale = max(1.0, max(float(np.max(np.abs(c))) for c in covs))
     return max_dev <= ORDERING_EQUIV_TOL * scale, max_dev

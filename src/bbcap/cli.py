@@ -186,11 +186,25 @@ def _numbers(prec: int, fmt: str):
 
     A JSON float is the value rounded to ``prec`` significant digits and
     printed as ``json.dumps`` prints it; a CSV float is the rounded text.
+
+    Up to 15 digits the rounded text is itself that JSON text whenever it has
+    a point and no exponent: two decimals of at most 15 digits never round to
+    the same double, so the shortest text that reads back as ``float(text)``
+    has those digits, and ``repr`` writes it without an exponent from 1e-4 to
+    1e16.  Other texts (``10``, ``1e-05``, ``-0``, and any at 16 or 17 digits,
+    which need not read back as written) take the round trip.
     """
-    spec = f".{prec}g"
+    spec, as_printed = f".{prec}g", prec <= 15
     if fmt == "csv":
         return lambda x: format(x, spec)
-    return lambda x: float.__repr__(float(format(x, spec)))
+
+    def number(x):
+        text = format(x, spec)
+        if as_printed and "." in text and "e" not in text:
+            return text
+        return float.__repr__(float(text))
+
+    return number
 
 
 class _Raw(str):

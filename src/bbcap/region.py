@@ -17,6 +17,9 @@ A region holds the bound function as one vector ``f[mask]`` over the 2^m
 receiver subsets: receiver i is bit i - 1, ``f[0] = 0``, and ``math.inf``
 flags an unbounded subset.  Subset sums add their terms in ascending
 receiver order (``s[mask | 1 << i] = s[mask] + x_i`` for the highest bit i).
+The 2^m bounds are one numpy expression over those sums, g in its ``log1p``
+form or ``log2`` of the ratio.  The single-subset functions evaluate the
+same expression on floats, so every caller gets the same bits.
 
 Every finite-energy bound can also be evaluated as a Gaussian conditional
 entropy of the channel output (the ``*_gaussian`` functions), as H(S1 | R,
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import channel, gaussian
 from .channel import BroadcastChannelSpec
-from .gaussian import _photon_number, entropy_g
+from .gaussian import _LN2, _photon_number
 
 __all__ = [
     "CapacityRegion",
@@ -118,30 +121,37 @@ def _eta(spec: BroadcastChannelSpec, mask: int) -> float:
     return functools.reduce(add, (e for i, e in enumerate(spec.etas) if mask >> i & 1), 0.0)
 
 
-def _closed_form(n_s, kept_helpers, kept_joint) -> list:
-    """-H(S1 | A, S2) = ``g(k n_s) - g(kept_joint n_s)`` for each k in ``kept_helpers``.
+def _g(x):
+    """:func:`~bbcap.gaussian.entropy_g` of a float or elementwise:
+    ``log2(x + 1) + x log1p(1/x) / ln 2``, 0 below 1e-12.  Every bound, of a
+    region or of one subset, goes through it."""
+    y = np.maximum(x, 1e-12)  # the same x where it counts, and never 1/0
+    return (np.log2(y + 1.0) + y * np.log1p(1.0 / y) / _LN2) * (x >= 1e-12)
 
-    ``k = 1 - eta(S2)`` and ``kept_joint = 1 - eta(S1 u S2)``, each eta a
+
+def _closed_form(n_s, kept, kept_joint):
+    """-H(S1 | A, S2) = ``g(kept n_s) - g(kept_joint n_s)``, ``kept`` a float or an array.
+
+    ``kept = 1 - eta(S2)`` and ``kept_joint = 1 - eta(S1 u S2)``, each eta a
     subset sum in ascending receiver order, so every caller agrees bit for bit.
     """
     n_s = _photon_number(n_s)
-    g_joint = entropy_g(max(kept_joint, 0.0) * n_s)
-    return [entropy_g(max(k, 0.0) * n_s) - g_joint for k in kept_helpers]
+    return _g(kept * n_s) - _g(kept_joint * n_s)  # a kept share below 0 is a rounded 0
 
 
-def _bounds(energy, eta_t: list, eta_comp: list, eta_all: float) -> list:
-    """f(T) per subset T from the sums of T and of its complement."""
+def _bounds(energy, eta_t, eta_comp, eta_all: float):
+    """f(T) from the sums of T and of its complement: floats, or arrays over subsets."""
     if energy != UNCONSTRAINED:
-        return _closed_form(energy, [1.0 - e for e in eta_comp], 1.0 - eta_all)
+        return _closed_form(energy, 1.0 - eta_comp, 1.0 - eta_all)
     if eta_all >= 1.0 - EXACT_TOL:  # no environment: the unbounded flag
-        return [0.0 if e <= EXACT_TOL else math.inf for e in eta_t]
-    return [math.log2((1.0 - e) / (1.0 - eta_all)) for e in eta_comp]
+        return np.where(eta_t <= EXACT_TOL, 0.0, math.inf)
+    return np.log2((1.0 - eta_comp) / (1.0 - eta_all))
 
 
 def _bound(spec: BroadcastChannelSpec, energy, subset) -> float:
     full = (1 << spec.m) - 1
     mask = _mask(_validate_subset(spec.m, subset))
-    return _bounds(energy, [_eta(spec, mask)], [_eta(spec, full ^ mask)], _eta(spec, full))[0]
+    return float(_bounds(energy, _eta(spec, mask), _eta(spec, full ^ mask), _eta(spec, full)))
 
 
 class CapacityRegion:
@@ -180,12 +190,13 @@ class CapacityRegion:
         # flag, so every comparison that involves it is false
         f, tol = np.where(np.isinf(self._f), np.nan, self._f), self.check_tol
         for j in range(self.m):
-            gain = np.diff(f.reshape(-1, 2, 1 << j), axis=1).ravel()  # T with bit j dropped
-            if np.any(gain < -tol):
+            pair = f.reshape(-1, 2, 1 << j)
+            gain = (pair[:, 1] - pair[:, 0]).ravel()  # T with bit j dropped
+            if (gain < -tol).any():
                 raise ValueError(f"bound not monotone in receiver {j + 1}")
             for k in range(j + 1, self.m):
                 pair = gain.reshape(-1, 2, 1 << (k - 1))  # bit k of T is bit k - 1 here
-                if np.any(pair[:, 1] > pair[:, 0] + tol):
+                if (pair[:, 1] > pair[:, 0] + tol).any():
                     raise ValueError(f"bound not submodular in receivers {j + 1} and {k + 1}")
 
 
@@ -226,7 +237,7 @@ def capacity_region(spec: BroadcastChannelSpec, energy=UNCONSTRAINED) -> Capacit
         energy = _photon_number(energy)
     s = _subset_sums(spec.etas)
     # the complement of mask is full ^ mask = full - mask: s reversed
-    f = _bounds(energy, s.tolist(), s[::-1].tolist(), float(s[-1]))
+    f = _bounds(energy, s, s[::-1], float(s[-1]))
     return CapacityRegion(spec.m, energy, f)
 
 
@@ -269,13 +280,46 @@ def vertices(region: CapacityRegion) -> np.ndarray:
     gap = np.abs(pts[1:] - pts[:-1]).max(axis=1)
     new = np.flatnonzero(gap)  # rows that differ from the one before; exact duplicates go
     pts, gap = np.concatenate((pts[:1], pts[new + 1])), gap[new]
-    if (gap <= VERTEX_DEDUPE_TOL).any():  # near ties: compare with the last row kept
-        rows, kept = pts.tolist(), [0]
-        for k in range(1, len(rows)):
-            if max(map(abs, map(sub, rows[k], rows[kept[-1]]))) > VERTEX_DEDUPE_TOL:
-                kept.append(k)
-        pts = pts[kept]
+    ties = np.flatnonzero(gap <= VERTEX_DEDUPE_TOL)
+    if ties.size:  # near ties: compare with the last row kept
+        pts = pts[_near_tie_keep(pts, np.append(gap, math.inf), ties)]
     return pts
+
+
+def _near_tie_keep(pts: np.ndarray, gaps: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    """The rows a walk keeps that drops each row within ``VERTEX_DEDUPE_TOL``
+    of the last row kept; ``gaps[k]`` is the distance of row k + 1 from row k.
+
+    The ties come in runs, rows s..e joined by gaps within the tolerance.  A
+    row one wide gap after a kept row is kept, so each run begins at a kept
+    row, and rows outside the runs need no walk.  Most runs lie within the
+    tolerance of their row s, and row e + 1 beyond it: the walk would drop
+    rows s + 1..e and keep row e + 1, so they are decided at once.
+    """
+    tol, keep = VERTEX_DEDUPE_TOL, np.ones(len(pts), dtype=bool)
+    first = np.r_[True, ties[1:] > ties[:-1] + 1]
+    starts, ends = ties[first], ties[np.r_[first[1:], True]] + 1
+    near = np.abs(pts[ties + 1] - pts[starts[np.cumsum(first) - 1]]).max(axis=1) <= tol
+    after = np.minimum(ends + 1, len(pts) - 1)
+    beyond = (ends + 1 == len(pts)) | (np.abs(pts[after] - pts[starts]).max(axis=1) > tol)
+    quick = np.logical_and.reduceat(near, np.flatnonzero(first)) & beyond
+    k = 0  # the rows before k are decided
+    for s, e, at_once in zip(starts.tolist(), ends.tolist(), quick.tolist()):
+        if s < k:
+            continue  # walked already
+        if at_once:
+            keep[s + 1 : e + 1], k = False, e + 1
+            continue
+        last = pts[s].tolist()
+        for k in range(s + 1, len(pts)):
+            row = pts[k].tolist()
+            if max(map(abs, map(sub, row, last))) <= tol:
+                keep[k] = False
+            elif gaps[k] > tol:  # k is kept, and so is the row after it
+                break
+            else:
+                last = row
+    return keep
 
 
 def boundary_2d(region: CapacityRegion, n_points: int) -> np.ndarray:
@@ -338,9 +382,9 @@ def merging_gain(spec: BroadcastChannelSpec, n_s: float, gained, helpers=()) -> 
     """
     s1, s2 = _disjoint_subsets(spec.m, gained, helpers)
     helper_mask = _mask(s2)
-    return _closed_form(
-        n_s, [1.0 - _eta(spec, helper_mask)], 1.0 - _eta(spec, _mask(s1) | helper_mask)
-    )[0]
+    return float(_closed_form(
+        n_s, 1.0 - _eta(spec, helper_mask), 1.0 - _eta(spec, _mask(s1) | helper_mask)
+    ))
 
 
 def merging_gain_gaussian(

@@ -113,8 +113,13 @@ def vertices_reference(region, tol: float = 1e-10) -> list:
                 point[i] = 0.0
 
     walk(0)
+    return dedupe_reference(sorted(points), tol)
+
+
+def dedupe_reference(points, tol: float = 1e-10) -> list:
+    """The points in order, each dropped when within ``tol`` (max norm) of the last one kept."""
     unique = []
-    for p in sorted(points):
+    for p in points:
         if not unique or max(map(abs, map(operator.sub, p, unique[-1]))) > tol:
             unique.append(p)
     return unique

@@ -5,6 +5,7 @@ import pytest
 
 from bbcap import channel, gaussian
 from bbcap.channel import (
+    ORDERING_EQUIV_TOL,
     BroadcastChannelSpec,
     DegenerateSplitError,
     all_orderings,
@@ -298,29 +299,39 @@ class TestImplementationsEquivalent:
         b = reduce(output_state_tmsv(BroadcastChannelSpec((0.2001, 0.3)), 1.0), keep)
         assert float(np.max(np.abs(a.cov - b.cov))) > 1e-12
 
-    @pytest.mark.parametrize("n_s", [10.0**k for k in np.arange(-2.0, 4.5, 0.5)])
+    @pytest.mark.parametrize("n_s", [10.0**k for k in np.arange(-2.0, 8.5, 0.5)])
     def test_one_eta_moved_by_1e_9_is_never_equivalent(self, n_s, monkeypatch):
         # the second ordering's output is taken from a channel whose eta_1
         # is 1e-9 larger: the scaled tolerance must not absorb that change
         spec = BroadcastChannelSpec((0.2, 0.3))
         moved = BroadcastChannelSpec((0.2 + 1e-9, 0.3))
-        real = channel.output_state_tmsv
+        real = channel._thermal_output
         calls = []
 
         def output(spec_, n_s_, ordering):
             calls.append(ordering)
             return real(spec_ if len(calls) == 1 else moved, n_s_, ordering)
 
-        monkeypatch.setattr(channel, "output_state_tmsv", output)
+        monkeypatch.setattr(channel, "_thermal_output", output)
         orderings = [("B1", "B2", "E"), ("E", "B2", "B1")]
-        try:
-            ok, dev = implementations_equivalent(spec, orderings, n_s)
-        except ValueError as exc:
-            # above a few thousand photons the covariance route refuses its
-            # own output (ROADMAP item 2): a refusal, not a verdict
-            assert n_s > 1e3 and "uncertainty relation violated" in str(exc)
-            return
-        assert not ok, dev
+        ok, dev = implementations_equivalent(spec, orderings, n_s)
+        assert calls == orderings and not ok, dev
+
+    @pytest.mark.parametrize("n_s", [1e4, 1e6, 1e8])
+    def test_answers_at_high_energy(self, n_s):
+        # a TMSV this bright fails its own validity check; the thermal outputs hold
+        spec = BroadcastChannelSpec((0.2, 0.3, 0.1))
+        ok, dev = implementations_equivalent(spec, list(all_orderings(spec)), n_s)
+        assert ok and dev <= ORDERING_EQUIV_TOL * (1.0 + 2.0 * n_s * 0.3), dev
+
+    def test_every_output_is_validated(self, monkeypatch):
+        spec = BroadcastChannelSpec((0.2, 0.3))
+        checked = []
+        real = gaussian.CovarianceState._check
+        monkeypatch.setattr(gaussian.CovarianceState, "_check",
+                            lambda self: checked.append(self.mode_labels) or real(self))
+        implementations_equivalent(spec, list(all_orderings(spec)), 1.0)
+        assert checked == [("B1", "B2", "E")] * 6
 
     @pytest.mark.parametrize("n_s", [1e-2, 1.0, 1e2])
     @pytest.mark.parametrize("x", [0.3, 0.5, 0.9])

@@ -196,3 +196,30 @@ def test_csv_float_is_its_own_rounding():
         for x in _random_doubles(2000):
             s = f"{x:.{p}g}"
             assert f"{float(s):.{p}g}" == s, (p, x)
+
+
+def _formatter_inputs():
+    """Bit patterns, decades 1e-6..1e17 (the edges of both fixed forms), whole
+    numbers, signed zeros and the smallest subnormal."""
+    rng = random.Random(11)
+    decades = [s * 10 ** rng.uniform(-6, 17) for s in (1, -1) for _ in range(3000)]
+    powers = [float(10**k) for k in range(9, 17)] + [10.0**k * 0.999999 for k in range(-6, 18)]
+    whole = [float(rng.randint(-10**6, 10**6)) for _ in range(500)]
+    return _random_doubles(3000) + decades + powers + whole + [0.0, -0.0, 5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("prec", range(1, 18))
+def test_formatters_match_the_per_value_forms(prec):
+    # the JSON formatter returns its %g text without the round trip when it can
+    json_num, csv_num = cli._numbers(prec, "json"), cli._numbers(prec, "csv")
+    for x in _formatter_inputs():
+        assert json_num(x) == float.__repr__(float(format(x, f".{prec}g"))), (prec, x)
+        assert csv_num(x) == format(x, f".{prec}g"), (prec, x)
+
+
+def test_the_shortcut_stops_at_15_digits():
+    # at 16 and 17 digits a rounded text can read back as a shorter repr
+    for prec, x, text in [(16, 0.0938595867742349, "0.09385958677423489"),
+                          (17, 0.4007349163087638, "0.40073491630876379")]:
+        assert format(x, f".{prec}g") == text
+        assert cli._numbers(prec, "json")(x) == repr(x) != text

@@ -166,29 +166,58 @@ def _closed_bound(n_s) -> float:
     return ULP_BOUND if n_s is None else max(ULP_BOUND, 10 * math.ulp(entropy_g(n_s)))
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["region_m3_prec17.json", "region_m3_inf_prec17.csv",
-     "convergence_prec17.json", "convergence_prec17.csv"],
+def _rounding(value, prec: int) -> float:
+    """Half a unit in the last digit of ``value``, printed to ``prec`` significant digits."""
+    x = abs(float(value))
+    return 0.0 if x == 0.0 else 0.5 * 10.0 ** (math.floor(math.log10(x)) - prec + 1)
+
+
+# every region and convergence golden but the two whose receivers take everything
+BOUND_GOLDENS = sorted(
+    n for n in CASES if n.startswith(("region", "convergence")) and "unbounded" not in n
 )
+
+
+@pytest.mark.parametrize("name", BOUND_GOLDENS)
 def test_closed_form_bits_within_ulp_bound_of_reference(name):
-    args = cli.parse_args(CASES[name][0])
+    # a golden printed to p digits is within its bound plus half a unit in the p-th digit
+    argv, prec = CASES[name]
+    args, prec = cli.parse_args(argv), int(prec or cli.DEFAULT_PRECISION)
     rows = _golden_rows(name)
     assert rows
-    for row in rows:
+
+    def near(value, exact, bound, what):
+        _assert_near(float(value), exact, bound + _rounding(value, prec), what=what)
+
+    for i, row in enumerate(rows):
         t = frozenset(row["subset"])
         if "bound_bits" in row:
-            n_s = None if math.isinf(float(args.ns)) else float(args.ns)
-            bound = _closed_bound(n_s)
-            _assert_near(float(row["bound_bits"]), closed_form_bits(args.etas, n_s, t), bound, what=t)
+            n_s = None if args.ns == "inf" else args.ns
+            near(row["bound_bits"], closed_form_bits(args.etas, n_s, t), _closed_bound(n_s), t)
             continue
-        n_s = float(row["ns"])
+        n_s = args.ns_grid[i // (2 ** len(args.etas) - 1)]  # the printed ns is rounded
         inner = closed_form_bits(args.etas, n_s, t)
         limit = closed_form_bits(args.etas, None, t)
         bound = _closed_bound(n_s)
-        _assert_near(float(row["inner_bound_bits"]), inner, bound, what=(n_s, t))
-        _assert_near(float(row["asymptotic_bound_bits"]), limit, ULP_BOUND, what=(n_s, t))
-        _assert_near(float(row["gap_bits"]), limit - inner, bound + ULP_BOUND, what=(n_s, t))
+        near(row["inner_bound_bits"], inner, bound, (n_s, t))
+        near(row["asymptotic_bound_bits"], limit, ULP_BOUND, (n_s, t))
+        near(row["gap_bits"], limit - inner, bound + ULP_BOUND, (n_s, t))
+
+
+@pytest.mark.parametrize("m", [16, 20])
+def test_bound_vector_within_ulp_bound_of_reference(m):
+    # the numpy bound vector above the goldens' sizes, on 40 sampled subsets
+    # per energy: subset sums of up to 20 terms keep within the same bound
+    rng = random.Random(m)
+    raw = [rng.random() for _ in range(m + 1)]
+    etas = tuple(0.95 * x / sum(raw) for x in raw[:m])
+    spec = BroadcastChannelSpec(etas)
+    for n_s in [None, 1e-2, 1.0, 1e4, 1e8]:
+        f = region.capacity_region(spec, region.UNCONSTRAINED if n_s is None else n_s)._f
+        for _ in range(40):
+            t = frozenset(rng.sample(range(1, m + 1), rng.randint(1, m)))
+            mask = sum(1 << (i - 1) for i in t)
+            _assert_near(f[mask], closed_form_bits(etas, n_s, t), _closed_bound(n_s), what=(n_s, t))
 
 
 def _closed_forms(etas, n_s) -> dict:

@@ -10,6 +10,7 @@ from bbcap.gaussian import conditional_entropy, entropy_g
 from bbcap.region import (
     MAX_BOUNDARY_POINTS,
     UNCONSTRAINED,
+    VERTEX_DEDUPE_TOL,
     CapacityRegion,
     asymptotic_bound,
     boundary_2d,
@@ -23,8 +24,10 @@ from bbcap.region import (
     region_from_dict,
     region_to_dict,
     vertices,
+    _near_tie_keep,
 )
 from oracles import (
+    dedupe_reference,
     is_polymatroid_bruteforce,
     match_point_sets,
     polytope_vertices_bruteforce,
@@ -224,6 +227,54 @@ class TestCapacityRegion:
         assert any(verdicts) and not all(verdicts)
 
 
+class TestBoundVector:
+    """The 2^m bounds, one numpy expression, against the single-subset functions."""
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_every_subset_matches_the_scalar_functions_bitwise(self, m):
+        # the decades 1e-2..1e8 spread over m, three or four each
+        rng = np.random.RandomState(90 + m)
+        specs = [random_interior_spec(rng, m)]
+        if m in (3, 6):  # a zero-weight receiver, and no environment at all
+            etas = list(specs[0].etas)
+            etas[1] = 0.0
+            specs += [BroadcastChannelSpec(etas), BroadcastChannelSpec([1.0 / m] * m)]
+        energies = [UNCONSTRAINED, 0.0] + [10.0 ** k for k in range(-2, 9)][m % 3 :: 3]
+        ground = frozenset(range(1, m + 1))
+        for spec in specs:
+            for energy in energies:
+                f = capacity_region(spec, energy)._f
+                for mask in range(1, 1 << m):
+                    t = frozenset(i + 1 for i in range(m) if mask >> i & 1)
+                    if energy == UNCONSTRAINED:
+                        got = [asymptotic_bound(spec, t)]
+                    else:
+                        got = [inner_bound_finite(spec, energy, t),
+                               merging_gain(spec, energy, t, ground - t)]
+                    assert all(type(x) is float for x in got)
+                    assert [x.hex() for x in got] == [float(f[mask]).hex()] * len(got), (
+                        spec, energy, t)
+
+    def test_check_names_the_receivers(self):
+        # f[mask] over the subsets of three receivers
+        f = capacity_region(BroadcastChannelSpec((0.3, 0.1, 0.1)), 2.0)._f
+        slack, gain_1 = f[0b010] + f[0b100] - f[0b110], f[0b111] - f[0b110]
+        assert 0.0 < slack < gain_1
+        cases = [
+            (0b011, f[0b010] - 1e-9 - f[0b011], "monotone in receiver 1"),
+            (0b011, 0.5, "submodular in receivers 1 and 2"),
+            (0b110, (slack + gain_1) / 2, "submodular in receivers 2 and 3"),
+        ]
+        for mask, step, message in cases:
+            bad = f.copy()
+            bad[mask] += step
+            with pytest.raises(ValueError, match=f"^bound not {message}$"):
+                CapacityRegion(3, 2.0, bad)
+        bad = f.copy()
+        bad[0b111] += 1e-13  # within check_tol
+        CapacityRegion(3, 2.0, bad)
+
+
 class TestContains:
     def test_origin(self):
         assert contains(capacity_region(SPEC23), (0.0, 0.0))
@@ -334,6 +385,22 @@ class TestVerticesReference:
         pts = vertices(reg)
         _same_rows_bitwise(pts, vertices_reference(reg))
         assert len(pts) < 13700  # 1 + the ordered subsets of 7 receivers
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_near_tie_walk_against_the_plain_walk(self, seed):
+        # sorted distinct rows on a grid of 0.35 tolerances, the first column
+        # rising: runs that end at once, runs whose walk keeps rows inside
+        # them, and walks that go on past a wide gap, since the row after
+        # it can lie within the tolerance of a row kept before
+        rng = np.random.RandomState(seed)
+        pts = rng.randint(-2, 3, (300, 2 + seed % 2)) * 0.35e-10
+        pts[:, 0] = np.cumsum(rng.choice([0.0, 0.35e-10, 3e-10], 300))
+        pts = np.unique(pts, axis=0)  # sorted as tuples, distinct
+        gap = np.abs(pts[1:] - pts[:-1]).max(axis=1)
+        ties = np.flatnonzero(gap <= VERTEX_DEDUPE_TOL)
+        keep = _near_tie_keep(pts, np.append(gap, math.inf), ties)
+        assert len(ties) and not keep.all()
+        assert pts[keep].tolist() == [list(p) for p in dedupe_reference(map(tuple, pts.tolist()))]
 
     def test_gains_clip_to_positive_zero(self):
         # monotone within the check tolerance, yet f({1, 2}) - f({1}) = -1e-13
