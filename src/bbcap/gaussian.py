@@ -112,20 +112,43 @@ class CovarianceState:
             raise ValueError(f"unknown mode label {label!r}") from None
 
 
-def entropy_g(x: float) -> float:
+def entropy_g(x):
     """Entropy in bits of a thermal bosonic state with mean photon number x.
 
     ``g(x) = (x + 1) log2(x + 1) - x log2(x)``, evaluated in the
     cancellation-free form ``log2(x + 1) + x * log1p(1/x) / ln 2`` which is
     accurate for all x (for large x it reduces to the asymptotic expansion
     ``log2 x + log2 e + O(1/x)``).  Returns 0 below 1e-12 (the x log x limit).
+
+    ``x`` is a float or an array, taken elementwise.  An array's entries are
+    the floats' values bit for bit: the logarithms are libm's (:func:`_libm`),
+    the rest the same IEEE operations in the same order.
     """
+    if isinstance(x, np.ndarray):
+        if (x < 0).any():
+            raise ValueError(f"mean photon number must be nonnegative, got {float(x.min())!r}")
+        y = np.maximum(x, 1e-12)  # the same y where it counts, and never 1/0
+        g = _libm(math.log2, y + 1.0) + y * _libm(math.log1p, 1.0 / y) / _LN2
+        return np.where(x < 1e-12, 0.0, g)
     x = float(x)
     if x < 0:
         raise ValueError(f"mean photon number must be nonnegative, got {x!r}")
     if x < 1e-12:
         return 0.0
     return math.log2(x + 1.0) + x * math.log1p(1.0 / x) / _LN2
+
+
+def _libm(fn, x):
+    """``fn``, a :mod:`math` function, of a float or of each entry of an array.
+
+    numpy's own logarithms run on SIMD routines chosen by the CPU (AVX-512
+    where present), whose last bit can differ from libm's; mapping ``math``
+    keeps every value, and each golden printed from it, the same on every
+    CPU.
+    """
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _photon_number(n_s) -> float:

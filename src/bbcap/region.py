@@ -17,9 +17,10 @@ A region holds the bound function as one vector ``f[mask]`` over the 2^m
 receiver subsets: receiver i is bit i - 1, ``f[0] = 0``, and ``math.inf``
 flags an unbounded subset.  Subset sums add their terms in ascending
 receiver order (``s[mask | 1 << i] = s[mask] + x_i`` for the highest bit i).
-The 2^m bounds are one numpy expression over those sums, g in its ``log1p``
-form or ``log2`` of the ratio.  The single-subset functions evaluate the
-same expression on floats, so every caller gets the same bits.
+The 2^m bounds are one array expression over those sums: ``entropy_g`` of
+an array, or ``log2`` of the ratio, with libm's logarithm of each entry.
+The single-subset functions evaluate the same expression on floats, so
+every caller gets the same bits, on every CPU.
 
 Every finite-energy bound can also be evaluated as a Gaussian conditional
 entropy of the channel output (the ``*_gaussian`` functions), as H(S1 | R,
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import channel, gaussian
 from .channel import BroadcastChannelSpec
-from .gaussian import _LN2, _photon_number
+from .gaussian import _libm, _photon_number, entropy_g
 
 __all__ = [
     "CapacityRegion",
@@ -121,14 +122,6 @@ def _eta(spec: BroadcastChannelSpec, mask: int) -> float:
     return functools.reduce(add, (e for i, e in enumerate(spec.etas) if mask >> i & 1), 0.0)
 
 
-def _g(x):
-    """:func:`~bbcap.gaussian.entropy_g` of a float or elementwise:
-    ``log2(x + 1) + x log1p(1/x) / ln 2``, 0 below 1e-12.  Every bound, of a
-    region or of one subset, goes through it."""
-    y = np.maximum(x, 1e-12)  # the same x where it counts, and never 1/0
-    return (np.log2(y + 1.0) + y * np.log1p(1.0 / y) / _LN2) * (x >= 1e-12)
-
-
 def _closed_form(n_s, kept, kept_joint):
     """-H(S1 | A, S2) = ``g(kept n_s) - g(kept_joint n_s)``, ``kept`` a float or an array.
 
@@ -136,7 +129,8 @@ def _closed_form(n_s, kept, kept_joint):
     subset sum in ascending receiver order, so every caller agrees bit for bit.
     """
     n_s = _photon_number(n_s)
-    return _g(kept * n_s) - _g(kept_joint * n_s)  # a kept share below 0 is a rounded 0
+    # a kept share below 0 is a rounded 0
+    return entropy_g(np.maximum(kept, 0.0) * n_s) - entropy_g(max(kept_joint, 0.0) * n_s)
 
 
 def _bounds(energy, eta_t, eta_comp, eta_all: float):
@@ -145,7 +139,7 @@ def _bounds(energy, eta_t, eta_comp, eta_all: float):
         return _closed_form(energy, 1.0 - eta_comp, 1.0 - eta_all)
     if eta_all >= 1.0 - EXACT_TOL:  # no environment: the unbounded flag
         return np.where(eta_t <= EXACT_TOL, 0.0, math.inf)
-    return np.log2((1.0 - eta_comp) / (1.0 - eta_all))
+    return _libm(math.log2, (1.0 - eta_comp) / (1.0 - eta_all))
 
 
 def _bound(spec: BroadcastChannelSpec, energy, subset) -> float:
@@ -290,26 +284,15 @@ def _near_tie_keep(pts: np.ndarray, gaps: np.ndarray, ties: np.ndarray) -> np.nd
     """The rows a walk keeps that drops each row within ``VERTEX_DEDUPE_TOL``
     of the last row kept; ``gaps[k]`` is the distance of row k + 1 from row k.
 
-    The ties come in runs, rows s..e joined by gaps within the tolerance.  A
-    row one wide gap after a kept row is kept, so each run begins at a kept
-    row, and rows outside the runs need no walk.  Most runs lie within the
-    tolerance of their row s, and row e + 1 beyond it: the walk would drop
-    rows s + 1..e and keep row e + 1, so they are decided at once.
+    The ties are the rows k with ``gaps[k]`` within the tolerance.  A row one
+    wide gap after a kept row is kept, so the walk starts at a tie that
+    follows a kept row, and ends once a kept row is followed by a wide gap:
+    the rows outside such stretches are kept without a walk.
     """
-    tol, keep = VERTEX_DEDUPE_TOL, np.ones(len(pts), dtype=bool)
-    first = np.r_[True, ties[1:] > ties[:-1] + 1]
-    starts, ends = ties[first], ties[np.r_[first[1:], True]] + 1
-    near = np.abs(pts[ties + 1] - pts[starts[np.cumsum(first) - 1]]).max(axis=1) <= tol
-    after = np.minimum(ends + 1, len(pts) - 1)
-    beyond = (ends + 1 == len(pts)) | (np.abs(pts[after] - pts[starts]).max(axis=1) > tol)
-    quick = np.logical_and.reduceat(near, np.flatnonzero(first)) & beyond
-    k = 0  # the rows before k are decided
-    for s, e, at_once in zip(starts.tolist(), ends.tolist(), quick.tolist()):
+    tol, keep, k = VERTEX_DEDUPE_TOL, np.ones(len(pts), dtype=bool), 0
+    for s in ties.tolist():
         if s < k:
             continue  # walked already
-        if at_once:
-            keep[s + 1 : e + 1], k = False, e + 1
-            continue
         last = pts[s].tolist()
         for k in range(s + 1, len(pts)):
             row = pts[k].tolist()

@@ -62,6 +62,18 @@ class TestEntropyG:
             expect = math.log2(x) + math.log2(math.e) + 1.0 / (2.0 * x * math.log(2))
             assert entropy_g(x) == pytest.approx(expect, abs=1e-10)
 
+    def test_array_entries_are_the_floats_bitwise(self):
+        # libm's logarithms on every entry, whatever numpy's SIMD dispatch
+        rng = np.random.RandomState(5)
+        xs = np.concatenate([10.0 ** rng.uniform(-14, 17, 4000), [0.0, 5e-13, 1e-12, 1.0]])
+        got = entropy_g(xs.reshape(-1, 2))
+        assert got.shape == (2002, 2)
+        assert [x.hex() for x in got.ravel().tolist()] == [entropy_g(x).hex() for x in xs]
+
+    def test_array_with_a_negative_entry_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            entropy_g(np.array([1.0, -1e-6]))
+
 
 class TestTmsv:
     def test_zero_energy_is_vacuum(self):

@@ -228,7 +228,7 @@ class TestCapacityRegion:
 
 
 class TestBoundVector:
-    """The 2^m bounds, one numpy expression, against the single-subset functions."""
+    """The 2^m bounds, one array expression, against the single-subset functions."""
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_every_subset_matches_the_scalar_functions_bitwise(self, m):
@@ -389,9 +389,9 @@ class TestVerticesReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_near_tie_walk_against_the_plain_walk(self, seed):
         # sorted distinct rows on a grid of 0.35 tolerances, the first column
-        # rising: runs that end at once, runs whose walk keeps rows inside
-        # them, and walks that go on past a wide gap, since the row after
-        # it can lie within the tolerance of a row kept before
+        # rising: runs dropped after their first row, runs whose walk keeps
+        # rows inside them, and walks that go on past a wide gap, since the
+        # row after it can lie within the tolerance of a row kept before
         rng = np.random.RandomState(seed)
         pts = rng.randint(-2, 3, (300, 2 + seed % 2)) * 0.35e-10
         pts[:, 0] = np.cumsum(rng.choice([0.0, 0.35e-10, 3e-10], 300))
