@@ -8,10 +8,7 @@ cross-checks every entropy quantity.
 from .gaussian import (
     CovarianceState,
     entropy_g,
-    tmsv,
-    thermal_state,
     reduce,
-    permute_modes,
     symplectic_eigenvalues,
     von_neumann_entropy,
     conditional_entropy,
@@ -26,8 +23,6 @@ from .channel import (
     default_ordering,
     all_orderings,
     build_network,
-    apply_channel,
-    output_state_tmsv,
     implementations_equivalent,
 )
 from .region import (

@@ -51,8 +51,6 @@ __all__ = [
     "all_orderings",
     "validate_ordering",
     "build_network",
-    "apply_channel",
-    "output_state_tmsv",
     "implementations_equivalent",
 ]
 
@@ -68,6 +66,7 @@ ETA_TOL = 1e-12
 ORDERING_EQUIV_TOL = 1e-12
 MAX_RECEIVERS = 12          # network construction guard
 MAX_SWEEP_RECEIVERS = 8     # all-orderings sweeps grow factorially
+_I2 = np.eye(2)
 
 
 class DegenerateSplitError(ValueError):
@@ -149,7 +148,10 @@ def default_ordering(spec: BroadcastChannelSpec) -> tuple:
     putting them first keeps every stage denominator positive for every
     valid spec.
     """
-    etas = _eta_by_label(spec)
+    return _zero_weight_first(_eta_by_label(spec))
+
+
+def _zero_weight_first(etas: dict) -> tuple:
     return tuple(sorted(etas, key=lambda label: etas[label] > ETA_TOL))
 
 
@@ -190,10 +192,10 @@ def build_network(spec: BroadcastChannelSpec, ordering=None) -> BeamSplitterNetw
     """
     if spec.m > MAX_RECEIVERS:
         raise ValueError(f"network construction limited to m <= {MAX_RECEIVERS}")
-    ordering = (
-        default_ordering(spec) if ordering is None else validate_ordering(spec, ordering)
-    )
     etas = _eta_by_label(spec)
+    ordering = (
+        _zero_weight_first(etas) if ordering is None else validate_ordering(spec, ordering)
+    )
     rest = list(itertools.accumulate(etas[label] for label in reversed(ordering)))[::-1]
     stages = []
     for j, label in enumerate(ordering[:-1]):
@@ -223,36 +225,11 @@ def _arm_outputs(spec: BroadcastChannelSpec, excess: np.ndarray, ordering=None) 
     return u, cov
 
 
-def apply_channel(
-    spec: BroadcastChannelSpec, state: CovarianceState, ordering=None
-) -> CovarianceState:
-    """Send the second mode (the arm) of a two-mode state through the channel.
-
-    The first mode is kept as the sender's reference and the output keeps E:
-    modes come back as ``(A, B1, ..., Bm, E)``.  The blocks ``V_AA``, ``u_j
-    V_A,arm`` and :func:`_arm_outputs`' are written once, and validated once.
-    """
-    if state.n_modes != 2:
-        raise ValueError(f"channel input must have exactly 2 modes, got {state.n_modes}")
-    v = state.cov
-    u, arm = _arm_outputs(spec, v[2:, 2:] - np.eye(2), ordering)
-    cross = (v[:2, None, 2:] * u[:, None]).reshape(2, len(arm))
-    cov = np.block([[v[:2, :2], cross], [cross.T, arm]])
-    return CovarianceState((state.mode_labels[0],) + output_labels(spec), cov)
-
-
 def _thermal_output(spec: BroadcastChannelSpec, n_s: float, ordering=None) -> CovarianceState:
-    """:func:`output_state_tmsv` with A traced: the outputs (B1, ..., Bm, E) of a
-    thermal arm of ``n_s`` photons, written and validated once."""
-    _, cov = _arm_outputs(spec, 2.0 * gaussian._photon_number(n_s) * np.eye(2), ordering)
+    """The outputs (B1, ..., Bm, E) of a thermal arm of ``n_s`` photons: the
+    TMSV output with A traced, written and validated once."""
+    _, cov = _arm_outputs(spec, 2.0 * gaussian._photon_number(n_s) * _I2, ordering)
     return CovarianceState(output_labels(spec), cov)
-
-
-def output_state_tmsv(
-    spec: BroadcastChannelSpec, n_s: float, ordering=None
-) -> CovarianceState:
-    """Joint state on (A, B1, ..., Bm, E) from a TMSV of energy ``n_s``."""
-    return apply_channel(spec, gaussian.tmsv(n_s, ("A", "A'")), ordering)
 
 
 def implementations_equivalent(

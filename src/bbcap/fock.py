@@ -78,11 +78,16 @@ class InconclusiveVerificationError(RuntimeError):
 
 def thermal_weight(nbar: float, n: int) -> float:
     """Photon-number distribution of a thermal state: nbar^n / (nbar+1)^(n+1)."""
+    return _thermal_weights(nbar, (n,))[0]
+
+
+def _thermal_weights(nbar: float, ns) -> list:
+    """``thermal_weight(nbar, n)`` for each n in ``ns``, with ``nbar`` checked once."""
     nbar = _gaussian._photon_number(nbar)
     if nbar == 0:
-        return 1.0 if n == 0 else 0.0
+        return [1.0 if n == 0 else 0.0 for n in ns]
     r = nbar / (nbar + 1.0)
-    return r**n / (nbar + 1.0)
+    return [r**n / (nbar + 1.0) for n in ns]
 
 
 def tail_mass(n_s: float, cutoff: int) -> float:
@@ -95,8 +100,10 @@ def tail_mass(n_s: float, cutoff: int) -> float:
 
 def cutoff_for_tail(n_s: float) -> int:
     """Smallest cutoff whose tail mass is below ``TAIL_BUDGET`` (refuses above 60)."""
+    value = _gaussian._photon_number(n_s)
+    r = value / (value + 1.0)  # tail_mass(n_s, m) is r ** (m + 1), 0 at n_s = 0
     for m in range(MAX_CUTOFF + 1):
-        if tail_mass(n_s, m) < TAIL_BUDGET:
+        if r ** (m + 1) < TAIL_BUDGET:
             return m
     raise InconclusiveVerificationError(
         f"n_s = {n_s!r} needs a cutoff above {MAX_CUTOFF} for tail < {TAIL_BUDGET:g}"
@@ -163,7 +170,7 @@ def tmsv_fock(n_s: float, cutoff: int, labels=("A", "A'")) -> FockState:
     labels = tuple(labels)
     if len(labels) != 2:
         raise ValueError("tmsv_fock needs exactly two mode labels")
-    w = np.array([thermal_weight(n_s, k) for k in range(cutoff + 1)])
+    w = np.array(_thermal_weights(n_s, range(cutoff + 1)))
     k = np.flatnonzero(w > 0.0)
     return FockState(labels, np.stack([k, k], axis=1), np.sqrt(w[k]), cutoff)
 
@@ -371,7 +378,7 @@ def _photon_weights(n_s: float, cutoff: int, eta: float) -> np.ndarray:
     added up in ascending n."""
     top = cutoff + 1
     comb, n, k = (a[: top * (top + 1) // 2] for a in _pascal(max(top, MAX_CUTOFF + 1)))
-    w = np.array([thermal_weight(n_s, i) for i in range(top)])
+    w = np.array(_thermal_weights(n_s, range(top)))
     kept = np.array([eta**i for i in range(top)], dtype=float)
     lost = np.array([(1 - eta) ** i for i in range(top)], dtype=float)
     return np.bincount(k, w[n] * comb * kept[k] * lost[n - k], top)
@@ -548,6 +555,9 @@ def verify_conditional_entropies(
     recv = _channel.receiver_labels(spec)
     gauss_state = _channel._thermal_output(spec, n_s, ordering)
 
+    def gauss_entropy(labels) -> float:
+        return _gaussian.von_neumann_entropy(_gaussian.reduce(gauss_state, labels))
+
     def fock_entropy(labels) -> tuple:
         weights, certified = spectra[tuple(recv.index(lab) + 1 for lab in labels)]
         return _shannon_bits(weights), certified
@@ -558,13 +568,15 @@ def verify_conditional_entropies(
                 "pass": dev < ENTROPY_TOL and certified}
 
     h_sender_all, _ = fock_entropy(recv)
+    # H(T | E) = H(T, E) - H(E), as conditional_entropy takes it, with H(E) once
+    h_env_gauss = gauss_entropy((_channel.ENV_LABEL,))
     cases = []
     for t in _region.nonempty_subsets(spec.m):
         t_labels = tuple(recv[i - 1] for i in sorted(t))
         rest = tuple(lab for lab in recv if lab not in t_labels)
         h_rest, certified = fock_entropy(rest)
         fock_val = h_rest - h_sender_all
-        gauss_val = _gaussian.conditional_entropy(gauss_state, t_labels, (_channel.ENV_LABEL,))
+        gauss_val = gauss_entropy(t_labels + (_channel.ENV_LABEL,)) - h_env_gauss
         closed_val = _region.inner_bound_finite(spec, n_s, t)
         dev = max(abs(fock_val - gauss_val), abs(fock_val - closed_val))
         name = "-H({}|A,{})".format(",".join(t_labels), ",".join(rest) or "-")
@@ -580,7 +592,7 @@ def verify_conditional_entropies(
     for j, eta in enumerate(spec.etas, 1):
         weights, certified = spectra[(j,)]
         mu = max(1.0 - eta, 0.0) * n_s  # the spec admits eta within ETA_TOL above 1
-        dev = float(np.max(np.abs(weights - [thermal_weight(mu, t) for t in range(cutoff + 1)])))
+        dev = float(np.max(np.abs(weights - _thermal_weights(mu, range(cutoff + 1)))))
         schmidt.append({"arm_transmittance": eta, "ns": n_s, "cutoff": cutoff, "tail_mass": tail,
                         "max_abs_dev": dev, "pass": dev < SCHMIDT_TOL and certified})
     return {

@@ -17,12 +17,13 @@ Conventions used throughout the package:
   below it ``nu`` is the vacuum's, and validity allows that much below 1.
 
 Every state here is zero-mean, so a covariance matrix is the whole state.
-A partial trace is a principal submatrix and a mode reordering a
-permutation of blocks; neither can turn a valid covariance matrix into an
-invalid one, so states derived that way are not validated again.  The
-passive networks of :mod:`bbcap.channel` act on mode amplitudes as an
-orthogonal matrix, so the channel writes its output covariance directly
-from the amplitudes and validates it once, with no beam-splitter matrix.
+A partial trace is a principal submatrix, gathered with ``take`` on the
+kept modes' quadrature indices, rows then columns.  It cannot turn a valid
+covariance matrix into an invalid one, so a reduced state is not validated
+again.  The passive networks of :mod:`bbcap.channel` act on mode amplitudes
+as an orthogonal matrix, so the channel writes its output covariance
+directly from the amplitudes and validates it once, with no beam-splitter
+matrix.
 """
 
 from __future__ import annotations
@@ -35,10 +36,7 @@ import numpy as np
 __all__ = [
     "CovarianceState",
     "entropy_g",
-    "tmsv",
-    "thermal_state",
     "reduce",
-    "permute_modes",
     "symplectic_eigenvalues",
     "von_neumann_entropy",
     "conditional_entropy",
@@ -53,6 +51,8 @@ VALIDITY_TOL = 1e-9
 NU_FLOOR = 4 * np.finfo(float).eps
 
 _LN2 = math.log(2.0)
+# the signs of the rows of Ω L, per mode: (p_k, -x_k)
+_OMEGA_SIGNS = np.array([[1.0], [-1.0]])
 
 
 @dataclass
@@ -91,25 +91,20 @@ class CovarianceState:
             raise ValueError(
                 f"cov has shape {self.cov.shape}, expected ({2 * n}, {2 * n})"
             )
-        if not np.isfinite(self.cov).all():
+        peak = float(np.abs(self.cov).max())  # NaN and inf carry through max
+        if not peak < math.inf:
             raise ValueError("covariance entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(self.cov))))
-        asym = float(np.max(np.abs(self.cov - self.cov.T)))
+        scale = max(1.0, peak)
+        asym = float(np.abs(self.cov - self.cov.T).max())
         if asym > SYMMETRY_TOL * scale:
             raise ValueError(f"covariance not symmetric (max asymmetry {asym:.3e})")
-        nu_min = min(symplectic_eigenvalues(self))
-        if nu_min < 1.0 - max(VALIDITY_TOL, _resolution(self.cov)):
+        nu_min = symplectic_eigenvalues(self)[-1]
+        if nu_min < 1.0 - max(VALIDITY_TOL, _resolution(self.cov, scale)):
             raise ValueError(f"uncertainty relation violated: min symplectic eigenvalue {nu_min}")
 
     @property
     def n_modes(self) -> int:
         return len(self.mode_labels)
-
-    def index(self, label) -> int:
-        try:
-            return self.mode_labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown mode label {label!r}") from None
 
 
 def entropy_g(x):
@@ -159,66 +154,24 @@ def _photon_number(n_s) -> float:
     return value
 
 
-def tmsv(n_s: float, labels=("A", "A'")) -> CovarianceState:
-    """Two-mode squeezed vacuum with mean photon number ``n_s`` per arm.
-
-    Diagonal blocks are ``(2 n_s + 1) I2``; cross blocks are
-    ``2 sqrt(n_s (n_s + 1)) diag(1, -1)``.  The joint state is pure and each
-    arm alone is thermal with mean photon number ``n_s``.
-    """
-    _photon_number(n_s)
-    labels = tuple(labels)
-    if len(labels) != 2:
-        raise ValueError("tmsv needs exactly two mode labels")
-    d = 2.0 * n_s + 1.0
-    c = 2.0 * math.sqrt(n_s * (n_s + 1.0))
-    cov = np.array(
-        [
-            [d, 0.0, c, 0.0],
-            [0.0, d, 0.0, -c],
-            [c, 0.0, d, 0.0],
-            [0.0, -c, 0.0, d],
-        ]
-    )
-    return CovarianceState(labels, cov)
-
-
-def thermal_state(nbar: float, label) -> CovarianceState:
-    """Single thermal mode with mean photon number ``nbar``."""
-    _photon_number(nbar)
-    cov = (2.0 * nbar + 1.0) * np.eye(2)
-    return CovarianceState((label,), cov)
-
-
 def reduce(state: CovarianceState, keep) -> CovarianceState:
     """Partial trace down to the modes in ``keep`` (original mode order kept)."""
     keep_set = set(keep)
     if not keep_set:
         raise ValueError("must keep at least one mode")
-    for label in keep_set:
-        if label not in state.mode_labels:
-            raise ValueError(f"unknown mode label {label!r}")
     idx = [i for i, lab in enumerate(state.mode_labels) if lab in keep_set]
+    if len(idx) < len(keep_set):
+        unknown = next(label for label in keep_set if label not in state.mode_labels)
+        raise ValueError(f"unknown mode label {unknown!r}")
     return CovarianceState(
         tuple(state.mode_labels[i] for i in idx), _mode_blocks(state.cov, idx), validate=False
     )
 
 
-def permute_modes(state: CovarianceState, new_order) -> CovarianceState:
-    """Reorder modes to ``new_order`` (a permutation of the state's labels)."""
-    new_order = tuple(new_order)
-    if sorted(map(str, new_order)) != sorted(map(str, state.mode_labels)) or len(
-        new_order
-    ) != state.n_modes:
-        raise ValueError(f"{new_order!r} is not a permutation of {state.mode_labels!r}")
-    idx = [state.index(lab) for lab in new_order]
-    return CovarianceState(new_order, _mode_blocks(state.cov, idx), validate=False)
-
-
 def _mode_blocks(cov: np.ndarray, idx: list) -> np.ndarray:
-    """Covariance of the modes ``idx``, in that order, from the (n, 2, n, 2) view."""
-    k = 2 * len(idx)
-    return cov.reshape(len(cov) // 2, 2, -1, 2)[idx][:, :, idx].reshape(k, k)
+    """Covariance of the modes ``idx``, in that order: rows, then columns, of their quadratures."""
+    q = [2 * i + j for i in idx for j in (0, 1)]
+    return cov.take(q, 0).take(q, 1)
 
 
 def symplectic_eigenvalues(state: CovarianceState) -> list:
@@ -238,13 +191,16 @@ def symplectic_eigenvalues(state: CovarianceState) -> list:
         raise ValueError(
             "uncertainty relation violated: covariance not positive definite"
         ) from None
-    omega_l = chol.reshape(n, 2, -1)[:, ::-1] * [[1.0], [-1.0]]
+    omega_l = chol.reshape(n, 2, -1)[:, ::-1] * _OMEGA_SIGNS
     return np.linalg.eigvalsh(1j * (chol.T @ omega_l.reshape(2 * n, 2 * n)))[n:][::-1].tolist()
 
 
-def _resolution(cov: np.ndarray) -> float:
-    """The smallest ``nu - 1`` that rounding leaves resolved in ``cov``'s spectrum."""
-    return NU_FLOOR * len(cov) * max(1.0, float(np.max(np.abs(cov))))
+def _resolution(cov: np.ndarray, scale=None) -> float:
+    """The smallest ``nu - 1`` that rounding leaves resolved in ``cov``'s spectrum;
+    ``scale`` is ``max(1, max|V|)``, found here when not given."""
+    if scale is None:
+        scale = max(1.0, float(np.abs(cov).max()))
+    return NU_FLOOR * len(cov) * scale
 
 
 def von_neumann_entropy(state: CovarianceState) -> float:

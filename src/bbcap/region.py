@@ -81,6 +81,8 @@ def _validate_subset(m: int, subset, allow_empty=False) -> frozenset:
     t = frozenset(subset)
     if not t and not allow_empty:
         raise ValueError("receiver subset must be nonempty")
+    if all(type(i) is int and 1 <= i <= m for i in t):  # plain ints: no ABC check
+        return t
     if not all(isinstance(i, numbers.Integral) and 1 <= i <= m for i in t):
         raise ValueError(f"subset {sorted(t, key=repr)} outside receivers 1..{m}")
     return frozenset(map(int, t))
@@ -377,7 +379,8 @@ def merging_gain_gaussian(
     R the receivers outside S1 and S2 (complements of a pure state)."""
     s1, s2 = _disjoint_subsets(spec.m, gained, helpers)
     state = channel._thermal_output(spec, n_s, ordering)  # modes B1..Bm, E
-    rest = [label for i, label in enumerate(state.mode_labels, 1) if i not in s1 | s2]
+    used = s1 | s2
+    rest = [label for i, label in enumerate(state.mode_labels, 1) if i not in used]
     return gaussian.conditional_entropy(state, [state.mode_labels[i - 1] for i in s1], rest)
 
 

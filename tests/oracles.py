@@ -4,7 +4,10 @@ Nothing here imports the code paths under test: entropies come from plain
 spectral sums, split populations from explicit binomial mixing, polytope
 vertices from hyperplane intersection or a depth-first greedy walk, channel
 outputs from a cascade of dense beam-splitter matrices, and command-line
-output from ``json.dumps``.
+output from ``json.dumps``.  The one exception is the TMSV route at the
+end: it builds library states and sends a TMSV arm through the channel's
+amplitude map, the two-mode route the library's thermal route is checked
+against.
 """
 
 import itertools
@@ -13,6 +16,9 @@ import math
 import operator
 
 import numpy as np
+
+from bbcap import channel
+from bbcap.gaussian import CovarianceState, _photon_number
 
 
 def thermal_entropy_spectral(nbar: float, terms: int = 4000) -> float:
@@ -186,7 +192,7 @@ def beam_splitter(eta: float, mode_a: int, mode_b: int, n_modes: int) -> np.ndar
 
 
 def apply_channel_dense(net, cov4) -> np.ndarray:
-    """Output covariance of ``channel.apply_channel``, by the dense cascade.
+    """Output covariance of :func:`apply_channel`, by the dense cascade.
 
     ``net`` is a ``BeamSplitterNetwork`` and ``cov4`` the two-mode input's
     covariance.  m vacuum ancillas are adjoined; stage j mixes ancilla 2+j
@@ -376,3 +382,77 @@ def render_verify_reference(record: dict, fmt: str, prec: int) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def mode_blocks_reference(cov: np.ndarray, idx) -> np.ndarray:
+    """Covariance of the modes ``idx``, in that order, by a fancy index on the
+    (n, 2, n, 2) view: the gather ``gaussian.reduce`` must match bit for bit."""
+    k = 2 * len(idx)
+    return cov.reshape(len(cov) // 2, 2, -1, 2)[list(idx)][:, :, list(idx)].reshape(k, k)
+
+
+# The TMSV route: a reference mode A purifies the input arm A', and the
+# output on (A, B1, ..., Bm, E) is pure.  The library works from the thermal
+# arm alone; these build the two-mode states it is checked against.
+
+def tmsv(n_s: float, labels=("A", "A'")):
+    """Two-mode squeezed vacuum with mean photon number ``n_s`` per arm.
+
+    Diagonal blocks are ``(2 n_s + 1) I2``; cross blocks are
+    ``2 sqrt(n_s (n_s + 1)) diag(1, -1)``.  The joint state is pure and each
+    arm alone is thermal with mean photon number ``n_s``.
+    """
+    _photon_number(n_s)
+    labels = tuple(labels)
+    if len(labels) != 2:
+        raise ValueError("tmsv needs exactly two mode labels")
+    d = 2.0 * n_s + 1.0
+    c = 2.0 * math.sqrt(n_s * (n_s + 1.0))
+    cov = np.array(
+        [
+            [d, 0.0, c, 0.0],
+            [0.0, d, 0.0, -c],
+            [c, 0.0, d, 0.0],
+            [0.0, -c, 0.0, d],
+        ]
+    )
+    return CovarianceState(labels, cov)
+
+
+def thermal_state(nbar: float, label):
+    """Single thermal mode with mean photon number ``nbar``."""
+    _photon_number(nbar)
+    return CovarianceState((label,), (2.0 * nbar + 1.0) * np.eye(2))
+
+
+def permute_modes(state, new_order):
+    """Reorder modes to ``new_order`` (a permutation of the state's labels)."""
+    new_order = tuple(new_order)
+    if sorted(map(str, new_order)) != sorted(map(str, state.mode_labels)) or len(
+        new_order
+    ) != state.n_modes:
+        raise ValueError(f"{new_order!r} is not a permutation of {state.mode_labels!r}")
+    idx = [state.mode_labels.index(lab) for lab in new_order]
+    return CovarianceState(new_order, mode_blocks_reference(state.cov, idx), validate=False)
+
+
+def apply_channel(spec, state, ordering=None):
+    """Send the second mode (the arm) of a two-mode state through the channel.
+
+    The first mode is kept as the sender's reference and the output keeps E:
+    modes come back as ``(A, B1, ..., Bm, E)``.  The blocks ``V_AA``, ``u_j
+    V_A,arm`` and the channel's arm outputs are written once, and validated
+    once.
+    """
+    if state.n_modes != 2:
+        raise ValueError(f"channel input must have exactly 2 modes, got {state.n_modes}")
+    v = state.cov
+    u, arm = channel._arm_outputs(spec, v[2:, 2:] - np.eye(2), ordering)
+    cross = (v[:2, None, 2:] * u[:, None]).reshape(2, len(arm))
+    cov = np.block([[v[:2, :2], cross], [cross.T, arm]])
+    return CovarianceState((state.mode_labels[0],) + channel.output_labels(spec), cov)
+
+
+def output_state_tmsv(spec, n_s: float, ordering=None):
+    """Joint state on (A, B1, ..., Bm, E) from a TMSV of energy ``n_s``."""
+    return apply_channel(spec, tmsv(n_s, ("A", "A'")), ordering)

@@ -9,12 +9,10 @@ from bbcap.channel import (
     BroadcastChannelSpec,
     DegenerateSplitError,
     all_orderings,
-    apply_channel,
     build_network,
     default_ordering,
     implementations_equivalent,
     output_labels,
-    output_state_tmsv,
     receiver_labels,
     validate_ordering,
 )
@@ -22,10 +20,16 @@ from bbcap.gaussian import (
     CovarianceState,
     reduce,
     symplectic_eigenvalues,
-    tmsv,
     von_neumann_entropy,
 )
-from oracles import apply_channel_dense, beam_splitter
+from oracles import (
+    apply_channel,
+    apply_channel_dense,
+    beam_splitter,
+    output_state_tmsv,
+    thermal_state,
+    tmsv,
+)
 
 
 def random_spec(rng, m, eta_total_max=0.95):
@@ -175,7 +179,7 @@ class TestApplyChannel:
     def test_input_must_have_two_modes(self):
         with pytest.raises(ValueError):
             apply_channel(
-                BroadcastChannelSpec((0.2, 0.3)), gaussian.thermal_state(1.0, "T")
+                BroadcastChannelSpec((0.2, 0.3)), thermal_state(1.0, "T")
             )
 
     @pytest.mark.parametrize("m", [1, 4, 12])

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bbcap import fock
-from bbcap.channel import BroadcastChannelSpec, output_state_tmsv, receiver_labels
+from bbcap import channel, fock, gaussian
+from bbcap.channel import BroadcastChannelSpec, receiver_labels
 from bbcap.fock import (
     ENTROPY_TOL,
     FockState,
@@ -22,8 +22,9 @@ from bbcap.fock import (
     tmsv_fock,
     verify_conditional_entropies,
 )
-from bbcap.gaussian import entropy_g, reduce, von_neumann_entropy
-from oracles import reduce_density_reference, split_photon_weights_loop
+from bbcap.gaussian import conditional_entropy, entropy_g, reduce, von_neumann_entropy
+from bbcap.region import inner_bound_finite_gaussian, nonempty_subsets
+from oracles import output_state_tmsv, reduce_density_reference, split_photon_weights_loop
 
 SPEC23 = BroadcastChannelSpec((0.2, 0.3))
 
@@ -710,6 +711,39 @@ class TestCutoffPolicy:
         assert cutoff_for_tail(0.5) == 20
         assert cutoff_for_tail(1.0) == 33
 
+    @pytest.mark.parametrize("n_s", [0.0, 1e-3, 0.1, 0.2, 0.5, 1.0, 1.7, 2.0])
+    def test_cutoff_is_the_first_within_budget(self, n_s):
+        want = next(m for m in range(fock.MAX_CUTOFF + 1) if tail_mass(n_s, m) < fock.TAIL_BUDGET)
+        assert cutoff_for_tail(n_s) == want
+
+    @pytest.mark.parametrize("nbar", [0.0, 1e-3, 0.5, 2.0, 37.0])
+    def test_weight_lists_are_the_scalar_expression(self, nbar):
+        # r**n / (nbar + 1), bit for bit, however the list is built
+        r = nbar / (nbar + 1.0)
+        want = [(r**n / (nbar + 1.0) if nbar else float(n == 0)) for n in range(61)]
+        hexes = [w.hex() for w in want]
+        assert [w.hex() for w in fock._thermal_weights(nbar, range(61))] == hexes
+        assert [thermal_weight(nbar, n).hex() for n in range(61)] == hexes
+        amps = tmsv_fock(nbar, 60).amplitudes
+        assert amps.tobytes() == np.sqrt([w for w in want if w > 0.0]).tobytes()
+
+    def test_verify_checks_the_energy_a_fixed_number_of_times(self, monkeypatch):
+        # once per weight list, never once per photon number
+        calls = []
+        real = gaussian._photon_number
+
+        def counted(n_s):
+            calls.append(n_s)
+            return real(n_s)
+
+        monkeypatch.setattr(gaussian, "_photon_number", counted)
+        counts = []
+        for cutoff in (12, 40):
+            calls.clear()
+            verify_conditional_entropies(SPEC23, 0.2, cutoff=cutoff)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], counts
+
     def test_refuses_past_sixty(self):
         with pytest.raises(InconclusiveVerificationError):
             cutoff_for_tail(3.0)
@@ -729,6 +763,49 @@ class TestCutoffPolicy:
 def test_photon_number_must_be_finite_and_nonnegative(call, n_s):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         call(n_s)
+
+
+class TestSpectrumCount:
+    """The covariance route takes one symplectic spectrum per entropy it needs."""
+
+    SPEC4 = (0.1, 0.2, 0.15, 0.25)
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        sizes = []
+        real = gaussian.symplectic_eigenvalues
+
+        def counted(state):
+            sizes.append(state.n_modes)
+            return real(state)
+
+        monkeypatch.setattr(gaussian, "symplectic_eigenvalues", counted)
+        return sizes
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_verify_takes_two_to_the_m_plus_one(self, m, monkeypatch):
+        # the output's validation, H(E), and H(T, E) per nonempty subset T
+        sizes = self._count(monkeypatch)
+        assert verify_conditional_entropies(BroadcastChannelSpec(self.SPEC4[:m]), 0.1)["pass"]
+        assert len(sizes) == 2**m + 1
+
+    def test_inner_bound_takes_three(self, monkeypatch):
+        # the output's validation, H(T, E) and H(E)
+        sizes = self._count(monkeypatch)
+        inner_bound_finite_gaussian(BroadcastChannelSpec(self.SPEC4), 0.7, {2, 3})
+        assert sizes == [5, 3, 1]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_verify_reports_the_conditional_entropies(self, m):
+        spec = BroadcastChannelSpec(self.SPEC4[:m])
+        report = verify_conditional_entropies(spec, 0.3)
+        state = channel._thermal_output(spec, 0.3)
+        recv = receiver_labels(spec)
+        subsets = list(nonempty_subsets(m))
+        assert len(report["cases"]) == len(subsets) + 1  # and the purity case
+        for t, case in zip(subsets, report["cases"]):
+            want = conditional_entropy(state, [recv[i - 1] for i in sorted(t)], ("E",))
+            assert case["gaussian_bits"].hex() == want.hex(), case["case"]
 
 
 class TestOracleVsGaussianEverywhere:

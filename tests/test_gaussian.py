@@ -8,19 +8,21 @@ from bbcap.gaussian import (
     CovarianceState,
     conditional_entropy,
     entropy_g,
-    permute_modes,
     reduce,
     symplectic_eigenvalues,
-    thermal_state,
-    tmsv,
     von_neumann_entropy,
 )
 from oracles import (
     beam_splitter,
+    mode_blocks_reference,
+    output_state_tmsv,
+    permute_modes,
     spectral_entropy,
     split_thermal_populations,
     symplectic_form,
     thermal_entropy_spectral,
+    thermal_state,
+    tmsv,
 )
 
 G_HALF = 1.3774437510817343  # (1.5 log2 1.5 + 0.5), checked against the spectral sum
@@ -221,10 +223,41 @@ class TestReduce:
 
     def test_errors(self):
         st = tmsv(1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^must keep at least one mode$"):
             reduce(st, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown mode label 'nope'$"):
             reduce(st, ["nope"])
+        with pytest.raises(ValueError, match=r"^unknown mode label 'nope'$"):
+            reduce(st, ["A", "nope"])
+
+
+class TestReduceGather:
+    """``reduce`` gathers with ``take``; the (n, 2, n, 2) fancy index is its reference."""
+
+    @staticmethod
+    def _random_state(rng, n):
+        a = rng.standard_normal((2 * n, 2 * n)) * rng.uniform(0.1, 100.0)
+        return CovarianceState(range(n), a @ a.T + np.eye(2 * n))
+
+    def test_matches_the_fancy_index_bit_for_bit(self):
+        rng = np.random.RandomState(91)
+        for n in range(1, 14):
+            state = self._random_state(rng, n)
+            for _ in range(10):
+                keep = [int(i) for i in rng.choice(n, rng.randint(1, n + 1), replace=False)]
+                got = reduce(state, keep)  # keep comes in random order
+                idx = sorted(keep)
+                assert got.mode_labels == tuple(idx)
+                want = mode_blocks_reference(state.cov, idx)
+                assert got.cov.tobytes() == want.tobytes(), (n, keep)
+
+    def test_blocks_in_any_order(self):
+        rng = np.random.RandomState(92)
+        for n in range(1, 14):
+            cov = self._random_state(rng, n).cov
+            idx = [int(i) for i in rng.permutation(n)[: rng.randint(1, n + 1)]]
+            assert gaussian._mode_blocks(cov, idx).tobytes() == (
+                mode_blocks_reference(cov, idx).tobytes())
 
 
 class TestSymplecticEigenvalues:
@@ -286,8 +319,10 @@ class TestStateValidation:
             CovarianceState(("a", "b"), cov)
 
     def test_uncertainty_violation_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             CovarianceState(("a",), 0.5 * np.eye(2))
+        assert str(err.value) == (
+            "uncertainty relation violated: min symplectic eigenvalue 0.5000000000000001")
 
     @pytest.mark.parametrize("scale", [1e4, 1e8])
     def test_refusal_scales_with_the_covariance(self, scale):
@@ -315,6 +350,23 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="covariance entries must be finite"):
             CovarianceState(("a",), [[x, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "entry,value,message",
+        [
+            ((1, 2), math.nan, "covariance entries must be finite"),
+            ((0, 2), 1e-6, "covariance not symmetric (max asymmetry 1.000e-06)"),
+            ((0, 0), 1e-3,
+             "uncertainty relation violated: min symplectic eigenvalue 0.03162277660168379"),
+            ((0, 0), -1.0, "uncertainty relation violated: covariance not positive definite"),
+        ],
+    )
+    def test_refusal_messages(self, entry, value, message):
+        cov = np.eye(4)
+        cov[entry] = value
+        with pytest.raises(ValueError) as err:
+            CovarianceState(("a", "b"), cov)
+        assert str(err.value) == message
+
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError):
             CovarianceState(("a", "b"), np.eye(2))
@@ -325,7 +377,7 @@ class TestStateValidation:
 class TestPurityBookkeeping:
     def test_pure_state_bipartition_entropies_match(self):
         # H(P) = H(complement) for every bipartition of a pure state
-        from bbcap.channel import BroadcastChannelSpec, output_state_tmsv
+        from bbcap.channel import BroadcastChannelSpec
 
         rng = np.random.RandomState(11)
         for _ in range(5):

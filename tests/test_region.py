@@ -25,11 +25,13 @@ from bbcap.region import (
     region_to_dict,
     vertices,
     _near_tie_keep,
+    _validate_subset,
 )
 from oracles import (
     dedupe_reference,
     is_polymatroid_bruteforce,
     match_point_sets,
+    output_state_tmsv,
     polytope_vertices_bruteforce,
     vertices_reference,
 )
@@ -106,6 +108,33 @@ class TestInnerBoundFinite:
             region_from_dict(data)
         # whole numbers of any integer type still name a receiver
         assert inner_bound_finite(SPEC23, 1.0, {np.int64(2)}) == inner_bound_finite(SPEC23, 1.0, {2})
+
+    @pytest.mark.parametrize(
+        "subset,want",
+        [([1, 3], {1, 3}), ([True], {1}), ([np.int64(2)], {2}), ([np.int64(3), 1], {1, 3}),
+         ([True, 2], {1, 2})],
+    )
+    def test_accepted_receivers_come_back_as_ints(self, subset, want):
+        got = _validate_subset(3, subset)
+        assert got == want and all(type(i) is int for i in got)
+
+    @pytest.mark.parametrize(
+        "subset,message",
+        [([0], "subset [0] outside receivers 1..3"),
+         ([4], "subset [4] outside receivers 1..3"),
+         ([1, 4], "subset [1, 4] outside receivers 1..3"),
+         ([1.0], "subset [1.0] outside receivers 1..3"),
+         (["1"], "subset ['1'] outside receivers 1..3"),
+         ([np.bool_(True)], f"subset [{np.bool_(True)!r}] outside receivers 1..3"),
+         ([], "receiver subset must be nonempty")],
+    )
+    def test_refused_receivers_keep_their_message(self, subset, message):
+        with pytest.raises(ValueError) as err:
+            _validate_subset(3, subset)
+        assert str(err.value) == message
+
+    def test_empty_subset_where_allowed(self):
+        assert _validate_subset(3, [], allow_empty=True) == frozenset()
 
 
 class TestAsymptoticBound:
@@ -509,7 +538,7 @@ class TestMergingGain:
             s2 = receivers[k:] if rng.rand() < 0.5 else receivers[k : k + rng.randint(0, m - k + 1)]
             recv = channel.receiver_labels(spec)
             tmsv_route = -conditional_entropy(
-                channel.output_state_tmsv(spec, n_s), [recv[i - 1] for i in s1],
+                output_state_tmsv(spec, n_s), [recv[i - 1] for i in s1],
                 ["A"] + [recv[i - 1] for i in s2])
             thermal_route = merging_gain_gaussian(spec, n_s, s1, s2)
             bound = 8 * math.ulp(2 * n_s + 1) * 2 * (m + 2)
@@ -533,7 +562,6 @@ class TestMergingGain:
         def refuse(*args, **kwargs):
             raise AssertionError("covariance route called")
 
-        monkeypatch.setattr(channel, "output_state_tmsv", refuse)
         monkeypatch.setattr(channel, "_thermal_output", refuse)
         with pytest.raises(AssertionError, match="covariance route called"):
             merging_gain_gaussian(SPEC23, 1.0, {2}, {1})
