@@ -9,7 +9,10 @@ convergence  finite-energy bounds against their unconstrained limits
 verify       number-basis oracle suite against the Gaussian computation
 
 Numeric output is printed with 9 significant digits by default; set
-``BBC_CAPACITY_PRECISION`` to override.  Exit status: 0 on success, 1 on a
+``BBC_CAPACITY_PRECISION`` to override.  The ``region`` and ``convergence``
+tables, one row per receiver subset, are written from columns: the subset
+texts, each made from the text of a shorter subset, and the bound texts,
+each value formatted once; a table is then one join.  Exit status: 0 on success, 1 on a
 domain or usage error, 2 when a verification is inconclusive (truncation
 budget not met, or the run does not fit in memory).
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -136,28 +140,40 @@ def parse_args(argv) -> argparse.Namespace:
     return args
 
 
-def convergence_table(etas, ns_grid) -> list:
-    """Rows (ns, subset, inner bound, unconstrained bound, gap) for every T."""
+def _convergence_columns(etas, ns_grid) -> tuple:
+    """m, and per grid energy the columns (n_s, inner, limit, gap).
+
+    Each bound column is a vector over all 2^m masks, as ``CapacityRegion``
+    holds it.  The arguments are checked at the call; the vectors are
+    computed as the columns are read, one energy at a time.
+    """
     spec = BroadcastChannelSpec(tuple(etas))
     if spec.eta_total >= 1.0 - 1e-12:
         raise ValueError("unconstrained bounds are unbounded when the receivers take everything")
     for n_s in ns_grid:
         if n_s < 0 or not math.isfinite(n_s):
             raise ValueError(f"grid photon numbers must be finite and nonnegative, got {n_s!r}")
-    limits = region.capacity_region(spec)._f.tolist()
+    limit = region.capacity_region(spec)._f
+
+    def columns():
+        for n_s in ns_grid:
+            inner = region.capacity_region(spec, n_s)._f
+            yield float(n_s), inner, limit, limit - inner
+
+    return spec.m, columns()
+
+
+def convergence_table(etas, ns_grid) -> list:
+    """Rows (ns, subset, inner bound, unconstrained bound, gap) for every T."""
+    m, columns = _convergence_columns(etas, ns_grid)
+    subsets = list(region._ordered_subsets(m))
+    masks = np.array([mask for _, mask in subsets])
     rows = []
-    for n_s in ns_grid:
-        inner = region.capacity_region(spec, n_s)._f.tolist()
-        for t, mask in region._ordered_subsets(spec.m):
-            rows.append(
-                {
-                    "ns": float(n_s),
-                    "subset": list(t),
-                    "inner_bound_bits": inner[mask],
-                    "asymptotic_bound_bits": limits[mask],
-                    "gap_bits": limits[mask] - inner[mask],
-                }
-            )
+    for n_s, *bounds in columns:
+        inner, limit, gap = (b[masks].tolist() for b in bounds)
+        rows += [{"ns": n_s, "subset": list(t), "inner_bound_bits": i,
+                  "asymptotic_bound_bits": a, "gap_bits": g}
+                 for (t, _), i, a, g in zip(subsets, inner, limit, gap)]
     return rows
 
 
@@ -184,8 +200,10 @@ def _emit(text: str, output) -> int:
 def _numbers(prec: int, fmt: str):
     """The formatter of floats at one precision.
 
-    A JSON float is the value rounded to ``prec`` significant digits and
-    printed as ``json.dumps`` prints it; a CSV float is the rounded text.
+    A CSV float is the printf text ``"%.{prec}g" % x``, the value rounded to
+    ``prec`` significant digits; it is the text ``format(x, f".{prec}g")``
+    gives.  A JSON float is that rounded value printed as ``json.dumps``
+    prints it.
 
     Up to 15 digits the rounded text is itself that JSON text whenever it has
     a point and no exponent: two decimals of at most 15 digits never round to
@@ -194,12 +212,12 @@ def _numbers(prec: int, fmt: str):
     1e16.  Other texts (``10``, ``1e-05``, ``-0``, and any at 16 or 17 digits,
     which need not read back as written) take the round trip.
     """
-    spec, as_printed = f".{prec}g", prec <= 15
+    pattern, as_printed = f"%.{prec}g", prec <= 15
     if fmt == "csv":
-        return lambda x: format(x, spec)
+        return pattern.__mod__
 
     def number(x):
-        text = format(x, spec)
+        text = pattern % x
         if as_printed and "." in text and "e" not in text:
             return text
         return float.__repr__(float(text))
@@ -238,6 +256,42 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *map(",".join, rows)])
 
 
+def _subset_texts(m: int, sep: str) -> tuple:
+    """The text of every nonempty receiver subset, its receivers joined by
+    ``sep``, and the subsets' masks, both in ``region._ordered_subsets`` order.
+
+    In that order the k-subsets of a..m are a before each (k - 1)-subset of
+    a + 1..m, then the k-subsets of a + 1..m.  So each text is made once, as
+    ``f"{a}{sep}"`` on the text of a shorter subset, and the lists are joined
+    by copying references.
+    """
+    texts = [[] for _ in range(m + 1)]  # texts[k]: the k-subsets of a..m
+    masks = [np.zeros(0, dtype=np.int64)] * (m + 1)
+    for a in range(m, 0, -1):
+        head, bit = f"{a}{sep}", 1 << (a - 1)
+        for k in range(m - a + 1, 1, -1):  # downwards: texts[k - 1] is still that of a + 1..m
+            texts[k] = list(map(head.__add__, texts[k - 1])) + texts[k]
+            masks[k] = np.concatenate((masks[k - 1] | bit, masks[k]))
+        texts[1].insert(0, str(a))
+        masks[1] = np.concatenate(([bit], masks[1]))
+    return list(itertools.chain.from_iterable(texts)), np.concatenate(masks)
+
+
+def _rows(first: str, n: int, columns, last: str = "") -> str:
+    """``first``, n rows and ``last`` in one join.
+
+    A row is one piece of each column in turn; a column is a list of n texts,
+    or one text for every row.  The first column is the text before a row,
+    and ``first`` takes its place before the first row.
+    """
+    pieces = [None] * (n * len(columns))
+    for i, col in enumerate(columns):
+        pieces[i :: len(columns)] = col if isinstance(col, list) else [col] * n
+    pieces[0] = first
+    pieces.append(last)
+    return "".join(pieces)
+
+
 def _points(pts, num) -> list:
     """The rows of a point array as lists of float texts, each distinct value formatted once."""
     values, index = np.unique(pts.ravel(), return_inverse=True)
@@ -253,23 +307,24 @@ def _json_points(rows) -> _Raw:
 
 def _run_region(args, num) -> str:
     reg = _region_for(args)
-    f = reg._f.tolist()
-    subsets = region._ordered_subsets(reg.m, [str(i) for i in range(1, reg.m + 1)])
-    if args.fmt == "csv":
-        return _csv("subset,bound_bits", [
-            ("+".join(t), "unbounded" if f[mask] == math.inf else num(f[mask]))
-            for t, mask in subsets
-        ])
-    # the largest output of all: its 2^m - 1 entries are written here, at
-    # depth 1 of the indent-2 layout, rather than one dict at a time by _json
-    entries = ",\n    ".join([
-        '{\n      "subset": [\n        ' + ",\n        ".join(t) + "\n      ],\n      "
-        + ('"unbounded": true' if f[mask] == math.inf else '"bound_bits": ' + num(f[mask]))
-        + "\n    }"
-        for t, mask in subsets
-    ])
-    data = {"m": reg.m, "energy": reg.energy, "constraints": _Raw(f"[\n    {entries}\n  ]")}
-    return _json(data, num)
+    csv = args.fmt == "csv"
+    texts, masks = _subset_texts(reg.m, "+" if csv else ",\n        ")
+    values = reg._f[masks]
+    bounds = list(map(num, values.tolist()))
+    unbounded = np.flatnonzero(np.isinf(values)).tolist()
+    if csv:
+        for i in unbounded:
+            bounds[i] = "unbounded"
+        return _rows("subset,bound_bits\n", len(texts), ("\n", texts, ",", bounds))
+    # the largest output of all: its 2^m - 1 entries at depth 1 of the
+    # indent-2 layout are written here, not one dict at a time by _json
+    key = ['\n      ],\n      "bound_bits": '] * len(texts)
+    for i in unbounded:
+        key[i], bounds[i] = '\n      ],\n      "unbounded": true', ""
+    entry = '{\n      "subset": [\n        '
+    head = f'{{\n  "m": {reg.m},\n  "energy": {_json(reg.energy, num)},\n  "constraints": [\n    '
+    columns = ("\n    },\n    " + entry, texts, key, bounds)
+    return _rows(head + entry, len(texts), columns, "\n    }\n  ]\n}")
 
 
 def _run_vertices(args, num) -> str:
@@ -291,17 +346,24 @@ def _run_boundary(args, num) -> str:
 
 
 def _run_convergence(args, num) -> str:
-    rows = convergence_table(args.etas, args.ns_grid)
-    if args.fmt == "json":
-        return _json(rows, num)
-    return _csv(
-        "ns,subset,inner_bound_bits,asymptotic_bound_bits,gap_bits",
-        [
-            (num(r["ns"]), "+".join(map(str, r["subset"])), num(r["inner_bound_bits"]),
-             num(r["asymptotic_bound_bits"]), num(r["gap_bits"]))
-            for r in rows
-        ],
-    )
+    m, columns = _convergence_columns(args.etas, args.ns_grid)
+    csv = args.fmt == "csv"
+    texts, masks = _subset_texts(m, "+" if csv else ",\n      ")
+    blocks = []
+    for n_s, *bounds in columns:
+        inner, limit, gap = (list(map(num, b[masks].tolist())) for b in bounds)
+        if csv:
+            lead, cells = f"\n{num(n_s)},", (texts, ",", inner, ",", limit, ",", gap)
+            first = "ns,subset,inner_bound_bits,asymptotic_bound_bits,gap_bits" + lead
+        else:  # rows at depth 1 of the indent-2 layout, each closing the one before
+            lead = f'{{\n    "ns": {num(n_s)},\n    "subset": [\n      '
+            cells = (texts, '\n    ],\n    "inner_bound_bits": ', inner,
+                     ',\n    "asymptotic_bound_bits": ', limit, ',\n    "gap_bits": ', gap)
+            lead, first = "\n  },\n  " + lead, "[\n  " + lead
+        blocks.append(_rows(lead if blocks else first, len(texts), (lead, *cells)))
+    if not csv:
+        blocks.append("\n  }\n]")
+    return "".join(blocks)
 
 
 def _run_verify(args, num) -> str:

@@ -92,15 +92,15 @@ def _mask(t: frozenset) -> int:
     return sum(1 << (i - 1) for i in t)
 
 
-def _ordered_subsets(m: int, labels=None):
+def _ordered_subsets(m: int):
     """(receivers, mask) of every nonempty subset, smallest first, lexicographic.
 
-    The receivers come as a tuple of 1..m, or of their ``labels`` when given.
+    The receivers come as a tuple of 1..m.
     """
     bits = [1 << i for i in range(m)]
     for size in range(1, m + 1):
         yield from zip(
-            itertools.combinations(range(1, m + 1) if labels is None else labels, size),
+            itertools.combinations(range(1, m + 1), size),
             map(sum, itertools.combinations(bits, size)),
         )
 

@@ -62,9 +62,17 @@ VERTICES_CASES = _draws(2, (1, 2, 3, 4, 5, 6), (3, 5)) + [
     ("negative_zero_energy", "0.2,0,0.3", "-0"),
 ]
 BOUNDARY_CASES = _draws(3, (2, 2, 2, 2, 2, 2), (2,))
+# Above those receiver counts, at precisions 9 (the default) and 17: m = 14
+# and 16 at finite N_S and at inf, and an unbounded channel at m = 10
+# (eta_all = 1, one receiver of zero weight).
+LARGE_REGION_CASES = [
+    (f"m{m}{suffix}", _etas(random.Random(m), m), ns)
+    for m in (14, 16)
+    for suffix, ns in (("", _ns(random.Random(-m))), ("_inf", "inf"))
+] + [("unbounded_m10", "0.125,0.0625,0,0.125,0.125,0.0625,0.125,0.125,0.125,0.125", "inf")]
 CONVERGENCE_CASES = [
     (case_id, etas, ",".join(_ns(random.Random(case_id)) for _ in range(4)))
-    for case_id, etas, _ in _draws(4, (1, 2, 3, 4, 6), (4,))
+    for case_id, etas, _ in _draws(4, (1, 2, 3, 4, 6), (4,)) + _draws(6, (8, 10))
 ] + [("grid_with_zeros", "0.2,0.3", "0,-0,10,1000")]
 VERIFY_CASES = [
     ("m1", "0.35", "0.3", None),
@@ -74,11 +82,11 @@ VERIFY_CASES = [
 ]
 
 
-def _params(cases):
+def _params(cases, precisions=PRECISIONS):
     return [
         pytest.param(*case[1:], prec, fmt, id=f"{case[0]}-p{prec}-{fmt}")
         for case in cases
-        for prec in PRECISIONS
+        for prec in precisions
         for fmt in FORMATS
     ]
 
@@ -102,7 +110,8 @@ def _region(etas, ns):
     return region.capacity_region(spec, region.UNCONSTRAINED if ns == "inf" else float(ns))
 
 
-@pytest.mark.parametrize("etas,ns,prec,fmt", _params(REGION_CASES))
+@pytest.mark.parametrize(
+    "etas,ns,prec,fmt", _params(REGION_CASES) + _params(LARGE_REGION_CASES, ("9", "17")))
 def test_region(etas, ns, prec, fmt, capsys, monkeypatch):
     out = _cli(capsys, monkeypatch, prec, ["region", "--etas", etas, "--ns", ns, "--format", fmt])
     data = region.region_to_dict(_region(etas, ns), round_to=int(prec))
@@ -157,6 +166,16 @@ def test_convergence(etas, grid, prec, fmt, capsys, monkeypatch):
     rows = cli.convergence_table(
         [float(x) for x in etas.split(",")], [float(x) for x in grid.split(",")])
     _same(out, render_convergence_reference(rows, fmt, int(prec)))
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_subset_texts_in_the_ordered_subsets_order(m):
+    # region._ordered_subsets defines the order; the columns must follow it
+    subsets = list(region._ordered_subsets(m))
+    for sep in ("+", ",\n        ", ",\n      "):
+        texts, masks = cli._subset_texts(m, sep)
+        assert texts == [sep.join(map(str, t)) for t, _ in subsets]
+        assert masks.tolist() == [mask for _, mask in subsets]
 
 
 @functools.cache
