@@ -1,10 +1,13 @@
 """Brute-force verification path in a truncated number basis.
 
-Everything here is deliberately independent of the covariance-matrix
+The number-basis states are built without the covariance-matrix
 formalism: a state is an explicit amplitude table, an int array with one
 row of photon numbers per basis state and a float array of their real
 amplitudes; beam splitters act by binomial amplitude splitting against a
 vacuum port; and entropies come from the spectra of reduced states.
+Verification then holds them against the other two routes: the closed
+forms of :mod:`bbcap.region`, and the Gaussian entropies of the thermal
+arm's covariance output (``channel._thermal_output``).
 Truncation is accounted for exactly: a squeezed-vacuum source truncated at
 total photon number M drops tail mass ``(n_s / (n_s + 1))**(M + 1)``, and
 verification refuses to run (raising :class:`InconclusiveVerificationError`,
@@ -23,7 +26,8 @@ any sector is built; it is the oracle's one memory gate.
 Keeping A and one receiver Bj, the traced modes' collective mode takes the
 share 1 - eta_j, so block t's weight is a Schmidt coefficient, checked
 against ``thermal_weight((1 - eta_j) * n_s, t)``.  :func:`reduce_density`,
-the general partial trace, gives each block of any table as its factor M.
+the general partial trace into Schmidt factors, is on no program path: it is
+the plain reference for the blocks that verification streams.
 
 :func:`verify_conditional_entropies` returns the record ``bbcap verify``
 prints, a plain dict, with its single pass verdict.
@@ -78,7 +82,7 @@ class InconclusiveVerificationError(RuntimeError):
 
 def thermal_weight(nbar: float, n: int) -> float:
     """Photon-number distribution of a thermal state: nbar^n / (nbar+1)^(n+1)."""
-    return _thermal_weights(nbar, (n,))[0]
+    return _thermal_weights(nbar, (_count(n, "photon count"),))[0]
 
 
 def _thermal_weights(nbar: float, ns) -> list:
@@ -93,9 +97,19 @@ def _thermal_weights(nbar: float, ns) -> list:
 def tail_mass(n_s: float, cutoff: int) -> float:
     """Probability mass beyond total photon number ``cutoff`` in a TMSV."""
     n_s = _gaussian._photon_number(n_s)
+    cutoff = _count(cutoff, "cutoff")
     if n_s == 0:
         return 0.0
     return (n_s / (n_s + 1.0)) ** (cutoff + 1)
+
+
+def _count(n, name: str) -> int:
+    """``n`` as an int, refused unless a whole number of at least 0."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be a whole number, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {int(n)}")
+    return int(n)
 
 
 def cutoff_for_tail(n_s: float) -> int:
@@ -116,9 +130,12 @@ class FockState:
 
     Row i of ``occupations`` (entries x modes, int64) holds the photon
     numbers of one basis state, one column per mode in ``mode_labels``
-    order, and ``amplitudes[i]`` its amplitude.  Rows must be distinct, which
-    :func:`reduce_density` enforces.  The beam splitter and the partial trace
-    read both arrays, so the table is not to be changed after construction.
+    order, and ``amplitudes[i]`` its amplitude.  Rows must be distinct:
+    :func:`reduce_density` refuses a table whose rows repeat, and each row
+    the beam splitter makes is one split of one row.  The beam splitter and
+    the partial trace read both arrays, so the table is not to be changed
+    after construction.  Verification streams the channel output as bare
+    arrays; only its TMSV source is a ``FockState``.
     """
 
     mode_labels: tuple
@@ -165,8 +182,7 @@ def tmsv_fock(n_s: float, cutoff: int, labels=("A", "A'")) -> FockState:
     Amplitudes are sqrt(thermal_weight(n_s, k)) on |k, k>; the dropped norm
     equals ``tail_mass(n_s, cutoff)`` exactly.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be nonnegative, got {cutoff!r}")
+    cutoff = _count(cutoff, "cutoff")
     labels = tuple(labels)
     if len(labels) != 2:
         raise ValueError("tmsv_fock needs exactly two mode labels")
@@ -219,7 +235,7 @@ def _split_rows(occ: np.ndarray, amps: np.ndarray, src: int, w: np.ndarray) -> t
     (:func:`_binomial_weights`); the new mode is the last column."""
     n = occ[:, src]
     row = np.repeat(np.arange(n.size), n + 1)
-    k = _ranges(np.zeros_like(n), n + 1)
+    k = np.arange(row.size) - (np.cumsum(n + 1) - (n + 1))[row]  # 0..n for each row
     entry = n[row] * (n[row] + 1) // 2 + k
     nonzero = w[entry] != 0.0
     row, k, entry = row[nonzero], k[nonzero], entry[nonzero]
@@ -269,48 +285,17 @@ class DensityMatrix:
         return np.sort(vals**2)[::-1]
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges ``starts[i] .. starts[i] + lengths[i] - 1``, concatenated."""
-    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-
-
-def _lex_ids(cols: np.ndarray) -> tuple:
-    """Distinct rows of ``cols`` in lexicographic order and the id of every row.
-
-    Rows are read as numbers in base max + 1 (the cutoff + 1 for the states
-    built here); ``np.unique(axis=0)`` serves when those would overflow.
-    """
-    base = int(cols.max()) + 1 if cols.size else 1
-    if base ** cols.shape[1] >= 2**63:
-        rows, ids = np.unique(cols, axis=0, return_inverse=True)
-        return rows, ids.reshape(-1)
-    # mixed-radix numbers sort as their digit tuples do
-    code = cols @ base ** np.arange(cols.shape[1] - 1, -1, -1, dtype=np.int64)
-    _, first, ids = np.unique(code, return_index=True, return_inverse=True)
-    return cols[first], ids
-
-
-def _positions(comp: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Rank of each id among the ids of its block (ids ascend within a block)."""
-    pos = np.empty_like(comp)
-    pos[np.argsort(comp, kind="stable")] = _ranges(np.zeros_like(sizes), sizes)
-    return pos
-
-
 def reduce_density(state: FockState, keep) -> DensityMatrix:
     """Partial trace onto the modes in ``keep`` (result modes in that order).
 
     Kept configurations that never share a traced configuration have no
     coherence, so the result is assembled block by block over the connected
     components of the graph joining each kept configuration to the traced
-    configurations it meets, found by label propagation on arrays.  Each
-    block's basis holds its kept configurations as rows in lexicographic
-    order, its factor's columns list its traced configurations in the same
-    order, and blocks come in the order of their first row.  Every table
-    entry fills exactly one element of one factor, so the factors are a
-    scatter that sums nothing.  The factors take 8 bytes per element, which
-    for a channel output is one element per table entry, and index arrays
-    take up to about 180 bytes more per entry; no budget is applied here.
+    configurations it meets, found by label propagation.  Each block's basis
+    holds its kept configurations as rows in lexicographic order, its
+    factor's columns list its traced configurations in the same order, and
+    blocks come in the order of their first row.  Every table entry is one
+    element of one factor, copied, never summed.
 
     Raises ``ValueError`` when two rows of the table are the same occupation
     (they would land on one factor element).
@@ -321,8 +306,12 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     kept_pos = [state.index(lab) for lab in keep]
     traced_pos = [i for i in range(len(state.mode_labels)) if i not in kept_pos]
     occ = state.occupations
-    kept, kid = _lex_ids(occ[:, kept_pos])
-    traced, gid = _lex_ids(occ[:, traced_pos])
+    # lexicographic ids; the inverse's shape differs across numpy 2.0.x
+    kept, kid = np.unique(occ[:, kept_pos], axis=0, return_inverse=True)
+    traced, gid = np.unique(occ[:, traced_pos], axis=0, return_inverse=True)
+    kid, gid = kid.reshape(-1), gid.reshape(-1)
+    if np.unique(kid * len(traced) + gid).size < kid.size:
+        raise ValueError("occupation rows repeat: the table is not one amplitude per basis state")
 
     # each kept configuration ends labelled with the smallest id in its component
     label = np.arange(len(kept))
@@ -335,29 +324,16 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
         if np.array_equal(new, label):
             break
         label = new
-    _, comp = np.unique(label, return_inverse=True)
-    gcomp = np.empty(len(traced), dtype=comp.dtype)
-    gcomp[gid] = comp[kid]
-    rows = np.bincount(comp)
-    cols = np.bincount(gcomp, minlength=rows.size)
-    sizes = rows * cols
-    bases = kept[np.argsort(comp, kind="stable")]
-    # all factors, row-major one after another in one buffer
-    starts = np.cumsum(sizes) - sizes
-    flat = np.zeros(int(sizes.sum()))
-    acomp = comp[kid]
-    at = _positions(comp, rows)[kid]
-    at *= cols[acomp]
-    at += starts[acomp]
-    at += _positions(gcomp, cols)[gid]
-    flat[at] = state.amplitudes
-    if np.count_nonzero(flat) != np.count_nonzero(state.amplitudes):
-        raise ValueError("occupation rows repeat: the table is not one amplitude per basis state")
-    first = (np.cumsum(rows) - rows).tolist()
-    blocks = [
-        (bases[b : b + d], flat[s : s + d * r].reshape(d, r))
-        for b, d, r, s in zip(first, rows.tolist(), cols.tolist(), starts.tolist())
-    ]
+    # the block of each entry, numbered in the order of the blocks' first rows
+    _, comp = np.unique(label[kid], return_inverse=True)
+    blocks = []
+    # split at the end of every block; the piece after the last end is empty
+    for entries in np.split(np.argsort(comp), np.cumsum(np.bincount(comp)))[:-1]:
+        rows, r = np.unique(kid[entries], return_inverse=True)
+        cols, c = np.unique(gid[entries], return_inverse=True)
+        factor = np.zeros((rows.size, cols.size))
+        factor[r, c] = state.amplitudes[entries]
+        blocks.append((kept[rows], factor))
     return DensityMatrix(keep, blocks, state.cutoff)
 
 
@@ -500,13 +476,7 @@ def _certify(ref, k, kept, traced, amps, sq, binom, m: int) -> bool:
 
 def _require_budget(n_s: float, cutoff) -> tuple:
     _gaussian._photon_number(n_s)
-    if cutoff is None:
-        cutoff = cutoff_for_tail(n_s)
-    elif not isinstance(cutoff, numbers.Integral):
-        raise ValueError(f"cutoff must be a whole number, got {cutoff!r}")
-    cutoff = int(cutoff)
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
+    cutoff = cutoff_for_tail(n_s) if cutoff is None else _count(cutoff, "cutoff")
     if cutoff > MAX_CUTOFF:
         raise InconclusiveVerificationError(
             f"cutoff {cutoff} exceeds the supported maximum {MAX_CUTOFF}"

@@ -209,9 +209,11 @@ def inner_bound_finite(spec: BroadcastChannelSpec, n_s: float, subset) -> float:
 def inner_bound_finite_gaussian(
     spec: BroadcastChannelSpec, n_s: float, subset, ordering=None
 ) -> float:
-    """Same bound via -H(T | A, complement) = H(T, E) - H(E) on the thermal arm's outputs."""
+    """Same bound via -H(T | A, complement) = H(T | E) on the thermal arm's outputs."""
     t = _validate_subset(spec.m, subset)
-    return merging_gain_gaussian(spec, n_s, t, frozenset(range(1, spec.m + 1)) - t, ordering)
+    state = channel._thermal_output(spec, n_s, ordering)  # modes B1..Bm, E
+    labels = [state.mode_labels[i - 1] for i in t]
+    return gaussian.conditional_entropy(state, labels, [channel.ENV_LABEL])
 
 
 def asymptotic_bound(spec: BroadcastChannelSpec, subset) -> float:
@@ -401,7 +403,7 @@ def region_from_dict(data: dict) -> CapacityRegion:
     m = _receiver_count(data["m"])
     energy = data["energy"]
     if energy != UNCONSTRAINED:
-        energy = float(energy)
+        energy = _photon_number(energy)
     entries = data["constraints"]
     masks = [_mask(_validate_subset(m, entry["subset"])) for entry in entries]
     if sorted(masks) != list(range(1, 1 << m)):

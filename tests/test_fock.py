@@ -156,6 +156,7 @@ class TestReduceDensity:
             ([[0, 0], [0, 0]], [0.6, 0.8], ("a",)),
             ([[0, 0], [0, 0]], [0.6, 0.8], ("a", "b")),
             ([[0, 1], [1, 0], [0, 1]], [0.6, 0.6, 0.529], ("b",)),
+            ([[0, 1], [1, 0], [0, 1]], [0.0, 0.8, 0.6], ("a",)),
         ],
     )
     def test_repeated_rows_are_refused(self, occ, amps, keep):
@@ -288,6 +289,17 @@ class TestReduceDensityMatchesReference:
         n = max((max(fac.shape) for _, fac in rho.blocks), default=0)
         scale = want[0] if want.size else 0.0
         assert np.all(np.abs(got - want) <= 8 * n * EPS * scale)
+
+    @pytest.mark.parametrize(
+        "make, keep", [c[1:] for c in REFERENCE_CASES], ids=[c[0] for c in REFERENCE_CASES]
+    )
+    def test_factors_hold_the_amplitudes(self, make, keep):
+        # every entry is one factor element, copied: a scatter that sums nothing
+        state = make()
+        flat = np.concatenate([fac.ravel() for _, fac in reduce_density(state, keep).blocks]
+                              + [np.zeros(0)])
+        amps = state.amplitudes
+        assert np.sort(flat[flat != 0.0]).tobytes() == np.sort(amps[amps != 0.0]).tobytes()
 
     def test_empty_state_has_no_blocks(self):
         rho = reduce_density(_state(("a", "b"), {}, 3), ("a",))
@@ -763,6 +775,22 @@ class TestCutoffPolicy:
 def test_photon_number_must_be_finite_and_nonnegative(call, n_s):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         call(n_s)
+
+
+@pytest.mark.parametrize("count", [-1, np.int64(-3), 2.0, 20.7, math.nan, "3"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda count: tmsv_fock(0.5, count),
+        lambda count: thermal_weight(0.5, count),
+        lambda count: tail_mass(0.5, count),
+        lambda count: verify_conditional_entropies(SPEC23, 0.5, cutoff=count),
+    ],
+    ids=["tmsv_fock", "thermal_weight", "tail_mass", "verify"],
+)
+def test_count_must_be_a_whole_number_at_least_zero(call, count):
+    with pytest.raises(ValueError, match="must be a whole number|must be nonnegative"):
+        call(count)
 
 
 class TestSpectrumCount:

@@ -620,3 +620,10 @@ class TestSerialization:
     def test_energy_tag(self):
         assert region_to_dict(capacity_region(SPEC23))["energy"] == "unconstrained"
         assert region_to_dict(capacity_region(SPEC23, 2.0))["energy"] == 2.0
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -0.5])
+    def test_bad_energy_is_refused(self, energy):
+        data = region_to_dict(capacity_region(SPEC23, 2.0))
+        data["energy"] = energy
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            region_from_dict(data)
