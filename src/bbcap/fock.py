@@ -19,10 +19,12 @@ time, once the whole table would hold more than ``RUN_ENTRIES`` entries.
 Keeping A and receivers R, the entry <k, n_R; n_traced> lies in the block
 of traced photon count t = k - |n_R|.  Each block is rank one, so its one
 eigenvalue is its squared norm, summed by ``np.bincount``.  Rank one is
-certified from the amplitudes, not assumed (:func:`_certify`), and a block
-that fails fails its case.  ``MAX_DENSE_BYTES`` (1 GiB) gates the largest
-run, at ``SECTOR_ENTRY_BYTES`` per entry, plus the reference rows, before
-any sector is built; it is the oracle's one memory gate.
+certified, not assumed: the output's amplitude on (k; n_1..n_m, n_E) is
+C_k sqrt(k! / prod n_i!) prod phi_i(n_i), which makes every block of every
+reduction an outer product, so one streamed check of this product form,
+its factors read from the table's own entries, covers all 2^m reductions.
+``MAX_DENSE_BYTES`` (1 GiB) gates the largest run, at ``SECTOR_ENTRY_BYTES``
+per entry, before any sector is built; it is the oracle's one memory gate.
 Keeping A and one receiver Bj, the traced modes' collective mode takes the
 share 1 - eta_j, so block t's weight is a Schmidt coefficient, checked
 against ``thermal_weight((1 - eta_j) * n_s, t)``.  :func:`reduce_density`,
@@ -69,11 +71,15 @@ SCHMIDT_TOL = 1e-8     # per-eigenvalue deviation of a Schmidt spectrum
 MAX_CUTOFF = 60
 MAX_DENSE_BYTES = 2**30
 RUN_ENTRIES = 2**16    # larger tables are built one sender-photon sector at a time
-# bytes per entry of a run while it is built and reduced, beyond the reference
-# rows: at most 261 under tracemalloc over 46 channel outputs (m = 1..4, runs
-# of 36 to 135,751 entries), at most 199 for runs above 1000 entries; the
-# first call also caches 0.13 MB of binomial coefficients
+PRODUCT_FLOOR = 2.0**-500  # absolute slack of the product check, for underflowed weights
+# bytes per entry of a run while it is built, reduced and checked: at most 275
+# under tracemalloc over 41 channel outputs (m = 1..4, runs of 36 to 135,751
+# entries), at most 206 for runs above 1000 entries; the first call also
+# caches 0.13 MB of binomial coefficients
 SECTOR_ENTRY_BYTES = 384
+# sqrt(n!), n <= MAX_CUTOFF, each correctly rounded from within 2^-100 of it
+_ROOT_FACTORIALS = np.array([math.isqrt(math.factorial(n) << 200) / 2**100
+                             for n in range(MAX_CUTOFF + 1)])
 
 
 class InconclusiveVerificationError(RuntimeError):
@@ -388,120 +394,86 @@ def _sector_runs(spec: BroadcastChannelSpec, n_s: float, cutoff: int, ordering=N
 
 
 def _run_budget(m: int, cutoff: int) -> tuple:
-    """Entries of the largest run: the whole table, or above ``RUN_ENTRIES``
-    the largest sector (cutoff photons over m + 1 outputs); reference entries
-    (a row per block of each reduction keeping 1..m-1 receivers); their bytes."""
+    """Entries of the largest run (the whole table, or above ``RUN_ENTRIES``
+    the largest sector) and its bytes."""
     table, sector = math.comb(cutoff + m + 1, m + 1), math.comb(cutoff + m, m)
     run = table if table <= RUN_ENTRIES else sector
-    refs = sum(math.comb(m, r) * math.comb(cutoff + m + 1 - r, m + 1 - r) for r in range(1, m))
-    return run, refs, run * SECTOR_ENTRY_BYTES + 8 * refs
+    return run, run * SECTOR_ENTRY_BYTES
 
 
-def _rank(parts, binom: np.ndarray) -> np.ndarray:
-    """Combinadic rank of q-part rows given as q columns: with partial sums
-    S_j, the q-subset {S_j + j - 1} ranks as the sum of C(S_j + j - 1, j), so
-    the rows of total s take ranks C(s - 1 + q, q) to C(s + q, q) - 1."""
-    rank = total = parts[0]
-    for j, part in enumerate(parts[1:], 2):
-        total = total + part
-        rank = rank + binom[j][total + (j - 1)]
-    return rank
+def _block_spectra(runs, m: int, cutoff: int) -> tuple:
+    """``({R: weights}, certified)`` over every reduction onto (A, R), R a
+    tuple of receiver columns: ``weights[t]`` is the squared norm of the block
+    of traced photon count t, its one eigenvalue if the block is rank one.
 
-
-def _block_spectra(runs, m: int, cutoff: int) -> dict:
-    """``{R: [weights, certified]}`` for every reduction onto (A, R), R a tuple
-    of receiver columns: ``weights[t]`` is the squared norm of the block of
-    traced photon count t, its one eigenvalue once :func:`_certify` finds it
-    rank one.  Blocks of one row (R empty) or one column (R all) need no check."""
-    binom = np.array([[math.comb(c, j) for c in range(cutoff + m + 2)] for j in range(m + 2)])
+    ``certified`` is one verdict for the table, which the reductions keeping
+    1..m-1 receivers need (blocks of one row or one column are rank one):
+    each entry lies within ``bound |a| + PRODUCT_FLOOR`` of the product of its
+    factors, and each sector's squared norm within ``norm_bound`` of the
+    product table's, so that no entry of weight is missing (CHANGES.md
+    derives both bounds).  It is True at m = 1, where no reduction needs it.
+    """
     keeps = [tuple(i for i in range(1, m + 1) if mask >> (i - 1) & 1) for mask in range(2**m)]
-    spectra = {kept: [np.zeros(cutoff + 1), True] for kept in keeps}
-    # reference rows by column rank; per block the pivot's column and value, |row|² / pivot²
-    refs = {kept: (np.zeros(math.comb(cutoff + m + 1 - len(kept), m + 1 - len(kept))),
-                   np.full(cutoff + 1, -1), np.zeros(cutoff + 1), np.zeros(cutoff + 1))
-            for kept in keeps[1:-1]}
+    spectra = {kept: np.zeros(cutoff + 1) for kept in keeps}
+    singles, certified, eps = np.zeros((m + 1, cutoff + 1)), True, np.finfo(float).eps
+    root = _ROOT_FACTORIALS[: cutoff + 1]
+    bound = (1.5 * m * m + 8 * m + 3) * eps
     for occ, amps in runs:
         cols, sq = np.ascontiguousarray(occ.T), amps * amps
         # squares added in chunks of 64 entries, then pairwise over the chunks
         chunk, bins = np.arange(sq.size) // 64 * (cutoff + 1), (sq.size // 64 + 1) * (cutoff + 1)
-        for kept, spectrum in spectra.items():
+        for kept, weights in spectra.items():
             t = cols[0] - sum(cols[i] for i in kept)
-            spectrum[0] += np.bincount(t + chunk, sq, bins).reshape(-1, cutoff + 1).T.copy().sum(1)
-            if kept in refs and spectrum[1]:
-                traced = [cols[i] for i in range(1, m + 2) if i not in kept]
-                spectrum[1] = _certify(refs[kept], cols[0], [cols[i] for i in kept] + [t],
-                                       traced, amps, sq, binom, m)
-    return spectra
-
-
-def _certify(ref, k, kept, traced, amps, sq, binom, m: int) -> bool:
-    """Rank-one certificate of one reduction over one run of sectors ``k``,
-    whose rows are the columns ``kept`` (n_R, t) and columns ``traced``.
-
-    Block t's reference row r0 (n_R = 0) comes with sector t, before any other
-    row of the block; its largest entry is the pivot a[r0, c0].  Every entry
-    must satisfy a[r, c] a[r0, c0] = a[r, c0] a[r0, c], and every row have
-    the squared norm a[r, c0]² |a[r0]|² / a[r0, c0]², so that no entry of
-    weight is missing, within the rounding bounds derived in CHANGES.md.
-    """
-    ref_row, c0, p0, scale = ref
-    eps, floor = np.finfo(float).eps, 2.0**-500  # floor: stage weights that underflowed
-    t, q = kept[-1], len(kept)
-    col = _rank(traced, binom)
-    new = t == k
-    tr, cr, ar = t[new], col[new], amps[new]
-    ref_row[cr] = ar
-    top = np.zeros(len(p0))
-    np.maximum.at(top, tr, np.abs(ar))
-    at_top = np.abs(ar) == top[tr]
-    c0[tr[at_top]], p0[tr[at_top]] = cr[at_top], ar[at_top]
-    fresh = np.flatnonzero(np.bincount(tr, minlength=len(p0)))
-    scale[fresh] = np.divide(np.sqrt(np.bincount(tr, sq[new], len(p0))[fresh]), p0[fresh],
-                             out=np.zeros(fresh.size), where=p0[fresh] != 0.0) ** 2
-    # rows (n_R, t) as q-part rows of total k, ranked from the first of the run
-    lo, hi = int(k[0]), int(k[-1])  # a run's sectors come in order
-    row = _rank(kept, binom) - binom[q][lo + q - 1]
-    rows = int(binom[q][hi + q] - binom[q][lo + q - 1])
-    at_pivot = col == c0[t]
-    pivot, row_t = np.zeros(rows), np.zeros(rows, dtype=t.dtype)
-    pivot[row[at_pivot]] = amps[at_pivot]
-    row_t[row] = t
-    lhs, rhs = amps * p0[t], pivot[row] * ref_row[col]
-    got, want = np.bincount(row, sq, rows), pivot * pivot * scale[row_t]
-    width = math.comb(hi + len(traced) - 1, len(traced) - 1)  # columns of the widest block
-    # written as all(err <= bound), so that a NaN fails
-    return bool(np.all(np.abs(lhs - rhs) <= (12 * m + 2) * eps * np.abs(lhs) + floor) and np.all(
-        np.abs(got - want) <= (12 * m + width + 6) * eps * np.maximum(got, want) + width * floor))
+            weights += np.bincount(t + chunk, sq, bins).reshape(-1, cutoff + 1).T.copy().sum(1)
+        if not certified or m == 1:
+            continue
+        for j in range(1, m + 2):  # a(n; n e_j) comes with sector n, before any entry uses it
+            at = np.flatnonzero(cols[j] == cols[0])
+            singles[j - 1, cols[0][at]] = amps[at]
+        # rows C_k sqrt(k!), C_k = a(k; k e_b), and phi_j(n) / sqrt(n!),
+        # phi_j(n) = a(n; n e_j) / a(n; n e_b), b the mode of the largest
+        # one-photon entry; a factor over a zero entry is 0
+        base = singles[np.argmax(np.abs(singles[:, min(1, cutoff)]))]
+        phi = np.divide(singles, base, out=np.zeros_like(singles), where=base != 0.0)
+        factors = np.vstack([base * root, phi / root])
+        err = factors[0].take(cols[0])
+        for j in range(1, m + 2):
+            err *= factors[j].take(cols[j])
+        err -= amps
+        # written as all(err <= bound), so that a NaN fails
+        certified = bool(np.all(np.abs(err, out=err) <= bound * np.abs(amps) + PRODUCT_FLOOR))
+    if certified and m > 1:  # the last run's factors are the whole table's
+        norms, got = np.ones(1), spectra[()]
+        for row in factors[1:]:
+            norms = np.convolve(norms, row * row)[: cutoff + 1]
+        norms *= factors[0] * factors[0]
+        norm_bound = 2 * bound + ((m + 2) * (cutoff + 2) + 100) * eps / 2
+        slack = 3 * PRODUCT_FLOOR * math.comb(cutoff + m, m)  # entries of the largest sector
+        certified = bool(np.all(np.abs(got - norms) <= norm_bound * np.maximum(got, norms) + slack))
+    return spectra, certified
 
 
 def _require_budget(n_s: float, cutoff) -> tuple:
     _gaussian._photon_number(n_s)
     cutoff = cutoff_for_tail(n_s) if cutoff is None else _count(cutoff, "cutoff")
     if cutoff > MAX_CUTOFF:
-        raise InconclusiveVerificationError(
-            f"cutoff {cutoff} exceeds the supported maximum {MAX_CUTOFF}"
-        )
+        raise InconclusiveVerificationError(f"cutoff {cutoff} exceeds the supported maximum "
+                                            f"{MAX_CUTOFF}")
     tail = tail_mass(n_s, cutoff)
     if tail >= TAIL_BUDGET:
-        raise InconclusiveVerificationError(
-            f"tail mass {tail:.3e} at cutoff {cutoff} breaches the "
-            f"{TAIL_BUDGET:g} budget for n_s = {n_s!r}"
-        )
+        raise InconclusiveVerificationError(f"tail mass {tail:.3e} at cutoff {cutoff} breaches "
+                                            f"the {TAIL_BUDGET:g} budget for n_s = {n_s!r}")
     return cutoff, tail
 
 
-def verify_conditional_entropies(
-    spec: BroadcastChannelSpec,
-    n_s: float,
-    cutoff=None,
-    ordering=None,
-) -> dict:
+def verify_conditional_entropies(spec: BroadcastChannelSpec, n_s: float, cutoff=None,
+                                  ordering=None) -> dict:
     """Check every merging rate -H(T | A, complement) three independent ways.
 
     For each nonempty receiver subset the number-basis value, the
     covariance-matrix value and the closed form must agree within
-    ``ENTROPY_TOL``, and the Fock value's blocks must pass their rank-one
-    certificate; a global-purity case (H of all kept modes vs H of the
+    ``ENTROPY_TOL``, and the Fock value's blocks must be certified rank
+    one; a global-purity case (H of all kept modes vs H of the
     environment) rides along.  Every receiver j gets a Schmidt record: the
     certified (A, Bj) block weights of the same output, index by index
     against the thermal weights of ``(1 - eta_j) * n_s`` within
@@ -514,67 +486,58 @@ def verify_conditional_entropies(
     if spec.m > 4:
         raise ValueError("number-basis verification limited to m <= 4 receivers")
     cutoff, tail = _require_budget(n_s, cutoff)
-    run, refs, need = _run_budget(spec.m, cutoff)
+    run, need = _run_budget(spec.m, cutoff)
     if need > MAX_DENSE_BYTES:
         raise InconclusiveVerificationError(
-            f"the largest run of sectors at cutoff {cutoff} holds {run} entries and the "
-            f"reference rows {refs}: {need} bytes, above the budget of {MAX_DENSE_BYTES} bytes"
+            f"the largest run of sectors at cutoff {cutoff} holds {run} entries: "
+            f"{need} bytes, above the budget of {MAX_DENSE_BYTES} bytes"
         )
-    spectra = _block_spectra(_sector_runs(spec, n_s, cutoff, ordering, RUN_ENTRIES), spec.m,
-                             cutoff)
+    spectra, certified = _block_spectra(_sector_runs(spec, n_s, cutoff, ordering, RUN_ENTRIES),
+                                        spec.m, cutoff)
     recv = _channel.receiver_labels(spec)
     gauss_state = _channel._thermal_output(spec, n_s, ordering)
 
     def gauss_entropy(labels) -> float:
         return _gaussian.von_neumann_entropy(_gaussian.reduce(gauss_state, labels))
 
-    def fock_entropy(labels) -> tuple:
-        weights, certified = spectra[tuple(recv.index(lab) + 1 for lab in labels)]
-        return _shannon_bits(weights), certified
+    def fock_entropy(labels) -> float:
+        return _shannon_bits(spectra[tuple(recv.index(lab) + 1 for lab in labels)])
 
     def case(name, gauss_val, fock_val, closed_val, dev, certified=True) -> dict:
         return {"case": name, "gaussian_bits": gauss_val, "fock_bits": fock_val,
                 "closed_form_bits": closed_val, "abs_dev": dev, "tail_mass": tail,
                 "pass": dev < ENTROPY_TOL and certified}
 
-    h_sender_all, _ = fock_entropy(recv)
+    h_sender_all = fock_entropy(recv)
     # H(T | E) = H(T, E) - H(E), as conditional_entropy takes it, with H(E) once
     h_env_gauss = gauss_entropy((_channel.ENV_LABEL,))
     cases = []
     for t in _region.nonempty_subsets(spec.m):
         t_labels = tuple(recv[i - 1] for i in sorted(t))
         rest = tuple(lab for lab in recv if lab not in t_labels)
-        h_rest, certified = fock_entropy(rest)
-        fock_val = h_rest - h_sender_all
+        fock_val = fock_entropy(rest) - h_sender_all
         gauss_val = gauss_entropy(t_labels + (_channel.ENV_LABEL,)) - h_env_gauss
         closed_val = _region.inner_bound_finite(spec, n_s, t)
         dev = max(abs(fock_val - gauss_val), abs(fock_val - closed_val))
         name = "-H({}|A,{})".format(",".join(t_labels), ",".join(rest) or "-")
-        cases.append(case(name, gauss_val, fock_val, closed_val, dev, certified))
+        # keeping A alone, each block is one row: rank one without the verdict
+        cases.append(case(name, gauss_val, fock_val, closed_val, dev, certified or not rest))
     # global purity: the kept modes share the spectrum of the environment,
     # whose truncated photon weights follow from the spec alone
     h_env = _shannon_bits(_photon_weights(n_s, cutoff, spec.eta_env))
     purity_dev = abs(h_sender_all - h_env)
-    cases.append(
-        case("purity H(A,{})=H(E)".format(",".join(recv)), 0.0, purity_dev, 0.0, purity_dev)
-    )
+    cases.append(case("purity H(A,{})=H(E)".format(",".join(recv)), 0.0, purity_dev, 0.0,
+                      purity_dev))
     schmidt = []
     for j, eta in enumerate(spec.etas, 1):
-        weights, certified = spectra[(j,)]
+        weights = spectra[(j,)]
         mu = max(1.0 - eta, 0.0) * n_s  # the spec admits eta within ETA_TOL above 1
         dev = float(np.max(np.abs(weights - _thermal_weights(mu, range(cutoff + 1)))))
         schmidt.append({"arm_transmittance": eta, "ns": n_s, "cutoff": cutoff, "tail_mass": tail,
                         "max_abs_dev": dev, "pass": dev < SCHMIDT_TOL and certified})
-    return {
-        "etas": list(spec.etas),
-        "ns": n_s,
-        "cutoff": cutoff,
-        "tail_mass": tail,
-        "cases": cases,
-        "max_abs_dev": max(c["abs_dev"] for c in cases),
-        "pass": all(c["pass"] for c in cases + schmidt),
-        "schmidt": schmidt,
-    }
+    return {"etas": list(spec.etas), "ns": n_s, "cutoff": cutoff, "tail_mass": tail,
+            "cases": cases, "max_abs_dev": max(c["abs_dev"] for c in cases),
+            "pass": all(c["pass"] for c in cases + schmidt), "schmidt": schmidt}
 
 
 def schmidt_spectrum_check(eta_receiver: float, n_s: float, cutoff=None) -> dict:

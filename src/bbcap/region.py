@@ -35,7 +35,7 @@ import functools
 import itertools
 import math
 import numbers
-from operator import add, sub
+from operator import add
 
 import numpy as np
 
@@ -62,7 +62,6 @@ __all__ = [
 
 UNCONSTRAINED = "unconstrained"
 EXACT_TOL = 1e-12      # closed-form arithmetic
-VERTEX_DEDUPE_TOL = 1e-10
 MAX_REGION_RECEIVERS = 20   # 2^m constraints
 MAX_VERTEX_RECEIVERS = 8
 MAX_BOUNDARY_POINTS = 100_000  # about the vertex count at MAX_VERTEX_RECEIVERS
@@ -259,8 +258,9 @@ def vertices(region: CapacityRegion) -> np.ndarray:
     level per receiver from the origin: each prefix grows by each receiver
     not in it, which gets the marginal bound increment.  For a monotone
     submodular bound this is exactly the polymatroid's vertex set (origin and
-    axis projections close the down-set).  A row within ``VERTEX_DEDUPE_TOL``
-    of the last row kept is dropped.
+    axis projections close the down-set).  A row equal to the one before it
+    is dropped: where a zero-weight receiver joins, the subset sums add an
+    exact 0.0, so the corners that coincide are equal bit for bit.
     """
     if region.unbounded:
         raise ValueError("region is unbounded; vertices are undefined")
@@ -275,38 +275,9 @@ def vertices(region: CapacityRegion) -> np.ndarray:
         levels[-1][np.arange(len(i)), i] = np.maximum(f[masks] - f[prefix], 0.0)
     pts = np.concatenate(levels)
     pts = pts[np.lexsort(pts.T[::-1])]  # the order of Python's tuple sort
-    gap = np.abs(pts[1:] - pts[:-1]).max(axis=1)
-    new = np.flatnonzero(gap)  # rows that differ from the one before; exact duplicates go
-    pts, gap = np.concatenate((pts[:1], pts[new + 1])), gap[new]
-    ties = np.flatnonzero(gap <= VERTEX_DEDUPE_TOL)
-    if ties.size:  # near ties: compare with the last row kept
-        pts = pts[_near_tie_keep(pts, np.append(gap, math.inf), ties)]
-    return pts
-
-
-def _near_tie_keep(pts: np.ndarray, gaps: np.ndarray, ties: np.ndarray) -> np.ndarray:
-    """The rows a walk keeps that drops each row within ``VERTEX_DEDUPE_TOL``
-    of the last row kept; ``gaps[k]`` is the distance of row k + 1 from row k.
-
-    The ties are the rows k with ``gaps[k]`` within the tolerance.  A row one
-    wide gap after a kept row is kept, so the walk starts at a tie that
-    follows a kept row, and ends once a kept row is followed by a wide gap:
-    the rows outside such stretches are kept without a walk.
-    """
-    tol, keep, k = VERTEX_DEDUPE_TOL, np.ones(len(pts), dtype=bool), 0
-    for s in ties.tolist():
-        if s < k:
-            continue  # walked already
-        last = pts[s].tolist()
-        for k in range(s + 1, len(pts)):
-            row = pts[k].tolist()
-            if max(map(abs, map(sub, row, last))) <= tol:
-                keep[k] = False
-            elif gaps[k] > tol:  # k is kept, and so is the row after it
-                break
-            else:
-                last = row
-    return keep
+    # rows that differ from the one before; exact duplicates go
+    new = np.flatnonzero((pts[1:] != pts[:-1]).any(axis=1))
+    return np.concatenate((pts[:1], pts[new + 1]))
 
 
 def boundary_2d(region: CapacityRegion, n_points: int) -> np.ndarray:

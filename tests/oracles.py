@@ -13,7 +13,6 @@ against.
 import itertools
 import json
 import math
-import operator
 
 import numpy as np
 
@@ -102,10 +101,9 @@ def match_point_sets(first, second, tol: float = 1e-9) -> bool:
     return covered(first, second) and covered(second, first)
 
 
-def vertices_reference(region, tol: float = 1e-10) -> list:
+def vertices_reference(region) -> list:
     """Greedy corners of a bounded region by a depth-first walk over bitmask
-    prefixes: sorted tuples, exact duplicates dropped by a set, then every
-    point within ``tol`` (max norm) of the last point kept dropped."""
+    prefixes: sorted tuples, exact duplicates dropped by a set."""
     m, f = region.m, region._f.tolist()
     point = [0.0] * m
     points = {tuple(point)}
@@ -119,16 +117,7 @@ def vertices_reference(region, tol: float = 1e-10) -> list:
                 point[i] = 0.0
 
     walk(0)
-    return dedupe_reference(sorted(points), tol)
-
-
-def dedupe_reference(points, tol: float = 1e-10) -> list:
-    """The points in order, each dropped when within ``tol`` (max norm) of the last one kept."""
-    unique = []
-    for p in points:
-        if not unique or max(map(abs, map(operator.sub, p, unique[-1]))) > tol:
-            unique.append(p)
-    return unique
+    return sorted(points)
 
 
 def is_polymatroid_bruteforce(bounds: dict, m: int, tol: float) -> bool:

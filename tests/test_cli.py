@@ -212,11 +212,9 @@ class TestVerifyCommand:
         monkeypatch.setattr(fock, "_sector_runs", None)  # refused before any sector is built
         code, out, err = run_cli(capsys, "verify", "--etas", "0.2,0.3", "--ns", "0.5")
         assert code == 2 and out == ""
-        # one run of all 1771 entries at 384 bytes, and C(22, 2) = 231 reference
-        # entries for each of the two reductions keeping one receiver
+        # one run of all 1771 entries at 384 bytes
         assert err == ("bbcap: inconclusive: the largest run of sectors at cutoff 20 holds "
-                       "1771 entries and the reference rows 462: 683760 bytes, above the "
-                       "budget of 1000 bytes\n")
+                       "1771 entries: 680064 bytes, above the budget of 1000 bytes\n")
 
     def test_four_receivers_at_two_photons_passes(self, capsys):
         # m = 4 at N_S = 2: cutoff 56, C(61, 5) = 5949147 entries, streamed in runs

@@ -309,13 +309,13 @@ class TestReduceDensityMatchesReference:
 class TestDenseBudget:
     def test_peak_memory_stays_within_the_estimate(self):
         # the figure verification budgets: SECTOR_ENTRY_BYTES per entry of the
-        # largest run, plus 8 bytes per reference entry
+        # largest run
         for etas, n_s in (((0.7,), 2.0), ((0.2, 0.3), 1.6), ((0.2, 0.3, 0.1), 0.05),
                           ((0.2, 0.3, 0.1), 1.0), ((0.1, 0.2, 0.15, 0.25), 0.3),
                           ((0.1, 0.2, 0.15, 0.25), 1.0)):
             spec = BroadcastChannelSpec(etas)
             cutoff = cutoff_for_tail(n_s)
-            run, _, need = fock._run_budget(spec.m, cutoff)
+            run, need = fock._run_budget(spec.m, cutoff)
             sizes = []
 
             def runs():
@@ -325,11 +325,11 @@ class TestDenseBudget:
 
             tracemalloc.start()
             try:
-                spectra = fock._block_spectra(runs(), spec.m, cutoff)
+                _, certified = fock._block_spectra(runs(), spec.m, cutoff)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert all(certified for _, certified in spectra.values()), etas
+            assert certified, etas
             assert max(sizes) <= run, etas
             assert sum(sizes) == math.comb(cutoff + spec.m + 1, spec.m + 1), etas
             assert peak <= need, (etas, n_s, peak, need)
@@ -359,24 +359,37 @@ def _scaled(entry, factor):
     return change
 
 
+def _swapped(first, second):
+    def change(occ, amps):
+        at = [np.flatnonzero((occ == entry).all(axis=1)) for entry in (first, second)]
+        amps[at[0]], amps[at[1]] = amps[at[1]], amps[at[0]]
+        return occ, amps
+    return change
+
+
 # (etas, n_s, ordering): the four verify goldens' inputs, a zero-weight
-# receiver, eta_E = 0 and custom orderings
+# receiver, eta_E = 0 at m = 2 and m = 3, a receiver whose share underflows,
+# and custom orderings
 SPECTRUM_CASES = [
     ((0.2, 0.3), 0.5, None), ((0.2, 0.3), 0.4, None), ((0.1, 0.25, 0.3), 0.1, None),
     ((0.3, 0.4), 0.9, ("B2", "E", "B1")), ((0.0, 0.4), 0.6, None), ((0.5, 0.5), 0.7, None),
     ((0.1, 0.2, 0.15), 0.3, ("E", "B3", "B1", "B2")), ((0.1, 0.2, 0.15, 0.25), 0.2, None),
+    ((1e-300, 0.5), 0.5, None), ((0.3, 0.3, 0.4), 1.0, None),
 ]
 
 
 class TestRankOneCertificate:
-    """The streamed block weights and their rank-one certificate.
+    """The streamed block weights and their certificate, the product form.
 
-    Every amplitude is the rounded product of sqrt(w_k), common to its row,
-    and m stage factors, each within 5.5 u (u = eps/2) of its exact value,
-    so within kappa = 3m eps of a rank-one table.  The certificate accepts
-    |a[r,c] a[r0,c0] - a[r,c0] a[r0,c]| up to (12m + 2) eps |a[r,c] a[r0,c0]|,
-    so scaling one amplitude by 1 + delta is detected whenever delta is at
-    least (24m + 4) eps: 1.2e-14 at m = 2, 2.3e-14 at m = 4 (CHANGES.md).
+    An entry is the rounded product of sqrt(w_k), common to its sector, and
+    m stage factors, each within 4.5 u (u = eps/2) of its exact value; an
+    entry with one occupied mode has factors within 2 u.  The check compares
+    each entry with the product of 2p + 1 such entries (p its occupied modes
+    besides the base mode) and correctly rounded roots of factorials, and
+    accepts a relative residual up to B = (1.5 m^2 + 8 m + 3) eps, so
+    scaling one amplitude by 1 + delta is detected whenever delta is at
+    least 2B: 50 eps at m = 2, below the (24m + 4) eps used here, and
+    118 eps at m = 4 (CHANGES.md).
     """
 
     def test_one_amplitude_off_by_1e_12_fails(self, monkeypatch):
@@ -409,6 +422,39 @@ class TestRankOneCertificate:
         assert all(c["abs_dev"] < ENTROPY_TOL for c in report["cases"])
         assert report["pass"] is False
 
+    def test_flipped_sign_fails_though_no_weight_moves(self, monkeypatch):
+        # (A, B1)'s block t = 2, row (3, 1), turns rank two; every square,
+        # so every block weight in every reduction, stays bit for bit
+        untouched = verify_conditional_entropies(SPEC23, 0.5, cutoff=21)
+        _tampered_runs(monkeypatch, _scaled((3, 1, 1, 1), -1.0))
+        report = verify_conditional_entropies(SPEC23, 0.5, cutoff=21)
+        assert ([c["fock_bits"] for c in report["cases"]]
+                == [c["fock_bits"] for c in untouched["cases"]])
+        assert [c["pass"] for c in report["cases"]] == [False, False, True, True]
+        assert report["pass"] is False
+
+    def test_swap_within_a_block_fails(self, monkeypatch):
+        # both entries lie in row (10, 8) of (A, B1)'s block t = 2, which keeps
+        # its norm and turns rank two; the weights that move elsewhere are
+        # about 1e-10, too light for any entropy to notice
+        _tampered_runs(monkeypatch, _swapped((10, 8, 1, 1), (10, 8, 2, 0)))
+        report = verify_conditional_entropies(SPEC23, 0.5, cutoff=21)
+        assert all(c["abs_dev"] < ENTROPY_TOL for c in report["cases"])
+        assert all(s["max_abs_dev"] < fock.SCHMIDT_TOL for s in report["schmidt"])
+        assert report["pass"] is False
+
+    def test_top_of_the_cutoff_range(self, monkeypatch):
+        # m = 4: N_S = 2 needs cutoff 56 and N_S = 2.1 cutoff 59, the largest
+        # below MAX_CUTOFF; a 1e-12 change of an entry in sector 52 still fails
+        spec = BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25))
+        report = verify_conditional_entropies(spec, 2.1)
+        assert report["cutoff"] == 59 and report["pass"] is True
+        _tampered_runs(monkeypatch, _scaled((52, 10, 12, 10, 12, 8), 1 + 1e-12))
+        report = verify_conditional_entropies(spec, 2.0)
+        assert report["cutoff"] == 56
+        assert all(c["abs_dev"] < ENTROPY_TOL for c in report["cases"])
+        assert report["pass"] is False
+
     @pytest.mark.parametrize("entry", [(21, 1, 0, 20), (21, 0, 0, 21)])
     def test_nan_amplitude_fails(self, monkeypatch, entry):
         _tampered_runs(monkeypatch, _scaled(entry, math.nan))
@@ -426,11 +472,10 @@ class TestRankOneCertificate:
         spec = BroadcastChannelSpec(etas)
         cutoff = cutoff_for_tail(n_s)
         state = channel_output_fock(spec, n_s, cutoff, ordering)
-        spectra = fock._block_spectra(fock._sector_runs(spec, n_s, cutoff, ordering),
-                                      spec.m, cutoff)
-        assert len(spectra) == 2**spec.m
-        for kept, (weights, certified) in spectra.items():
-            assert certified, kept
+        spectra, certified = fock._block_spectra(fock._sector_runs(spec, n_s, cutoff, ordering),
+                                                 spec.m, cutoff)
+        assert certified and len(spectra) == 2**spec.m
+        for kept, weights in spectra.items():
             rho = reduce_density(state, ("A",) + tuple(f"B{i}" for i in kept))
             blocks = np.zeros(cutoff + 1, dtype=bool)
             for basis, fac in rho.blocks:
@@ -447,18 +492,19 @@ class TestRankOneCertificate:
         spec, n_s, ordering = BroadcastChannelSpec((0.1, 0.25, 0.3)), 0.8, ("B3", "E", "B1", "B2")
         cutoff = cutoff_for_tail(n_s)
         state = channel_output_fock(spec, n_s, cutoff, ordering)
-        whole = fock._block_spectra(fock._sector_runs(spec, n_s, cutoff, ordering), 3, cutoff)
+        whole, _ = fock._block_spectra(fock._sector_runs(spec, n_s, cutoff, ordering), 3, cutoff)
         sectors = list(fock._sector_runs(spec, n_s, cutoff, ordering, state.amplitudes.size - 1))
         assert [occ[:, 0].tolist() for occ, _ in sectors] == [
             [k] * math.comb(k + 3, 3) for k in range(cutoff + 1)]
         assert np.array_equal(np.concatenate([occ for occ, _ in sectors]), state.occupations)
         assert np.array_equal(np.concatenate([a for _, a in sectors]), state.amplitudes)
-        for kept, (weights, certified) in fock._block_spectra(iter(sectors), 3, cutoff).items():
+        spectra, certified = fock._block_spectra(iter(sectors), 3, cutoff)
+        assert certified
+        for kept, weights in spectra.items():
             # each weight adds the same squares in another grouping, each sum
             # within (entries - 1) u of the exact one
-            assert certified
-            np.testing.assert_allclose(weights, whole[kept][0],
-                                       rtol=state.amplitudes.size * EPS, atol=0)
+            np.testing.assert_allclose(weights, whole[kept], rtol=state.amplitudes.size * EPS,
+                                       atol=0)
 
     def test_binomial_weights_are_the_scalar_expression(self):
         rng = np.random.RandomState(3)
@@ -539,14 +585,12 @@ class TestVerifyConditionalEntropies:
 
     def test_amplitude_table_over_budget_is_inconclusive(self, monkeypatch):
         spec = BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25))
-        # cutoff 9 at N_S = 0.1: one run of all C(14, 5) = 2002 entries at 384
-        # bytes, and 4 C(13, 4) + 6 C(12, 3) + 4 C(11, 2) = 4400 reference entries
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 2002 * 384 + 8 * 4400 - 1)
+        # cutoff 9 at N_S = 0.1: one run of all C(14, 5) = 2002 entries at 384 bytes
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 2002 * 384 - 1)
         monkeypatch.setattr(fock, "_sector_runs", None)  # never reached
         with pytest.raises(InconclusiveVerificationError,
-                           match="the largest run of sectors at cutoff 9 holds 2002 entries and "
-                                 "the reference rows 4400: 803968 bytes, above the budget of "
-                                 "803967 bytes"):
+                           match="the largest run of sectors at cutoff 9 holds 2002 entries: "
+                                 "768768 bytes, above the budget of 768767 bytes"):
             verify_conditional_entropies(spec, 0.1)
 
     def test_purity_fails_when_a_stage_is_off(self, monkeypatch):
@@ -685,7 +729,7 @@ class TestSchmidtRecord:
         report = verify_conditional_entropies(spec, n_s, ordering=ordering)
         cutoff = report["cutoff"]
         for j, (eta, record) in enumerate(zip(etas, report["schmidt"]), 1):
-            weights, certified = spectra[0][(j,)]
+            weights, certified = spectra[0][0][(j,)], spectra[0][1]
             assert certified and record["pass"] is True, j
             sv = _schmidt_spectrum(eta, n_s, cutoff)
             assert sv.size == cutoff + 1
@@ -695,11 +739,11 @@ class TestSchmidtRecord:
             expected = [thermal_weight((1.0 - eta) * n_s, t) for t in range(cutoff + 1)]
             assert record["max_abs_dev"] == np.max(np.abs(weights - expected))
 
-    @pytest.mark.parametrize("entry, passes", [((1, 1, 0, 0), [True, False]),
-                                               ((1, 0, 1, 0), [False, True])])
+    @pytest.mark.parametrize("entry, passes", [((1, 1, 0, 0), [False, False]),
+                                               ((1, 0, 1, 0), [False, False])])
     def test_one_amplitude_off_by_1e_12_fails_its_receiver(self, monkeypatch, entry, passes):
-        # (1, 1, 0, 0) breaks rank one in (A, B2)'s block t = 1, against
-        # (1, 0, 0, 1); in (A, B1) it is the one column of block t = 0
+        # (1, 1, 0, 0) breaks rank one in (A, B2)'s block t = 1 only, but the
+        # product check gives one verdict for the table, which every record reads
         _tampered_runs(monkeypatch, _scaled(entry, 1 + 1e-12))
         schmidt = verify_conditional_entropies(SPEC23, 0.5, cutoff=21)["schmidt"]
         assert [s["pass"] for s in schmidt] == passes

@@ -10,7 +10,6 @@ from bbcap.gaussian import conditional_entropy, entropy_g
 from bbcap.region import (
     MAX_BOUNDARY_POINTS,
     UNCONSTRAINED,
-    VERTEX_DEDUPE_TOL,
     CapacityRegion,
     asymptotic_bound,
     boundary_2d,
@@ -24,11 +23,9 @@ from bbcap.region import (
     region_from_dict,
     region_to_dict,
     vertices,
-    _near_tie_keep,
     _validate_subset,
 )
 from oracles import (
-    dedupe_reference,
     is_polymatroid_bruteforce,
     match_point_sets,
     output_state_tmsv,
@@ -397,39 +394,43 @@ class TestVerticesReference:
 
     def test_near_ties_compare_with_the_last_point_kept(self):
         # sorted, the corners are (0, 0), (0, d), (d, d), (2d, 0): a chain of
-        # steps of d = 0.6e-10.  Each step is within the dedupe tolerance, so
-        # comparing with the previous row would keep (0, 0) alone; comparing
-        # with the last row kept also keeps (2d, 0), 1.2e-10 away
+        # steps of d = 0.6e-10, each one an extreme point; the one row dropped
+        # is the second (2d, 0), equal to the last row kept
         d = 0.6e-10
         reg = CapacityRegion(2, UNCONSTRAINED, [0.0, 2 * d, d, 2 * d])
         pts = vertices(reg)
         _same_rows_bitwise(pts, vertices_reference(reg))
-        assert pts.tolist() == [[0.0, 0.0], [2 * d, 0.0]]
+        assert pts.tolist() == [[0.0, 0.0], [0.0, d], [d, d], [2 * d, 0.0]]
 
     @pytest.mark.parametrize("n_s", [1e-11, 1e-9])
     def test_near_ties_at_low_energy(self, n_s):
-        # bounds of 1e-10 or less: most corners sit within the dedupe
-        # tolerance of another one, so the near-tie pass runs over every row
+        # bounds of 1e-10 or less: most corners sit within 1e-10 of another
+        # one, and every one of them is kept
         reg = capacity_region(BroadcastChannelSpec((0.05, 0.06, 0.07, 0.08, 0.09, 0.1, 0.11)), n_s)
         pts = vertices(reg)
         _same_rows_bitwise(pts, vertices_reference(reg))
-        assert len(pts) < 13700  # 1 + the ordered subsets of 7 receivers
+        assert len(pts) == 13700  # 1 + the ordered subsets of 7 receivers
 
     @pytest.mark.parametrize("seed", range(6))
     def test_near_tie_walk_against_the_plain_walk(self, seed):
-        # sorted distinct rows on a grid of 0.35 tolerances, the first column
-        # rising: runs dropped after their first row, runs whose walk keeps
-        # rows inside them, and walks that go on past a wide gap, since the
-        # row after it can lie within the tolerance of a row kept before
+        # random channels, m <= 7, a quarter of the receivers of zero weight
+        # and a fifth of the channels of equal weights, N_S log-uniform on
+        # [1e-11, 1e8]: the bound is strictly submodular in the k receivers of
+        # positive weight, so each ordered subset of them is its own vertex,
+        # however close the low energies put them
         rng = np.random.RandomState(seed)
-        pts = rng.randint(-2, 3, (300, 2 + seed % 2)) * 0.35e-10
-        pts[:, 0] = np.cumsum(rng.choice([0.0, 0.35e-10, 3e-10], 300))
-        pts = np.unique(pts, axis=0)  # sorted as tuples, distinct
-        gap = np.abs(pts[1:] - pts[:-1]).max(axis=1)
-        ties = np.flatnonzero(gap <= VERTEX_DEDUPE_TOL)
-        keep = _near_tie_keep(pts, np.append(gap, math.inf), ties)
-        assert len(ties) and not keep.all()
-        assert pts[keep].tolist() == [list(p) for p in dedupe_reference(map(tuple, pts.tolist()))]
+        for _ in range(100):
+            m = rng.randint(1, 8)
+            raw = rng.uniform(0.05, 1.0, m)
+            if rng.uniform() < 0.2:
+                raw[:] = raw[0]
+            raw[rng.uniform(size=m) < 0.25] = 0.0
+            etas = tuple(raw * (rng.uniform(0.2, 0.95) / max(raw.sum(), 1.0)))
+            reg = capacity_region(BroadcastChannelSpec(etas), 10 ** rng.uniform(-11, 8))
+            pts = vertices(reg)
+            k = np.count_nonzero(etas)
+            assert len(pts) == sum(math.perm(k, j) for j in range(k + 1)), etas
+            _same_rows_bitwise(pts, vertices_reference(reg))
 
     def test_gains_clip_to_positive_zero(self):
         # monotone within the check tolerance, yet f({1, 2}) - f({1}) = -1e-13
