@@ -9,12 +9,13 @@ convergence  finite-energy bounds against their unconstrained limits
 verify       number-basis oracle suite against the Gaussian computation
 
 Numeric output is printed with 9 significant digits by default; set
-``BBC_CAPACITY_PRECISION`` to override.  The ``region`` and ``convergence``
-tables, one row per receiver subset, are written from columns: the subset
-texts, each made from the text of a shorter subset, and the bound texts,
-each value formatted once; a table is then one join.  Exit status: 0 on success, 1 on a
-domain or usage error, 2 when a verification is inconclusive (truncation
-budget not met, or the run does not fit in memory).
+``BBC_CAPACITY_PRECISION`` to override.  Tables are written from columns,
+each value formatted once, and joined once: ``region`` and ``convergence``
+from the subset texts, each made from the text of a shorter subset, and the
+bound texts; ``vertices`` and ``boundary`` from one column per coordinate,
+gathered from the texts of the distinct values.  Exit status: 0 on success,
+1 on a domain or usage error, 2 when a verification is inconclusive
+(truncation budget not met, or the run does not fit in memory).
 """
 
 from __future__ import annotations
@@ -90,10 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     """
     parser = _Parser(prog="bbcap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, by name
 
     def command(name, summary, runner, fmt="json"):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(runner=runner, fmt=fmt)
+        p.set_defaults(command=name, runner=runner, fmt=fmt)
         p.add_argument("--etas", required=True, help="receiver transmittances, comma-separated")
         p.add_argument("--output", default=None, help="write to this file instead of stdout")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"))
@@ -124,7 +126,9 @@ def parse_args(argv) -> argparse.Namespace:
 
     Besides the options it carries ``runner``, the command's ``_run_*``.
     """
-    args = build_parser().parse_args(argv)
+    parser, argv = build_parser(), sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None  # skips the top-level parser
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     args.etas = _parse_floats(args.etas, "--etas")
     if hasattr(args, "ns"):
         args.ns = _parse_ns(args.ns)
@@ -141,11 +145,11 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _convergence_columns(etas, ns_grid) -> tuple:
-    """m, and per grid energy the columns (n_s, inner, limit, gap).
+    """m, the unconstrained column, and per grid energy the columns (n_s, inner, gap).
 
     Each bound column is a vector over all 2^m masks, as ``CapacityRegion``
-    holds it.  The arguments are checked at the call; the vectors are
-    computed as the columns are read, one energy at a time.
+    holds it.  The arguments are checked at the call; the vectors of the
+    grid are computed as the columns are read, one energy at a time.
     """
     spec = BroadcastChannelSpec(tuple(etas))
     if spec.eta_total >= 1.0 - 1e-12:
@@ -158,19 +162,19 @@ def _convergence_columns(etas, ns_grid) -> tuple:
     def columns():
         for n_s in ns_grid:
             inner = region.capacity_region(spec, n_s)._f
-            yield float(n_s), inner, limit, limit - inner
+            yield float(n_s), inner, limit - inner
 
-    return spec.m, columns()
+    return spec.m, limit, columns()
 
 
 def convergence_table(etas, ns_grid) -> list:
     """Rows (ns, subset, inner bound, unconstrained bound, gap) for every T."""
-    m, columns = _convergence_columns(etas, ns_grid)
+    m, limit, columns = _convergence_columns(etas, ns_grid)
     subsets = list(region._ordered_subsets(m))
     masks = np.array([mask for _, mask in subsets])
-    rows = []
+    rows, limit = [], limit[masks].tolist()
     for n_s, *bounds in columns:
-        inner, limit, gap = (b[masks].tolist() for b in bounds)
+        inner, gap = (b[masks].tolist() for b in bounds)
         rows += [{"ns": n_s, "subset": list(t), "inner_bound_bits": i,
                   "asymptotic_bound_bits": a, "gap_bits": g}
                  for (t, _), i, a, g in zip(subsets, inner, limit, gap)]
@@ -225,10 +229,6 @@ def _numbers(prec: int, fmt: str):
     return number
 
 
-class _Raw(str):
-    """JSON text the writer copies as it is."""
-
-
 def _json(obj, num, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, with every float through ``num``.
 
@@ -237,7 +237,7 @@ def _json(obj, num, pad: str = "\n") -> str:
     if isinstance(obj, float):
         return num(obj)
     if isinstance(obj, str):
-        return obj if type(obj) is _Raw else encode_basestring_ascii(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
         inner = pad + "  "
         items = [f"{encode_basestring_ascii(k)}: {_json(v, num, inner)}" for k, v in obj.items()]
@@ -249,11 +249,6 @@ def _json(obj, num, pad: str = "\n") -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     return int.__repr__(obj)
-
-
-def _csv(header: str, rows) -> str:
-    """One line per row of cell texts, under ``header``."""
-    return "\n".join([header, *map(",".join, rows)])
 
 
 def _subset_texts(m: int, sep: str) -> tuple:
@@ -292,17 +287,14 @@ def _rows(first: str, n: int, columns, last: str = "") -> str:
     return "".join(pieces)
 
 
-def _points(pts, num) -> list:
-    """The rows of a point array as lists of float texts, each distinct value formatted once."""
-    values, index = np.unique(pts.ravel(), return_inverse=True)
-    texts = np.array([num(x) for x in values.tolist()], dtype=object)
-    return texts[index].reshape(pts.shape).tolist()
-
-
-def _json_points(rows) -> _Raw:
-    """The JSON list of point rows at depth 1 of the indent-2 layout, in one join."""
-    rows = ["[\n      " + ",\n      ".join(row) + "\n    ]" for row in rows]
-    return _Raw("[\n    " + ",\n    ".join(rows) + "\n  ]")
+def _points(values, index, num, head: str, csv: bool) -> str:
+    """The points ``values[index].T`` as CSV rows after ``head``, or as the JSON list
+    of rows that ``head`` opens at depth 1 of the indent-2 layout, and the close."""
+    texts = np.array(list(map(num, values.tolist())), dtype=object)
+    columns = ["," if csv else ",\n      "] * (2 * len(index))  # the text before each coordinate
+    columns[0] = "\n" if csv else "\n    ],\n    [\n      "
+    columns[1::2] = [texts[i].tolist() for i in index]
+    return _rows(head, index.shape[1], columns, "" if csv else "\n    ]\n  ]\n}")
 
 
 def _run_region(args, num) -> str:
@@ -328,30 +320,29 @@ def _run_region(args, num) -> str:
 
 
 def _run_vertices(args, num) -> str:
-    reg = _region_for(args)
-    pts = _points(region.vertices(reg), num)
-    if args.fmt == "json":
-        energy = reg.energy
-        if energy != region.UNCONSTRAINED:  # printed in full, unlike the region command's
-            energy = _Raw(float.__repr__(energy))
-        return _json({"m": reg.m, "energy": energy, "vertices": _json_points(pts)}, num)
-    return _csv(",".join(f"r{i}_bits" for i in range(1, reg.m + 1)), pts)
+    reg, csv = _region_for(args), args.fmt == "csv"
+    if csv:
+        head = ",".join(f"r{i}_bits" for i in range(1, reg.m + 1)) + "\n"
+    else:  # the energy is printed in full, unlike the region command's
+        energy = _json(reg.energy, num) if reg.energy == region.UNCONSTRAINED else repr(reg.energy)
+        head = f'{{\n  "m": {reg.m},\n  "energy": {energy},\n  "vertices": [\n    [\n      '
+    return _points(*region._vertex_ranks(reg), num, head, csv)
 
 
 def _run_boundary(args, num) -> str:
-    pts = _points(region.boundary_2d(_region_for(args), args.points), num)
-    if args.fmt == "json":
-        return _json({"points": _json_points(pts)}, num)
-    return _csv("r1_bits,r2_bits", pts)
+    pts, csv = region.boundary_2d(_region_for(args), args.points), args.fmt == "csv"
+    values, index = np.unique(pts.ravel(), return_inverse=True)
+    head = "r1_bits,r2_bits\n" if csv else '{\n  "points": [\n    [\n      '
+    return _points(values, index.reshape(pts.shape).T, num, head, csv)
 
 
 def _run_convergence(args, num) -> str:
-    m, columns = _convergence_columns(args.etas, args.ns_grid)
+    m, limit, columns = _convergence_columns(args.etas, args.ns_grid)
     csv = args.fmt == "csv"
     texts, masks = _subset_texts(m, "+" if csv else ",\n      ")
-    blocks = []
+    blocks, limit = [], list(map(num, limit[masks].tolist()))
     for n_s, *bounds in columns:
-        inner, limit, gap = (list(map(num, b[masks].tolist())) for b in bounds)
+        inner, gap = (list(map(num, b[masks].tolist())) for b in bounds)
         if csv:
             lead, cells = f"\n{num(n_s)},", (texts, ",", inner, ",", limit, ",", gap)
             first = "ns,subset,inner_bound_bits,asymptotic_bound_bits,gap_bits" + lead
@@ -373,13 +364,9 @@ def _run_verify(args, num) -> str:
     if args.fmt == "json":
         return _json(record, num)
     keys = ("gaussian_bits", "fock_bits", "closed_form_bits", "abs_dev", "tail_mass")
-    return _csv(
-        "case," + ",".join(keys) + ",pass",
-        [
-            (c["case"].replace(",", ";"), *(num(c[k]) for k in keys), str(c["pass"]).lower())
-            for c in record["cases"]
-        ],
-    )
+    rows = [(c["case"].replace(",", ";"), *(num(c[k]) for k in keys), str(c["pass"]).lower())
+            for c in record["cases"]]
+    return "\n".join(["case," + ",".join(keys) + ",pass", *map(",".join, rows)])
 
 
 def run(args: argparse.Namespace) -> int:

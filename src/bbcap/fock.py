@@ -111,7 +111,7 @@ def tail_mass(n_s: float, cutoff: int) -> float:
 
 def _count(n, name: str) -> int:
     """``n`` as an int, refused unless a whole number of at least 0."""
-    if not isinstance(n, numbers.Integral):
+    if not isinstance(n, numbers.Integral) or type(n) is bool:
         raise ValueError(f"{name} must be a whole number, got {n!r}")
     if n < 0:
         raise ValueError(f"{name} must be nonnegative, got {int(n)}")

@@ -70,7 +70,7 @@ MAX_BOUNDARY_POINTS = 100_000  # about the vertex count at MAX_VERTEX_RECEIVERS
 def _receiver_count(m) -> int:
     """``m`` as an int, refused before anything of size 2^m is allocated
     unless it is a whole number of receivers in range."""
-    if not (isinstance(m, numbers.Integral) and 1 <= m <= MAX_REGION_RECEIVERS):
+    if type(m) is bool or not (isinstance(m, numbers.Integral) and 1 <= m <= MAX_REGION_RECEIVERS):
         raise ValueError(f"receiver count m must be in 1..{MAX_REGION_RECEIVERS}, got {m!r}")
     return int(m)
 
@@ -82,7 +82,7 @@ def _validate_subset(m: int, subset, allow_empty=False) -> frozenset:
         raise ValueError("receiver subset must be nonempty")
     if all(type(i) is int and 1 <= i <= m for i in t):  # plain ints: no ABC check
         return t
-    if not all(isinstance(i, numbers.Integral) and 1 <= i <= m for i in t):
+    if not all(isinstance(i, numbers.Integral) and type(i) is not bool and 1 <= i <= m for i in t):
         raise ValueError(f"subset {sorted(t, key=repr)} outside receivers 1..{m}")
     return frozenset(map(int, t))
 
@@ -251,6 +251,42 @@ def contains(region: CapacityRegion, point) -> bool:
     return not np.any(_subset_sums(p) > region._f + EXACT_TOL)
 
 
+@functools.cache
+def _greedy_steps(m: int) -> list:
+    """Per greedy level, each row's (parent prefix, cell ``i 2^m + prefix``) as it adds i."""
+    bits, masks, steps = 1 << np.arange(m), np.zeros(1, dtype=np.int64), []
+    for _ in range(m):
+        parent, i = np.nonzero(~masks[:, None] & bits)
+        steps.append((parent, i << m | masks[parent]))
+        masks = masks[parent] | bits[i]
+    return steps
+
+
+def _vertex_ranks(region: CapacityRegion) -> tuple:
+    """The receivers' distinct gains in turn, and ``index``: ``values[index].T`` are the corners."""
+    if region.unbounded:
+        raise ValueError("region is unbounded; vertices are undefined")
+    if region.m > MAX_VERTEX_RECEIVERS:
+        raise ValueError(f"vertex enumeration limited to m <= {MAX_VERTEX_RECEIVERS}")
+    m, f, rows = region.m, region._f, np.arange(region.m)[:, None]
+    # gains[i, S] = f(S + i) - f(S), at least 0.0, which it is where i is in S
+    gains = np.maximum(f[np.arange(1 << m) | 1 << rows] - f, 0.0)
+    order = np.argsort(gains, axis=1)
+    ordered = gains[rows, order]
+    new = np.ones(ordered.shape, dtype=bool)
+    new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    index = np.cumsum(new).reshape(m, -1) - 1
+    start, rank = index[:, :1], np.empty(index.shape, dtype=np.uint64)
+    rank[rows, order] = index - start  # at most 2^(m - 1): m bits each, m^2 <= 64 in all
+    shift = np.uint64(m) * np.arange(m - 1, -1, -1, dtype=np.uint64)[:, None]
+    code, keys = (rank << shift).ravel(), [np.zeros(1, dtype=np.uint64)]
+    for parent, cell in _greedy_steps(m):
+        keys.append(keys[-1][parent] + code[cell])
+    keys = np.sort(np.concatenate(keys))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return ordered[new], ((keys >> shift) & np.uint64((1 << m) - 1)).astype(np.intp) + start
+
+
 def vertices(region: CapacityRegion) -> np.ndarray:
     """All extreme points of the region, as an ``(n, m)`` array in lexicographic row order.
 
@@ -258,26 +294,13 @@ def vertices(region: CapacityRegion) -> np.ndarray:
     level per receiver from the origin: each prefix grows by each receiver
     not in it, which gets the marginal bound increment.  For a monotone
     submodular bound this is exactly the polymatroid's vertex set (origin and
-    axis projections close the down-set).  A row equal to the one before it
-    is dropped: where a zero-weight receiver joins, the subset sums add an
-    exact 0.0, so the corners that coincide are equal bit for bit.
+    axis projections close the down-set).  A corner sorts as one integer, the
+    ranks of its coordinates among each receiver's distinct gains, the first
+    receiver's highest.  Rank order is float order, and a zero-weight receiver
+    joins with an exact 0.0, so equal integers are equal corners, kept once.
     """
-    if region.unbounded:
-        raise ValueError("region is unbounded; vertices are undefined")
-    if region.m > MAX_VERTEX_RECEIVERS:
-        raise ValueError(f"vertex enumeration limited to m <= {MAX_VERTEX_RECEIVERS}")
-    f, bits = region._f, 1 << np.arange(region.m)
-    masks, levels = np.zeros(1, dtype=np.int64), [np.zeros((1, region.m))]
-    for _ in bits:
-        parent, i = np.nonzero(~masks[:, None] & bits)  # each receiver not yet in the prefix
-        prefix, masks = masks[parent], masks[parent] | bits[i]
-        levels.append(levels[-1][parent])
-        levels[-1][np.arange(len(i)), i] = np.maximum(f[masks] - f[prefix], 0.0)
-    pts = np.concatenate(levels)
-    pts = pts[np.lexsort(pts.T[::-1])]  # the order of Python's tuple sort
-    # rows that differ from the one before; exact duplicates go
-    new = np.flatnonzero((pts[1:] != pts[:-1]).any(axis=1))
-    return np.concatenate((pts[:1], pts[new + 1]))
+    values, index = _vertex_ranks(region)
+    return values[index].T.copy()
 
 
 def boundary_2d(region: CapacityRegion, n_points: int) -> np.ndarray:

@@ -60,6 +60,12 @@ REGION_CASES = _draws(1, (1, 2, 3, 4, 6, 8, 10, 12), (3, 7)) + [
 ]
 VERTICES_CASES = _draws(2, (1, 2, 3, 4, 5, 6), (3, 5)) + [
     ("negative_zero_energy", "0.2,0,0.3", "-0"),
+    # a gain depends on the prefix size alone: five distinct values per receiver
+    ("equal_weights", "0.15,0.15,0.15,0.15", "2.5"),
+    # gains near 1e-10: distinct corners that differ in the tenth decimal place
+    ("m5_ns_1e-11", "0.05,0.06,0.07,0.08,0.09", "1e-11"),
+    ("m5_ns_1e-9", "0.05,0.06,0.07,0.08,0.09", "1e-9"),
+    ("zero_weight_inf", "0.2,0,0.3", "inf"),
 ]
 BOUNDARY_CASES = _draws(3, (2, 2, 2, 2, 2, 2), (2,))
 # Above those receiver counts, at precisions 9 (the default) and 17: m = 14
@@ -126,14 +132,15 @@ def test_vertices(etas, ns, prec, fmt, capsys, monkeypatch):
 
 
 # Above the vertex goldens (m <= 5): every format and precision at m = 6, and
-# one case each at m = 7 and 8, where the reference alone (the walk, then one
-# format call per coordinate, or json.dumps) takes 0.3 to 4 s per case.  The
+# a CSV and a JSON case each at m = 7 and 8 (at m = 8 a corner's key is 64
+# bits wide), where the reference alone (the walk, then one format call per
+# coordinate, or json.dumps) takes 0.3 to 4 s per case.  The
 # rows of ``region.vertices`` are checked bit for bit here too, at finite
 # energy; test_region.py checks them at unconstrained energy.
 LARGE_ETAS = {6: "0.05,0.06,0.07,0.08,0.09,0.1", 7: "0.05,0.06,0.07,0.08,0.09,0.1,0.11",
               8: "0.05,0.06,0.07,0.08,0.09,0.1,0.11,0.12"}
 LARGE_CASES = [(6, fmt, prec) for fmt in FORMATS for prec in ("3", "9", "17")] + [
-    (7, "csv", "17"), (8, "csv", "3")]
+    (7, "csv", "17"), (8, "csv", "3"), (7, "json", "9"), (8, "json", "17")]
 
 
 @functools.cache

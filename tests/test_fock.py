@@ -821,7 +821,7 @@ def test_photon_number_must_be_finite_and_nonnegative(call, n_s):
         call(n_s)
 
 
-@pytest.mark.parametrize("count", [-1, np.int64(-3), 2.0, 20.7, math.nan, "3"])
+@pytest.mark.parametrize("count", [-1, np.int64(-3), 2.0, 20.7, math.nan, "3", True, False])
 @pytest.mark.parametrize(
     "call",
     [

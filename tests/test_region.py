@@ -108,8 +108,8 @@ class TestInnerBoundFinite:
 
     @pytest.mark.parametrize(
         "subset,want",
-        [([1, 3], {1, 3}), ([True], {1}), ([np.int64(2)], {2}), ([np.int64(3), 1], {1, 3}),
-         ([True, 2], {1, 2})],
+        [([1, 3], {1, 3}), ([np.int32(1)], {1}), ([np.int64(2)], {2}), ([np.int64(3), 1], {1, 3}),
+         ([np.uint8(1), 2], {1, 2})],
     )
     def test_accepted_receivers_come_back_as_ints(self, subset, want):
         got = _validate_subset(3, subset)
@@ -123,7 +123,9 @@ class TestInnerBoundFinite:
          ([1.0], "subset [1.0] outside receivers 1..3"),
          (["1"], "subset ['1'] outside receivers 1..3"),
          ([np.bool_(True)], f"subset [{np.bool_(True)!r}] outside receivers 1..3"),
-         ([], "receiver subset must be nonempty")],
+         ([], "receiver subset must be nonempty"),
+         ([True], "subset [True] outside receivers 1..3"),  # a bool names no receiver
+         ([False, 2], "subset [2, False] outside receivers 1..3")],
     )
     def test_refused_receivers_keep_their_message(self, subset, message):
         with pytest.raises(ValueError) as err:
@@ -196,7 +198,7 @@ class TestCapacityRegion:
         with pytest.raises(ValueError):
             capacity_region(BroadcastChannelSpec((0.001,) * 21))
 
-    @pytest.mark.parametrize("m", [0, 21, 64, 2.5, 2.9])
+    @pytest.mark.parametrize("m", [0, 21, 64, 2.5, 2.9, True, False])  # a bool counts nothing
     def test_receiver_count_refused_before_allocation(self, m):
         with pytest.raises(ValueError, match=r"1\.\.20"):
             CapacityRegion(m, UNCONSTRAINED, [0.0])
