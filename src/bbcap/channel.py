@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 ENV_LABEL = "E"
+# A decision about the spec, not a rounding bound (subset sums are exact to about
+# m eps): receivers within ETA_TOL of taking all the light take all of it, so
+# region._bounds flags their unconstrained bounds unbounded and convergence refuses them.
 ETA_TOL = 1e-12
 # Orderings agree to this, relative to max(1, max|V|).  Every stage value is
 # a suffix sum of eta (at most m additions of nonnegative terms) and one

@@ -34,7 +34,7 @@ from . import fock, region
 from .channel import BroadcastChannelSpec
 from .fock import InconclusiveVerificationError
 
-__all__ = ["main", "run", "convergence_table"]
+__all__ = ["main", "run"]
 
 DEFAULT_PRECISION = 9
 
@@ -148,8 +148,8 @@ def _convergence_columns(etas, ns_grid) -> tuple:
     """m, the unconstrained column, and per grid energy the columns (n_s, inner, gap).
 
     Each bound column is a vector over all 2^m masks, as ``CapacityRegion``
-    holds it.  The arguments are checked at the call; the vectors of the
-    grid are computed as the columns are read, one energy at a time.
+    holds it.  The arguments are checked at the call; the inner vectors of
+    the grid (``region._grid_bounds``) are computed as the columns are read.
     """
     spec = BroadcastChannelSpec(tuple(etas))
     if spec.eta_total >= 1.0 - 1e-12:
@@ -158,27 +158,8 @@ def _convergence_columns(etas, ns_grid) -> tuple:
         if n_s < 0 or not math.isfinite(n_s):
             raise ValueError(f"grid photon numbers must be finite and nonnegative, got {n_s!r}")
     limit = region.capacity_region(spec)._f
-
-    def columns():
-        for n_s in ns_grid:
-            inner = region.capacity_region(spec, n_s)._f
-            yield float(n_s), inner, limit - inner
-
-    return spec.m, limit, columns()
-
-
-def convergence_table(etas, ns_grid) -> list:
-    """Rows (ns, subset, inner bound, unconstrained bound, gap) for every T."""
-    m, limit, columns = _convergence_columns(etas, ns_grid)
-    subsets = list(region._ordered_subsets(m))
-    masks = np.array([mask for _, mask in subsets])
-    rows, limit = [], limit[masks].tolist()
-    for n_s, *bounds in columns:
-        inner, gap = (b[masks].tolist() for b in bounds)
-        rows += [{"ns": n_s, "subset": list(t), "inner_bound_bits": i,
-                  "asymptotic_bound_bits": a, "gap_bits": g}
-                 for (t, _), i, a, g in zip(subsets, inner, limit, gap)]
-    return rows
+    inner = zip(map(float, ns_grid), region._grid_bounds(spec, ns_grid))
+    return spec.m, limit, ((n_s, f, limit - f) for n_s, f in inner)
 
 
 def _region_for(args):

@@ -4,10 +4,12 @@ Nothing here imports the code paths under test: entropies come from plain
 spectral sums, split populations from explicit binomial mixing, polytope
 vertices from hyperplane intersection or a depth-first greedy walk, channel
 outputs from a cascade of dense beam-splitter matrices, and command-line
-output from ``json.dumps``.  The one exception is the TMSV route at the
-end: it builds library states and sends a TMSV arm through the channel's
-amplitude map, the two-mode route the library's thermal route is checked
-against.
+output from ``json.dumps``.  Two exceptions use the library: the TMSV
+route at the end builds library states and sends a TMSV arm through the
+channel's amplitude map, the two-mode route the library's thermal route is
+checked against; and ``convergence_table`` takes one ``capacity_region``
+per grid energy, the route the command's single array of the grid is
+checked against.
 """
 
 import itertools
@@ -17,7 +19,9 @@ import math
 import numpy as np
 
 from bbcap import channel
+from bbcap.channel import BroadcastChannelSpec
 from bbcap.gaussian import CovarianceState, _photon_number
+from bbcap.region import capacity_region, nonempty_subsets
 
 
 def thermal_entropy_spectral(nbar: float, terms: int = 4000) -> float:
@@ -141,6 +145,31 @@ def is_polymatroid_bruteforce(bounds: dict, m: int, tol: float) -> bool:
                     if vals[3] - vals[2] > vals[1] - vals[0] + tol:
                         return False
     return True
+
+
+def check_polymatroid_reference(f, m: int, tol: float):
+    """The polymatroid check as one comparison per receiver and per pair.
+
+    ``f`` is a bound vector or a stack of them, shape ``(..., 2^m)``, taken
+    one vector at a time.  Raises the ValueError of the first failure: a NaN
+    or a bound below -1e-12; then, j ascending, a gain f(T + j) - f(T) below
+    -tol, or, k > j ascending, a gain that grows by more than tol when k
+    joins T.  NaN stands in for the unbounded flag, so every comparison that
+    involves it is false.
+    """
+    for f in np.reshape(f, (-1, 1 << m)):
+        if np.any(np.isnan(f) | (f < -1e-12)):
+            raise ValueError("rate bounds must be nonnegative numbers, never NaN")
+        f = np.where(np.isinf(f), np.nan, f)
+        for j in range(m):
+            pair = f.reshape(-1, 2, 1 << j)
+            gain = (pair[:, 1] - pair[:, 0]).ravel()  # T with bit j dropped
+            if (gain < -tol).any():
+                raise ValueError(f"bound not monotone in receiver {j + 1}")
+            for k in range(j + 1, m):
+                pair = gain.reshape(-1, 2, 1 << (k - 1))  # bit k of T is bit k - 1 here
+                if (pair[:, 1] > pair[:, 0] + tol).any():
+                    raise ValueError(f"bound not submodular in receivers {j + 1} and {k + 1}")
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -310,6 +339,20 @@ def render_boundary_reference(pts, fmt: str, prec: int) -> str:
         )
     lines = ["r1_bits,r2_bits"] + [f"{_fmt(x, prec)},{_fmt(y, prec)}" for x, y in pts]
     return "\n".join(lines) + "\n"
+
+
+def convergence_table(etas, ns_grid) -> list:
+    """Rows (ns, subset, inner bound, unconstrained bound, gap) for every T,
+    from one ``capacity_region`` per grid energy, subsets in the CLI's order."""
+    spec = BroadcastChannelSpec(tuple(etas))
+    limit, rows = capacity_region(spec), []
+    for n_s in ns_grid:
+        inner = capacity_region(spec, n_s)
+        for t in nonempty_subsets(spec.m):
+            i, a = inner.bound(t), limit.bound(t)
+            rows.append({"ns": float(n_s), "subset": sorted(t), "inner_bound_bits": i,
+                         "asymptotic_bound_bits": a, "gap_bits": a - i})
+    return rows
 
 
 def render_convergence_reference(rows, fmt: str, prec: int) -> str:

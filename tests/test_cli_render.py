@@ -18,6 +18,7 @@ import pytest
 from bbcap import cli, fock, region
 from bbcap.channel import BroadcastChannelSpec
 from oracles import (
+    convergence_table,
     render_boundary_reference,
     render_convergence_reference,
     render_region_reference,
@@ -170,9 +171,38 @@ def test_boundary(etas, ns, prec, fmt, capsys, monkeypatch):
 def test_convergence(etas, grid, prec, fmt, capsys, monkeypatch):
     argv = ["convergence", "--etas", etas, "--ns-grid", grid, "--format", fmt]
     out = _cli(capsys, monkeypatch, prec, argv)
-    rows = cli.convergence_table(
+    rows = convergence_table(
         [float(x) for x in etas.split(",")], [float(x) for x in grid.split(",")])
     _same(out, render_convergence_reference(rows, fmt, int(prec)))
+
+
+@pytest.mark.parametrize("m,energies", [(1, 3), (5, 7), (13, 20), (17, 3)])
+def test_convergence_grid_rows_are_the_regions(m, energies):
+    # the grid is one array, taken in blocks of region.CHECK_BLOCK bounds:
+    # 8, 8 and 4 rows at m = 13, one at a time at m = 17
+    rng = random.Random(m)
+    etas = [rng.uniform(0.0, 0.9 / m) for _ in range(m)]
+    grid = [0.0] + [10 ** rng.uniform(-3, 6) for _ in range(energies - 1)]
+    spec = BroadcastChannelSpec(tuple(etas))
+    got_m, limit, columns = cli._convergence_columns(etas, grid)
+    assert got_m == m and limit.tobytes() == region.capacity_region(spec)._f.tobytes()
+    rows = list(columns)
+    assert [n_s for n_s, _, _ in rows] == grid
+    for n_s, inner, gap in rows:
+        f = region.capacity_region(spec, n_s)._f
+        assert inner.tobytes() == f.tobytes() and gap.tobytes() == (limit - f).tobytes()
+
+
+def test_convergence_grid_refuses_its_first_failing_energy(capsys):
+    # entropy_g's floor at 1e-12 makes the bound at N_S = 1e-12 fail
+    # submodularity (a defect while the floor stands); the command names
+    # the failure capacity_region names at that energy
+    with pytest.raises(ValueError) as exc:
+        region.capacity_region(BroadcastChannelSpec((0.2, 0.1)), 1e-12)
+    argv = ["convergence", "--etas", "0.2,0.1", "--ns-grid", "1,1e-12,2e-12"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"bbcap: error: {exc.value}\n"
 
 
 @pytest.mark.parametrize("m", range(1, 17))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bbcap import channel
+from bbcap import channel, region
 from bbcap.channel import BroadcastChannelSpec
 from bbcap.gaussian import conditional_entropy, entropy_g
 from bbcap.region import (
@@ -23,9 +23,11 @@ from bbcap.region import (
     region_from_dict,
     region_to_dict,
     vertices,
+    _check_polymatroid,
     _validate_subset,
 )
 from oracles import (
+    check_polymatroid_reference,
     is_polymatroid_bruteforce,
     match_point_sets,
     output_state_tmsv,
@@ -227,32 +229,103 @@ class TestCapacityRegion:
         with pytest.raises(ValueError):
             CapacityRegion(10, 3.0, f)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", range(1, 13))
     def test_check_agrees_with_exhaustive_loop(self, m):
-        # perturbed closed-form bounds, some with unbounded flags next to
-        # finite ones (inf - finite must not trip the check)
-        rng = np.random.RandomState(60 + m)
-        verdicts = []
-        for _ in range(40):
-            reg = capacity_region(random_interior_spec(rng, m), float(rng.uniform(0.5, 5)))
-            bounds = {t: reg.bound(t) for t in nonempty_subsets(m)}
-            noisy, flagged = rng.rand(2) < 0.5
-            for t in bounds:
-                if noisy and rng.rand() < 0.3:
-                    bounds[t] = max(bounds[t] + rng.normal(scale=0.3), 0.0)
-                if flagged and rng.rand() < 0.2:
-                    bounds[t] = math.inf
-            expect = is_polymatroid_bruteforce(bounds, m, 1e-12)
-            f = np.zeros(1 << m)
-            for t, b in bounds.items():
-                f[sum(1 << (i - 1) for i in t)] = b
-            try:
-                CapacityRegion(m, UNCONSTRAINED, f)
-                verdicts.append(True)
-            except ValueError:
-                verdicts.append(False)
-            assert verdicts[-1] == expect
-        assert any(verdicts) and not all(verdicts)
+        outcomes = _agreement_with_the_loop(m)
+        # at m = 1 a bound fails only by being negative, which the NaN check names
+        assert None in outcomes and len(set(outcomes)) >= min(m, 4)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_check_in_row_groups_agrees_with_exhaustive_loop(self, m, rows, monkeypatch):
+        # from m = 14 the gain rows are taken in groups (one row each from
+        # m = 17); smaller blocks take those paths at small m
+        monkeypatch.setattr(region, "CHECK_BLOCK", rows << (m - 1))
+        assert len(set(_agreement_with_the_loop(m))) >= 3
+
+    def test_stack_reports_its_first_failing_vector(self):
+        m = 5
+        f = capacity_region(BroadcastChannelSpec((0.05, 0.1, 0.15, 0.2, 0.25)), 2.0)._f
+        rows = [f]
+        pairs = ((0b00001, 0.3), (0b00111, -0.05), (0b11001, 0.02), (0b00010, 0.3), (0b01110, 0.02))
+        for mask, delta in pairs:  # one failing pair or monotone receiver each
+            rows.append(f.copy())
+            rows[-1][mask] += delta
+        rows.append(f.copy())
+        rows[-1][7] = math.nan
+        messages = [_outcome(check_polymatroid_reference, row, m, 1e-12) for row in rows]
+        assert messages[0] is None and len(set(messages[1:])) == len(rows) - 1
+        rng = np.random.RandomState(3)
+        for _ in range(24):
+            order = rng.permutation(len(rows))
+            stack = np.array([rows[i] for i in order])
+            first = next(messages[i] for i in order if messages[i])
+            assert _outcome(check_polymatroid_reference, stack, m, 1e-12) == first
+            assert _outcome(_check_polymatroid, stack, m, 1e-12) == first
+            assert _outcome(_check_polymatroid, stack.reshape(1, len(rows), -1), m, 1e-12) == first
+        _check_polymatroid(np.array([f, f]), m, 1e-12)
+
+
+def _agreement_with_the_loop(m) -> list:
+    """Each case's outcome, once the check and the loop over pairs agree on
+    its verdict and message.
+
+    There are four kinds of vector: perturbed closed-form bounds, some with
+    unbounded flags next to finite ones (inf - finite must not trip the
+    check); gains tied at exactly the tolerance; and bounds rounded as in
+    JSON, at the looser tolerance region_from_dict gives them.
+    """
+    rng = np.random.RandomState(60 + m)
+    outcomes = []
+    for case in range(48):
+        f, tol, exact = _check_case(rng, m, case % 4)
+        expect = _outcome(check_polymatroid_reference, f, m, tol)
+        assert _outcome(CapacityRegion, m, UNCONSTRAINED, f, tol) == expect
+        if tol == 1e-6:  # as rounded JSON: region_from_dict takes it at this tolerance
+            constraints = [{"subset": sorted(t), "bound_bits": float(f[sum(1 << (i - 1) for i in t)])}
+                           for t in nonempty_subsets(m)]
+            data = {"m": m, "energy": UNCONSTRAINED, "constraints": constraints}
+            assert _outcome(region_from_dict, data) == expect
+        if m <= 4 and exact and f.min() >= 0:  # the loop takes no negative bound
+            bounds = {t: f[sum(1 << (i - 1) for i in t)] for t in nonempty_subsets(m)}
+            assert (expect is None) == is_polymatroid_bruteforce(bounds, m, tol)
+        outcomes.append(expect)
+    return outcomes
+
+
+def _outcome(check, *args):
+    """None if ``check(*args)`` passes, else its ValueError's message."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _check_case(rng, m, kind):
+    """(bound vector, tolerance, whether its arithmetic is exact) of one kind."""
+    spread = min(0.5, 3.0 / (1 << m))  # a few entries at large m, as many failing pairs
+    if kind == 2:  # integers of 2^-20: gains and second differences tie with tol exactly
+        w = rng.randint(0, 4, size=m)
+        sums = np.array([sum(w[i] for i in range(m) if mask >> i & 1) for mask in range(1 << m)])
+        f = np.minimum(sums, rng.randint(1, 3 * m + 1)) + rng.choice(
+            [-1, 0, 1], size=1 << m, p=[spread / 2, 1 - spread, spread / 2])
+        f = np.maximum(f, 0) * 2.0**-20
+        f[0] = 0.0
+        return f, 2.0**-20, True
+    f = capacity_region(random_interior_spec(rng, m), float(rng.uniform(0.5, 5)))._f.copy()
+    noisy = rng.rand(f.size) < (spread if rng.rand() < 0.5 else 0.0)
+    f[noisy] += rng.normal(scale=0.3, size=noisy.sum())
+    if rng.rand() < 0.5:  # else a negative bound may stay
+        f[noisy] = np.maximum(f[noisy], 0.0)
+    if kind == 1:
+        f[rng.rand(f.size) < min(0.2, 6.0 / (1 << m))] = math.inf
+    f[0] = 0.0
+    if kind == 3:  # rounded to a few digits: steps near the looser tolerance
+        digits = int(rng.randint(4, 8))
+        f = np.array([float(f"{x:.{digits}g}") for x in f])
+        return f, 1e-6, False
+    return f, 1e-12, True
 
 
 class TestBoundVector:
