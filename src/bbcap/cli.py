@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import fock, region
-from .channel import BroadcastChannelSpec
+from .channel import ETA_TOL, BroadcastChannelSpec
 from .fock import InconclusiveVerificationError
 
 __all__ = ["main", "run"]
@@ -148,18 +148,23 @@ def _convergence_columns(etas, ns_grid) -> tuple:
     """m, the unconstrained column, and per grid energy the columns (n_s, inner, gap).
 
     Each bound column is a vector over all 2^m masks, as ``CapacityRegion``
-    holds it.  The arguments are checked at the call; the inner vectors of
-    the grid (``region._grid_bounds``) are computed as the columns are read.
+    holds it.  The arguments are checked at the call; the vectors of the
+    grid are computed as the columns are read, one energy at a time.
     """
     spec = BroadcastChannelSpec(tuple(etas))
-    if spec.eta_total >= 1.0 - 1e-12:
+    if spec.eta_total >= 1.0 - ETA_TOL:
         raise ValueError("unconstrained bounds are unbounded when the receivers take everything")
     for n_s in ns_grid:
         if n_s < 0 or not math.isfinite(n_s):
             raise ValueError(f"grid photon numbers must be finite and nonnegative, got {n_s!r}")
     limit = region.capacity_region(spec)._f
-    inner = zip(map(float, ns_grid), region._grid_bounds(spec, ns_grid))
-    return spec.m, limit, ((n_s, f, limit - f) for n_s, f in inner)
+
+    def columns():
+        for n_s in ns_grid:
+            inner = region.capacity_region(spec, n_s)._f
+            yield float(n_s), inner, limit - inner
+
+    return spec.m, limit, columns()
 
 
 def _region_for(args):

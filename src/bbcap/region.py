@@ -65,7 +65,7 @@ EXACT_TOL = 1e-12      # closed-form arithmetic
 MAX_REGION_RECEIVERS = 20   # 2^m constraints
 MAX_VERTEX_RECEIVERS = 8
 MAX_BOUNDARY_POINTS = 100_000  # about the vertex count at MAX_VERTEX_RECEIVERS
-CHECK_BLOCK = 1 << 16  # gains per group of the polymatroid check, and bounds per block of a stack
+CHECK_BLOCK = 1 << 16  # gains per group of the polymatroid check
 
 
 def _receiver_count(m) -> int:
@@ -129,8 +129,8 @@ def _closed_form(n_s, kept, kept_joint):
 
     ``kept = 1 - eta(S2)`` and ``kept_joint = 1 - eta(S1 u S2)``, each eta a
     subset sum in ascending receiver order, so every caller agrees bit for bit.
-    ``n_s`` is a checked photon number, or a column of them: a row each.
     """
+    n_s = _photon_number(n_s)
     # a kept share below 0 is a rounded 0
     return entropy_g(np.maximum(kept, 0.0) * n_s) - entropy_g(max(kept_joint, 0.0) * n_s)
 
@@ -139,7 +139,7 @@ def _bounds(energy, eta_t, eta_comp, eta_all: float):
     """f(T) from the sums of T and of its complement: floats, or arrays over subsets."""
     if energy != UNCONSTRAINED:
         return _closed_form(energy, 1.0 - eta_comp, 1.0 - eta_all)
-    if eta_all >= 1.0 - EXACT_TOL:  # no environment: the unbounded flag (see channel.ETA_TOL)
+    if eta_all >= 1.0 - channel.ETA_TOL:  # no environment: the unbounded flag
         return np.where(eta_t <= EXACT_TOL, 0.0, math.inf)
     return _libm(math.log2, (1.0 - eta_comp) / (1.0 - eta_all))
 
@@ -160,7 +160,7 @@ class CapacityRegion:
     1..``MAX_REGION_RECEIVERS``.  Monotonicity and submodularity of the
     bound function are checked at every m (within ``check_tol``; comparisons
     with the unbounded flag are skipped) in about 2m array operations up to
-    m = 13: 0.10 ms at m = 6 and 0.18 ms at m = 10 on a 2-vCPU VM, 0.12 s at m = 20.
+    m = 13, and one gain row at a time from m = 17 on.
     """
 
     def __init__(self, m: int, energy, f, check_tol: float = EXACT_TOL):
@@ -168,6 +168,8 @@ class CapacityRegion:
         f = np.array(f, dtype=float)
         if f.shape != (1 << m,) or f[0] != 0.0:
             raise ValueError(f"bound vector needs 2^{m} entries and f[0] = 0")
+        if np.any(np.isnan(f) | (f < -EXACT_TOL)):
+            raise ValueError("rate bounds must be nonnegative numbers, never NaN")
         _check_polymatroid(f, m, check_tol)
         self._f = f
 
@@ -181,42 +183,38 @@ class CapacityRegion:
 
 
 def _check_polymatroid(f, m: int, tol: float):
-    """Refuse a bound vector, or a stack ``(..., 2^m)`` of them, unless each is
-    nonnegative, never NaN, and monotone and submodular within ``tol``.
+    """Refuse a bound vector over the 2^m masks unless it is monotone and
+    submodular within ``tol``.
 
     Row j of the gains is f(T + j) - f(T) over the T without j, bit j dropped
     (bit k > j of T is bit k - 1 there).  It must be >= -tol, and for each k
     one comparison takes the rows j < k at T and at T + k: no gain may grow by
     more than tol.  NaN stands in for the unbounded flag, so every comparison
     with it is false.  Rows go in groups of at most ``CHECK_BLOCK`` gains.  The
-    error is the first failing vector's first failure, j ascending, monotone in
-    j before its pairs (j, k), k ascending.
+    error is the first failure, j ascending, monotone in j before its pairs
+    (j, k), k ascending.
     """
-    f = f.reshape(-1, 1 << m)
-    valid = (f >= -EXACT_TOL).all(axis=1)  # no NaN and no negative bound
     f = np.where(np.isinf(f), np.nan, f)
-    n, half = len(f), 1 << m >> 1
-    step = max(1, min(m, CHECK_BLOCK // (n * half)))  # gain rows per group
-    gain = np.empty((n, step, half))
-    bad = np.zeros((n, m, m), dtype=bool)  # [j, j]: not monotone; [j, k > j]: not submodular
+    half = 1 << m >> 1
+    step = max(1, min(m, CHECK_BLOCK // half))  # gain rows per group
+    gain = np.empty((step, half))
+    bad = np.zeros((m, m), dtype=bool)  # [j, j]: not monotone; [j, k > j]: not submodular
     for j0 in range(0, m, step):
         j1 = min(j0 + step, m)
-        g = gain[:, : j1 - j0]
+        g = gain[: j1 - j0]
         for j in range(j0, j1):
-            pair = f.reshape(n, -1, 2, 1 << j)
-            np.subtract(pair[:, :, 1], pair[:, :, 0], out=g[:, j - j0].reshape(n, -1, 1 << j))
-        bad.reshape(n, -1)[:, j0 * (m + 1) : j1 * (m + 1) : m + 1] = (g < -tol).any(axis=2)
+            pair = f.reshape(-1, 2, 1 << j)
+            np.subtract(pair[:, 1], pair[:, 0], out=g[j - j0].reshape(-1, 1 << j))
+        bad.flat[j0 * (m + 1) : j1 * (m + 1) : m + 1] = (g < -tol).any(axis=1)
         ceiling = g + tol
         for k in range(j0 + 1, m):
             c = min(k, j1) - j0
-            shape = (n, c, -1, 2, 1 << (k - 1))
-            grows = g[:, :c].reshape(shape)[:, :, :, 1] > ceiling[:, :c].reshape(shape)[:, :, :, 0]
-            bad[:, j0 : j0 + c, k] = grows.reshape(n, c, -1).any(axis=2)
-    if bad.any() or not valid.all():
-        i = (bad.any(axis=(1, 2)) | ~valid).argmax()
-        j, k = divmod(int(bad[i].argmax()), m)  # the first in row-major order
-        raise ValueError("rate bounds must be nonnegative numbers, never NaN" if not valid[i] else
-                         f"bound not monotone in receiver {j + 1}" if j == k else
+            shape = (c, -1, 2, 1 << (k - 1))
+            grows = g[:c].reshape(shape)[:, :, 1] > ceiling[:c].reshape(shape)[:, :, 0]
+            bad[j0 : j0 + c, k] = grows.reshape(c, -1).any(axis=1)
+    if bad.any():
+        j, k = divmod(int(bad.argmax()), m)  # the first in row-major order
+        raise ValueError(f"bound not monotone in receiver {j + 1}" if j == k else
                          f"bound not submodular in receivers {j + 1} and {k + 1}")
 
 
@@ -261,17 +259,6 @@ def capacity_region(spec: BroadcastChannelSpec, energy=UNCONSTRAINED) -> Capacit
     # the complement of mask is full ^ mask = full - mask: s reversed
     f = _bounds(energy, s, s[::-1], float(s[-1]))
     return CapacityRegion(spec.m, energy, f)
-
-
-def _grid_bounds(spec: BroadcastChannelSpec, ns_grid):
-    """``capacity_region(spec, n_s)._f`` bit for bit per photon number of a checked grid:
-    rows of one array from one set of subset sums, checked in blocks of ``CHECK_BLOCK``."""
-    kept, rows = 1.0 - _subset_sums(spec.etas)[::-1], max(1, CHECK_BLOCK >> spec.m)
-    for i in range(0, len(ns_grid), rows):
-        n_s = np.array(ns_grid[i : i + rows], dtype=float)[:, None]
-        f = _closed_form(n_s, kept, float(kept[0]))  # kept[0] = 1 - eta_all
-        _check_polymatroid(f, spec.m, EXACT_TOL)
-        yield from f
 
 
 def contains(region: CapacityRegion, point) -> bool:
@@ -398,7 +385,7 @@ def merging_gain(spec: BroadcastChannelSpec, n_s: float, gained, helpers=()) -> 
     ever runs at an entanglement deficit.
     """
     s1, s2 = _disjoint_subsets(spec.m, gained, helpers)
-    n_s, helper_mask = _photon_number(n_s), _mask(s2)
+    helper_mask = _mask(s2)
     return float(_closed_form(
         n_s, 1.0 - _eta(spec, helper_mask), 1.0 - _eta(spec, _mask(s1) | helper_mask)
     ))

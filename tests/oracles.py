@@ -7,9 +7,9 @@ outputs from a cascade of dense beam-splitter matrices, and command-line
 output from ``json.dumps``.  Two exceptions use the library: the TMSV
 route at the end builds library states and sends a TMSV arm through the
 channel's amplitude map, the two-mode route the library's thermal route is
-checked against; and ``convergence_table`` takes one ``capacity_region``
-per grid energy, the route the command's single array of the grid is
-checked against.
+checked against; and ``convergence_table`` reads each subset's bound from
+one ``capacity_region`` per grid energy, the route the command's bound
+columns are checked against.
 """
 
 import itertools
@@ -148,28 +148,27 @@ def is_polymatroid_bruteforce(bounds: dict, m: int, tol: float) -> bool:
 
 
 def check_polymatroid_reference(f, m: int, tol: float):
-    """The polymatroid check as one comparison per receiver and per pair.
+    """The polymatroid check on a bound vector, one comparison per receiver and per pair.
 
-    ``f`` is a bound vector or a stack of them, shape ``(..., 2^m)``, taken
-    one vector at a time.  Raises the ValueError of the first failure: a NaN
-    or a bound below -1e-12; then, j ascending, a gain f(T + j) - f(T) below
-    -tol, or, k > j ascending, a gain that grows by more than tol when k
-    joins T.  NaN stands in for the unbounded flag, so every comparison that
-    involves it is false.
+    Raises the ValueError of the first failure: a NaN or a bound below
+    -1e-12; then, j ascending, a gain f(T + j) - f(T) below -tol, or, k > j
+    ascending, a gain that grows by more than tol when k joins T.  NaN
+    stands in for the unbounded flag, so every comparison that involves it
+    is false.
     """
-    for f in np.reshape(f, (-1, 1 << m)):
-        if np.any(np.isnan(f) | (f < -1e-12)):
-            raise ValueError("rate bounds must be nonnegative numbers, never NaN")
-        f = np.where(np.isinf(f), np.nan, f)
-        for j in range(m):
-            pair = f.reshape(-1, 2, 1 << j)
-            gain = (pair[:, 1] - pair[:, 0]).ravel()  # T with bit j dropped
-            if (gain < -tol).any():
-                raise ValueError(f"bound not monotone in receiver {j + 1}")
-            for k in range(j + 1, m):
-                pair = gain.reshape(-1, 2, 1 << (k - 1))  # bit k of T is bit k - 1 here
-                if (pair[:, 1] > pair[:, 0] + tol).any():
-                    raise ValueError(f"bound not submodular in receivers {j + 1} and {k + 1}")
+    f = np.asarray(f, dtype=float)
+    if np.any(np.isnan(f) | (f < -1e-12)):
+        raise ValueError("rate bounds must be nonnegative numbers, never NaN")
+    f = np.where(np.isinf(f), np.nan, f)
+    for j in range(m):
+        pair = f.reshape(-1, 2, 1 << j)
+        gain = (pair[:, 1] - pair[:, 0]).ravel()  # T with bit j dropped
+        if (gain < -tol).any():
+            raise ValueError(f"bound not monotone in receiver {j + 1}")
+        for k in range(j + 1, m):
+            pair = gain.reshape(-1, 2, 1 << (k - 1))  # bit k of T is bit k - 1 here
+            if (pair[:, 1] > pair[:, 0] + tol).any():
+                raise ValueError(f"bound not submodular in receivers {j + 1} and {k + 1}")
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

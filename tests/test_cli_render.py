@@ -18,6 +18,7 @@ import pytest
 from bbcap import cli, fock, region
 from bbcap.channel import BroadcastChannelSpec
 from oracles import (
+    check_polymatroid_reference,
     convergence_table,
     render_boundary_reference,
     render_convergence_reference,
@@ -176,33 +177,35 @@ def test_convergence(etas, grid, prec, fmt, capsys, monkeypatch):
     _same(out, render_convergence_reference(rows, fmt, int(prec)))
 
 
-@pytest.mark.parametrize("m,energies", [(1, 3), (5, 7), (13, 20), (17, 3)])
-def test_convergence_grid_rows_are_the_regions(m, energies):
-    # the grid is one array, taken in blocks of region.CHECK_BLOCK bounds:
-    # 8, 8 and 4 rows at m = 13, one at a time at m = 17
-    rng = random.Random(m)
-    etas = [rng.uniform(0.0, 0.9 / m) for _ in range(m)]
-    grid = [0.0] + [10 ** rng.uniform(-3, 6) for _ in range(energies - 1)]
-    spec = BroadcastChannelSpec(tuple(etas))
-    got_m, limit, columns = cli._convergence_columns(etas, grid)
-    assert got_m == m and limit.tobytes() == region.capacity_region(spec)._f.tobytes()
-    rows = list(columns)
-    assert [n_s for n_s, _, _ in rows] == grid
-    for n_s, inner, gap in rows:
-        f = region.capacity_region(spec, n_s)._f
-        assert inner.tobytes() == f.tobytes() and gap.tobytes() == (limit - f).tobytes()
+def test_convergence_refuses_its_first_failing_energy(capsys, monkeypatch):
+    # the bounds at N_S = 2 and 3 are made to fail at different pairs; the
+    # command names N_S = 2's failure, as the loop over pairs names it
+    spec, closed_form = BroadcastChannelSpec((0.2, 0.1, 0.3)), region._closed_form
+    bumps = {2.0: np.eye(8)[0b011], 3.0: np.eye(8)[0b110]}
 
+    def broken(n_s, kept, kept_joint):
+        f = closed_form(n_s, kept, kept_joint)
+        return f + sum(np.where(n_s == e, 5.0 * bump, 0.0) for e, bump in bumps.items())
 
-def test_convergence_grid_refuses_its_first_failing_energy(capsys):
-    # entropy_g's floor at 1e-12 makes the bound at N_S = 1e-12 fail
-    # submodularity (a defect while the floor stands); the command names
-    # the failure capacity_region names at that energy
-    with pytest.raises(ValueError) as exc:
-        region.capacity_region(BroadcastChannelSpec((0.2, 0.1)), 1e-12)
-    argv = ["convergence", "--etas", "0.2,0.1", "--ns-grid", "1,1e-12,2e-12"]
+    monkeypatch.setattr(region, "_closed_form", broken)
+    s = region._subset_sums(spec.etas)
+    first, second = (_failure(check_polymatroid_reference, broken(e, 1.0 - s[::-1], 1.0 - s[-1]), 3, 1e-12)
+                     for e in bumps)
+    assert first and second and first != second
+    assert _failure(region.capacity_region, spec, 2.0) == first
+    argv = ["convergence", "--etas", "0.2,0.1,0.3", "--ns-grid", "1,2,3"]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == f"bbcap: error: {exc.value}\n"
+    assert out == "" and err == f"bbcap: error: {first}\n"
+
+
+def _failure(check, *args):
+    """The message of the ValueError ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @pytest.mark.parametrize("m", range(1, 17))

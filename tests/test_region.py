@@ -23,7 +23,6 @@ from bbcap.region import (
     region_from_dict,
     region_to_dict,
     vertices,
-    _check_polymatroid,
     _validate_subset,
 )
 from oracles import (
@@ -242,28 +241,6 @@ class TestCapacityRegion:
         # m = 17); smaller blocks take those paths at small m
         monkeypatch.setattr(region, "CHECK_BLOCK", rows << (m - 1))
         assert len(set(_agreement_with_the_loop(m))) >= 3
-
-    def test_stack_reports_its_first_failing_vector(self):
-        m = 5
-        f = capacity_region(BroadcastChannelSpec((0.05, 0.1, 0.15, 0.2, 0.25)), 2.0)._f
-        rows = [f]
-        pairs = ((0b00001, 0.3), (0b00111, -0.05), (0b11001, 0.02), (0b00010, 0.3), (0b01110, 0.02))
-        for mask, delta in pairs:  # one failing pair or monotone receiver each
-            rows.append(f.copy())
-            rows[-1][mask] += delta
-        rows.append(f.copy())
-        rows[-1][7] = math.nan
-        messages = [_outcome(check_polymatroid_reference, row, m, 1e-12) for row in rows]
-        assert messages[0] is None and len(set(messages[1:])) == len(rows) - 1
-        rng = np.random.RandomState(3)
-        for _ in range(24):
-            order = rng.permutation(len(rows))
-            stack = np.array([rows[i] for i in order])
-            first = next(messages[i] for i in order if messages[i])
-            assert _outcome(check_polymatroid_reference, stack, m, 1e-12) == first
-            assert _outcome(_check_polymatroid, stack, m, 1e-12) == first
-            assert _outcome(_check_polymatroid, stack.reshape(1, len(rows), -1), m, 1e-12) == first
-        _check_polymatroid(np.array([f, f]), m, 1e-12)
 
 
 def _agreement_with_the_loop(m) -> list:
