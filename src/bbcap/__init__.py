@@ -38,8 +38,6 @@ from .region import (
     boundary_2d,
     merging_gain,
     merging_gain_gaussian,
-    region_to_dict,
-    region_from_dict,
 )
 from .fock import (
     FockState,
@@ -51,10 +49,8 @@ from .fock import (
     tmsv_fock,
     split_with_vacuum,
     reduce_density,
-    entropy_fock,
     channel_output_fock,
     verify_conditional_entropies,
-    schmidt_spectrum_check,
 )
 
 __version__ = "0.1.0"

@@ -49,7 +49,6 @@ __all__ = [
     "output_labels",
     "default_ordering",
     "all_orderings",
-    "validate_ordering",
     "build_network",
     "implementations_equivalent",
 ]

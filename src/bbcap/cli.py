@@ -239,7 +239,7 @@ def _json(obj, num, pad: str = "\n") -> str:
 
 def _subset_texts(m: int, sep: str) -> tuple:
     """The text of every nonempty receiver subset, its receivers joined by
-    ``sep``, and the subsets' masks, both in ``region._ordered_subsets`` order.
+    ``sep``, and the subsets' masks, both in ``region.nonempty_subsets`` order.
 
     In that order the k-subsets of a..m are a before each (k - 1)-subset of
     a + 1..m, then the k-subsets of a + 1..m.  So each text is made once, as

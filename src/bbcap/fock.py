@@ -59,10 +59,8 @@ __all__ = [
     "tmsv_fock",
     "split_with_vacuum",
     "reduce_density",
-    "entropy_fock",
     "channel_output_fock",
     "verify_conditional_entropies",
-    "schmidt_spectrum_check",
 ]
 
 TAIL_BUDGET = 1e-10
@@ -343,11 +341,6 @@ def reduce_density(state: FockState, keep) -> DensityMatrix:
     return DensityMatrix(keep, blocks, state.cutoff)
 
 
-def entropy_fock(rho: DensityMatrix) -> float:
-    """Spectral von Neumann entropy in bits."""
-    return _shannon_bits(rho.eigenvalues())
-
-
 def _shannon_bits(p: np.ndarray) -> float:
     p = p[p != 0.0]  # a NaN weight stays, and makes the entropy NaN
     return float(-(p * np.log2(p)).sum())
@@ -539,18 +532,3 @@ def verify_conditional_entropies(spec: BroadcastChannelSpec, n_s: float, cutoff=
             "cases": cases, "max_abs_dev": max(c["abs_dev"] for c in cases),
             "pass": all(c["pass"] for c in cases + schmidt), "schmidt": schmidt}
 
-
-def schmidt_spectrum_check(eta_receiver: float, n_s: float, cutoff=None) -> dict:
-    """The Schmidt record of a one-receiver channel of transmittance ``eta_receiver``.
-
-    The (sender, receiver) pair is purified by the environment, which takes
-    the share ``1 - eta_receiver`` of the TMSV arm; its certified block
-    weights must be the thermal weights of mean photon number
-    ``(1 - eta_receiver) * n_s``, photon number by photon number, within
-    ``SCHMIDT_TOL``.  Returns ``verify_conditional_entropies``' record
-    ``arm_transmittance, ns, cutoff, tail_mass, max_abs_dev, pass``.
-    """
-    if not 0.0 <= eta_receiver <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {eta_receiver!r}")
-    spec = BroadcastChannelSpec((eta_receiver,))
-    return verify_conditional_entropies(spec, n_s, cutoff)["schmidt"][0]

@@ -56,8 +56,6 @@ __all__ = [
     "boundary_2d",
     "merging_gain",
     "merging_gain_gaussian",
-    "region_to_dict",
-    "region_from_dict",
 ]
 
 UNCONSTRAINED = "unconstrained"
@@ -68,10 +66,15 @@ MAX_BOUNDARY_POINTS = 100_000  # about the vertex count at MAX_VERTEX_RECEIVERS
 CHECK_BLOCK = 1 << 16  # gains per group of the polymatroid check
 
 
+def _whole(n, lo: int, hi: int) -> bool:
+    """Is ``n`` a whole number in lo..hi, of any integer type but bool?"""
+    return type(n) is not bool and isinstance(n, numbers.Integral) and lo <= n <= hi
+
+
 def _receiver_count(m) -> int:
     """``m`` as an int, refused before anything of size 2^m is allocated
     unless it is a whole number of receivers in range."""
-    if type(m) is bool or not (isinstance(m, numbers.Integral) and 1 <= m <= MAX_REGION_RECEIVERS):
+    if not _whole(m, 1, MAX_REGION_RECEIVERS):
         raise ValueError(f"receiver count m must be in 1..{MAX_REGION_RECEIVERS}, got {m!r}")
     return int(m)
 
@@ -92,23 +95,10 @@ def _mask(t: frozenset) -> int:
     return sum(1 << (i - 1) for i in t)
 
 
-def _ordered_subsets(m: int):
-    """(receivers, mask) of every nonempty subset, smallest first, lexicographic.
-
-    The receivers come as a tuple of 1..m.
-    """
-    bits = [1 << i for i in range(m)]
-    for size in range(1, m + 1):
-        yield from zip(
-            itertools.combinations(range(1, m + 1), size),
-            map(sum, itertools.combinations(bits, size)),
-        )
-
-
 def nonempty_subsets(m: int):
     """All 2^m - 1 nonempty receiver subsets, smallest first, lexicographic."""
-    for t, _ in _ordered_subsets(m):
-        yield frozenset(t)
+    for size in range(1, m + 1):
+        yield from map(frozenset, itertools.combinations(range(1, m + 1), size))
 
 
 def _subset_sums(values) -> np.ndarray:
@@ -158,19 +148,19 @@ class CapacityRegion:
     vector: ``f[mask]`` over all 2^m subsets, receiver i at bit i - 1,
     ``f[0] = 0`` and ``math.inf`` for an unbounded subset, for m in
     1..``MAX_REGION_RECEIVERS``.  Monotonicity and submodularity of the
-    bound function are checked at every m (within ``check_tol``; comparisons
+    bound function are checked at every m (within ``EXACT_TOL``; comparisons
     with the unbounded flag are skipped) in about 2m array operations up to
     m = 13, and one gain row at a time from m = 17 on.
     """
 
-    def __init__(self, m: int, energy, f, check_tol: float = EXACT_TOL):
-        self.m, self.energy, self.check_tol = _receiver_count(m), energy, check_tol
+    def __init__(self, m: int, energy, f):
+        self.m, self.energy = _receiver_count(m), energy
         f = np.array(f, dtype=float)
         if f.shape != (1 << m,) or f[0] != 0.0:
             raise ValueError(f"bound vector needs 2^{m} entries and f[0] = 0")
         if np.any(np.isnan(f) | (f < -EXACT_TOL)):
             raise ValueError("rate bounds must be nonnegative numbers, never NaN")
-        _check_polymatroid(f, m, check_tol)
+        _check_polymatroid(f, m, EXACT_TOL)
         self._f = f
 
     def bound(self, subset) -> float:
@@ -243,9 +233,9 @@ def asymptotic_bound(spec: BroadcastChannelSpec, subset) -> float:
 
     This is the infinite-energy limit of :func:`inner_bound_finite`.  When
     the receivers absorb everything (eta_all = 1) the bound is unbounded and
-    ``math.inf`` is returned as an in-memory flag (never serialized as a
-    float; see :func:`region_to_dict`) -- except for subsets of zero-weight
-    receivers, which can never receive anything and get bound 0.
+    ``math.inf`` is returned as an in-memory flag (``bbcap region`` writes
+    it as ``"unbounded"``, never as a float) -- except for subsets of
+    zero-weight receivers, which can never receive anything and get bound 0.
     """
     return _bound(spec, UNCONSTRAINED, subset)
 
@@ -337,8 +327,8 @@ def boundary_2d(region: CapacityRegion, n_points: int) -> np.ndarray:
         raise ValueError(f"boundary_2d needs m = 2, got m = {region.m}")
     if region.unbounded:
         raise ValueError("region is unbounded; boundary is undefined")
-    if not 2 <= n_points <= MAX_BOUNDARY_POINTS:
-        raise ValueError(f"need 2..{MAX_BOUNDARY_POINTS} boundary points, got {n_points}")
+    if not _whole(n_points, 2, MAX_BOUNDARY_POINTS):
+        raise ValueError(f"need 2..{MAX_BOUNDARY_POINTS} boundary points, got {n_points!r}")
     f1, f2, f12 = region.bound({1}), region.bound({2}), region.bound({1, 2})
     if f12 < f1 + f2 - EXACT_TOL:  # the sum face is a real facet
         path = [(0.0, f2), (f12 - f2, f2), (f1, f12 - f1), (f1, 0.0)]
@@ -402,31 +392,3 @@ def merging_gain_gaussian(
     rest = [label for i, label in enumerate(state.mode_labels, 1) if i not in used]
     return gaussian.conditional_entropy(state, [state.mode_labels[i - 1] for i in s1], rest)
 
-
-def region_to_dict(region: CapacityRegion, round_to=None) -> dict:
-    """JSON-ready form; unbounded constraints carry a flag, never a float inf."""
-    fmt = float if round_to is None else lambda x: float(f"{x:.{round_to}g}")
-    f = region._f.tolist()
-    constraints = []
-    for subset, mask in _ordered_subsets(region.m):
-        bound = {"unbounded": True} if math.isinf(f[mask]) else {"bound_bits": fmt(f[mask])}
-        constraints.append({"subset": list(subset), **bound})
-    energy = region.energy if region.energy == UNCONSTRAINED else fmt(region.energy)
-    return {"m": region.m, "energy": energy, "constraints": constraints}
-
-
-def region_from_dict(data: dict) -> CapacityRegion:
-    """Rebuild a region from its JSON form (rounded bounds get a looser check)."""
-    m = _receiver_count(data["m"])
-    energy = data["energy"]
-    if energy != UNCONSTRAINED:
-        energy = _photon_number(energy)
-    entries = data["constraints"]
-    masks = [_mask(_validate_subset(m, entry["subset"])) for entry in entries]
-    if sorted(masks) != list(range(1, 1 << m)):
-        raise ValueError(f"need one constraint per nonempty subset of 1..{m}")
-    f = np.zeros(1 << m)
-    f[masks] = [
-        math.inf if entry.get("unbounded") else float(entry["bound_bits"]) for entry in entries
-    ]
-    return CapacityRegion(m, energy, f, check_tol=1e-6)

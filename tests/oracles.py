@@ -4,12 +4,13 @@ Nothing here imports the code paths under test: entropies come from plain
 spectral sums, split populations from explicit binomial mixing, polytope
 vertices from hyperplane intersection or a depth-first greedy walk, channel
 outputs from a cascade of dense beam-splitter matrices, and command-line
-output from ``json.dumps``.  Two exceptions use the library: the TMSV
+output from ``json.dumps``.  Three exceptions use the library: the TMSV
 route at the end builds library states and sends a TMSV arm through the
 channel's amplitude map, the two-mode route the library's thermal route is
-checked against; and ``convergence_table`` reads each subset's bound from
+checked against; ``convergence_table`` reads each subset's bound from
 one ``capacity_region`` per grid energy, the route the command's bound
-columns are checked against.
+columns are checked against; and ``render_region_reference`` reads a
+region's bounds one subset at a time through ``CapacityRegion.bound``.
 """
 
 import itertools
@@ -291,8 +292,8 @@ def reduce_density_reference(state, keep) -> tuple:
 
 # The command-line rendering as it stood before the single JSON/CSV emitter:
 # each command's ``_run_*`` body, taking the computed values as arguments.
-# ``region`` takes ``region.region_to_dict(reg, round_to=prec)``; ``verify``
-# takes the record of ``fock.verify_conditional_entropies``.
+# ``region`` takes the ``CapacityRegion``; ``verify`` takes the record of
+# ``fock.verify_conditional_entropies``.
 
 
 def _fmt(x: float, prec: int) -> str:
@@ -307,7 +308,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def render_region_reference(data: dict, fmt: str, prec: int) -> str:
+def render_region_reference(reg, fmt: str, prec: int) -> str:
+    """A region's output from a dict of its bounds, each rounded to ``prec``
+    digits, an unbounded one as a flag, never a float inf."""
+    constraints = []
+    for t in nonempty_subsets(reg.m):
+        bound = reg.bound(t)
+        value = {"unbounded": True} if math.isinf(bound) else {"bound_bits": _round(bound, prec)}
+        constraints.append({"subset": sorted(t), **value})
+    energy = reg.energy if reg.energy == "unconstrained" else _round(reg.energy, prec)
+    data = {"m": reg.m, "energy": energy, "constraints": constraints}
     if fmt == "json":
         return _json_text(data)
     lines = ["subset,bound_bits"]

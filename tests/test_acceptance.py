@@ -17,7 +17,7 @@ from bbcap.channel import (
     all_orderings,
     implementations_equivalent,
 )
-from bbcap.fock import schmidt_spectrum_check, verify_conditional_entropies
+from bbcap.fock import verify_conditional_entropies
 from bbcap.gaussian import entropy_g
 from bbcap.region import (
     asymptotic_bound,
@@ -117,7 +117,7 @@ def test_schmidt_spectrum_certification():
     t0 = time.perf_counter()
     worst = 0.0
     for eta, n_s in itertools.product((0.2, 0.5), (0.3, 0.7)):
-        rep = schmidt_spectrum_check(eta, n_s, cutoff=25)
+        rep = verify_conditional_entropies(BroadcastChannelSpec((eta,)), n_s, 25)["schmidt"][0]
         assert rep["pass"], f"eta={eta}, ns={n_s}: deviation {rep['max_abs_dev']}"
         worst = max(worst, rep["max_abs_dev"])
     elapsed = time.perf_counter() - t0

@@ -1,9 +1,11 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
 
-from bbcap import channel, gaussian
+import bbcap
+from bbcap import channel, fock, gaussian, region
 from bbcap.channel import (
     ORDERING_EQUIV_TOL,
     BroadcastChannelSpec,
@@ -61,6 +63,14 @@ class TestSpecValidation:
             validate_ordering(spec, ("B1", "B2"))
         with pytest.raises(ValueError):
             validate_ordering(spec, ("B1", "B1", "E"))
+
+
+def test_package_exports_are_the_modules_all():
+    # the package re-exports each library module's __all__, and nothing else
+    public = {name for name, value in vars(bbcap).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {*gaussian.__all__, *channel.__all__, *region.__all__, *fock.__all__}
+    assert "validate_ordering" not in public  # importable from bbcap.channel only
 
 
 class TestBuildNetwork:

@@ -2,11 +2,11 @@ import json
 import math
 import time
 
-import numpy as np
 import pytest
 
 from bbcap import cli, fock
-from bbcap.region import contains, region_from_dict
+from bbcap.channel import BroadcastChannelSpec
+from bbcap.region import UNCONSTRAINED, capacity_region
 
 
 @pytest.fixture(autouse=True)
@@ -61,17 +61,22 @@ class TestRegionCommand:
         assert first == second
 
     def test_round_trip_membership(self, capsys, monkeypatch):
+        # at precision 17 the JSON is the bound vector, bit for bit at every
+        # mask, so membership survives exactly; an unbounded subset is a flag
         monkeypatch.setenv("BBC_CAPACITY_PRECISION", "17")
-        _, out, _ = run_cli(capsys, "region", "--etas", "0.2,0.3", "--ns", "2.5")
-        rebuilt = region_from_dict(json.loads(out))
-        from bbcap.region import capacity_region
-        from bbcap.channel import BroadcastChannelSpec
-
-        original = capacity_region(BroadcastChannelSpec((0.2, 0.3)), 2.5)
-        rng = np.random.RandomState(8)
-        for _ in range(300):
-            p = rng.uniform(-0.05, 0.9, size=2)
-            assert contains(original, p) == contains(rebuilt, p)
+        for etas, ns in (((0.2, 0.3), 2.5), ((0.6, 0.0, 0.4), UNCONSTRAINED)):
+            _, out, _ = run_cli(capsys, "region", "--etas", ",".join(map(str, etas)),
+                                "--ns", "inf" if ns == UNCONSTRAINED else str(ns))
+            f = capacity_region(BroadcastChannelSpec(etas), ns)._f
+            masks = []
+            for entry in json.loads(out)["constraints"]:
+                masks.append(sum(1 << (i - 1) for i in entry["subset"]))
+                if math.isinf(f[masks[-1]]):
+                    assert entry == {"subset": entry["subset"], "unbounded": True}
+                else:
+                    assert type(entry["bound_bits"]) is float
+                    assert entry["bound_bits"].hex() == f[masks[-1]].hex()
+            assert sorted(masks) == list(range(1, f.size))
 
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "region", "--etas", "0.2,1.3")

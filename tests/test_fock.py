@@ -13,9 +13,7 @@ from bbcap.fock import (
     InconclusiveVerificationError,
     channel_output_fock,
     cutoff_for_tail,
-    entropy_fock,
     reduce_density,
-    schmidt_spectrum_check,
     split_with_vacuum,
     tail_mass,
     thermal_weight,
@@ -24,7 +22,12 @@ from bbcap.fock import (
 )
 from bbcap.gaussian import conditional_entropy, entropy_g, reduce, von_neumann_entropy
 from bbcap.region import inner_bound_finite_gaussian, nonempty_subsets
-from oracles import output_state_tmsv, reduce_density_reference, split_photon_weights_loop
+from oracles import (
+    output_state_tmsv,
+    reduce_density_reference,
+    spectral_entropy,
+    split_photon_weights_loop,
+)
 
 SPEC23 = BroadcastChannelSpec((0.2, 0.3))
 
@@ -71,7 +74,7 @@ class TestTmsvFock:
     def test_marginal_spectrum_entropy_is_g(self):
         st = tmsv_fock(0.5, 25)
         rho = reduce_density(st, ("A",))
-        assert entropy_fock(rho) == pytest.approx(entropy_g(0.5), abs=ENTROPY_TOL)
+        assert spectral_entropy(rho.eigenvalues()) == pytest.approx(entropy_g(0.5), abs=ENTROPY_TOL)
 
     def test_support_is_diagonal_pairs(self):
         st = tmsv_fock(0.7, 15)
@@ -142,7 +145,7 @@ class TestReduceDensity:
         for k in range(6):
             assert pops[k] == pytest.approx(thermal_weight(0.1, k), abs=ENTROPY_TOL)
         gauss = von_neumann_entropy(reduce(output_state_tmsv(SPEC23, 0.5), ["B1"]))
-        assert entropy_fock(rho) == pytest.approx(gauss, abs=ENTROPY_TOL)
+        assert spectral_entropy(rho.eigenvalues()) == pytest.approx(gauss, abs=ENTROPY_TOL)
 
     def test_receiver_pair_blocks_conserve_total_photons(self):
         st = channel_output_fock(SPEC23, 0.5, 15)
@@ -515,23 +518,24 @@ class TestRankOneCertificate:
                 assert fock._binomial_weights(eta, top).tolist() == want
 
 
+def _entropy(state, keep) -> float:
+    """Von Neumann entropy (bits) of the reduced state on ``keep``, from its spectrum."""
+    return spectral_entropy(reduce_density(state, keep).eigenvalues())
+
+
 class TestEntropyFock:
     def test_pure_projector_is_zero(self):
         # tail at this cutoff is ~1e-16, so the kept weight is 1 to precision
         st = tmsv_fock(0.4, 30)
-        assert entropy_fock(reduce_density(st, st.mode_labels)) == pytest.approx(
-            0.0, abs=1e-10
-        )
+        assert _entropy(st, st.mode_labels) == pytest.approx(0.0, abs=1e-10)
 
     def test_balanced_qubit_is_one_bit(self):
         bell = _state(("a", "b"), {(0, 0): math.sqrt(0.5), (1, 1): math.sqrt(0.5)}, 1)
-        assert entropy_fock(reduce_density(bell, ("a",))) == pytest.approx(1.0, abs=1e-12)
+        assert _entropy(bell, ("a",)) == pytest.approx(1.0, abs=1e-12)
 
     def test_truncated_thermal_matches_g(self):
         st = tmsv_fock(0.5, 20)
-        assert entropy_fock(reduce_density(st, ("A",))) == pytest.approx(
-            entropy_g(0.5), abs=1e-8
-        )
+        assert _entropy(st, ("A",)) == pytest.approx(entropy_g(0.5), abs=1e-8)
 
 
 class TestVerifyConditionalEntropies:
@@ -643,14 +647,20 @@ class TestVerifyConditionalEntropies:
 
 
 def _schmidt_spectrum(eta_receiver, n_s, cutoff):
-    """The (A, B) spectrum that ``schmidt_spectrum_check`` certifies."""
+    """The (A, B) spectrum that a one-receiver Schmidt record certifies."""
     state = split_with_vacuum(tmsv_fock(n_s, cutoff), "A'", 1.0 - eta_receiver, "B")
     return reduce_density(state, ("A", "B")).eigenvalues()
 
 
+def _schmidt_record(eta_receiver, n_s, cutoff) -> dict:
+    """The Schmidt record of a one-receiver channel of transmittance ``eta_receiver``."""
+    spec = BroadcastChannelSpec((eta_receiver,))
+    return verify_conditional_entropies(spec, n_s, cutoff)["schmidt"][0]
+
+
 class TestSchmidtSpectrum:
     def test_untouched_tmsv(self):
-        assert schmidt_spectrum_check(0.0, 0.5, cutoff=25)["pass"]
+        assert _schmidt_record(0.0, 0.5, 25)["pass"]
         spectrum = _schmidt_spectrum(0.0, 0.5, 25)
         for k in range(10):
             assert spectrum[k] == pytest.approx(
@@ -658,7 +668,7 @@ class TestSchmidtSpectrum:
             )
 
     def test_reference_case(self):
-        report = schmidt_spectrum_check(0.2, 0.5, cutoff=25)
+        report = _schmidt_record(0.2, 0.5, 25)
         assert report["pass"] and report["max_abs_dev"] < 1e-8
         spectrum = _schmidt_spectrum(0.2, 0.5, 25)
         for k in range(10):
@@ -667,7 +677,7 @@ class TestSchmidtSpectrum:
             )
 
     def test_spectrum_is_geometric(self):
-        assert schmidt_spectrum_check(0.3, 0.6, cutoff=25)["pass"]
+        assert _schmidt_record(0.3, 0.6, 25)["pass"]
         mu = 0.7 * 0.6
         ratio = mu / (mu + 1.0)
         spans = _schmidt_spectrum(0.3, 0.6, 25)[:8]
@@ -676,17 +686,17 @@ class TestSchmidtSpectrum:
 
     def test_budget_checked(self):
         with pytest.raises(InconclusiveVerificationError):
-            schmidt_spectrum_check(0.2, 0.5, cutoff=8)
+            _schmidt_record(0.2, 0.5, 8)
 
     @pytest.mark.parametrize("n_s", [math.nan, math.inf])
     @pytest.mark.parametrize("cutoff", [None, 20])
     def test_bad_energy_is_refused(self, n_s, cutoff):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            schmidt_spectrum_check(0.2, n_s, cutoff=cutoff)
+            _schmidt_record(0.2, n_s, cutoff)
 
     def test_fractional_cutoff_is_refused(self):
         with pytest.raises(ValueError, match="whole number"):
-            schmidt_spectrum_check(0.2, 0.5, cutoff=25.0)
+            _schmidt_record(0.2, 0.5, 25.0)
 
 
 class TestSchmidtRecord:
@@ -756,9 +766,12 @@ class TestSchmidtRecord:
 
     @pytest.mark.parametrize("eta", [0.0, 0.2, 1.0])
     def test_check_is_the_one_receiver_record(self, eta):
+        # the ends of [0, 1]: the environment takes all of the arm, or none
         report = verify_conditional_entropies(BroadcastChannelSpec((eta,)), 0.5, cutoff=25)
-        assert schmidt_spectrum_check(eta, 0.5, cutoff=25) == report["schmidt"][0]
-        assert report["schmidt"][0]["pass"] is True
+        assert report["schmidt"] == [{"arm_transmittance": eta, "ns": 0.5, "cutoff": 25,
+                                      "tail_mass": tail_mass(0.5, 25),
+                                      "max_abs_dev": report["schmidt"][0]["max_abs_dev"],
+                                      "pass": True}]
 
 
 class TestCutoffPolicy:
@@ -889,6 +902,6 @@ class TestOracleVsGaussianEverywhere:
         labels = gauss_state.mode_labels
         for size in range(1, len(labels) + 1):
             for keep in itertools.combinations(labels, size):
-                h_fock = entropy_fock(reduce_density(fock_state, keep))
+                h_fock = _entropy(fock_state, keep)
                 h_gauss = von_neumann_entropy(reduce(gauss_state, keep))
                 assert h_fock == pytest.approx(h_gauss, abs=ENTROPY_TOL), keep

@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from bbcap import channel, region
+from bbcap import channel, cli, region
 from bbcap.channel import BroadcastChannelSpec
 from bbcap.gaussian import conditional_entropy, entropy_g
 from bbcap.region import (
@@ -20,8 +21,6 @@ from bbcap.region import (
     merging_gain,
     merging_gain_gaussian,
     nonempty_subsets,
-    region_from_dict,
-    region_to_dict,
     vertices,
     _validate_subset,
 )
@@ -100,10 +99,6 @@ class TestInnerBoundFinite:
             capacity_region(SPEC23).bound({1.5})
         with pytest.raises(ValueError, match=outside):
             merging_gain(SPEC23, 1.0, {2}, {1.0})
-        data = region_to_dict(capacity_region(SPEC23))
-        data["constraints"][0]["subset"] = [1.2]
-        with pytest.raises(ValueError, match=outside):
-            region_from_dict(data)
         # whole numbers of any integer type still name a receiver
         assert inner_bound_finite(SPEC23, 1.0, {np.int64(2)}) == inner_bound_finite(SPEC23, 1.0, {2})
 
@@ -193,9 +188,9 @@ class TestCapacityRegion:
                 assert inner.bound(t) < outer.bound(t)
 
     def test_constraint_count_and_guard(self):
-        assert len(region_to_dict(capacity_region(SPEC23))["constraints"]) == 3
-        reg = capacity_region(BroadcastChannelSpec((0.1,) * 4), 1.0)
-        assert len(region_to_dict(reg)["constraints"]) == 15
+        # one bound per subset, f[0] = 0 included
+        assert capacity_region(SPEC23)._f.shape == (4,)
+        assert capacity_region(BroadcastChannelSpec((0.1,) * 4), 1.0)._f.shape == (16,)
         with pytest.raises(ValueError):
             capacity_region(BroadcastChannelSpec((0.001,) * 21))
 
@@ -203,8 +198,6 @@ class TestCapacityRegion:
     def test_receiver_count_refused_before_allocation(self, m):
         with pytest.raises(ValueError, match=r"1\.\.20"):
             CapacityRegion(m, UNCONSTRAINED, [0.0])
-        with pytest.raises(ValueError, match=r"1\.\.20"):
-            region_from_dict({"m": m, "energy": UNCONSTRAINED, "constraints": []})
 
     def test_polymatroid_validation_rejects_bad_bounds(self):
         # f[mask] over subsets {}, {1}, {2}, {1, 2}
@@ -213,13 +206,8 @@ class TestCapacityRegion:
             CapacityRegion(2, UNCONSTRAINED, [0.0, 0.5, 0.6, 0.4])
         with pytest.raises(ValueError):  # not submodular
             CapacityRegion(2, UNCONSTRAINED, [0.0, 0.5, 0.6, 1.5])
-        nan_bound = {
-            "m": 1,
-            "energy": "unconstrained",
-            "constraints": [{"subset": [1], "bound_bits": math.nan}],
-        }
-        with pytest.raises(ValueError):
-            region_from_dict(nan_bound)
+        with pytest.raises(ValueError, match="never NaN"):
+            CapacityRegion(1, UNCONSTRAINED, [0.0, math.nan])
 
     def test_polymatroid_check_runs_above_eight_receivers(self):
         f = capacity_region(BroadcastChannelSpec((0.05,) * 10), 3.0)._f.copy()
@@ -249,20 +237,21 @@ def _agreement_with_the_loop(m) -> list:
 
     There are four kinds of vector: perturbed closed-form bounds, some with
     unbounded flags next to finite ones (inf - finite must not trip the
-    check); gains tied at exactly the tolerance; and bounds rounded as in
-    JSON, at the looser tolerance region_from_dict gives them.
+    check); gains tied at exactly the tolerance; and bounds rounded to a
+    few digits, at the looser tolerance 1e-6.  The constructor checks at
+    ``EXACT_TOL`` and names a negative bound before the check runs, so the
+    check is also called directly, at each tolerance, on every vector
+    without a negative bound.
     """
     rng = np.random.RandomState(60 + m)
     outcomes = []
     for case in range(48):
         f, tol, exact = _check_case(rng, m, case % 4)
         expect = _outcome(check_polymatroid_reference, f, m, tol)
-        assert _outcome(CapacityRegion, m, UNCONSTRAINED, f, tol) == expect
-        if tol == 1e-6:  # as rounded JSON: region_from_dict takes it at this tolerance
-            constraints = [{"subset": sorted(t), "bound_bits": float(f[sum(1 << (i - 1) for i in t)])}
-                           for t in nonempty_subsets(m)]
-            data = {"m": m, "energy": UNCONSTRAINED, "constraints": constraints}
-            assert _outcome(region_from_dict, data) == expect
+        if tol == region.EXACT_TOL:
+            assert _outcome(CapacityRegion, m, UNCONSTRAINED, f) == expect
+        if f.min() >= -region.EXACT_TOL:
+            assert _outcome(region._check_polymatroid, f, m, tol) == expect
         if m <= 4 and exact and f.min() >= 0:  # the loop takes no negative bound
             bounds = {t: f[sum(1 << (i - 1) for i in t)] for t in nonempty_subsets(m)}
             assert (expect is None) == is_polymatroid_bruteforce(bounds, m, tol)
@@ -349,7 +338,7 @@ class TestBoundVector:
             with pytest.raises(ValueError, match=f"^bound not {message}$"):
                 CapacityRegion(3, 2.0, bad)
         bad = f.copy()
-        bad[0b111] += 1e-13  # within check_tol
+        bad[0b111] += 1e-13  # within EXACT_TOL
         CapacityRegion(3, 2.0, bad)
 
 
@@ -533,6 +522,14 @@ class TestBoundary2d:
             with pytest.raises(ValueError, match="boundary points"):
                 boundary_2d(reg, n)
 
+    @pytest.mark.parametrize("n", [200.5, 200.0, "200", True, np.float64(3)])
+    def test_point_count_must_be_a_whole_number(self, n):
+        reg = capacity_region(SPEC23)
+        with pytest.raises(ValueError, match="boundary points"):
+            boundary_2d(reg, n)
+        # any integer type but bool counts
+        assert np.array_equal(boundary_2d(reg, np.int64(50)), boundary_2d(reg, 50))
+
 
 class TestMergingGain:
     def test_full_set_equals_inner_bound(self):
@@ -647,36 +644,48 @@ class TestMergingGain:
 
 
 class TestSerialization:
-    def test_round_trip_preserves_membership(self):
+    """A region's JSON is what ``bbcap region`` prints, and the constructor
+    alone reads it back."""
+
+    @staticmethod
+    def _printed(capsys, monkeypatch, argv, prec="9") -> dict:
+        monkeypatch.setenv("BBC_CAPACITY_PRECISION", prec)
+        assert cli.main(["region", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def _read(data) -> CapacityRegion:
+        f = np.zeros(1 << data["m"])
+        for c in data["constraints"]:
+            mask = sum(1 << (i - 1) for i in c["subset"])
+            f[mask] = math.inf if c.get("unbounded") else c["bound_bits"]
+        return CapacityRegion(data["m"], data["energy"], f)
+
+    def test_round_trip_preserves_membership(self, capsys, monkeypatch):
         # default display precision: generic points keep their verdicts
         reg = capacity_region(SPEC23, 1.5)
-        rebuilt = region_from_dict(region_to_dict(reg, round_to=9))
+        data = self._printed(capsys, monkeypatch, ["--etas", "0.2,0.3", "--ns", "1.5"])
+        rebuilt = self._read(data)
         rng = np.random.RandomState(2)
         for _ in range(200):
             p = rng.uniform(-0.1, 1.1, size=2)
             assert contains(reg, p) == contains(rebuilt, p)
 
-    def test_full_precision_round_trip_is_exact_on_vertices(self):
+    def test_full_precision_round_trip_is_exact_on_vertices(self, capsys, monkeypatch):
         reg = capacity_region(SPEC23)
-        rebuilt = region_from_dict(region_to_dict(reg, round_to=17))
+        rebuilt = self._read(self._printed(capsys, monkeypatch, ["--etas", "0.2,0.3"], "17"))
         for p in vertices(reg):
             assert contains(rebuilt, p)
 
-    def test_unbounded_flag_never_a_float(self):
-        data = region_to_dict(capacity_region(BroadcastChannelSpec((0.6, 0.4))))
+    def test_unbounded_flag_never_a_float(self, capsys, monkeypatch):
+        data = self._printed(capsys, monkeypatch, ["--etas", "0.6,0.4"])
         flagged = [c for c in data["constraints"] if c.get("unbounded")]
         assert len(flagged) == 3
         assert all("bound_bits" not in c for c in flagged)
-        rebuilt = region_from_dict(data)
-        assert rebuilt.unbounded
+        assert self._read(data).unbounded
 
-    def test_energy_tag(self):
-        assert region_to_dict(capacity_region(SPEC23))["energy"] == "unconstrained"
-        assert region_to_dict(capacity_region(SPEC23, 2.0))["energy"] == 2.0
-
-    @pytest.mark.parametrize("energy", [math.nan, math.inf, -0.5])
-    def test_bad_energy_is_refused(self, energy):
-        data = region_to_dict(capacity_region(SPEC23, 2.0))
-        data["energy"] = energy
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            region_from_dict(data)
+    def test_energy_tag(self, capsys, monkeypatch):
+        for argv, energy in ((["--etas", "0.2,0.3"], UNCONSTRAINED),
+                             (["--etas", "0.2,0.3", "--ns", "2"], 2.0)):
+            rebuilt = self._read(self._printed(capsys, monkeypatch, argv))
+            assert rebuilt.energy == energy
