@@ -20,7 +20,6 @@ from .channel import (
     DegenerateSplitError,
     receiver_labels,
     output_labels,
-    default_ordering,
     all_orderings,
     build_network,
     implementations_equivalent,
@@ -49,7 +48,6 @@ from .fock import (
     tmsv_fock,
     split_with_vacuum,
     reduce_density,
-    channel_output_fock,
     verify_conditional_entropies,
 )
 

@@ -47,7 +47,6 @@ __all__ = [
     "DegenerateSplitError",
     "receiver_labels",
     "output_labels",
-    "default_ordering",
     "all_orderings",
     "build_network",
     "implementations_equivalent",
@@ -88,8 +87,8 @@ class BroadcastChannelSpec:
         for e in self.etas:
             if not -ETA_TOL <= e <= 1.0 + ETA_TOL:
                 raise ValueError(f"transmittance {e!r} outside [0, 1]")
-        if sum(self.etas) > 1.0 + ETA_TOL:
-            raise ValueError(f"transmittances sum to {sum(self.etas)!r} > 1")
+        if self.eta_total > 1.0 + ETA_TOL:
+            raise ValueError(f"transmittances sum to {self.eta_total!r} > 1")
 
     @property
     def m(self) -> int:
@@ -97,11 +96,11 @@ class BroadcastChannelSpec:
 
     @property
     def eta_total(self) -> float:
-        return sum(self.etas)
+        return gaussian._left_sum(self.etas)
 
     @property
     def eta_env(self) -> float:
-        return max(0.0, 1.0 - sum(self.etas))
+        return max(0.0, 1.0 - self.eta_total)
 
 
 class Stage(NamedTuple):
@@ -142,18 +141,13 @@ def validate_ordering(spec: BroadcastChannelSpec, ordering) -> tuple:
     return ordering
 
 
-def default_ordering(spec: BroadcastChannelSpec) -> tuple:
-    """Zero-weight outputs split first (they take nothing), positives after.
-
-    Splitting exhausted-weight labels last would divide by a vanished
-    remainder whenever two or more outputs carry zero transmittance;
-    putting them first keeps every stage denominator positive for every
-    valid spec.
-    """
-    return _zero_weight_first(_eta_by_label(spec))
-
-
 def _zero_weight_first(etas: dict) -> tuple:
+    """The default split ordering: zero-weight outputs first (they take
+    nothing), positives after.  Splitting exhausted-weight labels last would
+    divide by a vanished remainder whenever two or more outputs carry zero
+    transmittance; putting them first keeps every stage denominator positive
+    for every valid spec.
+    """
     return tuple(sorted(etas, key=lambda label: etas[label] > ETA_TOL))
 
 
@@ -186,7 +180,7 @@ def build_network(spec: BroadcastChannelSpec, ordering=None) -> BeamSplitterNetw
     ``transmittance = r_{j+1} / r_j`` and ``share = eta_j / r_j``.  Float
     sums of nonnegative terms are monotone, so both lie in [0, 1], and the
     shares times the transmittances before them rebuild each eta to within
-    a few ulps, however small it is.
+    a few ulps, however small it is.  The default ordering is ``_zero_weight_first``.
 
     Raises :class:`DegenerateSplitError` when a prefix of the ordering
     already exhausts all transmittance, i.e. a later stage would

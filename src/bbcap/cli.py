@@ -31,12 +31,14 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import fock, region
-from .channel import ETA_TOL, BroadcastChannelSpec
+from .channel import BroadcastChannelSpec
 from .fock import InconclusiveVerificationError
+from .gaussian import _photon_number
 
 __all__ = ["main", "run"]
 
 DEFAULT_PRECISION = 9
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json.dumps writes them
 
 
 class UsageError(ValueError):
@@ -152,19 +154,17 @@ def _convergence_columns(etas, ns_grid) -> tuple:
     grid are computed as the columns are read, one energy at a time.
     """
     spec = BroadcastChannelSpec(tuple(etas))
-    if spec.eta_total >= 1.0 - ETA_TOL:
+    limit = region.capacity_region(spec)
+    if limit.unbounded:
         raise ValueError("unconstrained bounds are unbounded when the receivers take everything")
-    for n_s in ns_grid:
-        if n_s < 0 or not math.isfinite(n_s):
-            raise ValueError(f"grid photon numbers must be finite and nonnegative, got {n_s!r}")
-    limit = region.capacity_region(spec)._f
+    ns_grid = [_photon_number(n_s) for n_s in ns_grid]
 
     def columns():
         for n_s in ns_grid:
             inner = region.capacity_region(spec, n_s)._f
-            yield float(n_s), inner, limit - inner
+            yield n_s, inner, limit._f - inner
 
-    return spec.m, limit, columns()
+    return spec.m, limit._f, columns()
 
 
 def _region_for(args):
@@ -210,7 +210,7 @@ def _numbers(prec: int, fmt: str):
         text = pattern % x
         if as_printed and "." in text and "e" not in text:
             return text
-        return float.__repr__(float(text))
+        return _NONFINITE.get(text) or float.__repr__(float(text))
 
     return number
 

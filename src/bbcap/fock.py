@@ -15,7 +15,8 @@ not failing) when the tail budget cannot be met.  Only vacuum-fed
 splitters are implemented, which is all the channel model needs.
 
 Verification builds the channel output one sender-photon sector k at a
-time, once the whole table would hold more than ``RUN_ENTRIES`` entries.
+time, once the whole table would hold more than ``RUN_ENTRIES`` entries;
+joined, the sectors are the whole table bit for bit.
 Keeping A and receivers R, the entry <k, n_R; n_traced> lies in the block
 of traced photon count t = k - |n_R|.  Each block is rank one, so its one
 eigenvalue is its squared norm, summed by ``np.bincount``.  Rank one is
@@ -27,9 +28,10 @@ its factors read from the table's own entries, covers all 2^m reductions.
 per entry, before any sector is built; it is the oracle's one memory gate.
 Keeping A and one receiver Bj, the traced modes' collective mode takes the
 share 1 - eta_j, so block t's weight is a Schmidt coefficient, checked
-against ``thermal_weight((1 - eta_j) * n_s, t)``.  :func:`reduce_density`,
-the general partial trace into Schmidt factors, is on no program path: it is
-the plain reference for the blocks that verification streams.
+against ``thermal_weight((1 - eta_j) * n_s, t)``.  :func:`split_with_vacuum`
+and :func:`reduce_density`, the general partial trace into Schmidt factors,
+are on no program path: they build and reduce the whole output, the plain
+reference for the blocks that verification streams.
 
 :func:`verify_conditional_entropies` returns the record ``bbcap verify``
 prints, a plain dict, with its single pass verdict.
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,6 @@ __all__ = [
     "tmsv_fock",
     "split_with_vacuum",
     "reduce_density",
-    "channel_output_fock",
     "verify_conditional_entropies",
 ]
 
@@ -109,10 +109,8 @@ def tail_mass(n_s: float, cutoff: int) -> float:
 
 def _count(n, name: str) -> int:
     """``n`` as an int, refused unless a whole number of at least 0."""
-    if not isinstance(n, numbers.Integral) or type(n) is bool:
-        raise ValueError(f"{name} must be a whole number, got {n!r}")
-    if n < 0:
-        raise ValueError(f"{name} must be nonnegative, got {int(n)}")
+    if not _region._whole(n, 0, math.inf):
+        raise ValueError(f"{name} must be nonnegative and a whole number, got {n!r}")
     return int(n)
 
 
@@ -169,10 +167,6 @@ class FockState:
     def norm_sq(self) -> float:
         return float(self.amplitudes @ self.amplitudes)
 
-    @property
-    def tail(self) -> float:
-        return 1.0 - self.norm_sq
-
     def index(self, label) -> int:
         try:
             return self.mode_labels.index(label)
@@ -180,19 +174,16 @@ class FockState:
             raise ValueError(f"unknown mode label {label!r}") from None
 
 
-def tmsv_fock(n_s: float, cutoff: int, labels=("A", "A'")) -> FockState:
-    """Two-mode squeezed vacuum truncated at total photon number ``cutoff``.
+def tmsv_fock(n_s: float, cutoff: int) -> FockState:
+    """Two-mode squeezed vacuum on (A, A') truncated at total photon number ``cutoff``.
 
     Amplitudes are sqrt(thermal_weight(n_s, k)) on |k, k>; the dropped norm
     equals ``tail_mass(n_s, cutoff)`` exactly.
     """
     cutoff = _count(cutoff, "cutoff")
-    labels = tuple(labels)
-    if len(labels) != 2:
-        raise ValueError("tmsv_fock needs exactly two mode labels")
     w = np.array(_thermal_weights(n_s, range(cutoff + 1)))
     k = np.flatnonzero(w > 0.0)
-    return FockState(labels, np.stack([k, k], axis=1), np.sqrt(w[k]), cutoff)
+    return FockState(("A", "A'"), np.stack([k, k], axis=1), np.sqrt(w[k]), cutoff)
 
 
 def split_with_vacuum(state: FockState, source_mode, eta: float, new_label) -> FockState:
@@ -203,7 +194,7 @@ def split_with_vacuum(state: FockState, source_mode, eta: float, new_label) -> F
     ``sqrt(C(n, k) eta^k (1 - eta)^(n - k))`` on |k>_src |n-k>_new.
     Norm and total photon number are conserved exactly.
     """
-    if not -1e-12 <= eta <= 1.0 + 1e-12:
+    if not -_channel.ETA_TOL <= eta <= 1.0 + _channel.ETA_TOL:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta!r}")
     eta = min(max(eta, 0.0), 1.0)
     if new_label in state.mode_labels:
@@ -359,18 +350,10 @@ def _photon_weights(n_s: float, cutoff: int, eta: float) -> np.ndarray:
     return np.bincount(k, w[n] * comb * kept[k] * lost[n - k], top)
 
 
-def channel_output_fock(
-    spec: BroadcastChannelSpec, n_s: float, cutoff: int, ordering=None
-) -> FockState:
-    """Broadcast-channel output state on (A, B1, ..., Bm, E), truncated."""
-    (occ, amps), = _sector_runs(spec, n_s, cutoff, ordering)
-    return FockState(("A",) + _channel.output_labels(spec), occ, amps, cutoff)
-
-
-def _sector_runs(spec: BroadcastChannelSpec, n_s: float, cutoff: int, ordering=None, cap=None):
+def _sector_runs(spec: BroadcastChannelSpec, n_s: float, cutoff: int, ordering=None):
     """The channel output, modes (A, B1, ..., Bm, E), as (occupations,
     amplitudes) pairs: the whole table, or one sender-photon sector at a time
-    when the table holds more than ``cap`` entries."""
+    when the table holds more than ``RUN_ENTRIES`` entries."""
     net = _channel.build_network(spec, ordering)
     source = tmsv_fock(n_s, cutoff)
     # each stage's weights once, to the cutoff: split_with_vacuum's amplitudes, bit for bit
@@ -378,7 +361,7 @@ def _sector_runs(spec: BroadcastChannelSpec, n_s: float, cutoff: int, ordering=N
     built = ("A", net.final_label) + tuple(stage.output for stage in net.stages)
     perm = [built.index(lab) for lab in ("A",) + _channel.output_labels(spec)]
     rows = len(source.amplitudes)
-    whole = cap is None or math.comb(cutoff + spec.m + 1, spec.m + 1) <= cap
+    whole = math.comb(cutoff + spec.m + 1, spec.m + 1) <= RUN_ENTRIES
     for lo, hi in [(0, rows)] if whole else [(i, i + 1) for i in range(rows)]:
         occ, amps = source.occupations[lo:hi], source.amplitudes[lo:hi]
         for w in weights:
@@ -485,8 +468,7 @@ def verify_conditional_entropies(spec: BroadcastChannelSpec, n_s: float, cutoff=
             f"the largest run of sectors at cutoff {cutoff} holds {run} entries: "
             f"{need} bytes, above the budget of {MAX_DENSE_BYTES} bytes"
         )
-    spectra, certified = _block_spectra(_sector_runs(spec, n_s, cutoff, ordering, RUN_ENTRIES),
-                                        spec.m, cutoff)
+    spectra, certified = _block_spectra(_sector_runs(spec, n_s, cutoff, ordering), spec.m, cutoff)
     recv = _channel.receiver_labels(spec)
     gauss_state = _channel._thermal_output(spec, n_s, ordering)
 

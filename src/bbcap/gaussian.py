@@ -28,8 +28,10 @@ matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass
+from operator import add
 
 import numpy as np
 
@@ -154,6 +156,12 @@ def _photon_number(n_s) -> float:
     return value
 
 
+def _left_sum(values) -> float:
+    """Floats added left to right from 0.0, as ``sum`` did before Python 3.12
+    compensated (gh-100425): every eta and entropy sum, the same on each version."""
+    return functools.reduce(add, values, 0.0)
+
+
 def reduce(state: CovarianceState, keep) -> CovarianceState:
     """Partial trace down to the modes in ``keep`` (original mode order kept)."""
     keep_set = set(keep)
@@ -206,8 +214,8 @@ def _resolution(cov: np.ndarray, scale=None) -> float:
 def von_neumann_entropy(state: CovarianceState) -> float:
     """Entropy in bits: sum of g((nu - 1)/2) over symplectic eigenvalues resolved above 1."""
     floor = _resolution(state.cov)
-    return sum((entropy_g((nu - 1.0) / 2.0) for nu in symplectic_eigenvalues(state)
-                if nu - 1.0 >= floor), 0.0)
+    return _left_sum(entropy_g((nu - 1.0) / 2.0) for nu in symplectic_eigenvalues(state)
+                     if nu - 1.0 >= floor)
 
 
 def conditional_entropy(state: CovarianceState, subsystem, conditioned_on) -> float:

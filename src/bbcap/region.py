@@ -24,9 +24,11 @@ every caller gets the same bits, on every CPU.
 
 Every finite-energy bound can also be evaluated as a Gaussian conditional
 entropy of the channel output (the ``*_gaussian`` functions), as H(S1 | R,
-E) on the split of a thermal arm.  At m <= 12 and n_s in [1e-2, 1e8] the
-two agree within 1e-12 (at most 7.6e-15 over 15,600 seeded cases): each is
-a difference of entropies of at most about g(n_s), each within a few ulp.
+E) on the split of a thermal arm in the default ordering, which every
+ordering matches (``channel.implementations_equivalent``).  At m <= 12 and
+n_s in [1e-2, 1e8] the two agree within 1e-12 (at most 7.6e-15 over 15,600
+seeded cases): each is a difference of entropies of at most about g(n_s),
+each within a few ulp.
 """
 
 from __future__ import annotations
@@ -35,13 +37,12 @@ import functools
 import itertools
 import math
 import numbers
-from operator import add
 
 import numpy as np
 
 from . import channel, gaussian
 from .channel import BroadcastChannelSpec
-from .gaussian import _libm, _photon_number, entropy_g
+from .gaussian import _left_sum, _libm, _photon_number, entropy_g
 
 __all__ = [
     "CapacityRegion",
@@ -111,7 +112,7 @@ def _subset_sums(values) -> np.ndarray:
 
 def _eta(spec: BroadcastChannelSpec, mask: int) -> float:
     """eta summed over the receivers of ``mask``: one entry of ``_subset_sums(spec.etas)``."""
-    return functools.reduce(add, (e for i, e in enumerate(spec.etas) if mask >> i & 1), 0.0)
+    return _left_sum(e for i, e in enumerate(spec.etas) if mask >> i & 1)
 
 
 def _closed_form(n_s, kept, kept_joint):
@@ -143,18 +144,19 @@ def _bound(spec: BroadcastChannelSpec, energy, subset) -> float:
 class CapacityRegion:
     """Polymatroid rate region, held as one bound vector over receiver subsets.
 
-    ``energy`` is either the string ``"unconstrained"`` or the finite input
-    photon number the inner bound was evaluated at.  ``f`` is the bound
-    vector: ``f[mask]`` over all 2^m subsets, receiver i at bit i - 1,
-    ``f[0] = 0`` and ``math.inf`` for an unbounded subset, for m in
-    1..``MAX_REGION_RECEIVERS``.  Monotonicity and submodularity of the
-    bound function are checked at every m (within ``EXACT_TOL``; comparisons
-    with the unbounded flag are skipped) in about 2m array operations up to
-    m = 13, and one gain row at a time from m = 17 on.
+    ``energy`` is either the string ``"unconstrained"`` or the input photon
+    number the inner bound was evaluated at, refused unless finite and
+    nonnegative.  ``f`` is the bound vector: ``f[mask]`` over all 2^m
+    subsets, receiver i at bit i - 1, ``f[0] = 0`` and ``math.inf`` for an
+    unbounded subset, for m in 1..``MAX_REGION_RECEIVERS``.  Monotonicity
+    and submodularity of the bound function are checked at every m (within
+    ``EXACT_TOL``; comparisons with the unbounded flag are skipped) in about
+    2m array operations up to m = 13, and one gain row at a time from m = 17 on.
     """
 
     def __init__(self, m: int, energy, f):
-        self.m, self.energy = _receiver_count(m), energy
+        self.m = _receiver_count(m)
+        self.energy = energy if energy == UNCONSTRAINED else _photon_number(energy)
         f = np.array(f, dtype=float)
         if f.shape != (1 << m,) or f[0] != 0.0:
             raise ValueError(f"bound vector needs 2^{m} entries and f[0] = 0")
@@ -218,14 +220,16 @@ def inner_bound_finite(spec: BroadcastChannelSpec, n_s: float, subset) -> float:
     return _bound(spec, _photon_number(n_s), subset)
 
 
-def inner_bound_finite_gaussian(
-    spec: BroadcastChannelSpec, n_s: float, subset, ordering=None
-) -> float:
+def _thermal_entropy(spec: BroadcastChannelSpec, n_s: float, s1: frozenset, s2) -> float:
+    """H(S1 | S2) on the thermal arm's outputs (B1..Bm, E), S1 receiver indices
+    and S2 output labels."""
+    state = channel._thermal_output(spec, n_s)
+    return gaussian.conditional_entropy(state, [state.mode_labels[i - 1] for i in s1], s2)
+
+
+def inner_bound_finite_gaussian(spec: BroadcastChannelSpec, n_s: float, subset) -> float:
     """Same bound via -H(T | A, complement) = H(T | E) on the thermal arm's outputs."""
-    t = _validate_subset(spec.m, subset)
-    state = channel._thermal_output(spec, n_s, ordering)  # modes B1..Bm, E
-    labels = [state.mode_labels[i - 1] for i in t]
-    return gaussian.conditional_entropy(state, labels, [channel.ENV_LABEL])
+    return _thermal_entropy(spec, n_s, _validate_subset(spec.m, subset), [channel.ENV_LABEL])
 
 
 def asymptotic_bound(spec: BroadcastChannelSpec, subset) -> float:
@@ -243,8 +247,6 @@ def asymptotic_bound(spec: BroadcastChannelSpec, subset) -> float:
 def capacity_region(spec: BroadcastChannelSpec, energy=UNCONSTRAINED) -> CapacityRegion:
     """Full region: the bound of every subset, at finite or unbounded energy."""
     _receiver_count(spec.m)
-    if energy != UNCONSTRAINED:
-        energy = _photon_number(energy)
     s = _subset_sums(spec.etas)
     # the complement of mask is full ^ mask = full - mask: s reversed
     f = _bounds(energy, s, s[::-1], float(s[-1]))
@@ -339,7 +341,7 @@ def boundary_2d(region: CapacityRegion, n_points: int) -> np.ndarray:
         if max(abs(p[0] - corners[-1][0]), abs(p[1] - corners[-1][1])) > EXACT_TOL:
             corners.append(p)
     lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(corners, corners[1:])]
-    total = sum(lengths)
+    total = _left_sum(lengths)
     if total == 0.0:  # both receivers weightless; the region is the origin
         return np.tile(corners[0], (n_points, 1))
     extra = max(n_points - len(corners), 0)
@@ -381,14 +383,11 @@ def merging_gain(spec: BroadcastChannelSpec, n_s: float, gained, helpers=()) -> 
     ))
 
 
-def merging_gain_gaussian(
-    spec: BroadcastChannelSpec, n_s: float, gained, helpers=(), ordering=None
-) -> float:
+def merging_gain_gaussian(spec: BroadcastChannelSpec, n_s: float, gained, helpers=()) -> float:
     """Direct route: -H(S1 | A, S2) = H(S1 | R, E) on the thermal arm's outputs,
     R the receivers outside S1 and S2 (complements of a pure state)."""
     s1, s2 = _disjoint_subsets(spec.m, gained, helpers)
-    state = channel._thermal_output(spec, n_s, ordering)  # modes B1..Bm, E
     used = s1 | s2
-    rest = [label for i, label in enumerate(state.mode_labels, 1) if i not in used]
-    return gaussian.conditional_entropy(state, [state.mode_labels[i - 1] for i in s1], rest)
+    rest = [label for i, label in enumerate(channel.output_labels(spec), 1) if i not in used]
+    return _thermal_entropy(spec, n_s, s1, rest)
 

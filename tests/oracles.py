@@ -4,13 +4,16 @@ Nothing here imports the code paths under test: entropies come from plain
 spectral sums, split populations from explicit binomial mixing, polytope
 vertices from hyperplane intersection or a depth-first greedy walk, channel
 outputs from a cascade of dense beam-splitter matrices, and command-line
-output from ``json.dumps``.  Three exceptions use the library: the TMSV
+output from ``json.dumps``.  Four exceptions use the library: the TMSV
 route at the end builds library states and sends a TMSV arm through the
 channel's amplitude map, the two-mode route the library's thermal route is
 checked against; ``convergence_table`` reads each subset's bound from
 one ``capacity_region`` per grid energy, the route the command's bound
-columns are checked against; and ``render_region_reference`` reads a
-region's bounds one subset at a time through ``CapacityRegion.bound``.
+columns are checked against; ``render_region_reference`` reads a
+region's bounds one subset at a time through ``CapacityRegion.bound``; and
+``channel_output_fock`` builds the whole number-basis output with
+``fock.split_with_vacuum``, stage by stage, the table that verification's
+streamed sectors are checked against.
 """
 
 import itertools
@@ -19,7 +22,7 @@ import math
 
 import numpy as np
 
-from bbcap import channel
+from bbcap import channel, fock
 from bbcap.channel import BroadcastChannelSpec
 from bbcap.gaussian import CovarianceState, _photon_number
 from bbcap.region import capacity_region, nonempty_subsets
@@ -497,3 +500,17 @@ def apply_channel(spec, state, ordering=None):
 def output_state_tmsv(spec, n_s: float, ordering=None):
     """Joint state on (A, B1, ..., Bm, E) from a TMSV of energy ``n_s``."""
     return apply_channel(spec, tmsv(n_s, ("A", "A'")), ordering)
+
+
+def channel_output_fock(spec, n_s: float, cutoff: int, ordering=None):
+    """The number-basis output on (A, B1, ..., Bm, E), truncated at ``cutoff``:
+    ``fock.tmsv_fock``'s arm A' split against vacuum at each stage of the
+    cascade, A' keeping the through-arm, then the modes permuted."""
+    net = channel.build_network(spec, ordering)
+    state = fock.tmsv_fock(n_s, cutoff)
+    for stage in net.stages:
+        state = fock.split_with_vacuum(state, "A'", stage.transmittance, stage.output)
+    built = tuple(net.final_label if lab == "A'" else lab for lab in state.mode_labels)
+    labels = ("A",) + channel.output_labels(spec)
+    occ = state.occupations[:, [built.index(lab) for lab in labels]]
+    return fock.FockState(labels, occ, state.amplitudes, cutoff)

@@ -12,7 +12,6 @@ from bbcap.channel import (
     DegenerateSplitError,
     all_orderings,
     build_network,
-    default_ordering,
     implementations_equivalent,
     output_labels,
     receiver_labels,
@@ -146,9 +145,8 @@ class TestBuildNetwork:
 
     def test_default_ordering_puts_zero_weight_first(self):
         spec = BroadcastChannelSpec((1.0, 0.0))
-        assert default_ordering(spec) == ("B2", "E", "B1")
-        build_network(spec)  # no degenerate stage
-        assert default_ordering(BroadcastChannelSpec((0.2, 0.3))) == ("B1", "B2", "E")
+        assert build_network(spec).ordering == ("B2", "E", "B1")  # no degenerate stage
+        assert build_network(BroadcastChannelSpec((0.2, 0.3))).ordering == ("B1", "B2", "E")
 
 
 class TestApplyChannel:
@@ -303,7 +301,7 @@ class TestImplementationsEquivalent:
 
     def test_same_ordering_twice_zero_deviation(self):
         spec = BroadcastChannelSpec((0.2, 0.3))
-        order = default_ordering(spec)
+        order = build_network(spec).ordering
         ok, dev = implementations_equivalent(spec, [order, order], 1.0)
         assert ok and dev == 0.0
 
@@ -366,7 +364,7 @@ class TestImplementationsEquivalent:
     def test_needs_two_orderings(self):
         spec = BroadcastChannelSpec((0.2, 0.3))
         with pytest.raises(ValueError):
-            implementations_equivalent(spec, [default_ordering(spec)], 1.0)
+            implementations_equivalent(spec, [build_network(spec).ordering], 1.0)
 
 
 class TestGuards:

@@ -2,11 +2,13 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from bbcap import cli, fock
 from bbcap.channel import BroadcastChannelSpec
 from bbcap.region import UNCONSTRAINED, capacity_region
+from oracles import render_verify_reference
 
 
 @pytest.fixture(autouse=True)
@@ -179,6 +181,16 @@ class TestConvergenceCommand:
         for line in out.splitlines()[1:]:
             assert line.split(",")[2] == "0"
 
+    @pytest.mark.parametrize("etas, grid, message", [
+        ("0.6,0.4", "1", "unbounded when the receivers take everything"),
+        ("0.2,0.3", "1,-1", "finite and nonnegative, got -1.0"),
+        ("0.2,0.3", "nan", "finite and nonnegative, got nan"),
+        ("0.2,0.3", "2,inf", "finite and nonnegative, got inf"),
+    ])
+    def test_refused_before_any_row(self, capsys, etas, grid, message):
+        code, out, err = run_cli(capsys, "convergence", "--etas", etas, "--ns-grid", grid)
+        assert code == 1 and out == "" and message in err
+
 
 class TestVerifyCommand:
     def test_all_pass_report(self, capsys):
@@ -243,6 +255,22 @@ class TestVerifyCommand:
     def test_infinite_energy_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--etas", "0.2,0.3", "--ns", "inf")
         assert code == 1 and "finite" in err
+
+    def test_nan_value_prints_as_json(self, capsys, monkeypatch):
+        # one NaN amplitude makes every Fock entropy NaN; the record must still parse
+        runs = fock._sector_runs
+
+        def tampered(*args):
+            for occ, amps in runs(*args):
+                yield occ, np.where((occ == (3, 1, 0, 2)).all(axis=1), math.nan, amps)
+
+        monkeypatch.setattr(fock, "_sector_runs", tampered)
+        with np.errstate(invalid="ignore"):
+            code, out, _ = run_cli(capsys, "verify", "--etas", "0.2,0.3", "--ns", "0.5")
+            record = fock.verify_conditional_entropies(BroadcastChannelSpec((0.2, 0.3)), 0.5)
+        assert code == 0 and '"fock_bits": NaN' in out
+        assert json.loads(out)["pass"] is False
+        assert out == render_verify_reference(record, "json", cli.DEFAULT_PRECISION)
 
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(

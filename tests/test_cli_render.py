@@ -275,6 +275,12 @@ def test_formatters_match_the_per_value_forms(prec):
         assert csv_num(x) == format(x, f".{prec}g"), (prec, x)
 
 
+def test_non_finite_json_floats_print_as_json_dumps():
+    for prec in (1, 9, 15, 16, 17):
+        num = cli._numbers(prec, "json")
+        assert [num(x) for x in (math.nan, math.inf, -math.inf)] == ["NaN", "Infinity", "-Infinity"]
+
+
 def test_the_shortcut_stops_at_15_digits():
     # at 16 and 17 digits a rounded text can read back as a shorter repr
     for prec, x, text in [(16, 0.0938595867742349, "0.09385958677423489"),

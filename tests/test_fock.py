@@ -11,7 +11,6 @@ from bbcap.fock import (
     ENTROPY_TOL,
     FockState,
     InconclusiveVerificationError,
-    channel_output_fock,
     cutoff_for_tail,
     reduce_density,
     split_with_vacuum,
@@ -23,6 +22,7 @@ from bbcap.fock import (
 from bbcap.gaussian import conditional_entropy, entropy_g, reduce, von_neumann_entropy
 from bbcap.region import inner_bound_finite_gaussian, nonempty_subsets
 from oracles import (
+    channel_output_fock,
     output_state_tmsv,
     reduce_density_reference,
     spectral_entropy,
@@ -60,12 +60,12 @@ class TestTmsvFock:
     def test_zero_energy_is_vacuum(self):
         st = tmsv_fock(0.0, 10)
         assert st.occupations.tolist() == [[0, 0]] and st.amplitudes.tolist() == [1.0]
-        assert st.tail == 0.0
+        assert st.norm_sq == 1.0
 
     def test_tail_matches_geometric_closed_form(self):
         for n_s, cutoff in ((0.5, 20), (1.0, 12), (0.2, 8), (3.0, 25)):
             st = tmsv_fock(n_s, cutoff)
-            assert abs(st.tail - tail_mass(n_s, cutoff)) < 1e-14
+            assert abs(1.0 - st.norm_sq - tail_mass(n_s, cutoff)) < 1e-14
 
     def test_half_energy_tail_value(self):
         assert tail_mass(0.5, 20) == pytest.approx((1.0 / 3.0) ** 21, rel=1e-12)
@@ -322,7 +322,7 @@ class TestDenseBudget:
             sizes = []
 
             def runs():
-                for occ, amps in fock._sector_runs(spec, n_s, cutoff, None, fock.RUN_ENTRIES):
+                for occ, amps in fock._sector_runs(spec, n_s, cutoff):
                     sizes.append(len(amps))
                     yield occ, amps
 
@@ -491,12 +491,13 @@ class TestRankOneCertificate:
                 blocks[t] = True
             assert not weights[~blocks].any(), kept
 
-    def test_sectors_join_to_the_whole_table(self):
+    def test_sectors_join_to_the_whole_table(self, monkeypatch):
         spec, n_s, ordering = BroadcastChannelSpec((0.1, 0.25, 0.3)), 0.8, ("B3", "E", "B1", "B2")
         cutoff = cutoff_for_tail(n_s)
         state = channel_output_fock(spec, n_s, cutoff, ordering)
         whole, _ = fock._block_spectra(fock._sector_runs(spec, n_s, cutoff, ordering), 3, cutoff)
-        sectors = list(fock._sector_runs(spec, n_s, cutoff, ordering, state.amplitudes.size - 1))
+        monkeypatch.setattr(fock, "RUN_ENTRIES", state.amplitudes.size - 1)
+        sectors = list(fock._sector_runs(spec, n_s, cutoff, ordering))
         assert [occ[:, 0].tolist() for occ, _ in sectors] == [
             [k] * math.comb(k + 3, 3) for k in range(cutoff + 1)]
         assert np.array_equal(np.concatenate([occ for occ, _ in sectors]), state.occupations)
@@ -508,6 +509,22 @@ class TestRankOneCertificate:
             # within (entries - 1) u of the exact one
             np.testing.assert_allclose(weights, whole[kept], rtol=state.amplitudes.size * EPS,
                                        atol=0)
+
+    @pytest.mark.parametrize("etas, n_s, ordering", [
+        ((0.3,), 2.0, None), ((0.2, 0.3), 0.5, ("B2", "E", "B1")), ((0.3, 0.0, 0.2), 0.4, None),
+        ((0.1, 0.25, 0.3), 0.0, None), ((0.1, 0.2, 0.15, 0.25), 0.3, ("E", "B4", "B1", "B3", "B2")),
+    ])
+    def test_sector_runs_join_to_the_whole_run(self, monkeypatch, etas, n_s, ordering):
+        # the sector split depends on RUN_ENTRIES alone, and never moves a bit
+        spec = BroadcastChannelSpec(etas)
+        cutoff = cutoff_for_tail(n_s)
+        monkeypatch.setattr(fock, "RUN_ENTRIES", 2**62)
+        (occ, amps), = fock._sector_runs(spec, n_s, cutoff, ordering)
+        monkeypatch.setattr(fock, "RUN_ENTRIES", 0)
+        sectors = list(fock._sector_runs(spec, n_s, cutoff, ordering))
+        assert len(sectors) == cutoff + 1
+        assert np.concatenate([o for o, _ in sectors]).tobytes() == occ.tobytes()
+        assert np.concatenate([a for _, a in sectors]).tobytes() == amps.tobytes()
 
     def test_binomial_weights_are_the_scalar_expression(self):
         rng = np.random.RandomState(3)

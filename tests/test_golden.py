@@ -10,7 +10,9 @@ new case NAME.  It refuses to overwrite a file that exists, so a
 regenerated golden shows up as a deletion in the diff.
 """
 
+import builtins
 import io
+import math
 import os
 import sys
 from contextlib import redirect_stdout
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from bbcap import cli
+from bbcap import channel, cli, gaussian, region
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 M10 = "0.05,0.07,0.04,0.09,0.06,0.08,0.03,0.1,0.05,0.11"
@@ -87,6 +89,29 @@ def _run(name: str, capsys, monkeypatch) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, capsys, monkeypatch):
+    assert _run(name, capsys, monkeypatch) == (GOLDEN / name).read_bytes().decode()
+
+
+def _compensated_sum(items, start=0):
+    """``sum`` as Python 3.12 and later add floats: Neumaier's compensated sum
+    (gh-100425).  Integers add as before."""
+    items = list(items)
+    if isinstance(start, int) and all(isinstance(x, int) for x in items):
+        return builtins.sum(items, start)
+    total, c = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith(("verify", "boundary"))))
+def test_output_does_not_depend_on_the_float_sum(name, capsys, monkeypatch):
+    # pyproject.toml admits Python 3.10 and later; from 3.12 on, sum compensates
+    assert _compensated_sum([0.1, 0.25, 0.3]) != 0.1 + 0.25 + 0.3
+    for module in (channel, gaussian, region):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
     assert _run(name, capsys, monkeypatch) == (GOLDEN / name).read_bytes().decode()
 
 

@@ -209,6 +209,12 @@ class TestCapacityRegion:
         with pytest.raises(ValueError, match="never NaN"):
             CapacityRegion(1, UNCONSTRAINED, [0.0, math.nan])
 
+    @pytest.mark.parametrize("energy", [math.nan, -3.0, "Unconstrained"])
+    def test_energy_is_unconstrained_or_a_photon_number(self, energy):
+        with pytest.raises(ValueError):
+            CapacityRegion(2, energy, [0.0, 0.5, 0.6, 0.9])
+        assert CapacityRegion(2, np.float64(2.5), [0.0, 0.5, 0.6, 0.9]).energy == 2.5
+
     def test_polymatroid_check_runs_above_eight_receivers(self):
         f = capacity_region(BroadcastChannelSpec((0.05,) * 10), 3.0)._f.copy()
         CapacityRegion(10, 3.0, f)
