@@ -13,9 +13,13 @@ Numeric output is printed with 9 significant digits by default; set
 each value formatted once, and joined once: ``region`` and ``convergence``
 from the subset texts, each made from the text of a shorter subset, and the
 bound texts; ``vertices`` and ``boundary`` from one column per coordinate,
-gathered from the texts of the distinct values.  Exit status: 0 on success,
-1 on a domain or usage error, 2 when a verification is inconclusive
-(truncation budget not met, or the run does not fit in memory).
+gathered from the texts of the distinct values.  ``convergence`` takes the
+limit and the bounds of every grid energy as the rows of one array,
+computed and checked in one call, and writes one energy's rows at a time.
+Exit status: 0 on success, 1 on a domain or usage error, 2 when a
+verification is inconclusive (truncation budget not met, or the run does
+not fit in memory), 3 when a verification ran and failed (its record,
+``"pass": false``, is printed).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 from . import fock, region
 from .channel import BroadcastChannelSpec
 from .fock import InconclusiveVerificationError
-from .gaussian import _photon_number
 
 __all__ = ["main", "run"]
 
@@ -147,24 +150,27 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _convergence_columns(etas, ns_grid) -> tuple:
-    """m, the unconstrained column, and per grid energy the columns (n_s, inner, gap).
+    """m, the unconstrained row, and the inner rows of the grid, one per energy.
 
-    Each bound column is a vector over all 2^m masks, as ``CapacityRegion``
-    holds it.  The arguments are checked at the call; the vectors of the
-    grid are computed as the columns are read, one energy at a time.
+    Each row is a bound vector over all 2^m masks, as ``CapacityRegion``
+    holds it.  The limit and the grid are one array, computed and checked in
+    one ``region._bound_rows`` call.  A refusal is the one a region per
+    energy would give: the limit's own failure, then its unbounded flag, then
+    a bad grid energy, then the first failing energy.
     """
     spec = BroadcastChannelSpec(tuple(etas))
-    limit = region.capacity_region(spec)
-    if limit.unbounded:
+    try:
+        f = region._bound_rows(spec, (region.UNCONSTRAINED, *ns_grid))
+    except ValueError:
+        _bounded(region.capacity_region(spec)._f)  # the limit's refusals come first
+        raise
+    return spec.m, _bounded(f[0]), f[1:]
+
+
+def _bounded(limit):
+    if np.isinf(limit).any():
         raise ValueError("unconstrained bounds are unbounded when the receivers take everything")
-    ns_grid = [_photon_number(n_s) for n_s in ns_grid]
-
-    def columns():
-        for n_s in ns_grid:
-            inner = region.capacity_region(spec, n_s)._f
-            yield n_s, inner, limit._f - inner
-
-    return spec.m, limit._f, columns()
+    return limit
 
 
 def _region_for(args):
@@ -323,12 +329,15 @@ def _run_boundary(args, num) -> str:
 
 
 def _run_convergence(args, num) -> str:
-    m, limit, columns = _convergence_columns(args.etas, args.ns_grid)
+    m, bound, rows = _convergence_columns(args.etas, args.ns_grid)
     csv = args.fmt == "csv"
     texts, masks = _subset_texts(m, "+" if csv else ",\n      ")
-    blocks, limit = [], list(map(num, limit[masks].tolist()))
-    for n_s, *bounds in columns:
-        inner, gap = (list(map(num, b[masks].tolist())) for b in bounds)
+    bound, rows = bound[masks], rows[:, masks]
+    blocks, limit = [], list(map(num, bound.tolist()))
+    # one energy's texts at a time: the whole grid's at once are no faster,
+    # and hold every text of the table
+    for n_s, row in zip(args.ns_grid, rows):
+        inner, gap = (list(map(num, b.tolist())) for b in (row, bound - row))
         if csv:
             lead, cells = f"\n{num(n_s)},", (texts, ",", inner, ",", limit, ",", gap)
             first = "ns,subset,inner_bound_bits,asymptotic_bound_bits,gap_bits" + lead
@@ -348,11 +357,17 @@ def _run_verify(args, num) -> str:
         BroadcastChannelSpec(args.etas), args.ns, cutoff=args.cutoff, ordering=args.ordering
     )
     if args.fmt == "json":
-        return _json(record, num)
-    keys = ("gaussian_bits", "fock_bits", "closed_form_bits", "abs_dev", "tail_mass")
-    rows = [(c["case"].replace(",", ";"), *(num(c[k]) for k in keys), str(c["pass"]).lower())
-            for c in record["cases"]]
-    return "\n".join(["case," + ",".join(keys) + ",pass", *map(",".join, rows)])
+        text = _json(record, num)
+    else:
+        keys = ("gaussian_bits", "fock_bits", "closed_form_bits", "abs_dev", "tail_mass")
+        rows = [(c["case"].replace(",", ";"), *(num(c[k]) for k in keys), str(c["pass"]).lower())
+                for c in record["cases"]]
+        text = "\n".join(["case," + ",".join(keys) + ",pass", *map(",".join, rows)])
+    return text if record["pass"] else _FailedCheck(text)
+
+
+class _FailedCheck(str):
+    """The output of a verification that ran and failed: printed, then exit 3."""
 
 
 def run(args: argparse.Namespace) -> int:
@@ -368,7 +383,7 @@ def run(args: argparse.Namespace) -> int:
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"bbcap: error: {exc}\n")
         return 1
-    return _emit(text + "\n", args.output)
+    return _emit(text + "\n", args.output) or (3 if isinstance(text, _FailedCheck) else 0)
 
 
 def main(argv=None) -> int:

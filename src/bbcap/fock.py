@@ -361,7 +361,7 @@ def _sector_runs(spec: BroadcastChannelSpec, n_s: float, cutoff: int, ordering=N
     built = ("A", net.final_label) + tuple(stage.output for stage in net.stages)
     perm = [built.index(lab) for lab in ("A",) + _channel.output_labels(spec)]
     rows = len(source.amplitudes)
-    whole = math.comb(cutoff + spec.m + 1, spec.m + 1) <= RUN_ENTRIES
+    whole, _ = _largest_run(spec.m, cutoff)
     for lo, hi in [(0, rows)] if whole else [(i, i + 1) for i in range(rows)]:
         occ, amps = source.occupations[lo:hi], source.amplitudes[lo:hi]
         for w in weights:
@@ -369,11 +369,16 @@ def _sector_runs(spec: BroadcastChannelSpec, n_s: float, cutoff: int, ordering=N
         yield occ[:, perm], amps
 
 
+def _largest_run(m: int, cutoff: int) -> tuple:
+    """Is the table built whole, and the entries of its largest run: the whole
+    table up to ``RUN_ENTRIES`` entries, else its largest sender-photon sector."""
+    table = math.comb(cutoff + m + 1, m + 1)
+    return (True, table) if table <= RUN_ENTRIES else (False, math.comb(cutoff + m, m))
+
+
 def _run_budget(m: int, cutoff: int) -> tuple:
-    """Entries of the largest run (the whole table, or above ``RUN_ENTRIES``
-    the largest sector) and its bytes."""
-    table, sector = math.comb(cutoff + m + 1, m + 1), math.comb(cutoff + m, m)
-    run = table if table <= RUN_ENTRIES else sector
+    """Entries of the largest run that :func:`_sector_runs` builds, and its bytes."""
+    _, run = _largest_run(m, cutoff)
     return run, run * SECTOR_ENTRY_BYTES
 
 

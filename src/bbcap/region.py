@@ -120,8 +120,8 @@ def _closed_form(n_s, kept, kept_joint):
 
     ``kept = 1 - eta(S2)`` and ``kept_joint = 1 - eta(S1 u S2)``, each eta a
     subset sum in ascending receiver order, so every caller agrees bit for bit.
+    ``n_s`` is a checked photon number, or a column of them: a row each.
     """
-    n_s = _photon_number(n_s)
     # a kept share below 0 is a rounded 0
     return entropy_g(np.maximum(kept, 0.0) * n_s) - entropy_g(max(kept_joint, 0.0) * n_s)
 
@@ -145,23 +145,27 @@ class CapacityRegion:
     """Polymatroid rate region, held as one bound vector over receiver subsets.
 
     ``energy`` is either the string ``"unconstrained"`` or the input photon
-    number the inner bound was evaluated at, refused unless finite and
-    nonnegative.  ``f`` is the bound vector: ``f[mask]`` over all 2^m
+    number the inner bound was evaluated at, refused unless a finite and
+    nonnegative real number.  ``f`` is the bound vector: ``f[mask]`` over all 2^m
     subsets, receiver i at bit i - 1, ``f[0] = 0`` and ``math.inf`` for an
-    unbounded subset, for m in 1..``MAX_REGION_RECEIVERS``.  Monotonicity
-    and submodularity of the bound function are checked at every m (within
-    ``EXACT_TOL``; comparisons with the unbounded flag are skipped) in about
-    2m array operations up to m = 13, and one gain row at a time from m = 17 on.
+    unbounded subset, for m in 1..``MAX_REGION_RECEIVERS``.  Bounds must be
+    nonnegative and never NaN, and the bound function monotone and
+    submodular (within ``EXACT_TOL``; comparisons with the unbounded flag are
+    skipped).  The check, ``_check_polymatroid``, takes vectors as the rows
+    of a stack and names the first failing row's first failure.  A vector
+    handed in here is a stack of one row; :func:`capacity_region` and the
+    ``convergence`` grid get their rows from ``_bound_rows``, checked there
+    in one call and not again.  The check takes about 2m array operations
+    up to m = 13 and one gain row at a time from m = 17 on, with temporaries
+    of a few ``CHECK_BLOCK`` gains (or of one row, where larger).
     """
 
     def __init__(self, m: int, energy, f):
         self.m = _receiver_count(m)
-        self.energy = energy if energy == UNCONSTRAINED else _photon_number(energy)
+        self.energy = _energy(energy)
         f = np.array(f, dtype=float)
         if f.shape != (1 << m,) or f[0] != 0.0:
             raise ValueError(f"bound vector needs 2^{m} entries and f[0] = 0")
-        if np.any(np.isnan(f) | (f < -EXACT_TOL)):
-            raise ValueError("rate bounds must be nonnegative numbers, never NaN")
         _check_polymatroid(f, m, EXACT_TOL)
         self._f = f
 
@@ -174,39 +178,61 @@ class CapacityRegion:
         return bool(np.isinf(self._f).any())
 
 
-def _check_polymatroid(f, m: int, tol: float):
-    """Refuse a bound vector over the 2^m masks unless it is monotone and
-    submodular within ``tol``.
+def _energy(energy):
+    """``energy`` as a region holds it: ``UNCONSTRAINED``, or a checked photon number."""
+    return energy if energy == UNCONSTRAINED else _photon_number(energy)
 
-    Row j of the gains is f(T + j) - f(T) over the T without j, bit j dropped
-    (bit k > j of T is bit k - 1 there).  It must be >= -tol, and for each k
-    one comparison takes the rows j < k at T and at T + k: no gain may grow by
-    more than tol.  NaN stands in for the unbounded flag, so every comparison
-    with it is false.  Rows go in groups of at most ``CHECK_BLOCK`` gains.  The
-    error is the first failure, j ascending, monotone in j before its pairs
-    (j, k), k ascending.
+
+def _check_polymatroid(f, m: int, tol: float):
+    """Refuse a stack of bound vectors, rows of 2^m masks (or one vector),
+    unless each is nonnegative, never NaN, and monotone and submodular
+    within ``tol``.
+
+    Row j of a vector's gains is f(T + j) - f(T) over the T without j, bit j
+    dropped (bit k > j of T is bit k - 1 there).  It must be >= -tol, and for
+    each k one comparison takes the rows j < k at T and at T + k: no gain may
+    grow by more than tol.  NaN stands in for the unbounded flag, so every
+    comparison with it is false.  The error is the first failing vector's
+    first failure: a NaN or a bound below ``-EXACT_TOL``, then j ascending,
+    monotone in j before its pairs (j, k), k ascending.  Vectors and gain
+    rows go in groups of at most ``CHECK_BLOCK`` gains, or one vector's gain
+    row where that is larger, so the temporaries stay at a few groups
+    whatever the number of vectors.  Gain rows of several vectors go as one,
+    since a pair (T, T + j) lies within one vector.
     """
-    f = np.where(np.isinf(f), np.nan, f)
-    half = 1 << m >> 1
-    step = max(1, min(m, CHECK_BLOCK // half))  # gain rows per group
-    gain = np.empty((step, half))
-    bad = np.zeros((m, m), dtype=bool)  # [j, j]: not monotone; [j, k > j]: not submodular
-    for j0 in range(0, m, step):
-        j1 = min(j0 + step, m)
-        g = gain[: j1 - j0]
-        for j in range(j0, j1):
-            pair = f.reshape(-1, 2, 1 << j)
-            np.subtract(pair[:, 1], pair[:, 0], out=g[j - j0].reshape(-1, 1 << j))
-        bad.flat[j0 * (m + 1) : j1 * (m + 1) : m + 1] = (g < -tol).any(axis=1)
-        ceiling = g + tol
-        for k in range(j0 + 1, m):
-            c = min(k, j1) - j0
-            shape = (c, -1, 2, 1 << (k - 1))
-            grows = g[:c].reshape(shape)[:, :, 1] > ceiling[:c].reshape(shape)[:, :, 0]
-            bad[j0 : j0 + c, k] = grows.reshape(c, -1).any(axis=1)
+    f = f.reshape(-1, 1 << m)
+    n, half = len(f), 1 << m >> 1
+    vecs = max(1, min(n, CHECK_BLOCK // half))  # vectors per group
+    step = max(1, min(m, CHECK_BLOCK // (vecs * half)))  # gain rows per group
+    gain = np.empty((step, vecs * half))  # row j: each vector's gains in turn
+    # per vector, in the order of the error: [0] a NaN or negative bound,
+    # [1 + j m + j] not monotone in j, [1 + j m + k] not submodular in (j, k > j)
+    bad = np.zeros((1 + m * m, n), dtype=bool)
+    for v0 in range(0, n, vecs):
+        v1 = min(v0 + vecs, n)
+        rows, block = v1 - v0, f[v0:v1]
+        bad[0, v0:v1] = ~(block >= -EXACT_TOL).all(axis=1)
+        block = np.where(np.isinf(block), np.nan, block)
+        for j0 in range(0, m, step):
+            j1 = min(j0 + step, m)
+            g = gain[: j1 - j0, : rows * half]
+            for j in range(j0, j1):
+                pair = block.reshape(-1, 2, 1 << j)
+                np.subtract(pair[:, 1], pair[:, 0], out=g[j - j0].reshape(-1, 1 << j))
+            bad[1 + j0 * (m + 1) : 1 + j1 * (m + 1) : m + 1, v0:v1] = (
+                (g < -tol).reshape(j1 - j0, rows, -1).any(axis=2))
+            ceiling = g + tol
+            for k in range(j0 + 1, m):
+                c = min(k, j1) - j0
+                shape = (c, -1, 2, 1 << (k - 1))
+                grows = g[:c].reshape(shape)[:, :, 1] > ceiling[:c].reshape(shape)[:, :, 0]
+                bad[1 + j0 * m + k : 1 + (j0 + c) * m + k : m, v0:v1] = (
+                    grows.reshape(c, rows, -1).any(axis=2))
     if bad.any():
-        j, k = divmod(int(bad.argmax()), m)  # the first in row-major order
-        raise ValueError(f"bound not monotone in receiver {j + 1}" if j == k else
+        first = int(bad[:, bad.any(axis=0).argmax()].argmax())  # of the first failing vector
+        j, k = divmod(first - 1, m)
+        raise ValueError("rate bounds must be nonnegative numbers, never NaN" if first == 0 else
+                         f"bound not monotone in receiver {j + 1}" if j == k else
                          f"bound not submodular in receivers {j + 1} and {k + 1}")
 
 
@@ -244,13 +270,40 @@ def asymptotic_bound(spec: BroadcastChannelSpec, subset) -> float:
     return _bound(spec, UNCONSTRAINED, subset)
 
 
-def capacity_region(spec: BroadcastChannelSpec, energy=UNCONSTRAINED) -> CapacityRegion:
-    """Full region: the bound of every subset, at finite or unbounded energy."""
-    _receiver_count(spec.m)
+def _bound_rows(spec: BroadcastChannelSpec, energies) -> np.ndarray:
+    """The bound vectors of ``spec`` at ``energies``, each ``UNCONSTRAINED`` or
+    a photon number, as the rows of one array, in order.
+
+    One set of subset sums serves every row.  The finite rows are one
+    ``_closed_form`` over a column of photon numbers: one ``entropy_g`` of all
+    their entries, each entry the IEEE operations of the float expression in
+    its order, so a row's bits do not depend on the rows beside it.  The
+    energies are checked first, in order, then every row in one
+    ``_check_polymatroid`` call: the error is the first failing row's.
+    """
+    m = _receiver_count(spec.m)
+    energies = [_energy(e) for e in energies]
     s = _subset_sums(spec.etas)
     # the complement of mask is full ^ mask = full - mask: s reversed
-    f = _bounds(energy, s, s[::-1], float(s[-1]))
-    return CapacityRegion(spec.m, energy, f)
+    comp, eta_all = s[::-1], float(s[-1])
+    n_s = [e for e in energies if e != UNCONSTRAINED]
+    if len(n_s) < len(energies):
+        limit = _bounds(UNCONSTRAINED, s, comp, eta_all)
+    if n_s:  # one photon number as a float, several as a column: the same bits
+        column = n_s[0] if len(n_s) == 1 else np.array(n_s)[:, None]
+        finite = iter(_closed_form(column, 1.0 - comp, 1.0 - eta_all).reshape(len(n_s), -1))
+    f = np.array([limit if e == UNCONSTRAINED else next(finite) for e in energies])
+    _check_polymatroid(f, m, EXACT_TOL)
+    return f
+
+
+def capacity_region(spec: BroadcastChannelSpec, energy=UNCONSTRAINED) -> CapacityRegion:
+    """Full region: the bound of every subset, at finite or unbounded energy
+    (the one-row case of ``_bound_rows``)."""
+    f = _bound_rows(spec, [energy])[0]
+    region = object.__new__(CapacityRegion)  # f is checked; __init__ would check it again
+    region.m, region.energy, region._f = spec.m, _energy(energy), f
+    return region
 
 
 def contains(region: CapacityRegion, point) -> bool:
@@ -377,7 +430,7 @@ def merging_gain(spec: BroadcastChannelSpec, n_s: float, gained, helpers=()) -> 
     ever runs at an entanglement deficit.
     """
     s1, s2 = _disjoint_subsets(spec.m, gained, helpers)
-    helper_mask = _mask(s2)
+    n_s, helper_mask = _photon_number(n_s), _mask(s2)
     return float(_closed_form(
         n_s, 1.0 - _eta(spec, helper_mask), 1.0 - _eta(spec, _mask(s1) | helper_mask)
     ))

@@ -1,13 +1,14 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
-from bbcap import cli, fock
+from bbcap import cli, fock, region
 from bbcap.channel import BroadcastChannelSpec
-from bbcap.region import UNCONSTRAINED, capacity_region
+from bbcap.region import UNCONSTRAINED, CapacityRegion, capacity_region
 from oracles import render_verify_reference
 
 
@@ -192,6 +193,43 @@ class TestConvergenceCommand:
         assert code == 1 and out == "" and message in err
 
 
+    @pytest.mark.parametrize("etas, grid, limit_entry, message", [
+        # the spec, before anything else
+        ("0.2,1.1", "-1", None, "transmittance 1.1 outside [0, 1]"),
+        # a failing limit row, before a bad grid energy and a failing grid row
+        ("0.2,0.1", "1e-12,-1", (0b11, 5.0), "bound not submodular in receivers 1 and 2"),
+        ("0.2,0.1", "1e-12,-1", (0b10, -1.0), "rate bounds must be nonnegative numbers, never NaN"),
+        # ... and before its unbounded flag
+        ("0.6,0.4", "-1", (0b10, -1.0), "rate bounds must be nonnegative numbers, never NaN"),
+        # the unbounded limit, before a bad grid energy and a failing grid row
+        ("0.6,0.4", "1,-1", None, "unconstrained bounds are unbounded when the receivers take everything"),
+        ("0.6,0.4", "1e-12", None, "unconstrained bounds are unbounded when the receivers take everything"),
+        # a bad grid energy, before a failing grid row ahead of it
+        ("0.2,0.1", "1e-12,-1", None, "input photon number must be finite and nonnegative, got -1.0"),
+        # the first failing energy
+        ("0.2,0.1", "1,1e-12", None, "bound not submodular in receivers 1 and 2"),
+    ])
+    def test_refusals_in_order(self, capsys, monkeypatch, etas, grid, limit_entry, message):
+        spec = BroadcastChannelSpec(tuple(map(float, etas.split(",")))) if "1.1" not in etas else None
+        if "1e-12" in grid:  # g's floor makes that row fail on its own (ROADMAP item 1)
+            with pytest.raises(ValueError, match="submodular"):
+                capacity_region(spec, 1e-12)
+        if limit_entry:  # the limit row alone is made to fail, by one entry
+            bounds, (mask, value) = region._bounds, limit_entry
+            broken_limit = capacity_region(spec)._f.copy()
+            broken_limit[mask] = value
+            with pytest.raises(ValueError, match=re.escape(message)):
+                CapacityRegion(spec.m, UNCONSTRAINED, broken_limit)
+
+            def broken(energy, *args):
+                f = bounds(energy, *args)
+                return broken_limit if energy == UNCONSTRAINED else f
+
+            monkeypatch.setattr(region, "_bounds", broken)
+        code, out, err = run_cli(capsys, "convergence", "--etas", etas, "--ns-grid", grid)
+        assert (code, out, err) == (1, "", f"bbcap: error: {message}\n")
+
+
 class TestVerifyCommand:
     def test_all_pass_report(self, capsys):
         code, out, _ = run_cli(
@@ -257,20 +295,25 @@ class TestVerifyCommand:
         assert code == 1 and "finite" in err
 
     def test_nan_value_prints_as_json(self, capsys, monkeypatch):
-        # one NaN amplitude makes every Fock entropy NaN; the record must still parse
-        runs = fock._sector_runs
-
-        def tampered(*args):
-            for occ, amps in runs(*args):
-                yield occ, np.where((occ == (3, 1, 0, 2)).all(axis=1), math.nan, amps)
-
-        monkeypatch.setattr(fock, "_sector_runs", tampered)
+        # one NaN amplitude makes every Fock entropy NaN; the record must still
+        # parse, and the failed check exits 3
+        _nan_amplitude(monkeypatch)
         with np.errstate(invalid="ignore"):
             code, out, _ = run_cli(capsys, "verify", "--etas", "0.2,0.3", "--ns", "0.5")
             record = fock.verify_conditional_entropies(BroadcastChannelSpec((0.2, 0.3)), 0.5)
-        assert code == 0 and '"fock_bits": NaN' in out
+        assert code == 3 and '"fock_bits": NaN' in out
         assert json.loads(out)["pass"] is False
         assert out == render_verify_reference(record, "json", cli.DEFAULT_PRECISION)
+
+    def test_failed_check_exits_3_after_its_record(self, capsys, monkeypatch, tmp_path):
+        _nan_amplitude(monkeypatch)
+        target, argv = tmp_path / "verify.csv", ["verify", "--etas", "0.2,0.3", "--ns", "0.5"]
+        with np.errstate(invalid="ignore"):
+            code, out, err = run_cli(capsys, *argv, "--format", "csv", "--output", str(target))
+            assert (code, out, err) == (3, "", "") and target.read_text().endswith(",false\n")
+            # a record that cannot be written is an error, as for every command
+            code, _, err = run_cli(capsys, *argv, "--output", str(tmp_path / "missing" / "x"))
+        assert code == 1 and "cannot write" in err
 
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(
@@ -305,3 +348,14 @@ class TestUsageAndPrecision:
         monkeypatch.setenv("BBC_CAPACITY_PRECISION", "fifty")
         code, _, err = run_cli(capsys, "region", "--etas", "0.2,0.3")
         assert code == 1 and "BBC_CAPACITY_PRECISION" in err
+
+
+def _nan_amplitude(monkeypatch):
+    """Route verification through runs with one amplitude set to NaN."""
+    runs = fock._sector_runs
+
+    def tampered(*args):
+        for occ, amps in runs(*args):
+            yield occ, np.where((occ == (3, 1, 0, 2)).all(axis=1), math.nan, amps)
+
+    monkeypatch.setattr(fock, "_sector_runs", tampered)

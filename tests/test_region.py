@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bbcap import channel, cli, region
 from bbcap.channel import BroadcastChannelSpec
+from bbcap.fock import verify_conditional_entropies
 from bbcap.gaussian import conditional_entropy, entropy_g
 from bbcap.region import (
     MAX_BOUNDARY_POINTS,
@@ -215,6 +217,17 @@ class TestCapacityRegion:
             CapacityRegion(2, energy, [0.0, 0.5, 0.6, 0.9])
         assert CapacityRegion(2, np.float64(2.5), [0.0, 0.5, 0.6, 0.9]).energy == 2.5
 
+    @pytest.mark.parametrize("n_s", ["2.5", None, True, False])
+    @pytest.mark.parametrize("call", [
+        lambda n_s: CapacityRegion(2, n_s, [0.0, 0.5, 0.6, 0.9]),
+        lambda n_s: inner_bound_finite(SPEC23, n_s, {1}),
+        lambda n_s: verify_conditional_entropies(SPEC23, n_s),
+    ], ids=["CapacityRegion", "inner_bound_finite", "verify_conditional_entropies"])
+    def test_photon_number_is_a_real_number(self, call, n_s):
+        # float() would read the text, and a bool as 0 or 1; None would raise TypeError
+        with pytest.raises(ValueError, match=re.escape(f"must be a real number, got {n_s!r}")):
+            call(n_s)
+
     def test_polymatroid_check_runs_above_eight_receivers(self):
         f = capacity_region(BroadcastChannelSpec((0.05,) * 10), 3.0)._f.copy()
         CapacityRegion(10, 3.0, f)
@@ -235,6 +248,30 @@ class TestCapacityRegion:
         # m = 17); smaller blocks take those paths at small m
         monkeypatch.setattr(region, "CHECK_BLOCK", rows << (m - 1))
         assert len(set(_agreement_with_the_loop(m))) >= 3
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_stack_names_its_first_failing_vector(self, m, block, monkeypatch):
+        # stacks of one to five vectors, passing ones among them; with a
+        # small CHECK_BLOCK the vectors (and their gain rows) go in groups.  At
+        # m = 1 only a negative bound fails, which few cases draw
+        if block:
+            monkeypatch.setattr(region, "CHECK_BLOCK", block << (m - 1))
+        rng = np.random.RandomState(150 + m)
+        firsts = []
+        for case in range(40):
+            kind, rows, stack = case % 4, [], []
+            for _ in range(rng.randint(1, 6)):
+                f, tol, _ = _check_case(rng, m, kind)
+                if rng.rand() < 0.5:  # a polymatroid at any of the tolerances
+                    f = capacity_region(random_interior_spec(rng, m), float(rng.uniform(0.5, 5)))._f
+                stack.append(f)
+                rows.append(_outcome(check_polymatroid_reference, f, m, tol))
+            failing = [i for i, outcome in enumerate(rows) if outcome is not None]
+            expect = rows[failing[0]] if failing else None
+            assert _outcome(region._check_polymatroid, np.array(stack), m, tol) == expect
+            firsts.append(failing[0] if failing else None)
+        assert None in firsts and (m == 1 or any(i for i in firsts if i is not None)), firsts
 
 
 def _agreement_with_the_loop(m) -> list:
@@ -327,6 +364,21 @@ class TestBoundVector:
                     assert all(type(x) is float for x in got)
                     assert [x.hex() for x in got] == [float(f[mask]).hex()] * len(got), (
                         spec, energy, t)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_grid_rows_are_the_regions_bitwise(self, m):
+        # a stack of every energy, the limit in it twice, row by row against
+        # one region per energy: a column of photon numbers gives each row
+        # the bits of the float expression
+        rng = np.random.RandomState(120 + m)
+        spec = random_interior_spec(rng, m)
+        weightless = BroadcastChannelSpec((0.0,) + spec.etas[1:])
+        energies = [UNCONSTRAINED, 0.0] + [10.0 ** k for k in range(-2, 9)] + [UNCONSTRAINED]
+        for spec in (spec, weightless, BroadcastChannelSpec([1.0 / m] * m)):
+            rows = region._bound_rows(spec, energies)
+            assert rows.shape == (len(energies), 1 << m)
+            for energy, row in zip(energies, rows):
+                assert row.tobytes() == capacity_region(spec, energy)._f.tobytes(), (spec, energy)
 
     def test_check_names_the_receivers(self):
         # f[mask] over the subsets of three receivers
