@@ -20,7 +20,6 @@ from .channel import (
     DegenerateSplitError,
     receiver_labels,
     output_labels,
-    all_orderings,
     build_network,
     implementations_equivalent,
 )
@@ -42,7 +41,6 @@ from .fock import (
     FockState,
     DensityMatrix,
     InconclusiveVerificationError,
-    thermal_weight,
     tail_mass,
     cutoff_for_tail,
     tmsv_fock,

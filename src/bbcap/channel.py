@@ -47,7 +47,6 @@ __all__ = [
     "DegenerateSplitError",
     "receiver_labels",
     "output_labels",
-    "all_orderings",
     "build_network",
     "implementations_equivalent",
 ]
@@ -66,7 +65,6 @@ ETA_TOL = 1e-12
 # MAX_RECEIVERS.
 ORDERING_EQUIV_TOL = 1e-12
 MAX_RECEIVERS = 12          # network construction guard
-MAX_SWEEP_RECEIVERS = 8     # all-orderings sweeps grow factorially
 _I2 = np.eye(2)
 
 
@@ -149,13 +147,6 @@ def _zero_weight_first(etas: dict) -> tuple:
     for every valid spec.
     """
     return tuple(sorted(etas, key=lambda label: etas[label] > ETA_TOL))
-
-
-def all_orderings(spec: BroadcastChannelSpec):
-    """All (m+1)! split orderings. Guarded: factorial growth above m = 8."""
-    if spec.m > MAX_SWEEP_RECEIVERS:
-        raise ValueError(f"ordering sweep limited to m <= {MAX_SWEEP_RECEIVERS}")
-    return itertools.permutations(output_labels(spec))
 
 
 class BeamSplitterNetwork(NamedTuple):

@@ -15,7 +15,8 @@ from the subset texts, each made from the text of a shorter subset, and the
 bound texts; ``vertices`` and ``boundary`` from one column per coordinate,
 gathered from the texts of the distinct values.  ``convergence`` takes the
 limit and the bounds of every grid energy as the rows of one array,
-computed and checked in one call, and writes one energy's rows at a time.
+computed in one call and checked in one more, and writes one energy's rows
+at a time.
 Exit status: 0 on success, 1 on a domain or usage error, 2 when a
 verification is inconclusive (truncation budget not met, or the run does
 not fit in memory), 3 when a verification ran and failed (its record,
@@ -153,14 +154,16 @@ def _convergence_columns(etas, ns_grid) -> tuple:
     """m, the unconstrained row, and the inner rows of the grid, one per energy.
 
     Each row is a bound vector over all 2^m masks, as ``CapacityRegion``
-    holds it.  The limit and the grid are one array, computed and checked in
-    one ``region._bound_rows`` call.  A refusal is the one a region per
-    energy would give: the limit's own failure, then its unbounded flag, then
-    a bad grid energy, then the first failing energy.
+    holds it.  The limit and the grid are one array, computed in one
+    ``region._bound_rows`` call and checked here, by one call of the check
+    ``CapacityRegion`` makes.  A refusal is the one a region per energy would
+    give: the limit's own failure, then its unbounded flag, then a bad grid
+    energy, then the first failing energy.
     """
     spec = BroadcastChannelSpec(tuple(etas))
     try:
         f = region._bound_rows(spec, (region.UNCONSTRAINED, *ns_grid))
+        region._check_polymatroid(f, spec.m, region.EXACT_TOL)
     except ValueError:
         _bounded(region.capacity_region(spec)._f)  # the limit's refusals come first
         raise

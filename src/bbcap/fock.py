@@ -28,10 +28,11 @@ its factors read from the table's own entries, covers all 2^m reductions.
 per entry, before any sector is built; it is the oracle's one memory gate.
 Keeping A and one receiver Bj, the traced modes' collective mode takes the
 share 1 - eta_j, so block t's weight is a Schmidt coefficient, checked
-against ``thermal_weight((1 - eta_j) * n_s, t)``.  :func:`split_with_vacuum`
-and :func:`reduce_density`, the general partial trace into Schmidt factors,
-are on no program path: they build and reduce the whole output, the plain
-reference for the blocks that verification streams.
+against entry t of ``_thermal_weights((1 - eta_j) * n_s, ...)``.
+:func:`split_with_vacuum` and :func:`reduce_density`, the general partial
+trace into Schmidt factors, are on no program path: they build and reduce
+the whole output, the plain reference for the blocks that verification
+streams.
 
 :func:`verify_conditional_entropies` returns the record ``bbcap verify``
 prints, a plain dict, with its single pass verdict.
@@ -54,7 +55,6 @@ __all__ = [
     "FockState",
     "DensityMatrix",
     "InconclusiveVerificationError",
-    "thermal_weight",
     "tail_mass",
     "cutoff_for_tail",
     "tmsv_fock",
@@ -84,13 +84,9 @@ class InconclusiveVerificationError(RuntimeError):
     """Truncation budget cannot be met; the check is inconclusive, not failed."""
 
 
-def thermal_weight(nbar: float, n: int) -> float:
-    """Photon-number distribution of a thermal state: nbar^n / (nbar+1)^(n+1)."""
-    return _thermal_weights(nbar, (_count(n, "photon count"),))[0]
-
-
 def _thermal_weights(nbar: float, ns) -> list:
-    """``thermal_weight(nbar, n)`` for each n in ``ns``, with ``nbar`` checked once."""
+    """Photon-number distribution of a thermal state, nbar^n / (nbar+1)^(n+1),
+    at each n in ``ns``, with ``nbar`` checked once."""
     nbar = _gaussian._photon_number(nbar)
     if nbar == 0:
         return [1.0 if n == 0 else 0.0 for n in ns]
@@ -177,8 +173,8 @@ class FockState:
 def tmsv_fock(n_s: float, cutoff: int) -> FockState:
     """Two-mode squeezed vacuum on (A, A') truncated at total photon number ``cutoff``.
 
-    Amplitudes are sqrt(thermal_weight(n_s, k)) on |k, k>; the dropped norm
-    equals ``tail_mass(n_s, cutoff)`` exactly.
+    Amplitudes are sqrt(w[k]) on |k, k>, ``w = _thermal_weights(n_s, range(cutoff + 1))``;
+    the dropped norm equals ``tail_mass(n_s, cutoff)`` exactly.
     """
     cutoff = _count(cutoff, "cutoff")
     w = np.array(_thermal_weights(n_s, range(cutoff + 1)))
@@ -340,7 +336,7 @@ def _shannon_bits(p: np.ndarray) -> float:
 def _photon_weights(n_s: float, cutoff: int, eta: float) -> np.ndarray:
     """Photon-number distribution of the share ``eta`` of a TMSV arm
     truncated at ``cutoff``: sum over n <= cutoff of
-    ``thermal_weight(n_s, n) * C(n, k) eta^k (1 - eta)^(n - k)``, each bin
+    ``_thermal_weights(n_s, ...)[n] * C(n, k) eta^k (1 - eta)^(n - k)``, each bin
     added up in ascending n."""
     top = cutoff + 1
     comb, n, k = (a[: top * (top + 1) // 2] for a in _pascal(max(top, MAX_CUTOFF + 1)))

@@ -151,13 +151,10 @@ class CapacityRegion:
     unbounded subset, for m in 1..``MAX_REGION_RECEIVERS``.  Bounds must be
     nonnegative and never NaN, and the bound function monotone and
     submodular (within ``EXACT_TOL``; comparisons with the unbounded flag are
-    skipped).  The check, ``_check_polymatroid``, takes vectors as the rows
-    of a stack and names the first failing row's first failure.  A vector
-    handed in here is a stack of one row; :func:`capacity_region` and the
-    ``convergence`` grid get their rows from ``_bound_rows``, checked there
-    in one call and not again.  The check takes about 2m array operations
-    up to m = 13 and one gain row at a time from m = 17 on, with temporaries
-    of a few ``CHECK_BLOCK`` gains (or of one row, where larger).
+    skipped).  The constructor is the one gate: every region, those of
+    :func:`capacity_region` too, is checked here, once, by
+    ``_check_polymatroid``, which the ``convergence`` grid calls on its own
+    stack of bound vectors.
     """
 
     def __init__(self, m: int, energy, f):
@@ -194,40 +191,38 @@ def _check_polymatroid(f, m: int, tol: float):
     grow by more than tol.  NaN stands in for the unbounded flag, so every
     comparison with it is false.  The error is the first failing vector's
     first failure: a NaN or a bound below ``-EXACT_TOL``, then j ascending,
-    monotone in j before its pairs (j, k), k ascending.  Vectors and gain
-    rows go in groups of at most ``CHECK_BLOCK`` gains, or one vector's gain
-    row where that is larger, so the temporaries stay at a few groups
-    whatever the number of vectors.  Gain rows of several vectors go as one,
-    since a pair (T, T + j) lies within one vector.
+    monotone in j before its pairs (j, k), k ascending.  A gain row holds
+    every vector's gains in turn, since a pair (T, T + j) lies within one
+    vector, and the rows go in groups of at most ``CHECK_BLOCK`` gains, or
+    one row where that is larger.  So the temporaries are a copy of the
+    stack, NaN for the flag, and about two groups: at most 3 times the
+    stack's bytes plus 4 ``CHECK_BLOCK`` gains, and at most 3 times the
+    stack's bytes once a gain row is longer than ``CHECK_BLOCK``.
     """
     f = f.reshape(-1, 1 << m)
     n, half = len(f), 1 << m >> 1
-    vecs = max(1, min(n, CHECK_BLOCK // half))  # vectors per group
-    step = max(1, min(m, CHECK_BLOCK // (vecs * half)))  # gain rows per group
-    gain = np.empty((step, vecs * half))  # row j: each vector's gains in turn
+    step = max(1, min(m, CHECK_BLOCK // (n * half)))  # gain rows per group
+    gain = np.empty((step, n * half))  # row j: each vector's gains in turn
     # per vector, in the order of the error: [0] a NaN or negative bound,
     # [1 + j m + j] not monotone in j, [1 + j m + k] not submodular in (j, k > j)
     bad = np.zeros((1 + m * m, n), dtype=bool)
-    for v0 in range(0, n, vecs):
-        v1 = min(v0 + vecs, n)
-        rows, block = v1 - v0, f[v0:v1]
-        bad[0, v0:v1] = ~(block >= -EXACT_TOL).all(axis=1)
-        block = np.where(np.isinf(block), np.nan, block)
-        for j0 in range(0, m, step):
-            j1 = min(j0 + step, m)
-            g = gain[: j1 - j0, : rows * half]
-            for j in range(j0, j1):
-                pair = block.reshape(-1, 2, 1 << j)
-                np.subtract(pair[:, 1], pair[:, 0], out=g[j - j0].reshape(-1, 1 << j))
-            bad[1 + j0 * (m + 1) : 1 + j1 * (m + 1) : m + 1, v0:v1] = (
-                (g < -tol).reshape(j1 - j0, rows, -1).any(axis=2))
-            ceiling = g + tol
-            for k in range(j0 + 1, m):
-                c = min(k, j1) - j0
-                shape = (c, -1, 2, 1 << (k - 1))
-                grows = g[:c].reshape(shape)[:, :, 1] > ceiling[:c].reshape(shape)[:, :, 0]
-                bad[1 + j0 * m + k : 1 + (j0 + c) * m + k : m, v0:v1] = (
-                    grows.reshape(c, rows, -1).any(axis=2))
+    bad[0] = ~(f >= -EXACT_TOL).all(axis=1)
+    f = np.where(np.isinf(f), np.nan, f)
+    for j0 in range(0, m, step):
+        j1 = min(j0 + step, m)
+        g = gain[: j1 - j0]
+        for j in range(j0, j1):
+            pair = f.reshape(-1, 2, 1 << j)
+            np.subtract(pair[:, 1], pair[:, 0], out=g[j - j0].reshape(-1, 1 << j))
+        bad[1 + j0 * (m + 1) : 1 + j1 * (m + 1) : m + 1] = (
+            (g < -tol).reshape(j1 - j0, n, -1).any(axis=2))
+        ceiling = g + tol
+        for k in range(j0 + 1, m):
+            c = min(k, j1) - j0
+            shape = (c, -1, 2, 1 << (k - 1))
+            grows = g[:c].reshape(shape)[:, :, 1] > ceiling[:c].reshape(shape)[:, :, 0]
+            bad[1 + j0 * m + k : 1 + (j0 + c) * m + k : m] = (
+                grows.reshape(c, n, -1).any(axis=2))
     if bad.any():
         first = int(bad[:, bad.any(axis=0).argmax()].argmax())  # of the first failing vector
         j, k = divmod(first - 1, m)
@@ -278,10 +273,10 @@ def _bound_rows(spec: BroadcastChannelSpec, energies) -> np.ndarray:
     ``_closed_form`` over a column of photon numbers: one ``entropy_g`` of all
     their entries, each entry the IEEE operations of the float expression in
     its order, so a row's bits do not depend on the rows beside it.  The
-    energies are checked first, in order, then every row in one
-    ``_check_polymatroid`` call: the error is the first failing row's.
+    receiver count and then the energies, in order, are checked before
+    anything of size 2^m; the rows themselves are not.
     """
-    m = _receiver_count(spec.m)
+    _receiver_count(spec.m)
     energies = [_energy(e) for e in energies]
     s = _subset_sums(spec.etas)
     # the complement of mask is full ^ mask = full - mask: s reversed
@@ -292,18 +287,13 @@ def _bound_rows(spec: BroadcastChannelSpec, energies) -> np.ndarray:
     if n_s:  # one photon number as a float, several as a column: the same bits
         column = n_s[0] if len(n_s) == 1 else np.array(n_s)[:, None]
         finite = iter(_closed_form(column, 1.0 - comp, 1.0 - eta_all).reshape(len(n_s), -1))
-    f = np.array([limit if e == UNCONSTRAINED else next(finite) for e in energies])
-    _check_polymatroid(f, m, EXACT_TOL)
-    return f
+    return np.array([limit if e == UNCONSTRAINED else next(finite) for e in energies])
 
 
 def capacity_region(spec: BroadcastChannelSpec, energy=UNCONSTRAINED) -> CapacityRegion:
     """Full region: the bound of every subset, at finite or unbounded energy
     (the one-row case of ``_bound_rows``)."""
-    f = _bound_rows(spec, [energy])[0]
-    region = object.__new__(CapacityRegion)  # f is checked; __init__ would check it again
-    region.m, region.energy, region._f = spec.m, _energy(energy), f
-    return region
+    return CapacityRegion(spec.m, energy, _bound_rows(spec, [energy])[0])
 
 
 def contains(region: CapacityRegion, point) -> bool:

@@ -13,7 +13,8 @@ columns are checked against; ``render_region_reference`` reads a
 region's bounds one subset at a time through ``CapacityRegion.bound``; and
 ``channel_output_fock`` builds the whole number-basis output with
 ``fock.split_with_vacuum``, stage by stage, the table that verification's
-streamed sectors are checked against.
+streamed sectors are checked against.  ``thermal_weight`` refuses its
+inputs with the library's own checks (``_photon_number``, ``fock._count``).
 """
 
 import itertools
@@ -39,6 +40,20 @@ def thermal_entropy_spectral(nbar: float, terms: int = 4000) -> float:
             break
         total -= p * math.log2(p)
     return total
+
+
+def thermal_weight(nbar: float, n: int) -> float:
+    """Photon-number distribution of a thermal state, nbar^n / (nbar + 1)^(n + 1),
+    as the scalar ``r**n / (nbar + 1)`` with ``r = nbar / (nbar + 1)``.
+
+    ``nbar`` and ``n`` are refused as the library refuses a photon number
+    and a photon count.
+    """
+    nbar, n = _photon_number(nbar), fock._count(n, "photon count")
+    if nbar == 0:
+        return float(n == 0)
+    r = nbar / (nbar + 1.0)
+    return r**n / (nbar + 1.0)
 
 
 def split_thermal_populations(nbar: float, eta: float, k_max: int, terms: int = 2000) -> list:
@@ -173,6 +188,16 @@ def check_polymatroid_reference(f, m: int, tol: float):
             pair = gain.reshape(-1, 2, 1 << (k - 1))  # bit k of T is bit k - 1 here
             if (pair[:, 1] > pair[:, 0] + tol).any():
                 raise ValueError(f"bound not submodular in receivers {j + 1} and {k + 1}")
+
+
+MAX_SWEEP_RECEIVERS = 8  # all-orderings sweeps grow factorially
+
+
+def all_orderings(spec: BroadcastChannelSpec):
+    """All (m+1)! split orderings of the channel's outputs; refused above m = 8."""
+    if spec.m > MAX_SWEEP_RECEIVERS:
+        raise ValueError(f"ordering sweep limited to m <= {MAX_SWEEP_RECEIVERS}")
+    return itertools.permutations(channel.output_labels(spec))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

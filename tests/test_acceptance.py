@@ -12,11 +12,7 @@ import time
 
 import numpy as np
 
-from bbcap.channel import (
-    BroadcastChannelSpec,
-    all_orderings,
-    implementations_equivalent,
-)
+from bbcap.channel import BroadcastChannelSpec, implementations_equivalent
 from bbcap.fock import verify_conditional_entropies
 from bbcap.gaussian import entropy_g
 from bbcap.region import (
@@ -28,7 +24,7 @@ from bbcap.region import (
     nonempty_subsets,
     vertices,
 )
-from oracles import match_point_sets, polytope_vertices_bruteforce
+from oracles import all_orderings, match_point_sets, polytope_vertices_bruteforce
 
 SPEC23 = BroadcastChannelSpec((0.2, 0.3))
 

@@ -10,7 +10,6 @@ from bbcap.channel import (
     ORDERING_EQUIV_TOL,
     BroadcastChannelSpec,
     DegenerateSplitError,
-    all_orderings,
     build_network,
     implementations_equivalent,
     output_labels,
@@ -24,6 +23,7 @@ from bbcap.gaussian import (
     von_neumann_entropy,
 )
 from oracles import (
+    all_orderings,
     apply_channel,
     apply_channel_dense,
     beam_splitter,

@@ -15,7 +15,6 @@ from bbcap.fock import (
     reduce_density,
     split_with_vacuum,
     tail_mass,
-    thermal_weight,
     tmsv_fock,
     verify_conditional_entropies,
 )
@@ -27,6 +26,7 @@ from oracles import (
     reduce_density_reference,
     spectral_entropy,
     split_photon_weights_loop,
+    thermal_weight,
 )
 
 SPEC23 = BroadcastChannelSpec((0.2, 0.3))
@@ -809,7 +809,6 @@ class TestCutoffPolicy:
         want = [(r**n / (nbar + 1.0) if nbar else float(n == 0)) for n in range(61)]
         hexes = [w.hex() for w in want]
         assert [w.hex() for w in fock._thermal_weights(nbar, range(61))] == hexes
-        assert [thermal_weight(nbar, n).hex() for n in range(61)] == hexes
         amps = tmsv_fock(nbar, 60).amplitudes
         assert amps.tobytes() == np.sqrt([w for w in want if w > 0.0]).tobytes()
 

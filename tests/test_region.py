@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,17 +245,19 @@ class TestCapacityRegion:
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("m", [2, 5, 8])
     def test_check_in_row_groups_agrees_with_exhaustive_loop(self, m, rows, monkeypatch):
-        # from m = 14 the gain rows are taken in groups (one row each from
-        # m = 17); smaller blocks take those paths at small m
+        # the gain rows go in groups of CHECK_BLOCK gains: one vector's m
+        # rows at once up to m = 13, in groups from m = 14, one at a time
+        # from m = 17; blocks of one and three rows take those paths at small m
         monkeypatch.setattr(region, "CHECK_BLOCK", rows << (m - 1))
         assert len(set(_agreement_with_the_loop(m))) >= 3
 
     @pytest.mark.parametrize("block", [None, 1, 3])
     @pytest.mark.parametrize("m", range(1, 9))
     def test_stack_names_its_first_failing_vector(self, m, block, monkeypatch):
-        # stacks of one to five vectors, passing ones among them; with a
-        # small CHECK_BLOCK the vectors (and their gain rows) go in groups.  At
-        # m = 1 only a negative bound fails, which few cases draw
+        # stacks of one to five vectors, passing ones among them; a gain row
+        # holds every vector's gains, and with a small CHECK_BLOCK the rows
+        # go in groups, or one at a time.  At m = 1 only a negative bound
+        # fails, which few cases draw
         if block:
             monkeypatch.setattr(region, "CHECK_BLOCK", block << (m - 1))
         rng = np.random.RandomState(150 + m)
@@ -272,6 +275,64 @@ class TestCapacityRegion:
             assert _outcome(region._check_polymatroid, np.array(stack), m, tol) == expect
             firsts.append(failing[0] if failing else None)
         assert None in firsts and (m == 1 or any(i for i in firsts if i is not None)), firsts
+
+
+class TestOneGate:
+    """Every region is made by its constructor, and every bound vector a
+    command prints is checked once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"init": 0, "check": 0}
+        init, check = CapacityRegion.__init__, region._check_polymatroid
+
+        def counted_init(self, *args):
+            counts["init"] += 1
+            init(self, *args)
+
+        def counted_check(*args):
+            counts["check"] += 1
+            check(*args)
+
+        monkeypatch.setattr(CapacityRegion, "__init__", counted_init)
+        monkeypatch.setattr(region, "_check_polymatroid", counted_check)
+        return counts
+
+    @pytest.mark.parametrize("energy", [UNCONSTRAINED, 0.0, 2.5])
+    def test_capacity_region_goes_through_the_constructor(self, counts, energy):
+        reg = capacity_region(SPEC23, energy)
+        assert counts == {"init": 1, "check": 1}
+        CapacityRegion(2, energy, reg._f)
+        assert counts == {"init": 2, "check": 2}
+
+    @pytest.mark.parametrize("argv, inits", [
+        (["region", "--etas", "0.2,0.3", "--ns", "inf"], 1),
+        (["vertices", "--etas", "0.2,0.3,0.1", "--ns", "1.5"], 1),
+        (["boundary", "--etas", "0.2,0.3", "--ns", "2"], 1),
+        # the limit and the grid: one stack, checked without a region
+        (["convergence", "--etas", "0.2,0.3,0.1", "--ns-grid", "0.5,3,40"], 0),
+    ], ids=["region", "vertices", "boundary", "convergence"])
+    def test_each_command_checks_once(self, counts, capsys, argv, inits):
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert counts == {"init": inits, "check": 1}
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_check_temporaries_within_three_stacks(self, rows):
+        # at m = 16: one vector's gain rows go two at a time, the 7 rows of
+        # the convergence grid's stack one at a time, each longer than CHECK_BLOCK
+        etas = tuple(0.02 + 0.005 * i for i in range(14)) + (0.01, 0.015)
+        energies = (UNCONSTRAINED, 0.01, 0.5, 3.0, 40.0, 900.0, 20000.0)[:rows]
+        f = region._bound_rows(BroadcastChannelSpec(etas), energies)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            region._check_polymatroid(f, 16, region.EXACT_TOL)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        groups = 0 if rows << 15 > region.CHECK_BLOCK else 4 * region.CHECK_BLOCK * 8
+        assert peak <= 3 * f.nbytes + groups, peak / f.nbytes
 
 
 def _agreement_with_the_loop(m) -> list:
