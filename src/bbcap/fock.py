@@ -11,7 +11,7 @@ arm's covariance output (``channel._thermal_output``).
 Truncation is accounted for exactly: a squeezed-vacuum source truncated at
 total photon number M drops tail mass ``(n_s / (n_s + 1))**(M + 1)``, and
 verification refuses to run (raising :class:`InconclusiveVerificationError`,
-not failing) when the tail budget cannot be met.  Only vacuum-fed
+not failing) when a budget of ``_budget`` cannot be met.  Only vacuum-fed
 splitters are implemented, which is all the channel model needs.
 
 Verification builds the channel output one sender-photon sector k at a
@@ -24,8 +24,6 @@ certified, not assumed: the output's amplitude on (k; n_1..n_m, n_E) is
 C_k sqrt(k! / prod n_i!) prod phi_i(n_i), which makes every block of every
 reduction an outer product, so one streamed check of this product form,
 its factors read from the table's own entries, covers all 2^m reductions.
-``MAX_DENSE_BYTES`` (1 GiB) gates the largest run, at ``SECTOR_ENTRY_BYTES``
-per entry, before any sector is built; it is the oracle's one memory gate.
 Keeping A and one receiver Bj, the traced modes' collective mode takes the
 share 1 - eta_j, so block t's weight is a Schmidt coefficient, checked
 against entry t of ``_thermal_weights((1 - eta_j) * n_s, ...)``.
@@ -70,18 +68,18 @@ MAX_CUTOFF = 60
 MAX_DENSE_BYTES = 2**30
 RUN_ENTRIES = 2**16    # larger tables are built one sender-photon sector at a time
 PRODUCT_FLOOR = 2.0**-500  # absolute slack of the product check, for underflowed weights
-# bytes per entry of a run while it is built, reduced and checked: at most 275
-# under tracemalloc over 41 channel outputs (m = 1..4, runs of 36 to 135,751
-# entries), at most 206 for runs above 1000 entries; the first call also
-# caches 0.13 MB of binomial coefficients
+# tracemalloc peak per entry of the largest run, built, reduced and checked: at
+# most 207 at m = 4 and 372 at m = 12 above 20,000 entries; below, the keep sets'
+# weights (240 + 8 (cutoff + 1) bytes each) and a call's 7 kB dominate (_budget)
 SECTOR_ENTRY_BYTES = 384
+MAX_WORK = math.comb(MAX_CUTOFF + 5, 5) << 4  # m = 4 at MAX_CUTOFF, the costliest of m <= 4
 # sqrt(n!), n <= MAX_CUTOFF, each correctly rounded from within 2^-100 of it
 _ROOT_FACTORIALS = np.array([math.isqrt(math.factorial(n) << 200) / 2**100
                              for n in range(MAX_CUTOFF + 1)])
 
 
 class InconclusiveVerificationError(RuntimeError):
-    """Truncation budget cannot be met; the check is inconclusive, not failed."""
+    """A budget cannot be met; the check is inconclusive, not failed."""
 
 
 def _thermal_weights(nbar: float, ns) -> list:
@@ -372,10 +370,32 @@ def _largest_run(m: int, cutoff: int) -> tuple:
     return (True, table) if table <= RUN_ENTRIES else (False, math.comb(cutoff + m, m))
 
 
-def _run_budget(m: int, cutoff: int) -> tuple:
-    """Entries of the largest run that :func:`_sector_runs` builds, and its bytes."""
+def _budget(m: int, n_s: float, cutoff) -> tuple:
+    """The cutoff and tail mass of a verification; before any sector is built,
+    :class:`InconclusiveVerificationError` for the first budget broken: cutoff,
+    tail mass, memory (``SECTOR_ENTRY_BYTES`` per entry of the largest run, per
+    keep-set weight or per 64 entries, whichever count is most) and work (the
+    table once per keep set, as :func:`_block_spectra` reads it).  ``MAX_WORK``
+    is the work of m = 4 at ``MAX_CUTOFF``: re-derive it once the 2^m passes go."""
+    cutoff = cutoff_for_tail(n_s) if cutoff is None else _count(cutoff, "cutoff")
+    if cutoff > MAX_CUTOFF:
+        raise InconclusiveVerificationError(f"cutoff {cutoff} exceeds the supported maximum "
+                                            f"{MAX_CUTOFF}")
+    tail = tail_mass(n_s, cutoff)
+    if tail >= TAIL_BUDGET:
+        raise InconclusiveVerificationError(f"tail mass {tail:.3e} at cutoff {cutoff} breaches "
+                                            f"the {TAIL_BUDGET:g} budget for n_s = {n_s!r}")
     _, run = _largest_run(m, cutoff)
-    return run, run * SECTOR_ENTRY_BYTES
+    need = max(run, (cutoff + 1) << m, 64) * SECTOR_ENTRY_BYTES
+    if need > MAX_DENSE_BYTES:
+        raise InconclusiveVerificationError(f"the largest run of sectors at cutoff {cutoff} holds "
+                                            f"{run} entries: {need} bytes, above the budget of "
+                                            f"{MAX_DENSE_BYTES} bytes")
+    work = math.comb(cutoff + m + 1, m + 1) << m
+    if work > MAX_WORK:
+        raise InconclusiveVerificationError(f"the {2**m} keep sets at cutoff {cutoff} take {work} "
+                                            f"entry passes, above the budget of {MAX_WORK}")
+    return cutoff, tail
 
 
 def _block_spectra(runs, m: int, cutoff: int) -> tuple:
@@ -430,19 +450,6 @@ def _block_spectra(runs, m: int, cutoff: int) -> tuple:
     return spectra, certified
 
 
-def _require_budget(n_s: float, cutoff) -> tuple:
-    _gaussian._photon_number(n_s)
-    cutoff = cutoff_for_tail(n_s) if cutoff is None else _count(cutoff, "cutoff")
-    if cutoff > MAX_CUTOFF:
-        raise InconclusiveVerificationError(f"cutoff {cutoff} exceeds the supported maximum "
-                                            f"{MAX_CUTOFF}")
-    tail = tail_mass(n_s, cutoff)
-    if tail >= TAIL_BUDGET:
-        raise InconclusiveVerificationError(f"tail mass {tail:.3e} at cutoff {cutoff} breaches "
-                                            f"the {TAIL_BUDGET:g} budget for n_s = {n_s!r}")
-    return cutoff, tail
-
-
 def verify_conditional_entropies(spec: BroadcastChannelSpec, n_s: float, cutoff=None,
                                   ordering=None) -> dict:
     """Check every merging rate -H(T | A, complement) three independent ways.
@@ -456,22 +463,14 @@ def verify_conditional_entropies(spec: BroadcastChannelSpec, n_s: float, cutoff=
     against the thermal weights of ``(1 - eta_j) * n_s`` within
     ``SCHMIDT_TOL``.  Returns the record ``bbcap verify`` prints: ``etas,
     ns, cutoff, tail_mass, cases, max_abs_dev, pass, schmidt``, where
-    ``pass`` holds when every case and every Schmidt record passes.  Raises
-    :class:`InconclusiveVerificationError` when the truncation or memory
-    budget is not met -- an inconclusive run, not a failed one.
+    ``pass`` holds when every case and every Schmidt record passes.  A bad
+    spec, energy or ordering raises ``ValueError`` before :func:`_budget`
+    can refuse the run (:class:`InconclusiveVerificationError`).
     """
-    if spec.m > 4:
-        raise ValueError("number-basis verification limited to m <= 4 receivers")
-    cutoff, tail = _require_budget(n_s, cutoff)
-    run, need = _run_budget(spec.m, cutoff)
-    if need > MAX_DENSE_BYTES:
-        raise InconclusiveVerificationError(
-            f"the largest run of sectors at cutoff {cutoff} holds {run} entries: "
-            f"{need} bytes, above the budget of {MAX_DENSE_BYTES} bytes"
-        )
+    gauss_state = _channel._thermal_output(spec, n_s, ordering)
+    cutoff, tail = _budget(spec.m, n_s, cutoff)
     spectra, certified = _block_spectra(_sector_runs(spec, n_s, cutoff, ordering), spec.m, cutoff)
     recv = _channel.receiver_labels(spec)
-    gauss_state = _channel._thermal_output(spec, n_s, ordering)
 
     def gauss_entropy(labels) -> float:
         return _gaussian.von_neumann_entropy(_gaussian.reduce(gauss_state, labels))

@@ -271,6 +271,22 @@ class TestVerifyCommand:
         assert err == ("bbcap: inconclusive: the largest run of sectors at cutoff 20 holds "
                        "1771 entries: 680064 bytes, above the budget of 1000 bytes\n")
 
+    def test_work_budget_is_inconclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(fock, "_sector_runs", None)  # refused before any sector is built
+        code, out, err = run_cli(capsys, "verify", "--etas", "0.1,0.1,0.1,0.1,0.1", "--ns", "1.5")
+        assert code == 2 and out == ""
+        assert err == ("bbcap: inconclusive: the 32 keep sets at cutoff 45 take 576302720 "
+                       "entry passes, above the budget of 132158208\n")
+
+    @pytest.mark.parametrize("ns", ["5", "0.5"])
+    def test_bad_ordering_is_refused_before_any_budget(self, capsys, ns):
+        # at N_S = 5 the cutoff budget would refuse the run; the ordering comes first
+        code, out, err = run_cli(capsys, "verify", "--etas", "0.2,0.3", "--ns", ns,
+                                 "--ordering", "B1,B1,E")
+        assert code == 1 and out == ""
+        assert err == ("bbcap: error: ('B1', 'B1', 'E') is not a permutation of "
+                       "('B1', 'B2', 'E')\n")
+
     def test_four_receivers_at_two_photons_passes(self, capsys):
         # m = 4 at N_S = 2: cutoff 56, C(61, 5) = 5949147 entries, streamed in runs
         code, out, err = run_cli(capsys, "verify", "--etas", "0.1,0.2,0.15,0.25", "--ns", "2")

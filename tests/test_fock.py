@@ -309,16 +309,24 @@ class TestReduceDensityMatchesReference:
         assert rho.blocks == () and rho.eigenvalues().size == 0
 
 
+ETAS12 = (0.1, 0.2, 0.15, 0.25, 0.05, 0.04, 0.03, 0.02, 0.01, 0.015, 0.025, 0.035)
+
+
 class TestDenseBudget:
-    def test_peak_memory_stays_within_the_estimate(self):
-        # the figure verification budgets: SECTOR_ENTRY_BYTES per entry of the
-        # largest run
+    def test_peak_memory_stays_within_the_estimate(self, monkeypatch):
+        # the figure verification budgets, read from the gate itself: a memory
+        # budget one byte below the peak must refuse the run.  Large and small
+        # tables at m = 1 to 12; the small ones at large m are bounded by their
+        # 2^m keep sets' weights, and the smallest by the 64-entry floor
         for etas, n_s in (((0.7,), 2.0), ((0.2, 0.3), 1.6), ((0.2, 0.3, 0.1), 0.05),
                           ((0.2, 0.3, 0.1), 1.0), ((0.1, 0.2, 0.15, 0.25), 0.3),
-                          ((0.1, 0.2, 0.15, 0.25), 1.0)):
+                          ((0.1, 0.2, 0.15, 0.25), 1.0), ((0.7,), 0.01), ((0.7,), 0.0),
+                          (ETAS12[:5], 0.5), (ETAS12[:5], 0.01), (ETAS12[:5], 0.0),
+                          (ETAS12[:8], 0.1), (ETAS12[:8], 0.01), (ETAS12, 0.03), (ETAS12, 0.01),
+                          (ETAS12, 0.0)):
             spec = BroadcastChannelSpec(etas)
             cutoff = cutoff_for_tail(n_s)
-            run, need = fock._run_budget(spec.m, cutoff)
+            _, run = fock._largest_run(spec.m, cutoff)
             sizes = []
 
             def runs():
@@ -335,13 +343,39 @@ class TestDenseBudget:
             assert certified, etas
             assert max(sizes) <= run, etas
             assert sum(sizes) == math.comb(cutoff + spec.m + 1, spec.m + 1), etas
-            assert peak <= need, (etas, n_s, peak, need)
+            monkeypatch.setattr(fock, "MAX_DENSE_BYTES", peak - 1)
+            with pytest.raises(InconclusiveVerificationError, match="bytes, above the budget"):
+                fock._budget(spec.m, n_s, cutoff)
 
     def test_verification_is_inconclusive(self, monkeypatch):
         monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 1000)
         monkeypatch.setattr(fock, "_sector_runs", None)  # refused before any sector is built
         with pytest.raises(InconclusiveVerificationError, match="budget of 1000 bytes"):
             verify_conditional_entropies(SPEC23, 0.2, cutoff=15)
+
+    @pytest.mark.parametrize("etas, n_s, message", [
+        ((0.1,) * 5, 1.5, "the 32 keep sets at cutoff 45 take 576302720 entry passes, "
+                          "above the budget of 132158208"),
+        (ETAS12, 0.05, "the 4096 keep sets at cutoff 7 take 317521920 entry passes, "
+                       "above the budget of 132158208"),
+    ])
+    def test_work_over_budget_is_inconclusive(self, monkeypatch, etas, n_s, message):
+        # both fit the memory budget: 2118760 and 50388 entries in the largest run
+        monkeypatch.setattr(fock, "_sector_runs", None)  # refused before any sector is built
+        with pytest.raises(InconclusiveVerificationError, match=f"^{message}$"):
+            verify_conditional_entropies(BroadcastChannelSpec(etas), n_s)
+
+    def test_work_budget_is_the_costliest_run_of_m_up_to_4(self):
+        # every (m <= 4, cutoff <= MAX_CUTOFF) run that the memory gate admitted
+        # under the former cap m <= 4 is admitted, and m = 4 at MAX_CUTOFF is
+        # exactly at the work budget
+        assert fock.MAX_WORK == math.comb(fock.MAX_CUTOFF + 5, 5) << 4 == 132158208
+        for m in range(1, 5):
+            for cutoff in range(fock.MAX_CUTOFF + 1):
+                _, run = fock._largest_run(m, cutoff)
+                assert run * fock.SECTOR_ENTRY_BYTES <= fock.MAX_DENSE_BYTES
+                assert fock._budget(m, 0.0, cutoff) == (cutoff, 0.0), (m, cutoff)
+        assert math.comb(fock.MAX_CUTOFF + 6, 6) << 5 > fock.MAX_WORK  # m = 5 has less reach
 
 
 def _tampered_runs(monkeypatch, change):
@@ -391,8 +425,9 @@ class TestRankOneCertificate:
     besides the base mode) and correctly rounded roots of factorials, and
     accepts a relative residual up to B = (1.5 m^2 + 8 m + 3) eps, so
     scaling one amplitude by 1 + delta is detected whenever delta is at
-    least 2B: 50 eps at m = 2, below the (24m + 4) eps used here, and
-    118 eps at m = 4 (CHANGES.md).
+    least 2B: 50 eps at m = 2, below the (24m + 4) eps used here,
+    118 eps at m = 4, and at m = 12, where B = 315 eps, 630 eps, about
+    1.4e-13 (CHANGES.md).
     """
 
     def test_one_amplitude_off_by_1e_12_fails(self, monkeypatch):
@@ -455,6 +490,15 @@ class TestRankOneCertificate:
         _tampered_runs(monkeypatch, _scaled((52, 10, 12, 10, 12, 8), 1 + 1e-12))
         report = verify_conditional_entropies(spec, 2.0)
         assert report["cutoff"] == 56
+        assert all(c["abs_dev"] < ENTROPY_TOL for c in report["cases"])
+        assert report["pass"] is False
+
+    @pytest.mark.parametrize("m, n_s, entry", [(6, 0.3, (7,) + (1,) * 7),
+                                               (12, 0.01, (4, 1, 1, 1, 1) + (0,) * 9)])
+    def test_one_amplitude_off_by_1e_12_fails_above_four_receivers(self, monkeypatch, m, n_s,
+                                                                    entry):
+        _tampered_runs(monkeypatch, _scaled(entry, 1 + 1e-12))
+        report = verify_conditional_entropies(BroadcastChannelSpec(ETAS12[:m]), n_s)
         assert all(c["abs_dev"] < ENTROPY_TOL for c in report["cases"])
         assert report["pass"] is False
 
@@ -596,8 +640,18 @@ class TestVerifyConditionalEntropies:
         assert verify_conditional_entropies(SPEC23, 0.2, cutoff=np.int64(15))["cutoff"] == 15
 
     def test_too_many_receivers(self):
-        with pytest.raises(ValueError):
-            verify_conditional_entropies(BroadcastChannelSpec((0.1,) * 5), 0.2)
+        # the network's cap, m <= 12, before any budget: N_S = 5 would be inconclusive
+        for n_s in (0.2, 5.0):
+            with pytest.raises(ValueError, match="network construction limited to m <= 12"):
+                verify_conditional_entropies(BroadcastChannelSpec((0.05,) * 13), n_s)
+
+    @pytest.mark.parametrize("m, n_s, cutoff", [(5, 1.0, 33), (6, 0.6, 23), (8, 0.2, 12),
+                                                (12, 0.01, 4)])
+    def test_every_m_the_network_admits(self, m, n_s, cutoff):
+        report = verify_conditional_entropies(BroadcastChannelSpec(ETAS12[:m]), n_s)
+        assert report["pass"] is True and report["cutoff"] == cutoff
+        assert len(report["cases"]) == 2**m and len(report["schmidt"]) == m
+        assert report["max_abs_dev"] < 1e-8
 
     def test_four_receivers(self):
         report = verify_conditional_entropies(BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25)), 0.1)
