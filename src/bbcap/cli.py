@@ -339,7 +339,7 @@ def _run_convergence(args, num) -> str:
     blocks, limit = [], list(map(num, bound.tolist()))
     # one energy's texts at a time: the whole grid's at once are no faster,
     # and hold every text of the table
-    for n_s, row in zip(args.ns_grid, rows):
+    for n_s, row in zip(map(region._energy, args.ns_grid), rows):  # checked: -0 prints as 0
         inner, gap = (list(map(num, b.tolist())) for b in (row, bound - row))
         if csv:
             lead, cells = f"\n{num(n_s)},", (texts, ",", inner, ",", limit, ",", gap)

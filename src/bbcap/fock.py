@@ -16,9 +16,11 @@ splitters are implemented, which is all the channel model needs.
 
 Verification builds the channel output one sender-photon sector k at a
 time, once the whole table would hold more than ``RUN_ENTRIES`` entries;
-joined, the sectors are the whole table bit for bit.
-Keeping A and receivers R, the entry <k, n_R; n_traced> lies in the block
-of traced photon count t = k - |n_R|.  Each block is rank one, so its one
+joined, the sectors are the whole table bit for bit.  A keep set is a
+receiver mask, receiver i at bit i - 1 as in :mod:`bbcap.region`, and the
+block weights of all 2^m keep sets are the rows of one array.  Keeping A
+and the receivers R, the entry <k, n_R; n_traced> lies in the block of
+traced photon count t = k - |n_R|.  Each block is rank one, so its one
 eigenvalue is its squared norm, summed by ``np.bincount``.  Rank one is
 certified, not assumed: the output's amplitude on (k; n_1..n_m, n_E) is
 C_k sqrt(k! / prod n_i!) prod phi_i(n_i), which makes every block of every
@@ -29,8 +31,7 @@ share 1 - eta_j, so block t's weight is a Schmidt coefficient, checked
 against entry t of ``_thermal_weights((1 - eta_j) * n_s, ...)``.
 :func:`split_with_vacuum` and :func:`reduce_density`, the general partial
 trace into Schmidt factors, are on no program path: they build and reduce
-the whole output, the plain reference for the blocks that verification
-streams.
+the whole output, the plain reference for the streamed blocks.
 
 :func:`verify_conditional_entropies` returns the record ``bbcap verify``
 prints, a plain dict, with its single pass verdict.
@@ -69,8 +70,8 @@ MAX_DENSE_BYTES = 2**30
 RUN_ENTRIES = 2**16    # larger tables are built one sender-photon sector at a time
 PRODUCT_FLOOR = 2.0**-500  # absolute slack of the product check, for underflowed weights
 # tracemalloc peak per entry of the largest run, built, reduced and checked: at
-# most 207 at m = 4 and 372 at m = 12 above 20,000 entries; below, the keep sets'
-# weights (240 + 8 (cutoff + 1) bytes each) and a call's 7 kB dominate (_budget)
+# most 206 at m = 4 and 335 at m = 12 above 20,000 entries; below, the keep sets'
+# weights (one array, 8 (cutoff + 1) 2^m bytes) and a call's 6 kB dominate (_budget)
 SECTOR_ENTRY_BYTES = 384
 MAX_WORK = math.comb(MAX_CUTOFF + 5, 5) << 4  # m = 4 at MAX_CUTOFF, the costliest of m <= 4
 # sqrt(n!), n <= MAX_CUTOFF, each correctly rounded from within 2^-100 of it
@@ -374,9 +375,9 @@ def _budget(m: int, n_s: float, cutoff) -> tuple:
     """The cutoff and tail mass of a verification; before any sector is built,
     :class:`InconclusiveVerificationError` for the first budget broken: cutoff,
     tail mass, memory (``SECTOR_ENTRY_BYTES`` per entry of the largest run, per
-    keep-set weight or per 64 entries, whichever count is most) and work (the
-    table once per keep set, as :func:`_block_spectra` reads it).  ``MAX_WORK``
-    is the work of m = 4 at ``MAX_CUTOFF``: re-derive it once the 2^m passes go."""
+    entry of :func:`_block_spectra`'s keep-set weights or per 64 entries, by the
+    largest count) and work (the table once per keep set).  ``MAX_WORK`` is the
+    work of m = 4 at ``MAX_CUTOFF``: re-derive it once the 2^m passes go."""
     cutoff = cutoff_for_tail(n_s) if cutoff is None else _count(cutoff, "cutoff")
     if cutoff > MAX_CUTOFF:
         raise InconclusiveVerificationError(f"cutoff {cutoff} exceeds the supported maximum "
@@ -399,9 +400,10 @@ def _budget(m: int, n_s: float, cutoff) -> tuple:
 
 
 def _block_spectra(runs, m: int, cutoff: int) -> tuple:
-    """``({R: weights}, certified)`` over every reduction onto (A, R), R a
-    tuple of receiver columns: ``weights[t]`` is the squared norm of the block
-    of traced photon count t, its one eigenvalue if the block is rank one.
+    """``(weights, certified)``: row ``mask`` of the ``(2^m, cutoff + 1)`` array
+    ``weights`` is the reduction onto A and the receivers of ``mask`` (receiver
+    i at bit i - 1), and ``weights[mask, t]`` the squared norm of its block of
+    traced photon count t, the block's one eigenvalue if it is rank one.
 
     ``certified`` is one verdict for the table, which the reductions keeping
     1..m-1 receivers need (blocks of one row or one column are rank one):
@@ -410,8 +412,7 @@ def _block_spectra(runs, m: int, cutoff: int) -> tuple:
     product table's, so that no entry of weight is missing (CHANGES.md
     derives both bounds).  It is True at m = 1, where no reduction needs it.
     """
-    keeps = [tuple(i for i in range(1, m + 1) if mask >> (i - 1) & 1) for mask in range(2**m)]
-    spectra = {kept: np.zeros(cutoff + 1) for kept in keeps}
+    spectra = np.zeros((1 << m, cutoff + 1))
     singles, certified, eps = np.zeros((m + 1, cutoff + 1)), True, np.finfo(float).eps
     root = _ROOT_FACTORIALS[: cutoff + 1]
     bound = (1.5 * m * m + 8 * m + 3) * eps
@@ -419,8 +420,8 @@ def _block_spectra(runs, m: int, cutoff: int) -> tuple:
         cols, sq = np.ascontiguousarray(occ.T), amps * amps
         # squares added in chunks of 64 entries, then pairwise over the chunks
         chunk, bins = np.arange(sq.size) // 64 * (cutoff + 1), (sq.size // 64 + 1) * (cutoff + 1)
-        for kept, weights in spectra.items():
-            t = cols[0] - sum(cols[i] for i in kept)
+        for mask, weights in enumerate(spectra):
+            t = cols[0] - sum(cols[i] for i in range(1, m + 1) if mask >> (i - 1) & 1)
             weights += np.bincount(t + chunk, sq, bins).reshape(-1, cutoff + 1).T.copy().sum(1)
         if not certified or m == 1:
             continue
@@ -440,7 +441,7 @@ def _block_spectra(runs, m: int, cutoff: int) -> tuple:
         # written as all(err <= bound), so that a NaN fails
         certified = bool(np.all(np.abs(err, out=err) <= bound * np.abs(amps) + PRODUCT_FLOOR))
     if certified and m > 1:  # the last run's factors are the whole table's
-        norms, got = np.ones(1), spectra[()]
+        norms, got = np.ones(1), spectra[0]
         for row in factors[1:]:
             norms = np.convolve(norms, row * row)[: cutoff + 1]
         norms *= factors[0] * factors[0]
@@ -454,58 +455,57 @@ def verify_conditional_entropies(spec: BroadcastChannelSpec, n_s: float, cutoff=
                                   ordering=None) -> dict:
     """Check every merging rate -H(T | A, complement) three independent ways.
 
-    For each nonempty receiver subset the number-basis value, the
-    covariance-matrix value and the closed form must agree within
-    ``ENTROPY_TOL``, and the Fock value's blocks must be certified rank
-    one; a global-purity case (H of all kept modes vs H of the
-    environment) rides along.  Every receiver j gets a Schmidt record: the
-    certified (A, Bj) block weights of the same output, index by index
-    against the thermal weights of ``(1 - eta_j) * n_s`` within
-    ``SCHMIDT_TOL``.  Returns the record ``bbcap verify`` prints: ``etas,
-    ns, cutoff, tail_mass, cases, max_abs_dev, pass, schmidt``, where
-    ``pass`` holds when every case and every Schmidt record passes.  A bad
-    spec, energy or ordering raises ``ValueError`` before :func:`_budget`
-    can refuse the run (:class:`InconclusiveVerificationError`).
+    For each nonempty receiver subset T, a mask as in :mod:`bbcap.region`, three
+    values must agree within ``ENTROPY_TOL``: the number-basis one, the entropies
+    of block-weight rows ``full ^ T`` less ``full``, whose blocks must be
+    certified rank one; the covariance-matrix one; and the closed form, entry T
+    of the region's bound vector, unchecked.  A global-purity case (H of all
+    kept modes vs H of the environment) rides along.  Every receiver j gets a
+    Schmidt record: the certified (A, Bj) block weights, row ``1 << (j - 1)``,
+    index by index against the thermal weights of ``(1 - eta_j) * n_s`` within
+    ``SCHMIDT_TOL``.  Returns the record ``bbcap verify`` prints: ``etas, ns,
+    cutoff, tail_mass, cases, max_abs_dev, pass, schmidt``, where ``pass`` holds
+    when every case and every Schmidt record passes.  A bad spec, energy or
+    ordering raises ``ValueError`` before :func:`_budget` can refuse the run
+    (:class:`InconclusiveVerificationError`).
     """
     gauss_state = _channel._thermal_output(spec, n_s, ordering)
     cutoff, tail = _budget(spec.m, n_s, cutoff)
+    n_s = _gaussian._photon_number(n_s)
     spectra, certified = _block_spectra(_sector_runs(spec, n_s, cutoff, ordering), spec.m, cutoff)
+    h, full = list(map(_shannon_bits, spectra)), (1 << spec.m) - 1
+    closed = _region._bound_rows(spec, [n_s])[0].tolist()  # unchecked: no region is built
     recv = _channel.receiver_labels(spec)
 
     def gauss_entropy(labels) -> float:
         return _gaussian.von_neumann_entropy(_gaussian.reduce(gauss_state, labels))
-
-    def fock_entropy(labels) -> float:
-        return _shannon_bits(spectra[tuple(recv.index(lab) + 1 for lab in labels)])
 
     def case(name, gauss_val, fock_val, closed_val, dev, certified=True) -> dict:
         return {"case": name, "gaussian_bits": gauss_val, "fock_bits": fock_val,
                 "closed_form_bits": closed_val, "abs_dev": dev, "tail_mass": tail,
                 "pass": dev < ENTROPY_TOL and certified}
 
-    h_sender_all = fock_entropy(recv)
     # H(T | E) = H(T, E) - H(E), as conditional_entropy takes it, with H(E) once
     h_env_gauss = gauss_entropy((_channel.ENV_LABEL,))
     cases = []
     for t in _region.nonempty_subsets(spec.m):
+        mask = _region._mask(t)
         t_labels = tuple(recv[i - 1] for i in sorted(t))
         rest = tuple(lab for lab in recv if lab not in t_labels)
-        fock_val = fock_entropy(rest) - h_sender_all
+        fock_val = h[full ^ mask] - h[full]
         gauss_val = gauss_entropy(t_labels + (_channel.ENV_LABEL,)) - h_env_gauss
-        closed_val = _region.inner_bound_finite(spec, n_s, t)
+        closed_val = closed[mask]
         dev = max(abs(fock_val - gauss_val), abs(fock_val - closed_val))
         name = "-H({}|A,{})".format(",".join(t_labels), ",".join(rest) or "-")
         # keeping A alone, each block is one row: rank one without the verdict
         cases.append(case(name, gauss_val, fock_val, closed_val, dev, certified or not rest))
-    # global purity: the kept modes share the spectrum of the environment,
-    # whose truncated photon weights follow from the spec alone
-    h_env = _shannon_bits(_photon_weights(n_s, cutoff, spec.eta_env))
-    purity_dev = abs(h_sender_all - h_env)
+    # global purity: the kept modes share the environment's spectrum, known from the spec
+    purity_dev = abs(h[full] - _shannon_bits(_photon_weights(n_s, cutoff, spec.eta_env)))
     cases.append(case("purity H(A,{})=H(E)".format(",".join(recv)), 0.0, purity_dev, 0.0,
                       purity_dev))
     schmidt = []
     for j, eta in enumerate(spec.etas, 1):
-        weights = spectra[(j,)]
+        weights = spectra[1 << (j - 1)]
         mu = max(1.0 - eta, 0.0) * n_s  # the spec admits eta within ETA_TOL above 1
         dev = float(np.max(np.abs(weights - _thermal_weights(mu, range(cutoff + 1)))))
         schmidt.append({"arm_transmittance": eta, "ns": n_s, "cutoff": cutoff, "tail_mass": tail,

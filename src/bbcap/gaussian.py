@@ -151,14 +151,14 @@ def _libm(fn, x):
 
 def _photon_number(n_s) -> float:
     """``n_s`` as a float, refused unless a real number (never text, None or a
-    bool), finite and nonnegative."""
+    bool), finite and nonnegative; -0.0 is returned as 0.0."""
     # plain floats skip the ABC check, which costs several times the rest
     if type(n_s) is not float and (type(n_s) is bool or not isinstance(n_s, numbers.Real)):
         raise ValueError(f"input photon number must be a real number, got {n_s!r}")
     value = float(n_s)
     if not 0.0 <= value < math.inf:
         raise ValueError(f"input photon number must be finite and nonnegative, got {n_s!r}")
-    return value
+    return value + 0.0  # -0.0 + 0.0 is 0.0; every other value is unchanged
 
 
 def _left_sum(values) -> float:

@@ -380,14 +380,15 @@ def render_boundary_reference(pts, fmt: str, prec: int) -> str:
 
 def convergence_table(etas, ns_grid) -> list:
     """Rows (ns, subset, inner bound, unconstrained bound, gap) for every T,
-    from one ``capacity_region`` per grid energy, subsets in the CLI's order."""
+    from one ``capacity_region`` per grid energy, subsets in the CLI's order;
+    ``ns`` is the region's checked energy."""
     spec = BroadcastChannelSpec(tuple(etas))
     limit, rows = capacity_region(spec), []
     for n_s in ns_grid:
         inner = capacity_region(spec, n_s)
         for t in nonempty_subsets(spec.m):
             i, a = inner.bound(t), limit.bound(t)
-            rows.append({"ns": float(n_s), "subset": sorted(t), "inner_bound_bits": i,
+            rows.append({"ns": inner.energy, "subset": sorted(t), "inner_bound_bits": i,
                          "asymptotic_bound_bits": a, "gap_bits": a - i})
     return rows
 

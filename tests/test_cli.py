@@ -295,9 +295,24 @@ class TestVerifyCommand:
         assert data["pass"] is True and data["cutoff"] == 56 and len(data["cases"]) == 16
 
     def test_zero_energy_prints_no_negative_zero(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--etas", "0.4", "--ns", "0")
-        assert code == 0 and "-0.0" not in out
-        assert json.loads(out)["cases"][0]["gaussian_bits"] == 0.0
+        # -0 is a zero energy: every command prints the checked energy, +0
+        def positive_zero(x):
+            return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+        for ns in ("0", "-0"):
+            for command, etas in (("region", "0.4,0.2"), ("vertices", "0.4,0.2")):
+                code, out, _ = run_cli(capsys, command, "--etas", etas, f"--ns={ns}")
+                assert code == 0 and "-0" not in out, (command, ns)
+                assert positive_zero(json.loads(out)["energy"]), (command, ns)
+            code, out, _ = run_cli(capsys, "verify", "--etas", "0.4", f"--ns={ns}")
+            assert code == 0 and "-0.0" not in out, ns
+            record = json.loads(out)
+            assert record["cases"][0]["gaussian_bits"] == 0.0
+            assert positive_zero(record["ns"]) and positive_zero(record["schmidt"][0]["ns"]), ns
+            code, out, _ = run_cli(capsys, "convergence", "--etas", "0.2,0.3", f"--ns-grid={ns}",
+                                   "--format", "csv")
+            rows = out.splitlines()[1:]
+            assert code == 0 and len(rows) == 3 and all(r.startswith("0,") for r in rows), ns
 
     def test_explicit_ordering(self, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bbcap import channel, fock, gaussian
+from bbcap import channel, fock, gaussian, region
 from bbcap.channel import BroadcastChannelSpec, receiver_labels
 from bbcap.fock import (
     ENTROPY_TOL,
@@ -19,7 +19,7 @@ from bbcap.fock import (
     verify_conditional_entropies,
 )
 from bbcap.gaussian import conditional_entropy, entropy_g, reduce, von_neumann_entropy
-from bbcap.region import inner_bound_finite_gaussian, nonempty_subsets
+from bbcap.region import inner_bound_finite, inner_bound_finite_gaussian, nonempty_subsets
 from oracles import (
     channel_output_fock,
     output_state_tmsv,
@@ -521,8 +521,9 @@ class TestRankOneCertificate:
         state = channel_output_fock(spec, n_s, cutoff, ordering)
         spectra, certified = fock._block_spectra(fock._sector_runs(spec, n_s, cutoff, ordering),
                                                  spec.m, cutoff)
-        assert certified and len(spectra) == 2**spec.m
-        for kept, weights in spectra.items():
+        assert certified and spectra.shape == (2**spec.m, cutoff + 1)
+        for mask, weights in enumerate(spectra):
+            kept = tuple(i for i in range(1, spec.m + 1) if mask >> (i - 1) & 1)
             rho = reduce_density(state, ("A",) + tuple(f"B{i}" for i in kept))
             blocks = np.zeros(cutoff + 1, dtype=bool)
             for basis, fac in rho.blocks:
@@ -548,10 +549,11 @@ class TestRankOneCertificate:
         assert np.array_equal(np.concatenate([a for _, a in sectors]), state.amplitudes)
         spectra, certified = fock._block_spectra(iter(sectors), 3, cutoff)
         assert certified
-        for kept, weights in spectra.items():
+        assert spectra.shape == whole.shape == (8, cutoff + 1)
+        for mask, weights in enumerate(spectra):
             # each weight adds the same squares in another grouping, each sum
             # within (entries - 1) u of the exact one
-            np.testing.assert_allclose(weights, whole[kept], rtol=state.amplitudes.size * EPS,
+            np.testing.assert_allclose(weights, whole[mask], rtol=state.amplitudes.size * EPS,
                                        atol=0)
 
     @pytest.mark.parametrize("etas, n_s, ordering", [
@@ -652,6 +654,42 @@ class TestVerifyConditionalEntropies:
         assert report["pass"] is True and report["cutoff"] == cutoff
         assert len(report["cases"]) == 2**m and len(report["schmidt"]) == m
         assert report["max_abs_dev"] < 1e-8
+
+    @pytest.mark.parametrize("m, n_s", [(6, 0.3), (12, 0.01)])
+    def test_reversed_ordering_keeps_each_receiver_its_row(self, m, n_s):
+        # the weights' rows are masks of receiver numbers, not of split
+        # positions: splitting E, Bm, ..., B1 reverses every stage, and each
+        # case still reads its own receivers' blocks (measured: within 9e-15)
+        spec = BroadcastChannelSpec(ETAS12[:m])
+        ordering = ("E",) + tuple(f"B{i}" for i in range(m, 0, -1))
+        default = verify_conditional_entropies(spec, n_s)
+        split_reversed = verify_conditional_entropies(spec, n_s, ordering=ordering)
+        assert default["pass"] is True and split_reversed["pass"] is True
+        assert len(split_reversed["cases"]) == 2**m
+        for a, b in zip(default["cases"], split_reversed["cases"]):
+            assert a["case"] == b["case"] and a["closed_form_bits"] == b["closed_form_bits"]
+            for key in ("fock_bits", "gaussian_bits"):
+                assert abs(a[key] - b[key]) <= 1e-12, (a["case"], key)
+
+    def test_closed_forms_are_one_row_of_the_bound_vector(self, monkeypatch):
+        # one _bound_rows call for every subset's closed form, and no scalar bound
+        bound_rows, calls = region._bound_rows, []
+
+        def counted(*args):
+            calls.append(args)
+            return bound_rows(*args)
+
+        def refuse(*args):
+            raise AssertionError("verification evaluated a bound one subset at a time")
+
+        monkeypatch.setattr(region, "_bound_rows", counted)
+        monkeypatch.setattr(region, "inner_bound_finite", refuse)
+        spec = BroadcastChannelSpec(ETAS12[:3])
+        report = verify_conditional_entropies(spec, 0.2)
+        assert report["pass"] is True and len(calls) == 1
+        monkeypatch.undo()
+        assert [c["closed_form_bits"] for c in report["cases"][:-1]] == [
+            inner_bound_finite(spec, 0.2, t) for t in nonempty_subsets(3)]
 
     def test_four_receivers(self):
         report = verify_conditional_entropies(BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25)), 0.1)
@@ -810,7 +848,7 @@ class TestSchmidtRecord:
         report = verify_conditional_entropies(spec, n_s, ordering=ordering)
         cutoff = report["cutoff"]
         for j, (eta, record) in enumerate(zip(etas, report["schmidt"]), 1):
-            weights, certified = spectra[0][0][(j,)], spectra[0][1]
+            weights, certified = spectra[0][0][1 << (j - 1)], spectra[0][1]
             assert certified and record["pass"] is True, j
             sv = _schmidt_spectrum(eta, n_s, cutoff)
             assert sv.size == cutoff + 1

@@ -401,20 +401,24 @@ def _check_case(rng, m, kind):
 class TestBoundVector:
     """The 2^m bounds, one array expression, against the single-subset functions."""
 
-    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("m", range(1, channel.MAX_RECEIVERS + 1))
     def test_every_subset_matches_the_scalar_functions_bitwise(self, m):
-        # the decades 1e-2..1e8 spread over m, three or four each
+        # the decades 1e-2..1e8 spread over m, three or four each, g's floor
+        # 1e-12 and an energy of verify's range; up to the largest m verify
+        # takes, since it reads its closed forms from this one-row vector,
+        # unchecked (at 1e-12 a region may refuse it)
         rng = np.random.RandomState(90 + m)
         specs = [random_interior_spec(rng, m)]
         if m in (3, 6):  # a zero-weight receiver, and no environment at all
             etas = list(specs[0].etas)
             etas[1] = 0.0
             specs += [BroadcastChannelSpec(etas), BroadcastChannelSpec([1.0 / m] * m)]
-        energies = [UNCONSTRAINED, 0.0] + [10.0 ** k for k in range(-2, 9)][m % 3 :: 3]
+        energies = [UNCONSTRAINED, 0.0, 1e-12, float(rng.uniform(0.1, 2.0))] + [
+            10.0 ** k for k in range(-2, 9)][m % 3 :: 3]
         ground = frozenset(range(1, m + 1))
         for spec in specs:
             for energy in energies:
-                f = capacity_region(spec, energy)._f
+                f = region._bound_rows(spec, [energy])[0]
                 for mask in range(1, 1 << m):
                     t = frozenset(i + 1 for i in range(m) if mask >> i & 1)
                     if energy == UNCONSTRAINED:
