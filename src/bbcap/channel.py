@@ -15,15 +15,15 @@ order, stage j hands its output ``eta_j / r_j`` of the arm and passes on
 The cascade is passive, so it acts on mode amplitudes as an orthogonal
 matrix (Weedbrook et al., RMP 84, 621, arXiv:1110.3234, §II.C).  With
 vacuum on the other ports the arm reaches output j with a real amplitude
-u_j, ``u_j**2 = eta_j``, and the outputs' covariance is
-``I + u uᵀ ⊗ (V_arm - I)``: no per-stage matrix is needed.  The output on
-(A, B1..Bm, E) is pure, so a set of modes and its complement share their
-entropy: ``-H(S1 | A, S2) = H(S1 | R, E)``, R the receivers outside S1 and
-S2.  The outputs alone are the split of a thermal arm, ``V_arm = (2 n_s +
-1) I``, with no reference mode or squeezing.
+u_j, ``u_j**2 = eta_j``.  The output on (A, B1..Bm, E) is pure, so a set of
+modes and its complement share their entropy: ``-H(S1 | A, S2) = H(S1 | R,
+E)``, R the receivers outside S1 and S2.  So the outputs alone, the split of
+a thermal arm ``V_arm = (2 n_s + 1) I`` with no reference mode or squeezing,
+are all the program needs, and ``_thermal_output``, their one writer, writes
+their covariance as ``I + u uᵀ ⊗ 2 n_s I``: no per-stage matrix is needed.
 
 Output modes are always reported in the fixed order
-``(A, B1, ..., Bm, E)`` regardless of the split ordering, so covariance
+``(B1, ..., Bm, E)`` regardless of the split ordering, so covariance
 matrices can be compared bit-stably.
 """
 
@@ -195,10 +195,12 @@ def build_network(spec: BroadcastChannelSpec, ordering=None) -> BeamSplitterNetw
     return BeamSplitterNetwork(ordering, tuple(stages))
 
 
-def _arm_outputs(spec: BroadcastChannelSpec, excess: np.ndarray, ordering=None) -> tuple:
-    """The outputs' amplitudes ``u`` and covariance ``I + u uᵀ ⊗ excess`` for an arm
-    ``V_arm = I + excess``, in output order: u_j is the through-arm's product of
-    ``sqrt(transmittance)`` so far, times ``sqrt(share)`` of its own stage."""
+def _thermal_output(spec: BroadcastChannelSpec, n_s: float, ordering=None) -> CovarianceState:
+    """The outputs (B1, ..., Bm, E) of a thermal arm of ``n_s`` photons, the TMSV
+    output with A traced: the channel's one covariance writer, validated once.
+    u_j is the through-arm's product of ``sqrt(transmittance)`` so far, times
+    ``sqrt(share)`` of its own stage, and the covariance is ``I + u uᵀ ⊗ 2 n_s I``."""
+    excess = 2.0 * gaussian._photon_number(n_s) * _I2
     net = build_network(spec, ordering)
     amp, through = {}, 1.0
     for stage in net.stages:
@@ -209,13 +211,6 @@ def _arm_outputs(spec: BroadcastChannelSpec, excess: np.ndarray, ordering=None) 
     size = 2 * len(u)
     cov = (np.multiply.outer(u, u)[:, None, :, None] * excess[:, None]).reshape(size, size)
     cov.reshape(-1)[:: size + 1] += 1.0  # the vacuum's I
-    return u, cov
-
-
-def _thermal_output(spec: BroadcastChannelSpec, n_s: float, ordering=None) -> CovarianceState:
-    """The outputs (B1, ..., Bm, E) of a thermal arm of ``n_s`` photons: the
-    TMSV output with A traced, written and validated once."""
-    _, cov = _arm_outputs(spec, 2.0 * gaussian._photon_number(n_s) * _I2, ordering)
     return CovarianceState(output_labels(spec), cov)
 
 

@@ -65,7 +65,7 @@ def _parse_floats(text: str, flag: str) -> tuple:
 
 def _parse_ns(text: str):
     if text.strip().lower() == "inf":
-        return "inf"
+        return region.UNCONSTRAINED
     try:
         value = float(text)
     except ValueError:
@@ -139,7 +139,7 @@ def parse_args(argv) -> argparse.Namespace:
     if hasattr(args, "ns"):
         args.ns = _parse_ns(args.ns)
     if args.command == "verify":
-        if args.ns == "inf":
+        if args.ns == region.UNCONSTRAINED:
             raise UsageError("argument --ns: verification needs finite energy")
         if args.ordering is not None:
             args.ordering = tuple(s.strip() for s in args.ordering.split(","))
@@ -177,9 +177,7 @@ def _bounded(limit):
 
 
 def _region_for(args):
-    spec = BroadcastChannelSpec(args.etas)
-    energy = region.UNCONSTRAINED if args.ns == "inf" else args.ns
-    return region.capacity_region(spec, energy)
+    return region.capacity_region(BroadcastChannelSpec(args.etas), args.ns)
 
 
 def _emit(text: str, output) -> int:
@@ -374,9 +372,12 @@ class _FailedCheck(str):
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one invocation from :func:`parse_args`; returns the process exit status."""
+    """Execute one invocation from :func:`parse_args`; returns the process exit status.
+
+    A bad ``BBC_CAPACITY_PRECISION`` raises :class:`UsageError` before the run."""
+    num = _numbers(_precision(), args.fmt)
     try:
-        text = args.runner(args, _numbers(_precision(), args.fmt))
+        text = args.runner(args, num)
     except InconclusiveVerificationError as exc:
         sys.stderr.write(f"bbcap: inconclusive: {exc}\n")
         return 2
@@ -391,11 +392,10 @@ def run(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = parse_args(argv)
+        return run(parse_args(argv))
     except UsageError as exc:
         sys.stderr.write(f"bbcap: usage error: {exc}\n")
         return 1
-    return run(args)
 
 
 if __name__ == "__main__":

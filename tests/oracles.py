@@ -5,10 +5,11 @@ spectral sums, split populations from explicit binomial mixing, polytope
 vertices from hyperplane intersection or a depth-first greedy walk, channel
 outputs from a cascade of dense beam-splitter matrices, and command-line
 output from ``json.dumps``.  Four exceptions use the library: the TMSV
-route at the end builds library states and sends a TMSV arm through the
-channel's amplitude map, the two-mode route the library's thermal route is
-checked against; ``convergence_table`` reads each subset's bound from
-one ``capacity_region`` per grid energy, the route the command's bound
+route at the end takes its stages from ``channel.build_network`` and
+returns validated library states, but writes the output by the dense
+cascade, the two-mode route the library's thermal route is checked
+against; ``convergence_table`` reads each subset's bound from one
+``capacity_region`` per grid energy, the route the command's bound
 columns are checked against; ``render_region_reference`` reads a
 region's bounds one subset at a time through ``CapacityRegion.bound``; and
 ``channel_output_fock`` builds the whole number-basis output with
@@ -235,29 +236,6 @@ def beam_splitter(eta: float, mode_a: int, mode_b: int, n_modes: int) -> np.ndar
     s[b : b + 2, a : a + 2] = -r * np.eye(2)
     s[b : b + 2, b : b + 2] = t * np.eye(2)
     return s
-
-
-def apply_channel_dense(net, cov4) -> np.ndarray:
-    """Output covariance of :func:`apply_channel`, by the dense cascade.
-
-    ``net`` is a ``BeamSplitterNetwork`` and ``cov4`` the two-mode input's
-    covariance.  m vacuum ancillas are adjoined; stage j mixes ancilla 2+j
-    with the through-arm (mode 1) by ``S V Sᵀ`` with a 2n×2n beam-splitter
-    matrix, and the arm ends carrying the ordering's last label.  Modes are
-    returned in the order ``(A, B1, ..., Bm, E)``.
-    """
-    m = len(net.stages)
-    n = m + 2
-    cov = np.eye(2 * n)
-    cov[:4, :4] = cov4
-    for j, stage in enumerate(net.stages):
-        s = beam_splitter(stage.transmittance, 2 + j, 1, n)
-        cov = s @ cov @ s.T
-        cov = 0.5 * (cov + cov.T)
-    slots = ("A", net.ordering[-1]) + tuple(stage.output for stage in net.stages)
-    labels = ("A",) + tuple(f"B{i}" for i in range(1, m + 1)) + ("E",)
-    qi = [q for lab in labels for q in (2 * slots.index(lab), 2 * slots.index(lab) + 1)]
-    return cov[np.ix_(qi, qi)]
 
 
 def reduce_density_reference(state, keep) -> tuple:
@@ -507,20 +485,30 @@ def permute_modes(state, new_order):
 
 
 def apply_channel(spec, state, ordering=None):
-    """Send the second mode (the arm) of a two-mode state through the channel.
+    """Send the second mode (the arm) of a two-mode state through the channel,
+    by a cascade of dense beam-splitter matrices, and validate the output once.
 
+    m vacuum ancillas are adjoined; stage j of ``channel.build_network`` mixes
+    ancilla 2+j with the through-arm (mode 1) by ``S V Sᵀ`` with a 2n×2n
+    :func:`beam_splitter`, and the arm ends carrying the ordering's last label.
     The first mode is kept as the sender's reference and the output keeps E:
-    modes come back as ``(A, B1, ..., Bm, E)``.  The blocks ``V_AA``, ``u_j
-    V_A,arm`` and the channel's arm outputs are written once, and validated
-    once.
+    modes come back as ``(A, B1, ..., Bm, E)``.
     """
     if state.n_modes != 2:
         raise ValueError(f"channel input must have exactly 2 modes, got {state.n_modes}")
-    v = state.cov
-    u, arm = channel._arm_outputs(spec, v[2:, 2:] - np.eye(2), ordering)
-    cross = (v[:2, None, 2:] * u[:, None]).reshape(2, len(arm))
-    cov = np.block([[v[:2, :2], cross], [cross.T, arm]])
-    return CovarianceState((state.mode_labels[0],) + channel.output_labels(spec), cov)
+    net = channel.build_network(spec, ordering)
+    m = len(net.stages)
+    n = m + 2
+    cov = np.eye(2 * n)
+    cov[:4, :4] = state.cov
+    for j, stage in enumerate(net.stages):
+        s = beam_splitter(stage.transmittance, 2 + j, 1, n)
+        cov = s @ cov @ s.T
+        cov = 0.5 * (cov + cov.T)
+    slots = ("A", net.ordering[-1]) + tuple(stage.output for stage in net.stages)
+    labels = ("A",) + tuple(f"B{i}" for i in range(1, m + 1)) + ("E",)
+    qi = [q for lab in labels for q in (2 * slots.index(lab), 2 * slots.index(lab) + 1)]
+    return CovarianceState((state.mode_labels[0],) + labels[1:], cov[np.ix_(qi, qi)])
 
 
 def output_state_tmsv(spec, n_s: float, ordering=None):

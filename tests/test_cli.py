@@ -23,6 +23,40 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Documented refusals, each ending as exit status 1 or 2, no stdout and one stderr
+# line: argv, BBC_CAPACITY_PRECISION (None: unset), the status and the line.  CI
+# runs each one as a process as well.
+REFUSALS = {
+    "ns_not_a_number": (["region", "--etas", "0.2,0.3", "--ns", "abc"], None, 1,
+                        "bbcap: usage error: argument --ns: expected a real or 'inf', got 'abc'"),
+    "empty_grid": (["convergence", "--etas", "0.2,0.3", "--ns-grid", ","], None, 1,
+                   "bbcap: usage error: argument --ns-grid: needs at least one value"),
+    "precision_0": (["region", "--etas", "0.2,0.3"], "0", 1,
+                    "bbcap: usage error: BBC_CAPACITY_PRECISION must be in 1..17, got 0"),
+    "precision_18": (["region", "--etas", "0.2,0.3"], "18", 1,
+                     "bbcap: usage error: BBC_CAPACITY_PRECISION must be in 1..17, got 18"),
+    "cutoff_61": (["verify", "--etas", "0.2,0.3", "--ns", "0.5", "--cutoff", "61"], None, 2,
+                  "bbcap: inconclusive: cutoff 61 exceeds the supported maximum 60"),
+    "vertices_m9": (["vertices", "--etas", ",".join(["0.1"] * 9)], None, 1,
+                    "bbcap: error: vertex enumeration limited to m <= 8"),
+    "boundary_unbounded": (["boundary", "--etas", "0.6,0.4", "--ns", "inf"], None, 1,
+                           "bbcap: error: region is unbounded; boundary is undefined"),
+    "convergence_unbounded": (["convergence", "--etas", "0.6,0.4", "--ns-grid", "1"], None, 1,
+                              "bbcap: error: unconstrained bounds are unbounded when the "
+                              "receivers take everything"),
+    "verify_work_budget": (["verify", "--etas", "0.1,0.1,0.1,0.1,0.1", "--ns", "1.5"], None, 2,
+                           "bbcap: inconclusive: the 32 keep sets at cutoff 45 take 576302720 "
+                           "entry passes, above the budget of 132158208"),
+}
+
+
+@pytest.mark.parametrize("argv, precision, status, line", REFUSALS.values(), ids=REFUSALS)
+def test_documented_refusal_ends_as_one_line(capsys, monkeypatch, argv, precision, status, line):
+    if precision is not None:
+        monkeypatch.setenv("BBC_CAPACITY_PRECISION", precision)
+    assert run_cli(capsys, *argv) == (status, "", line + "\n")
+
+
 class TestRegionCommand:
     def test_unconstrained_region_json(self, capsys):
         code, out, _ = run_cli(
@@ -152,6 +186,10 @@ class TestBoundaryCommand:
         with pytest.raises(BrokenPipeError):
             cli.main(["region", "--etas", "0.2,0.3"])
         assert "cannot write" not in capsys.readouterr().err
+
+    def test_weightless_receivers_give_the_origin(self, capsys):
+        code, out, _ = run_cli(capsys, "boundary", "--etas", "0,0", "--points", "3")
+        assert (code, out) == (0, "r1_bits,r2_bits\n0,0\n0,0\n0,0\n")
 
     def test_wrong_m_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "boundary", "--etas", "0.5")
@@ -376,9 +414,12 @@ class TestUsageAndPrecision:
         assert "1,0.485\n" in out
 
     def test_bad_precision_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("BBC_CAPACITY_PRECISION", "fifty")
-        code, _, err = run_cli(capsys, "region", "--etas", "0.2,0.3")
-        assert code == 1 and "BBC_CAPACITY_PRECISION" in err
+        # read when the run starts, and refused as a usage error like any option
+        for raw, rule in (("fifty", "an integer, got 'fifty'"), ("0", "in 1..17, got 0"),
+                          ("18", "in 1..17, got 18")):
+            monkeypatch.setenv("BBC_CAPACITY_PRECISION", raw)
+            assert run_cli(capsys, "region", "--etas", "0.2,0.3") == (
+                1, "", f"bbcap: usage error: BBC_CAPACITY_PRECISION must be {rule}\n")
 
 
 def _nan_amplitude(monkeypatch):

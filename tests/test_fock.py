@@ -175,6 +175,18 @@ class TestReduceDensity:
             reduce_density(tmsv_fock(0.5, 5), ())
 
 
+class TestDensityMatrixValidation:
+    def test_factor_must_match_its_basis(self):
+        basis = np.array([[0], [1]])
+        with pytest.raises(ValueError, match="^block factor does not match its basis size$"):
+            fock.DensityMatrix(("a",), [(basis, np.full((3, 1), 0.5))], 1)
+
+    def test_trace_above_one_is_refused(self):
+        basis = np.array([[0], [1]])
+        with pytest.raises(ValueError, match=r"^trace 1\.25 exceeds 1$"):
+            fock.DensityMatrix(("a",), [(basis, np.array([[1.0], [0.5]]))], 1)
+
+
 def _verify_keeps(spec) -> list:
     """The mode sets ``verify_conditional_entropies`` reduces onto."""
     recv = receiver_labels(spec)
@@ -931,11 +943,10 @@ class TestCutoffPolicy:
     "call",
     [
         lambda n_s: tmsv_fock(n_s, 5),
-        lambda n_s: thermal_weight(n_s, 2),
         lambda n_s: tail_mass(n_s, 3),
         cutoff_for_tail,
     ],
-    ids=["tmsv_fock", "thermal_weight", "tail_mass", "cutoff_for_tail"],
+    ids=["tmsv_fock", "tail_mass", "cutoff_for_tail"],
 )
 def test_photon_number_must_be_finite_and_nonnegative(call, n_s):
     with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -947,11 +958,10 @@ def test_photon_number_must_be_finite_and_nonnegative(call, n_s):
     "call",
     [
         lambda count: tmsv_fock(0.5, count),
-        lambda count: thermal_weight(0.5, count),
         lambda count: tail_mass(0.5, count),
         lambda count: verify_conditional_entropies(SPEC23, 0.5, cutoff=count),
     ],
-    ids=["tmsv_fock", "thermal_weight", "tail_mass", "verify"],
+    ids=["tmsv_fock", "tail_mass", "verify"],
 )
 def test_count_must_be_a_whole_number_at_least_zero(call, count):
     with pytest.raises(ValueError, match="must be a whole number|must be nonnegative"):

@@ -368,6 +368,8 @@ class TestStateValidation:
         assert str(err.value) == message
 
     def test_shape_mismatches_rejected(self):
+        with pytest.raises(ValueError, match="^state must have at least one mode$"):
+            CovarianceState((), np.zeros((0, 0)))
         with pytest.raises(ValueError):
             CovarianceState(("a", "b"), np.eye(2))
         with pytest.raises(ValueError):

@@ -195,7 +195,7 @@ def test_closed_form_bits_within_ulp_bound_of_reference(name):
     for i, row in enumerate(rows):
         t = frozenset(row["subset"])
         if "bound_bits" in row:
-            n_s = None if args.ns == "inf" else args.ns
+            n_s = None if args.ns == region.UNCONSTRAINED else args.ns
             near(row["bound_bits"], closed_form_bits(args.etas, n_s, t), _closed_bound(n_s), t)
             continue
         n_s = args.ns_grid[i // (2 ** len(args.etas) - 1)]  # the printed ns is rounded

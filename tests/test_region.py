@@ -211,6 +211,8 @@ class TestCapacityRegion:
             CapacityRegion(2, UNCONSTRAINED, [0.0, 0.5, 0.6, 1.5])
         with pytest.raises(ValueError, match="never NaN"):
             CapacityRegion(1, UNCONSTRAINED, [0.0, math.nan])
+        with pytest.raises(ValueError, match=r"^bound vector needs 2\^2 entries and f\[0\] = 0$"):
+            CapacityRegion(2, UNCONSTRAINED, [0.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("energy", [math.nan, -3.0, "Unconstrained"])
     def test_energy_is_unconstrained_or_a_photon_number(self, energy):
@@ -482,6 +484,10 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             contains(capacity_region(SPEC23), (0.1, 0.1, 0.1))
+
+    def test_non_finite_point_refused(self):
+        with pytest.raises(ValueError, match="^rate point must be finite"):
+            contains(capacity_region(SPEC23), [math.nan, 0.1])
 
 
 class TestVertices:
