@@ -198,25 +198,18 @@ class TestApplyChannel:
 
 
 class TestThermalOutput:
-    """The outputs of a thermal arm: the TMSV output of the dense cascade with the
-    reference traced."""
+    """The outputs of a thermal arm: the TMSV output with the reference traced."""
 
     @pytest.mark.parametrize("n_s", [1e-2, 1.0, 1e2])
     def test_is_the_tmsv_output_on_the_outputs(self, n_s):
-        # every ordering up to three receivers, 20 seeded ones from four to twelve
-        rng, cases = np.random.RandomState(31), []
-        for m in (1, 2, 3):
+        rng = np.random.RandomState(34)
+        for m in (1, 2, 5, 12):
             spec = random_spec(rng, m)
-            cases += [(spec, ordering) for ordering in all_orderings(spec)]
-        rng = np.random.RandomState(32)
-        for m in range(4, 13):
-            spec = random_spec(rng, m)
-            cases += [(spec, tuple(rng.permutation(output_labels(spec)))) for _ in range(20)]
-        for spec, ordering in cases:
+            ordering = tuple(rng.permutation(output_labels(spec)))
             got = channel._thermal_output(spec, n_s, ordering)
             want = reduce(output_state_tmsv(spec, n_s, ordering), output_labels(spec))
             assert got.mode_labels == want.mode_labels
-            assert float(np.max(np.abs(got.cov - want.cov))) <= 1e-12 * (2 * n_s + 1), ordering
+            assert float(np.max(np.abs(got.cov - want.cov))) <= 1e-12 * (2 * n_s + 1)
 
     @pytest.mark.parametrize("m", [1, 4, 12])
     def test_validates_once(self, m, monkeypatch):
@@ -244,6 +237,36 @@ class TestThermalOutput:
             want = gaussian.entropy_g(n_s)
             bound = 16 * np.spacing(want) + 8 * eps * np.log2(1.0 + 1.0 / n_s)
             assert abs(von_neumann_entropy(state) - want) <= bound
+
+
+class TestDenseCascadeOracle:
+    """The library's output covariance against a cascade of dense splitter
+    matrices acting on a TMSV, with the reference traced."""
+
+    @staticmethod
+    def _assert_matches(spec, n_s, ordering):
+        got = channel._thermal_output(spec, n_s, ordering)
+        want = reduce(output_state_tmsv(spec, n_s, ordering), output_labels(spec))
+        assert got.mode_labels == want.mode_labels
+        scale = max(1.0, float(np.max(np.abs(want.cov))))
+        assert float(np.max(np.abs(got.cov - want.cov))) <= 1e-12 * scale, ordering
+
+    @pytest.mark.parametrize("n_s", [1e-2, 1.0, 1e2])
+    def test_every_ordering_up_to_three_receivers(self, n_s):
+        rng = np.random.RandomState(31)
+        for m in (1, 2, 3):
+            spec = random_spec(rng, m)
+            for ordering in all_orderings(spec):
+                self._assert_matches(spec, n_s, ordering)
+
+    @pytest.mark.parametrize("n_s", [1e-2, 1.0, 1e2])
+    def test_seeded_orderings_four_to_twelve_receivers(self, n_s):
+        rng = np.random.RandomState(32)
+        for m in range(4, 13):
+            spec = random_spec(rng, m)
+            for _ in range(20):
+                ordering = tuple(rng.permutation(output_labels(spec)))
+                self._assert_matches(spec, n_s, ordering)
 
 
 class TestImplementationsEquivalent:
