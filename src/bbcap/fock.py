@@ -70,8 +70,8 @@ MAX_DENSE_BYTES = 2**30
 RUN_ENTRIES = 2**16    # larger tables are built one sender-photon sector at a time
 PRODUCT_FLOOR = 2.0**-500  # absolute slack of the product check, for underflowed weights
 # tracemalloc peak per entry of the largest run, built, reduced and checked: at
-# most 206 at m = 4 and 335 at m = 12 above 20,000 entries; below, the keep sets'
-# weights (one array, 8 (cutoff + 1) 2^m bytes) and a call's 6 kB dominate (_budget)
+# most 206 at m = 4 and 335 at m = 12 above 20,000 entries; _budget adds the keep
+# sets' weights (one array, 8 (cutoff + 1) 2^m bytes) and floors the run at 64
 SECTOR_ENTRY_BYTES = 384
 MAX_WORK = math.comb(MAX_CUTOFF + 5, 5) << 4  # m = 4 at MAX_CUTOFF, the costliest of m <= 4
 # sqrt(n!), n <= MAX_CUTOFF, each correctly rounded from within 2^-100 of it
@@ -374,10 +374,10 @@ def _largest_run(m: int, cutoff: int) -> tuple:
 def _budget(m: int, n_s: float, cutoff) -> tuple:
     """The cutoff and tail mass of a verification; before any sector is built,
     :class:`InconclusiveVerificationError` for the first budget broken: cutoff,
-    tail mass, memory (``SECTOR_ENTRY_BYTES`` per entry of the largest run, per
-    entry of :func:`_block_spectra`'s keep-set weights or per 64 entries, by the
-    largest count) and work (the table once per keep set).  ``MAX_WORK`` is the
-    work of m = 4 at ``MAX_CUTOFF``: re-derive it once the 2^m passes go."""
+    tail mass, memory (``SECTOR_ENTRY_BYTES`` per entry of the largest run, of
+    at least 64, and 8 bytes per keep-set weight of :func:`_block_spectra`) and
+    work (the table once per keep set).  ``MAX_WORK`` is the work of m = 4 at
+    ``MAX_CUTOFF``: re-derive it once the 2^m passes go."""
     cutoff = cutoff_for_tail(n_s) if cutoff is None else _count(cutoff, "cutoff")
     if cutoff > MAX_CUTOFF:
         raise InconclusiveVerificationError(f"cutoff {cutoff} exceeds the supported maximum "
@@ -387,7 +387,7 @@ def _budget(m: int, n_s: float, cutoff) -> tuple:
         raise InconclusiveVerificationError(f"tail mass {tail:.3e} at cutoff {cutoff} breaches "
                                             f"the {TAIL_BUDGET:g} budget for n_s = {n_s!r}")
     _, run = _largest_run(m, cutoff)
-    need = max(run, (cutoff + 1) << m, 64) * SECTOR_ENTRY_BYTES
+    need = max(run, 64) * SECTOR_ENTRY_BYTES + 8 * ((cutoff + 1) << m)
     if need > MAX_DENSE_BYTES:
         raise InconclusiveVerificationError(f"the largest run of sectors at cutoff {cutoff} holds "
                                             f"{run} entries: {need} bytes, above the budget of "

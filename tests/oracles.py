@@ -484,23 +484,20 @@ def permute_modes(state, new_order):
     return CovarianceState(new_order, mode_blocks_reference(state.cov, idx), validate=False)
 
 
-def apply_channel(spec, state, ordering=None):
-    """Send the second mode (the arm) of a two-mode state through the channel,
-    by a cascade of dense beam-splitter matrices, and validate the output once.
+def output_state_tmsv(spec, n_s: float, ordering=None):
+    """Joint state on (A, B1, ..., Bm, E) from a TMSV of energy ``n_s``: its
+    arm A' sent through the channel by a cascade of dense beam-splitter
+    matrices, and the output validated once.
 
     m vacuum ancillas are adjoined; stage j of ``channel.build_network`` mixes
     ancilla 2+j with the through-arm (mode 1) by ``S V Sᵀ`` with a 2n×2n
     :func:`beam_splitter`, and the arm ends carrying the ordering's last label.
-    The first mode is kept as the sender's reference and the output keeps E:
-    modes come back as ``(A, B1, ..., Bm, E)``.
     """
-    if state.n_modes != 2:
-        raise ValueError(f"channel input must have exactly 2 modes, got {state.n_modes}")
     net = channel.build_network(spec, ordering)
     m = len(net.stages)
     n = m + 2
     cov = np.eye(2 * n)
-    cov[:4, :4] = state.cov
+    cov[:4, :4] = tmsv(n_s).cov
     for j, stage in enumerate(net.stages):
         s = beam_splitter(stage.transmittance, 2 + j, 1, n)
         cov = s @ cov @ s.T
@@ -508,12 +505,7 @@ def apply_channel(spec, state, ordering=None):
     slots = ("A", net.ordering[-1]) + tuple(stage.output for stage in net.stages)
     labels = ("A",) + tuple(f"B{i}" for i in range(1, m + 1)) + ("E",)
     qi = [q for lab in labels for q in (2 * slots.index(lab), 2 * slots.index(lab) + 1)]
-    return CovarianceState((state.mode_labels[0],) + labels[1:], cov[np.ix_(qi, qi)])
-
-
-def output_state_tmsv(spec, n_s: float, ordering=None):
-    """Joint state on (A, B1, ..., Bm, E) from a TMSV of energy ``n_s``."""
-    return apply_channel(spec, tmsv(n_s, ("A", "A'")), ordering)
+    return CovarianceState(labels, cov[np.ix_(qi, qi)])
 
 
 def channel_output_fock(spec, n_s: float, cutoff: int, ordering=None):

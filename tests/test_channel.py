@@ -16,13 +16,7 @@ from bbcap.channel import (
     validate_ordering,
 )
 from bbcap.gaussian import reduce, symplectic_eigenvalues, von_neumann_entropy
-from oracles import (
-    all_orderings,
-    apply_channel,
-    output_state_tmsv,
-    thermal_state,
-    tmsv,
-)
+from oracles import all_orderings, output_state_tmsv, tmsv
 
 
 def random_spec(rng, m, eta_total_max=0.95):
@@ -175,26 +169,6 @@ class TestApplyChannel:
         assert von_neumann_entropy(reduce(st, ["E"])) == pytest.approx(
             gaussian.entropy_g(0.5), abs=1e-9
         )
-
-    def test_input_must_have_two_modes(self):
-        with pytest.raises(ValueError):
-            apply_channel(
-                BroadcastChannelSpec((0.2, 0.3)), thermal_state(1.0, "T")
-            )
-
-    @pytest.mark.parametrize("m", [1, 4, 12])
-    def test_cascade_validates_once(self, m, monkeypatch):
-        # one spectrum for the TMSV input, one for the output; none per stage
-        sizes = []
-        real = gaussian.symplectic_eigenvalues
-
-        def counted(state):
-            sizes.append(state.n_modes)
-            return real(state)
-
-        monkeypatch.setattr(gaussian, "symplectic_eigenvalues", counted)
-        output_state_tmsv(BroadcastChannelSpec((0.9 / m,) * m), 1.3)
-        assert sizes == [2, m + 2]
 
 
 class TestThermalOutput:

@@ -24,8 +24,8 @@ def run_cli(capsys, *argv):
 
 
 # Documented refusals, each ending as exit status 1 or 2, no stdout and one stderr
-# line: argv, BBC_CAPACITY_PRECISION (None: unset), the status and the line.  CI
-# runs each one as a process as well.
+# line: argv, BBC_CAPACITY_PRECISION (None: unset), the status and the line.
+# tests/process_checks.py runs each one as a process as well.
 REFUSALS = {
     "ns_not_a_number": (["region", "--etas", "0.2,0.3", "--ns", "abc"], None, 1,
                         "bbcap: usage error: argument --ns: expected a real or 'inf', got 'abc'"),
@@ -305,9 +305,9 @@ class TestVerifyCommand:
         monkeypatch.setattr(fock, "_sector_runs", None)  # refused before any sector is built
         code, out, err = run_cli(capsys, "verify", "--etas", "0.2,0.3", "--ns", "0.5")
         assert code == 2 and out == ""
-        # one run of all 1771 entries at 384 bytes
+        # one run of all 1771 entries at 384 bytes, and 21 × 4 keep-set weights at 8
         assert err == ("bbcap: inconclusive: the largest run of sectors at cutoff 20 holds "
-                       "1771 entries: 680064 bytes, above the budget of 1000 bytes\n")
+                       "1771 entries: 680736 bytes, above the budget of 1000 bytes\n")
 
     def test_work_budget_is_inconclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(fock, "_sector_runs", None)  # refused before any sector is built

@@ -327,9 +327,10 @@ ETAS12 = (0.1, 0.2, 0.15, 0.25, 0.05, 0.04, 0.03, 0.02, 0.01, 0.015, 0.025, 0.03
 class TestDenseBudget:
     def test_peak_memory_stays_within_the_estimate(self, monkeypatch):
         # the figure verification budgets, read from the gate itself: a memory
-        # budget one byte below the peak must refuse the run.  Large and small
-        # tables at m = 1 to 12; the small ones at large m are bounded by their
-        # 2^m keep sets' weights, and the smallest by the 64-entry floor
+        # budget one byte below the peak must refuse the run, and one of five
+        # times the peak admit it.  Large and small tables at m = 1 to 12; the
+        # small ones at large m are bounded by their 2^m keep sets' weights, and
+        # the smallest by the 64-entry floor
         for etas, n_s in (((0.7,), 2.0), ((0.2, 0.3), 1.6), ((0.2, 0.3, 0.1), 0.05),
                           ((0.2, 0.3, 0.1), 1.0), ((0.1, 0.2, 0.15, 0.25), 0.3),
                           ((0.1, 0.2, 0.15, 0.25), 1.0), ((0.7,), 0.01), ((0.7,), 0.0),
@@ -358,6 +359,8 @@ class TestDenseBudget:
             monkeypatch.setattr(fock, "MAX_DENSE_BYTES", peak - 1)
             with pytest.raises(InconclusiveVerificationError, match="bytes, above the budget"):
                 fock._budget(spec.m, n_s, cutoff)
+            monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 5 * peak)
+            assert fock._budget(spec.m, n_s, cutoff)[0] == cutoff, etas
 
     def test_verification_is_inconclusive(self, monkeypatch):
         monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 1000)
@@ -377,17 +380,25 @@ class TestDenseBudget:
         with pytest.raises(InconclusiveVerificationError, match=f"^{message}$"):
             verify_conditional_entropies(BroadcastChannelSpec(etas), n_s)
 
-    def test_work_budget_is_the_costliest_run_of_m_up_to_4(self):
-        # every (m <= 4, cutoff <= MAX_CUTOFF) run that the memory gate admitted
-        # under the former cap m <= 4 is admitted, and m = 4 at MAX_CUTOFF is
-        # exactly at the work budget
+    def test_work_budget_is_the_costliest_run_of_m_up_to_4(self, monkeypatch):
+        # the work gate admits every run of m <= 4, m = 4 at MAX_CUTOFF exactly at
+        # its budget, and m = 5 less.  At every m <= 12 the memory gate admits
+        # what the work gate does: the largest estimate is m = 4 at MAX_CUTOFF, a
+        # sector of C(64, 4) entries at 384 bytes and 61 × 16 weights at 8
         assert fock.MAX_WORK == math.comb(fock.MAX_CUTOFF + 5, 5) << 4 == 132158208
-        for m in range(1, 5):
+        assert math.comb(fock.MAX_CUTOFF + 6, 6) << 5 > fock.MAX_WORK
+        largest = math.comb(64, 4) * 384 + 8 * 61 * 16
+        assert largest == 243992192 <= fock.MAX_DENSE_BYTES
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", largest)
+        for m in range(1, 13):
             for cutoff in range(fock.MAX_CUTOFF + 1):
-                _, run = fock._largest_run(m, cutoff)
-                assert run * fock.SECTOR_ENTRY_BYTES <= fock.MAX_DENSE_BYTES
-                assert fock._budget(m, 0.0, cutoff) == (cutoff, 0.0), (m, cutoff)
-        assert math.comb(fock.MAX_CUTOFF + 6, 6) << 5 > fock.MAX_WORK  # m = 5 has less reach
+                if math.comb(cutoff + m + 1, m + 1) << m <= fock.MAX_WORK:
+                    assert fock._budget(m, 0.0, cutoff) == (cutoff, 0.0), (m, cutoff)
+                else:
+                    assert m > 4, (m, cutoff)
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", largest - 1)
+        with pytest.raises(InconclusiveVerificationError, match="243992192 bytes, above"):
+            fock._budget(4, 0.0, fock.MAX_CUTOFF)
 
 
 def _tampered_runs(monkeypatch, change):
@@ -710,12 +721,13 @@ class TestVerifyConditionalEntropies:
 
     def test_amplitude_table_over_budget_is_inconclusive(self, monkeypatch):
         spec = BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25))
-        # cutoff 9 at N_S = 0.1: one run of all C(14, 5) = 2002 entries at 384 bytes
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 2002 * 384 - 1)
+        # cutoff 9 at N_S = 0.1: one run of all C(14, 5) = 2002 entries at 384
+        # bytes, and 10 × 16 keep-set weights at 8
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 2002 * 384 + 8 * 10 * 16 - 1)
         monkeypatch.setattr(fock, "_sector_runs", None)  # never reached
         with pytest.raises(InconclusiveVerificationError,
                            match="the largest run of sectors at cutoff 9 holds 2002 entries: "
-                                 "768768 bytes, above the budget of 768767 bytes"):
+                                 "770048 bytes, above the budget of 770047 bytes"):
             verify_conditional_entropies(spec, 0.1)
 
     def test_purity_fails_when_a_stage_is_off(self, monkeypatch):
