@@ -478,7 +478,7 @@ def verify_conditional_entropies(spec: BroadcastChannelSpec, n_s: float, cutoff=
     recv = _channel.receiver_labels(spec)
 
     def gauss_entropy(labels) -> float:
-        return _gaussian.von_neumann_entropy(_gaussian.reduce(gauss_state, labels))
+        return _gaussian._entropy(_gaussian._block(gauss_state, labels)[1])
 
     def case(name, gauss_val, fock_val, closed_val, dev, certified=True) -> dict:
         return {"case": name, "gaussian_bits": gauss_val, "fock_bits": fock_val,

@@ -13,6 +13,8 @@ Conventions used throughout the package:
   ``i Lᵀ (Ω L)``, ``L`` the covariance's Cholesky factor and ``Ω L`` its
   row pairs swapped, the second negated (Williamson's theorem).  A
   covariance with no factor is refused as an uncertainty violation.
+  One kernel takes every spectrum, ``_spectrum``: numpy's private LAPACK
+  gufuncs, bit for bit ``np.linalg`` (``test_gaussian.TestSpectrumKernel``).
   Rounding resolves ``nu - 1`` to ``NU_FLOOR * dim * max(1, max|V|)``:
   below it ``nu`` is the vacuum's, and validity allows that much below 1.
 
@@ -20,10 +22,10 @@ Every state here is zero-mean, so a covariance matrix is the whole state.
 A partial trace is a principal submatrix, gathered with ``take`` on the
 kept modes' quadrature indices, rows then columns.  It cannot turn a valid
 covariance matrix into an invalid one, so a reduced state is not validated
-again.  The passive networks of :mod:`bbcap.channel` act on mode amplitudes
-as an orthogonal matrix, so the channel writes its output covariance
-directly from the amplitudes and validates it once, with no beam-splitter
-matrix.
+again, and an entropy is taken from the block with no state built.  The
+passive networks of :mod:`bbcap.channel` act on mode amplitudes as an
+orthogonal matrix, so the channel writes its output covariance directly
+from the amplitudes and validates it once, with no beam-splitter matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import InitVar, dataclass
 from operator import add
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "CovarianceState",
@@ -56,6 +59,7 @@ NU_FLOOR = 4 * np.finfo(float).eps
 _LN2 = math.log(2.0)
 # the signs of the rows of Ω L, per mode: (p_k, -x_k)
 _OMEGA_SIGNS = np.array([[1.0], [-1.0]])
+_NOT_POSITIVE = "uncertainty relation violated: covariance not positive definite"
 
 
 @dataclass
@@ -91,9 +95,7 @@ class CovarianceState:
         if len(set(self.mode_labels)) != n:
             raise ValueError(f"duplicate mode labels: {self.mode_labels}")
         if self.cov.shape != (2 * n, 2 * n):
-            raise ValueError(
-                f"cov has shape {self.cov.shape}, expected ({2 * n}, {2 * n})"
-            )
+            raise ValueError(f"cov has shape {self.cov.shape}, expected ({2 * n}, {2 * n})")
         peak = float(np.abs(self.cov).max())  # NaN and inf carry through max
         if not peak < math.inf:
             raise ValueError("covariance entries must be finite")
@@ -169,6 +171,11 @@ def _left_sum(values) -> float:
 
 def reduce(state: CovarianceState, keep) -> CovarianceState:
     """Partial trace down to the modes in ``keep`` (original mode order kept)."""
+    return CovarianceState(*_block(state, keep), validate=False)
+
+
+def _block(state: CovarianceState, keep) -> tuple:
+    """The labels of the modes in ``keep``, in the state's order, and their covariance."""
     keep_set = set(keep)
     if not keep_set:
         raise ValueError("must keep at least one mode")
@@ -176,9 +183,7 @@ def reduce(state: CovarianceState, keep) -> CovarianceState:
     if len(idx) < len(keep_set):
         unknown = next(label for label in keep_set if label not in state.mode_labels)
         raise ValueError(f"unknown mode label {unknown!r}")
-    return CovarianceState(
-        tuple(state.mode_labels[i] for i in idx), _mode_blocks(state.cov, idx), validate=False
-    )
+    return tuple(state.mode_labels[i] for i in idx), _mode_blocks(state.cov, idx)
 
 
 def _mode_blocks(cov: np.ndarray, idx: list) -> np.ndarray:
@@ -188,6 +193,11 @@ def _mode_blocks(cov: np.ndarray, idx: list) -> np.ndarray:
 
 
 def symplectic_eigenvalues(state: CovarianceState) -> list:
+    """Symplectic spectrum of ``state``, descending: :func:`_spectrum` of its covariance."""
+    return _spectrum(state.cov)
+
+
+def _spectrum(cov: np.ndarray) -> list:
     """Symplectic spectrum, descending: the positive half of the spectrum of
     the Hermitian matrix ``i Lᵀ (Ω L)``, with ``cov = L Lᵀ`` its Cholesky factor.
 
@@ -195,17 +205,23 @@ def symplectic_eigenvalues(state: CovarianceState) -> list:
     symplectic eigenvalues in pairs ``±nu`` (Williamson's theorem); ``Ω L``
     has rows ``(p_k, -x_k)`` of ``L`` per mode k.  A covariance that is not
     positive definite has no Cholesky factor; it raises ``ValueError`` as
-    an uncertainty violation, since every physical covariance is one.
+    an uncertainty violation, since every physical covariance is one.  The one
+    spectrum kernel: ``np.linalg``'s gufuncs, numpy's private API, with no
+    wrapper and the same bits (``test_gaussian.TestSpectrumKernel``).
     """
-    n = state.n_modes
-    try:
-        chol = np.linalg.cholesky(state.cov)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "uncertainty relation violated: covariance not positive definite"
-        ) from None
-    omega_l = chol.reshape(n, 2, -1)[:, ::-1] * _OMEGA_SIGNS
-    return np.linalg.eigvalsh(1j * (chol.T @ omega_l.reshape(2 * n, 2 * n)))[n:][::-1].tolist()
+    n = len(cov) // 2
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            chol = _umath_linalg.cholesky_lo(cov, signature="d->d")
+        except FloatingPointError:
+            raise ValueError(_NOT_POSITIVE) from None
+        omega_l = chol.reshape(n, 2, -1)[:, ::-1] * _OMEGA_SIGNS
+        try:
+            nu = _umath_linalg.eigvalsh_lo(1j * (chol.T @ omega_l.reshape(2 * n, 2 * n)),
+                                           signature="D->d")
+        except FloatingPointError:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge") from None
+    return nu[n:][::-1].tolist()
 
 
 def _resolution(cov: np.ndarray, scale=None) -> float:
@@ -218,20 +234,22 @@ def _resolution(cov: np.ndarray, scale=None) -> float:
 
 def von_neumann_entropy(state: CovarianceState) -> float:
     """Entropy in bits: sum of g((nu - 1)/2) over symplectic eigenvalues resolved above 1."""
-    floor = _resolution(state.cov)
-    return _left_sum(entropy_g((nu - 1.0) / 2.0) for nu in symplectic_eigenvalues(state)
-                     if nu - 1.0 >= floor)
+    return _entropy(state.cov)
+
+
+def _entropy(cov: np.ndarray) -> float:
+    """:func:`von_neumann_entropy` of the state of covariance ``cov``."""
+    floor = _resolution(cov)
+    return _left_sum(entropy_g((nu - 1.0) / 2.0) for nu in _spectrum(cov) if nu - 1.0 >= floor)
 
 
 def conditional_entropy(state: CovarianceState, subsystem, conditioned_on) -> float:
-    """H(S1 | S2) = H(S1 S2) - H(S2) in bits; S2 may be empty. May be negative."""
-    s1 = set(subsystem)
-    s2 = set(conditioned_on)
+    """H(S1 | S2) = H(S1 S2) - H(S2) in bits, from blocks of ``state``'s covariance;
+    S2 may be empty. May be negative."""
+    s1, s2 = set(subsystem), set(conditioned_on)
     if not s1:
         raise ValueError("subsystem must be nonempty")
     if s1 & s2:
         raise ValueError(f"subsystems overlap: {sorted(s1 & s2, key=str)}")
-    joint = von_neumann_entropy(reduce(state, s1 | s2))
-    if not s2:
-        return joint
-    return joint - von_neumann_entropy(reduce(state, s2))
+    joint = _entropy(_block(state, s1 | s2)[1])
+    return joint - _entropy(_block(state, s2)[1]) if s2 else joint

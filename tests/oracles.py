@@ -10,7 +10,7 @@ returns validated library states, but writes the output by the dense
 cascade, the two-mode route the library's thermal route is checked
 against; ``convergence_table`` reads each subset's bound from one
 ``capacity_region`` per grid energy, the route the command's bound
-columns are checked against; ``render_region_reference`` reads a
+columns are checked against; ``region_reference_chunks`` reads a
 region's bounds one subset at a time through ``CapacityRegion.bound``; and
 ``channel_output_fock`` builds the whole number-basis output with
 ``fock.split_with_vacuum``, stage by stage, the table that verification's
@@ -315,23 +315,39 @@ def _json_text(obj) -> str:
 
 
 def render_region_reference(reg, fmt: str, prec: int) -> str:
-    """A region's output from a dict of its bounds, each rounded to ``prec``
-    digits, an unbounded one as a flag, never a float inf."""
-    constraints = []
-    for t in nonempty_subsets(reg.m):
-        bound = reg.bound(t)
-        value = {"unbounded": True} if math.isinf(bound) else {"bound_bits": _round(bound, prec)}
-        constraints.append({"subset": sorted(t), **value})
+    """A region's output: :func:`region_reference_chunks` joined."""
+    return "".join(region_reference_chunks(reg, fmt, prec))
+
+
+def region_reference_chunks(reg, fmt: str, prec: int, block: int = 4096):
+    """A region's output, yielded ``block`` constraints at a time: each bound
+    rounded to ``prec`` digits, an unbounded one as a flag, never a float inf.
+    A JSON block is its list of dicts through ``json.dumps``, indented to its
+    depth in ``{"m", "energy", "constraints"}``; no more than one is held."""
     energy = reg.energy if reg.energy == "unconstrained" else _round(reg.energy, prec)
-    data = {"m": reg.m, "energy": energy, "constraints": constraints}
-    if fmt == "json":
-        return _json_text(data)
-    lines = ["subset,bound_bits"]
-    for entry in data["constraints"]:
-        subset = "+".join(str(i) for i in entry["subset"])
-        bound = "unbounded" if entry.get("unbounded") else _fmt(entry["bound_bits"], prec)
-        lines.append(f"{subset},{bound}")
-    return "\n".join(lines) + "\n"
+    json_fmt = fmt == "json"
+    if json_fmt:  # the head's closing "\n}" dropped
+        yield json.dumps({"m": reg.m, "energy": energy}, indent=2)[:-2] + ',\n  "constraints": ['
+    else:
+        yield "subset,bound_bits"
+    subsets = nonempty_subsets(reg.m)
+    for start in range(0, (1 << reg.m) - 1, block):
+        entries = []
+        for t in itertools.islice(subsets, block):
+            bound = reg.bound(t)
+            if not json_fmt:
+                text = "unbounded" if math.isinf(bound) else _fmt(_round(bound, prec), prec)
+                entries.append("\n" + "+".join(str(j) for j in sorted(t)) + "," + text)
+            elif math.isinf(bound):
+                entries.append({"subset": sorted(t), "unbounded": True})
+            else:
+                entries.append({"subset": sorted(t), "bound_bits": _round(bound, prec)})
+        if json_fmt:  # the list's "[\n" and "\n]" dropped, each line two deeper
+            text = json.dumps(entries, indent=2)[1:-2].replace("\n", "\n  ")
+            yield text if start == 0 else "," + text
+        else:
+            yield "".join(entries)
+    yield "\n  ]\n}\n" if json_fmt else "\n"
 
 
 def render_vertices_reference(m: int, energy, pts, fmt: str, prec: int) -> str:

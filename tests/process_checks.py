@@ -5,11 +5,12 @@
 Each case is a ``python -m bbcap.cli`` child, its stdout and stderr sent to
 files, its peak RSS read from its own ``os.wait4``.  Every child runs, one at
 a time, before any reference is built: the kernel starts a child's peak RSS at
-its parent's, so the runner stays at its import size (printed first) until the
-last child has exited.  Then each case is checked: its exit status, and the
-cap tables byte for byte against the ``oracles`` renderers at the default 9
-digits, the Fock oracle's record for ``"pass": true``, and each documented
-refusal of ``test_cli.REFUSALS`` for no stdout and exactly its one line.
+its parent's, so the runner imports only the standard library (its size is
+printed first) and imports ``bbcap`` and ``oracles`` only once the last child
+has exited.  Then each case is checked: its exit status, and the cap tables
+byte for byte against the ``oracles`` renderers at the default 9 digits, the
+Fock oracle's record for ``"pass": true``, and each documented refusal of
+``refusals.REFUSALS`` for no stdout and exactly its one line.
 
 One line per case: verdict, name, exit status, stdout lines, wall seconds and
 peak MB, the last two a record, not a gate.  The exit status is 1 if any
@@ -17,6 +18,7 @@ case fails.
 """
 
 import functools
+import importlib.util
 import json
 import os
 import resource
@@ -25,11 +27,7 @@ import tempfile
 import time
 from typing import Callable, NamedTuple
 
-import bbcap
-from bbcap import BroadcastChannelSpec, capacity_region
-from oracles import (convergence_table, render_convergence_reference, render_region_reference,
-                     render_vertices_reference, vertices_reference)
-from test_cli import REFUSALS
+from refusals import REFUSALS
 
 
 class Case(NamedTuple):
@@ -46,39 +44,57 @@ E20 = ("0.02,0.022,0.024,0.026,0.028,0.03,0.032,0.034,0.036,0.038,"
        "0.04,0.042,0.044,0.046,0.048,0.05,0.052,0.054,0.056,0.058")
 F4, F6 = "0.1,0.2,0.15,0.25", "0.1,0.2,0.15,0.25,0.05,0.04"
 F12 = F6 + ",0.03,0.02,0.01,0.015,0.025,0.035"
-SRC = os.path.dirname(os.path.dirname(bbcap.__file__))  # the children run the bbcap checked here
+# the children run the bbcap the runner would import, found without importing it
+SRC = os.path.dirname(importlib.util.find_spec("bbcap").submodule_search_locations[0])
 
 
 def _floats(text):
     return tuple(map(float, text.split(",")))
 
 
+# the references import bbcap and oracles when first called, after the last child has exited
 @functools.lru_cache(maxsize=1)
 def _region(etas, n_s):
+    from bbcap import BroadcastChannelSpec, capacity_region
     return capacity_region(BroadcastChannelSpec(_floats(etas)), n_s)
 
 
 @functools.lru_cache(maxsize=1)
 def _convergence(etas):
+    from oracles import convergence_table
     return convergence_table(_floats(etas), _floats(GRID))
 
 
 def _vertices(etas, fmt):
-    return render_vertices_reference(8, 1.5, vertices_reference(_region(etas, 1.5)), fmt, 9)
+    from oracles import render_vertices_reference, vertices_reference
+    return [render_vertices_reference(8, 1.5, vertices_reference(_region(etas, 1.5)), fmt, 9)]
 
 
 def _constraints(etas, fmt):
-    return render_region_reference(_region(etas, 1.0), fmt, 9)
+    from oracles import region_reference_chunks
+    return region_reference_chunks(_region(etas, 1.0), fmt, 9)
 
 
 def _gaps(etas, fmt):
-    return render_convergence_reference(_convergence(etas), fmt, 9)
+    from oracles import render_convergence_reference
+    return [render_convergence_reference(_convergence(etas), fmt, 9)]
 
 
 def _same(reference, lines):
-    """stdout byte for byte ``reference()``, of ``lines`` lines unless None; no stderr."""
+    """stdout byte for byte the chunks of ``reference()`` joined, of ``lines``
+    lines unless None; no stderr."""
     return lambda out, err: (err == "" and (lines is None or out.count("\n") == lines)
-                             and out == reference())
+                             and _joins(out, reference()))
+
+
+def _joins(out, chunks):
+    """Is ``out`` the chunks joined?  Compared chunk by chunk, with no join held."""
+    pos = 0
+    for chunk in chunks:
+        if not out.startswith(chunk, pos):
+            return False
+        pos += len(chunk)
+    return pos == len(out)
 
 
 def _passes(out, err):

@@ -10,6 +10,7 @@ from bbcap import cli, fock, region
 from bbcap.channel import BroadcastChannelSpec
 from bbcap.region import UNCONSTRAINED, CapacityRegion, capacity_region
 from oracles import render_verify_reference
+from refusals import REFUSALS
 
 
 @pytest.fixture(autouse=True)
@@ -21,33 +22,6 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-# Documented refusals, each ending as exit status 1 or 2, no stdout and one stderr
-# line: argv, BBC_CAPACITY_PRECISION (None: unset), the status and the line.
-# tests/process_checks.py runs each one as a process as well.
-REFUSALS = {
-    "ns_not_a_number": (["region", "--etas", "0.2,0.3", "--ns", "abc"], None, 1,
-                        "bbcap: usage error: argument --ns: expected a real or 'inf', got 'abc'"),
-    "empty_grid": (["convergence", "--etas", "0.2,0.3", "--ns-grid", ","], None, 1,
-                   "bbcap: usage error: argument --ns-grid: needs at least one value"),
-    "precision_0": (["region", "--etas", "0.2,0.3"], "0", 1,
-                    "bbcap: usage error: BBC_CAPACITY_PRECISION must be in 1..17, got 0"),
-    "precision_18": (["region", "--etas", "0.2,0.3"], "18", 1,
-                     "bbcap: usage error: BBC_CAPACITY_PRECISION must be in 1..17, got 18"),
-    "cutoff_61": (["verify", "--etas", "0.2,0.3", "--ns", "0.5", "--cutoff", "61"], None, 2,
-                  "bbcap: inconclusive: cutoff 61 exceeds the supported maximum 60"),
-    "vertices_m9": (["vertices", "--etas", ",".join(["0.1"] * 9)], None, 1,
-                    "bbcap: error: vertex enumeration limited to m <= 8"),
-    "boundary_unbounded": (["boundary", "--etas", "0.6,0.4", "--ns", "inf"], None, 1,
-                           "bbcap: error: region is unbounded; boundary is undefined"),
-    "convergence_unbounded": (["convergence", "--etas", "0.6,0.4", "--ns-grid", "1"], None, 1,
-                              "bbcap: error: unconstrained bounds are unbounded when the "
-                              "receivers take everything"),
-    "verify_work_budget": (["verify", "--etas", "0.1,0.1,0.1,0.1,0.1", "--ns", "1.5"], None, 2,
-                           "bbcap: inconclusive: the 32 keep sets at cutoff 45 take 576302720 "
-                           "entry passes, above the budget of 132158208"),
-}
 
 
 @pytest.mark.parametrize("argv, precision, status, line", REFUSALS.values(), ids=REFUSALS)

@@ -20,6 +20,7 @@ from bbcap.channel import BroadcastChannelSpec
 from oracles import (
     check_polymatroid_reference,
     convergence_table,
+    region_reference_chunks,
     render_boundary_reference,
     render_convergence_reference,
     render_region_reference,
@@ -123,6 +124,16 @@ def _region(etas, ns):
 def test_region(etas, ns, prec, fmt, capsys, monkeypatch):
     out = _cli(capsys, monkeypatch, prec, ["region", "--etas", etas, "--ns", ns, "--format", fmt])
     _same(out, render_region_reference(_region(etas, ns), fmt, int(prec)))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("ns", ["0.7", "inf"])
+def test_region_reference_blocks_join_to_the_output(fmt, ns, capsys, monkeypatch):
+    # process_checks compares the m = 20 reference block by block, never whole
+    etas = "0.1,0.05,0.2,0.15,0.1"
+    out = _cli(capsys, monkeypatch, "9", ["region", "--etas", etas, "--ns", ns, "--format", fmt])
+    for block in (1, 2, 7, 31):
+        _same("".join(region_reference_chunks(_region(etas, ns), fmt, 9, block)), out)
 
 
 @pytest.mark.parametrize("etas,ns,prec,fmt", _params(VERTICES_CASES))

@@ -987,14 +987,15 @@ class TestSpectrumCount:
 
     @staticmethod
     def _count(monkeypatch) -> list:
+        # every spectrum, a validation's or an entropy's, passes through the one kernel
         sizes = []
-        real = gaussian.symplectic_eigenvalues
+        real = gaussian._spectrum
 
-        def counted(state):
-            sizes.append(state.n_modes)
-            return real(state)
+        def counted(cov):
+            sizes.append(len(cov) // 2)
+            return real(cov)
 
-        monkeypatch.setattr(gaussian, "symplectic_eigenvalues", counted)
+        monkeypatch.setattr(gaussian, "_spectrum", counted)
         return sizes
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])

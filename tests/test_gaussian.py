@@ -1,9 +1,12 @@
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
 
-from bbcap import gaussian
+from bbcap import channel, cli, gaussian
+from bbcap.channel import BroadcastChannelSpec
 from bbcap.gaussian import (
     CovarianceState,
     conditional_entropy,
@@ -283,6 +286,66 @@ class TestSymplecticEigenvalues:
             dense = np.linalg.eigvalsh(1j * chol.T @ symplectic_form(n) @ chol)[n:][::-1]
             got = symplectic_eigenvalues(CovarianceState(range(n), cov))
             assert np.max(np.abs(np.subtract(got, dense))) <= 1e-12 * np.max(np.abs(cov))
+
+
+class TestSpectrumKernel:
+    """``_spectrum`` calls numpy's private LAPACK gufuncs with no wrapper; the
+    public ``np.linalg.cholesky``/``eigvalsh`` route is its reference, bit for
+    bit.  A numpy that changes those gufuncs fails here."""
+
+    NOT_PD = "uncertainty relation violated: covariance not positive definite"
+
+    @staticmethod
+    def _public(cov):
+        n = len(cov) // 2
+        chol = np.linalg.cholesky(cov)
+        omega_l = chol.reshape(n, 2, -1)[:, ::-1] * gaussian._OMEGA_SIGNS
+        return np.linalg.eigvalsh(1j * (chol.T @ omega_l.reshape(2 * n, 2 * n)))[n:][::-1]
+
+    def test_every_reduction_of_thermal_outputs_bit_for_bit(self):
+        rng = np.random.RandomState(38)
+        for m in range(1, 13):
+            for n_s in [10.0**k for k in range(-2, 9)]:
+                raw = rng.dirichlet(np.ones(m + 1))[:m] * rng.uniform(0.3, 0.95)
+                state = channel._thermal_output(BroadcastChannelSpec(tuple(raw)), n_s)
+                for size in range(1, m + 2):
+                    keep = rng.choice(m + 1, size, replace=False).tolist()
+                    cov = gaussian._mode_blocks(state.cov, sorted(keep))
+                    got = [nu.hex() for nu in gaussian._spectrum(cov)]
+                    assert got == [nu.hex() for nu in self._public(cov)], (m, n_s, keep)
+
+    @pytest.mark.parametrize("cov", [np.diag([2.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])])
+    def test_not_positive_definite_is_refused_with_no_warning(self, cov):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                gaussian._spectrum(cov)
+            assert str(err.value) == self.NOT_PD
+            with pytest.raises(ValueError) as err:
+                CovarianceState(("a",), cov)
+            assert str(err.value) == self.NOT_PD
+
+    def test_nan_is_refused_with_no_warning(self):
+        cov = np.eye(4)
+        cov[1, 1] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="covariance entries must be finite"):
+                CovarianceState(("a", "b"), cov)
+            # past validation, a NaN spectrum that LAPACK cannot take is its error
+            with pytest.raises(np.linalg.LinAlgError):
+                gaussian._spectrum(np.full((4, 4), math.nan))
+
+    def test_failed_eigvalsh_exits_one_with_one_line(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("invalid value encountered in eigvalsh_lo")
+
+        lapack = gaussian._umath_linalg
+        monkeypatch.setattr(gaussian, "_umath_linalg", types.SimpleNamespace(
+            cholesky_lo=lapack.cholesky_lo, eigvalsh_lo=fail))
+        assert cli.main(["verify", "--etas", "0.2,0.3", "--ns", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "bbcap: error: Eigenvalues did not converge\n")
 
 
 class TestConditionalEntropy:
