@@ -163,7 +163,7 @@ def _convergence_columns(etas, ns_grid) -> tuple:
     spec = BroadcastChannelSpec(tuple(etas))
     try:
         f = region._bound_rows(spec, (region.UNCONSTRAINED, *ns_grid))
-        region._check_polymatroid(f, spec.m, region.EXACT_TOL)
+        region._check_polymatroid(f, spec.m)
     except ValueError:
         _bounded(region.capacity_region(spec)._f)  # the limit's refusals come first
         raise

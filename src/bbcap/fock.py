@@ -21,11 +21,14 @@ receiver mask, receiver i at bit i - 1 as in :mod:`bbcap.region`, and the
 block weights of all 2^m keep sets are the rows of one array.  Keeping A
 and the receivers R, the entry <k, n_R; n_traced> lies in the block of
 traced photon count t = k - |n_R|.  Each block is rank one, so its one
-eigenvalue is its squared norm, summed by ``np.bincount``.  Rank one is
-certified, not assumed: the output's amplitude on (k; n_1..n_m, n_E) is
-C_k sqrt(k! / prod n_i!) prod phi_i(n_i), which makes every block of every
-reduction an outer product, so one streamed check of this product form,
-its factors read from the table's own entries, covers all 2^m reductions.
+eigenvalue is its squared norm.  Rank one is certified, not assumed: the
+output's amplitude on (k; n_1..n_m, n_E) is C_k sqrt(k! / prod n_i!) prod
+phi_i(n_i), which makes every block of every reduction an outer product,
+so one streamed check of this product form, its factors read from the
+table's own entries, covers all 2^m reductions.  The table is read once:
+rows 0 and ``full``, its sums of squares, carry the norm check, purity and
+the case keeping A alone, and the others come from the factors, which are
+the table's, never eta's or n_s's, so the route stays independent.
 Keeping A and one receiver Bj, the traced modes' collective mode takes the
 share 1 - eta_j, so block t's weight is a Schmidt coefficient, checked
 against entry t of ``_thermal_weights((1 - eta_j) * n_s, ...)``.
@@ -69,11 +72,9 @@ MAX_CUTOFF = 60
 MAX_DENSE_BYTES = 2**30
 RUN_ENTRIES = 2**16    # larger tables are built one sender-photon sector at a time
 PRODUCT_FLOOR = 2.0**-500  # absolute slack of the product check, for underflowed weights
-# tracemalloc peak per entry of the largest run, built, reduced and checked: at
-# most 206 at m = 4 and 335 at m = 12 above 20,000 entries; _budget adds the keep
-# sets' weights (one array, 8 (cutoff + 1) 2^m bytes) and floors the run at 64
+# tracemalloc peak per entry of the largest run, built and read: at most 199 at m = 4 and
+# 375 at m = 12 above 20,000; _budget floors the run at 64 and adds the keep-set weights
 SECTOR_ENTRY_BYTES = 384
-MAX_WORK = math.comb(MAX_CUTOFF + 5, 5) << 4  # m = 4 at MAX_CUTOFF, the costliest of m <= 4
 # sqrt(n!), n <= MAX_CUTOFF, each correctly rounded from within 2^-100 of it
 _ROOT_FACTORIALS = np.array([math.isqrt(math.factorial(n) << 200) / 2**100
                              for n in range(MAX_CUTOFF + 1)])
@@ -374,10 +375,9 @@ def _largest_run(m: int, cutoff: int) -> tuple:
 def _budget(m: int, n_s: float, cutoff) -> tuple:
     """The cutoff and tail mass of a verification; before any sector is built,
     :class:`InconclusiveVerificationError` for the first budget broken: cutoff,
-    tail mass, memory (``SECTOR_ENTRY_BYTES`` per entry of the largest run, of
-    at least 64, and 8 bytes per keep-set weight of :func:`_block_spectra`) and
-    work (the table once per keep set).  ``MAX_WORK`` is the work of m = 4 at
-    ``MAX_CUTOFF``: re-derive it once the 2^m passes go."""
+    tail mass, then memory: ``SECTOR_ENTRY_BYTES`` per entry of the largest run,
+    of at least 64, and 8 (cutoff + 6) bytes per keep-set weight (the rows, their
+    convolutions and temporaries).  The table is read once: no work budget."""
     cutoff = cutoff_for_tail(n_s) if cutoff is None else _count(cutoff, "cutoff")
     if cutoff > MAX_CUTOFF:
         raise InconclusiveVerificationError(f"cutoff {cutoff} exceeds the supported maximum "
@@ -387,43 +387,39 @@ def _budget(m: int, n_s: float, cutoff) -> tuple:
         raise InconclusiveVerificationError(f"tail mass {tail:.3e} at cutoff {cutoff} breaches "
                                             f"the {TAIL_BUDGET:g} budget for n_s = {n_s!r}")
     _, run = _largest_run(m, cutoff)
-    need = max(run, 64) * SECTOR_ENTRY_BYTES + 8 * ((cutoff + 1) << m)
+    need = max(run, 64) * SECTOR_ENTRY_BYTES + 8 * (cutoff + 6) * ((cutoff + 1) << m)
     if need > MAX_DENSE_BYTES:
         raise InconclusiveVerificationError(f"the largest run of sectors at cutoff {cutoff} holds "
                                             f"{run} entries: {need} bytes, above the budget of "
                                             f"{MAX_DENSE_BYTES} bytes")
-    work = math.comb(cutoff + m + 1, m + 1) << m
-    if work > MAX_WORK:
-        raise InconclusiveVerificationError(f"the {2**m} keep sets at cutoff {cutoff} take {work} "
-                                            f"entry passes, above the budget of {MAX_WORK}")
     return cutoff, tail
 
 
 def _block_spectra(runs, m: int, cutoff: int) -> tuple:
-    """``(weights, certified)``: row ``mask`` of the ``(2^m, cutoff + 1)`` array
-    ``weights`` is the reduction onto A and the receivers of ``mask`` (receiver
-    i at bit i - 1), and ``weights[mask, t]`` the squared norm of its block of
-    traced photon count t, the block's one eigenvalue if it is rank one.
+    """``(weights, certified)``: ``weights[mask, t]`` is the squared norm of the block
+    of traced photon count t of the reduction onto A and the receivers of ``mask``
+    (receiver i at bit i - 1), the block's one eigenvalue if it is rank one.
 
-    ``certified`` is one verdict for the table, which the reductions keeping
-    1..m-1 receivers need (blocks of one row or one column are rank one):
-    each entry lies within ``bound |a| + PRODUCT_FLOOR`` of the product of its
-    factors, and each sector's squared norm within ``norm_bound`` of the
-    product table's, so that no entry of weight is missing (CHANGES.md
-    derives both bounds).  It is True at m = 1, where no reduction needs it.
+    Rows 0 and ``full`` sum the squares.  The factors F_0 (of k) and F_j (of n_j,
+    j = 1..m + 1, E last), read from the single-mode entries, give the others:
+    row R at t is q[traced](t) sum_s q[R](s) F_0(s + t)^2 (s + t <= cutoff), q[mask]
+    the rows F_j^2 convolved over the modes of an (m + 1)-bit mask (E at bit m).
+    ``certified``, the verdict the reductions keeping 1..m-1 receivers need,
+    holds when each entry lies within ``bound |a| + PRODUCT_FLOOR`` of its
+    factors' product and row 0 within ``norm_bound`` of q[-1] F_0^2 (no weight
+    is missing); then every row lies within a bound of that form (CHANGES.md).
+    True at m = 1, where both rows are sums.
     """
-    spectra = np.zeros((1 << m, cutoff + 1))
-    singles, certified, eps = np.zeros((m + 1, cutoff + 1)), True, np.finfo(float).eps
-    root = _ROOT_FACTORIALS[: cutoff + 1]
+    read, singles, certified = np.zeros((2, cutoff + 1)), np.zeros((m + 1, cutoff + 1)), True
+    root, eps = _ROOT_FACTORIALS[: cutoff + 1], np.finfo(float).eps
     bound = (1.5 * m * m + 8 * m + 3) * eps
     for occ, amps in runs:
         cols, sq = np.ascontiguousarray(occ.T), amps * amps
-        # squares added in chunks of 64 entries, then pairwise over the chunks
+        # squares in chunks of 64 entries, then pairwise, by traced count k (row 0), n_E (full)
         chunk, bins = np.arange(sq.size) // 64 * (cutoff + 1), (sq.size // 64 + 1) * (cutoff + 1)
-        for mask, weights in enumerate(spectra):
-            t = cols[0] - sum(cols[i] for i in range(1, m + 1) if mask >> (i - 1) & 1)
-            weights += np.bincount(t + chunk, sq, bins).reshape(-1, cutoff + 1).T.copy().sum(1)
-        if not certified or m == 1:
+        for row, t in zip(read, (cols[0], cols[m + 1])):
+            row += np.bincount(t + chunk, sq, bins).reshape(-1, cutoff + 1).T.copy().sum(1)
+        if m == 1:
             continue
         for j in range(1, m + 2):  # a(n; n e_j) comes with sector n, before any entry uses it
             at = np.flatnonzero(cols[j] == cols[0])
@@ -434,20 +430,29 @@ def _block_spectra(runs, m: int, cutoff: int) -> tuple:
         base = singles[np.argmax(np.abs(singles[:, min(1, cutoff)]))]
         phi = np.divide(singles, base, out=np.zeros_like(singles), where=base != 0.0)
         factors = np.vstack([base * root, phi / root])
-        err = factors[0].take(cols[0])
-        for j in range(1, m + 2):
-            err *= factors[j].take(cols[j])
-        err -= amps
-        # written as all(err <= bound), so that a NaN fails
-        certified = bool(np.all(np.abs(err, out=err) <= bound * np.abs(amps) + PRODUCT_FLOOR))
-    if certified and m > 1:  # the last run's factors are the whole table's
-        norms, got = np.ones(1), spectra[0]
-        for row in factors[1:]:
-            norms = np.convolve(norms, row * row)[: cutoff + 1]
-        norms *= factors[0] * factors[0]
-        norm_bound = 2 * bound + ((m + 2) * (cutoff + 2) + 100) * eps / 2
-        slack = 3 * PRODUCT_FLOOR * math.comb(cutoff + m, m)  # entries of the largest sector
-        certified = bool(np.all(np.abs(got - norms) <= norm_bound * np.maximum(got, norms) + slack))
+        if certified:
+            err = factors[0].take(cols[0])
+            for j in range(1, m + 2):
+                err *= factors[j].take(cols[j])
+            err -= amps
+            # written as all(err <= bound), so that a NaN fails
+            certified = bool(np.all(np.abs(err, out=err) <= bound * np.abs(amps) + PRODUCT_FLOOR))
+    if m == 1:
+        return read, True
+    # the last run's factors, the table's, squared and 0 past the cutoff; no BLAS, fixed order
+    sq, k = np.hstack([factors * factors, np.zeros((m + 2, cutoff))]), np.arange(cutoff + 1)
+    rows = sq[:, (k - k[:, None]) % (2 * cutoff + 1)]  # rows[j, s, t] = F_j(t - s)^2, 0 at t < s
+    q = np.zeros((2 << m, cutoff + 1))
+    q[0, 0] = 1.0
+    for b in range(m + 1):
+        np.add.reduce(q[: 1 << b, :, None] * rows[b + 1], axis=1, out=q[1 << b : 2 << b])
+    got, norms = read[0], q[-1] * sq[0, : cutoff + 1]
+    norm_bound = 2 * bound + ((m + 2) * (cutoff + 2) + 100) * eps / 2
+    slack = 3 * PRODUCT_FLOOR * math.comb(cutoff + m, m)  # entries of the largest sector
+    certified &= bool(np.all(np.abs(got - norms) <= norm_bound * np.maximum(got, norms) + slack))
+    # q[traced] is q[(2 << m) - 1 - R], and h[s, t] = F_0(s + t)^2
+    spectra = (q[: 1 << m, :, None] * sq[0, k + k[:, None]]).sum(axis=1) * q[: (1 << m) - 1 : -1]
+    spectra[[0, -1]] = read
     return spectra, certified
 
 

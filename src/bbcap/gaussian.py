@@ -239,8 +239,8 @@ def von_neumann_entropy(state: CovarianceState) -> float:
 
 def _entropy(cov: np.ndarray) -> float:
     """:func:`von_neumann_entropy` of the state of covariance ``cov``."""
-    floor = _resolution(cov)
-    return _left_sum(entropy_g((nu - 1.0) / 2.0) for nu in _spectrum(cov) if nu - 1.0 >= floor)
+    floor = _resolution(cov)  # a NaN nu is kept, so that the entropy is NaN
+    return _left_sum(entropy_g((nu - 1.0) / 2.0) for nu in _spectrum(cov) if not nu - 1.0 < floor)
 
 
 def conditional_entropy(state: CovarianceState, subsystem, conditioned_on) -> float:

@@ -163,7 +163,7 @@ class CapacityRegion:
         f = np.array(f, dtype=float)
         if f.shape != (1 << m,) or f[0] != 0.0:
             raise ValueError(f"bound vector needs 2^{m} entries and f[0] = 0")
-        _check_polymatroid(f, m, EXACT_TOL)
+        _check_polymatroid(f, m)
         self._f = f
 
     def bound(self, subset) -> float:
@@ -180,16 +180,16 @@ def _energy(energy):
     return energy if energy == UNCONSTRAINED else _photon_number(energy)
 
 
-def _check_polymatroid(f, m: int, tol: float):
+def _check_polymatroid(f, m: int):
     """Refuse a stack of bound vectors, rows of 2^m masks (or one vector),
     unless each is nonnegative, never NaN, and monotone and submodular
-    within ``tol``.
+    within ``EXACT_TOL``, the one tolerance of every bound vector.
 
     Row j of a vector's gains is f(T + j) - f(T) over the T without j, bit j
-    dropped (bit k > j of T is bit k - 1 there).  It must be >= -tol, and for
-    each k one comparison takes the rows j < k at T and at T + k: no gain may
-    grow by more than tol.  NaN stands in for the unbounded flag, so every
-    comparison with it is false.  The error is the first failing vector's
+    dropped (bit k > j of T is bit k - 1 there).  It must be >= -EXACT_TOL, and
+    for each k one comparison takes the rows j < k at T and at T + k: no gain
+    may grow by more than EXACT_TOL.  NaN stands in for the unbounded flag, so
+    every comparison with it is false.  The error is the first failing vector's
     first failure: a NaN or a bound below ``-EXACT_TOL``, then j ascending,
     monotone in j before its pairs (j, k), k ascending.  A gain row holds
     every vector's gains in turn, since a pair (T, T + j) lies within one
@@ -215,8 +215,8 @@ def _check_polymatroid(f, m: int, tol: float):
             pair = f.reshape(-1, 2, 1 << j)
             np.subtract(pair[:, 1], pair[:, 0], out=g[j - j0].reshape(-1, 1 << j))
         bad[1 + j0 * (m + 1) : 1 + j1 * (m + 1) : m + 1] = (
-            (g < -tol).reshape(j1 - j0, n, -1).any(axis=2))
-        ceiling = g + tol
+            (g < -EXACT_TOL).reshape(j1 - j0, n, -1).any(axis=2))
+        ceiling = g + EXACT_TOL
         for k in range(j0 + 1, m):
             c = min(k, j1) - j0
             shape = (c, -1, 2, 1 << (k - 1))

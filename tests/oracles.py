@@ -14,8 +14,10 @@ columns are checked against; ``region_reference_chunks`` reads a
 region's bounds one subset at a time through ``CapacityRegion.bound``; and
 ``channel_output_fock`` builds the whole number-basis output with
 ``fock.split_with_vacuum``, stage by stage, the table that verification's
-streamed sectors are checked against.  ``thermal_weight`` refuses its
-inputs with the library's own checks (``_photon_number``, ``fock._count``).
+streamed sectors are checked against.  ``block_weights_reference`` sums the
+keep sets' block weights from the streamed sectors, once per keep set.
+``thermal_weight`` refuses its inputs with the library's own checks
+(``_photon_number``, ``fock._count``).
 """
 
 import itertools
@@ -536,3 +538,20 @@ def channel_output_fock(spec, n_s: float, cutoff: int, ordering=None):
     labels = ("A",) + channel.output_labels(spec)
     occ = state.occupations[:, [built.index(lab) for lab in labels]]
     return fock.FockState(labels, occ, state.amplitudes, cutoff)
+
+
+def block_weights_reference(runs, m: int, cutoff: int) -> np.ndarray:
+    """The ``(2^m, cutoff + 1)`` block weights of every keep set, summed from the
+    entries of the ``(occupations, amplitudes)`` runs once per keep set: row
+    ``mask`` (receiver i at bit i - 1) adds at t the squares of the entries
+    whose traced count k - |n_mask| is t, in chunks of 64 entries and then
+    pairwise over the chunks.  ``fock._block_spectra`` sums rows 0 and ``full``
+    the same way, and takes the others from the certified factors."""
+    weights = np.zeros((1 << m, cutoff + 1))
+    for occ, amps in runs:
+        cols, sq = np.ascontiguousarray(occ.T), amps * amps
+        chunk, bins = np.arange(sq.size) // 64 * (cutoff + 1), (sq.size // 64 + 1) * (cutoff + 1)
+        for mask, row in enumerate(weights):
+            t = cols[0] - sum(cols[i] for i in range(1, m + 1) if mask >> (i - 1) & 1)
+            row += np.bincount(t + chunk, sq, bins).reshape(-1, cutoff + 1).T.copy().sum(1)
+    return weights

@@ -10,7 +10,8 @@ printed first) and imports ``bbcap`` and ``oracles`` only once the last child
 has exited.  Then each case is checked: its exit status, and the cap tables
 byte for byte against the ``oracles`` renderers at the default 9 digits, the
 Fock oracle's record for ``"pass": true``, and each documented refusal of
-``refusals.REFUSALS`` for no stdout and exactly its one line.
+``refusals.REFUSALS`` for no stdout and exactly its one line.  Stdout is read
+as bytes, a block at a time, so no output is held whole.
 
 One line per case: verdict, name, exit status, stdout lines, wall seconds and
 peak MB, the last two a record, not a gate.  The exit status is 1 if any
@@ -46,6 +47,7 @@ F4, F6 = "0.1,0.2,0.15,0.25", "0.1,0.2,0.15,0.25,0.05,0.04"
 F12 = F6 + ",0.03,0.02,0.01,0.015,0.025,0.035"
 # the children run the bbcap the runner would import, found without importing it
 SRC = os.path.dirname(importlib.util.find_spec("bbcap").submodule_search_locations[0])
+BLOCK = 1 << 20  # bytes of stdout read at a time
 
 
 def _floats(text):
@@ -83,22 +85,23 @@ def _gaps(etas, fmt):
 def _same(reference, lines):
     """stdout byte for byte the chunks of ``reference()`` joined, of ``lines``
     lines unless None; no stderr."""
-    return lambda out, err: (err == "" and (lines is None or out.count("\n") == lines)
-                             and _joins(out, reference()))
+    return lambda out, err: err == "" and _joins(out, reference(), lines)
 
 
-def _joins(out, chunks):
-    """Is ``out`` the chunks joined?  Compared chunk by chunk, with no join held."""
-    pos = 0
+def _joins(out, chunks, lines=None):
+    """Does the binary file ``out`` hold the chunks joined, of ``lines`` lines
+    unless None?  Read one chunk's bytes at a time, with no join held."""
+    count = 0
     for chunk in chunks:
-        if not out.startswith(chunk, pos):
+        data = chunk.encode()
+        if out.read(len(data)) != data:
             return False
-        pos += len(chunk)
-    return pos == len(out)
+        count += data.count(b"\n")
+    return out.read(1) == b"" and lines in (None, count)
 
 
 def _passes(out, err):
-    return err == "" and json.loads(out)["pass"] is True
+    return err == "" and json.load(out)["pass"] is True
 
 
 TABLES = [  # command, --etas, energy, reference, CSV lines, formats
@@ -110,7 +113,7 @@ TABLES = [  # command, --etas, energy, reference, CSV lines, formats
 ]
 VERIFY = [  # --etas, --ns, further arguments
     ("0.2,0.3,0.1", "2", []), (F4, "1", []), (F4, "1.6", []), (F4, "2", []), (F6, "0.3", []),
-    (F6, "0.6", []), (F12, "0.01", []),
+    (F6, "0.6", []), ("0.1,0.1,0.1,0.1,0.1", "1.5", []), (F12, "0.01", []),
     (F12, "0.01", ["--ordering", ",".join(["E"] + [f"B{i}" for i in range(12, 0, -1)])]),
 ]
 CASES = [
@@ -123,7 +126,7 @@ CASES = [
       for etas, ns, extra in VERIFY),
     *(Case(f"refusal {name}", argv, {} if precision is None else
            {"BBC_CAPACITY_PRECISION": precision}, status,
-           lambda out, err, line=line: out == "" and err == line + "\n")
+           lambda out, err, line=line: out.read() == b"" and err == line + "\n")
       for name, (argv, precision, status, line) in REFUSALS.items()),
 ]
 
@@ -150,17 +153,20 @@ def main(cases=CASES) -> int:
         paths = [os.path.join(tmp, str(i)) for i in range(len(cases))]
         runs = [_run(case, path) for case, path in zip(cases, paths)]
         for case, path, (status, wall, peak) in zip(cases, paths, runs):
-            with open(f"{path}.out") as out, open(f"{path}.err") as err:
-                out, err = out.read(), err.read()
-            try:
-                good, note = status == case.status and case.check(out, err), ""
-            except Exception as exc:  # a record that does not parse fails its case
-                good, note = False, f", {exc!r}"
+            with open(f"{path}.out", "rb") as out, open(f"{path}.err") as err:
+                # stdout in blocks, as bytes: a table's output is never held whole
+                lines = sum(block.count(b"\n") for block in iter(lambda: out.read(BLOCK), b""))
+                out.seek(0)
+                err = err.read()
+                try:
+                    good, note = status == case.status and case.check(out, err), ""
+                except Exception as exc:  # a record that does not parse fails its case
+                    good, note = False, f", {exc!r}"
             failed += not good
             if not good:
                 note += f", stderr {err[-300:]!r}"
             print(f"{'ok' if good else 'FAIL'} {case.name}: exit {status}, "
-                  f"{out.count(chr(10))} lines, {wall:.2f} s, {peak:.0f} MB{note}", flush=True)
+                  f"{lines} lines, {wall:.2f} s, {peak:.0f} MB{note}", flush=True)
     return int(failed > 0)
 
 

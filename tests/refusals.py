@@ -25,7 +25,9 @@ REFUSALS = {
     "convergence_unbounded": (["convergence", "--etas", "0.6,0.4", "--ns-grid", "1"], None, 1,
                               "bbcap: error: unconstrained bounds are unbounded when the "
                               "receivers take everything"),
-    "verify_work_budget": (["verify", "--etas", "0.1,0.1,0.1,0.1,0.1", "--ns", "1.5"], None, 2,
-                           "bbcap: inconclusive: the 32 keep sets at cutoff 45 take 576302720 "
-                           "entry passes, above the budget of 132158208"),
+    "verify_memory_budget": (["verify", "--etas", "0.1,0.1,0.1,0.1,0.1", "--ns", "1.5", "--cutoff",
+                              "60"], None, 2,
+                             "bbcap: inconclusive: the largest run of sectors at cutoff 60 holds "
+                             "8259888 entries: 3172827648 bytes, above the budget of 1073741824 "
+                             "bytes"),
 }

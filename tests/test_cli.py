@@ -279,16 +279,9 @@ class TestVerifyCommand:
         monkeypatch.setattr(fock, "_sector_runs", None)  # refused before any sector is built
         code, out, err = run_cli(capsys, "verify", "--etas", "0.2,0.3", "--ns", "0.5")
         assert code == 2 and out == ""
-        # one run of all 1771 entries at 384 bytes, and 21 × 4 keep-set weights at 8
+        # one run of all 1771 entries at 384 bytes, and 21 × 4 keep-set weights at 8 (20 + 6)
         assert err == ("bbcap: inconclusive: the largest run of sectors at cutoff 20 holds "
-                       "1771 entries: 680736 bytes, above the budget of 1000 bytes\n")
-
-    def test_work_budget_is_inconclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(fock, "_sector_runs", None)  # refused before any sector is built
-        code, out, err = run_cli(capsys, "verify", "--etas", "0.1,0.1,0.1,0.1,0.1", "--ns", "1.5")
-        assert code == 2 and out == ""
-        assert err == ("bbcap: inconclusive: the 32 keep sets at cutoff 45 take 576302720 "
-                       "entry passes, above the budget of 132158208\n")
+                       "1771 entries: 697536 bytes, above the budget of 1000 bytes\n")
 
     @pytest.mark.parametrize("ns", ["5", "0.5"])
     def test_bad_ordering_is_refused_before_any_budget(self, capsys, ns):

@@ -21,6 +21,7 @@ from bbcap.fock import (
 from bbcap.gaussian import conditional_entropy, entropy_g, reduce, von_neumann_entropy
 from bbcap.region import inner_bound_finite, inner_bound_finite_gaussian, nonempty_subsets
 from oracles import (
+    block_weights_reference,
     channel_output_fock,
     output_state_tmsv,
     reduce_density_reference,
@@ -368,38 +369,6 @@ class TestDenseBudget:
         with pytest.raises(InconclusiveVerificationError, match="budget of 1000 bytes"):
             verify_conditional_entropies(SPEC23, 0.2, cutoff=15)
 
-    @pytest.mark.parametrize("etas, n_s, message", [
-        ((0.1,) * 5, 1.5, "the 32 keep sets at cutoff 45 take 576302720 entry passes, "
-                          "above the budget of 132158208"),
-        (ETAS12, 0.05, "the 4096 keep sets at cutoff 7 take 317521920 entry passes, "
-                       "above the budget of 132158208"),
-    ])
-    def test_work_over_budget_is_inconclusive(self, monkeypatch, etas, n_s, message):
-        # both fit the memory budget: 2118760 and 50388 entries in the largest run
-        monkeypatch.setattr(fock, "_sector_runs", None)  # refused before any sector is built
-        with pytest.raises(InconclusiveVerificationError, match=f"^{message}$"):
-            verify_conditional_entropies(BroadcastChannelSpec(etas), n_s)
-
-    def test_work_budget_is_the_costliest_run_of_m_up_to_4(self, monkeypatch):
-        # the work gate admits every run of m <= 4, m = 4 at MAX_CUTOFF exactly at
-        # its budget, and m = 5 less.  At every m <= 12 the memory gate admits
-        # what the work gate does: the largest estimate is m = 4 at MAX_CUTOFF, a
-        # sector of C(64, 4) entries at 384 bytes and 61 × 16 weights at 8
-        assert fock.MAX_WORK == math.comb(fock.MAX_CUTOFF + 5, 5) << 4 == 132158208
-        assert math.comb(fock.MAX_CUTOFF + 6, 6) << 5 > fock.MAX_WORK
-        largest = math.comb(64, 4) * 384 + 8 * 61 * 16
-        assert largest == 243992192 <= fock.MAX_DENSE_BYTES
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", largest)
-        for m in range(1, 13):
-            for cutoff in range(fock.MAX_CUTOFF + 1):
-                if math.comb(cutoff + m + 1, m + 1) << m <= fock.MAX_WORK:
-                    assert fock._budget(m, 0.0, cutoff) == (cutoff, 0.0), (m, cutoff)
-                else:
-                    assert m > 4, (m, cutoff)
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", largest - 1)
-        with pytest.raises(InconclusiveVerificationError, match="243992192 bytes, above"):
-            fock._budget(4, 0.0, fock.MAX_CUTOFF)
-
 
 def _tampered_runs(monkeypatch, change):
     """Route verification through runs whose amplitude table ``change`` edits."""
@@ -558,6 +527,34 @@ class TestRankOneCertificate:
                 assert sv[1:].sum() <= min(d, r) * ((3 * spec.m + 8 * max(d, r)) * EPS) ** 2 * sv[0]
                 blocks[t] = True
             assert not weights[~blocks].any(), kept
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_factor_rows_within_their_bound(self, m):
+        # rows 0 and full are the entries' sums; every other row comes from the
+        # certified factors, within the norm check's bound 2B + ((m + 2)(K + 2)
+        # + 100) u plus (2m + 3) u (the products of the factors taken exactly,
+        # one more rounding of the rows), and its floor's slack (CHANGES.md)
+        rng = np.random.RandomState(70 + m)
+        for case in range(3):
+            etas = rng.dirichlet(np.ones(m + 1))[:m]
+            ordering = None
+            if case == 2:  # a zero-weight receiver, and a random split ordering
+                etas[rng.randint(m)] = 0.0
+                labels = ["E"] + [f"B{i}" for i in range(1, m + 1)]
+                ordering = tuple(rng.permutation(labels).tolist())
+            spec = BroadcastChannelSpec(tuple(etas.tolist()))
+            n_s = float(rng.uniform(0.05, 1.0 if m <= 4 else 0.25 if m <= 6 else 0.1))
+            cutoff = cutoff_for_tail(n_s)
+            got, certified = fock._block_spectra(fock._sector_runs(spec, n_s, cutoff, ordering),
+                                                 m, cutoff)
+            want = block_weights_reference(fock._sector_runs(spec, n_s, cutoff, ordering), m,
+                                           cutoff)
+            check = (1.5 * m * m + 8 * m + 3) * EPS  # B, the product check's bound
+            bound = 2 * check + ((m + 2) * (cutoff + 2) + 2 * m + 103) * EPS / 2
+            slack = 3 * fock.PRODUCT_FLOOR * math.comb(cutoff + m, m)
+            assert certified, etas
+            assert got[[0, -1]].tobytes() == want[[0, -1]].tobytes()
+            assert np.all(np.abs(got - want) <= bound * np.maximum(got, want) + slack), etas
 
     def test_sectors_join_to_the_whole_table(self, monkeypatch):
         spec, n_s, ordering = BroadcastChannelSpec((0.1, 0.25, 0.3)), 0.8, ("B3", "E", "B1", "B2")
@@ -722,12 +719,12 @@ class TestVerifyConditionalEntropies:
     def test_amplitude_table_over_budget_is_inconclusive(self, monkeypatch):
         spec = BroadcastChannelSpec((0.1, 0.2, 0.15, 0.25))
         # cutoff 9 at N_S = 0.1: one run of all C(14, 5) = 2002 entries at 384
-        # bytes, and 10 × 16 keep-set weights at 8
-        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 2002 * 384 + 8 * 10 * 16 - 1)
+        # bytes, and 10 × 16 keep-set weights at 8 (9 + 6)
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 2002 * 384 + 8 * 15 * 10 * 16 - 1)
         monkeypatch.setattr(fock, "_sector_runs", None)  # never reached
         with pytest.raises(InconclusiveVerificationError,
                            match="the largest run of sectors at cutoff 9 holds 2002 entries: "
-                                 "770048 bytes, above the budget of 770047 bytes"):
+                                 "787968 bytes, above the budget of 787967 bytes"):
             verify_conditional_entropies(spec, 0.1)
 
     def test_purity_fails_when_a_stage_is_off(self, monkeypatch):

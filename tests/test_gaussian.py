@@ -336,6 +336,16 @@ class TestSpectrumKernel:
             with pytest.raises(np.linalg.LinAlgError):
                 gaussian._spectrum(np.full((4, 4), math.nan))
 
+    def test_unvalidated_nan_covariance_has_nan_entropy(self):
+        # the Cholesky does not flag a NaN on the diagonal, so the spectrum is
+        # [nan]; the entropy keeps it, with no warning, where a filter would drop it
+        state = CovarianceState(("a",), np.diag([math.nan, 1.0]), validate=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(gaussian._spectrum(state.cov)[0])
+            assert math.isnan(von_neumann_entropy(state))
+            assert math.isnan(gaussian.conditional_entropy(state, ("a",), ()))
+
     def test_failed_eigvalsh_exits_one_with_one_line(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise FloatingPointError("invalid value encountered in eigvalsh_lo")

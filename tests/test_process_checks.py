@@ -1,6 +1,8 @@
 """The verdicts of ``process_checks``' runner, on cases that take a fraction
 of a second; CI runs the whole table."""
 
+import io
+
 from process_checks import CASES, _joins, _passes, main
 
 
@@ -22,7 +24,8 @@ def test_one_failing_case_fails_the_run(capsys):
 
 def test_stdout_must_be_the_chunks_joined():
     chunks = ["a\n", "bc\n", "d\n"]
-    assert _joins("a\nbc\nd\n", iter(chunks))
+    assert _joins(io.BytesIO(b"a\nbc\nd\n"), iter(chunks), 3)
+    assert not _joins(io.BytesIO(b"a\nbc\nd\n"), iter(chunks), 2)
     # a byte short, a byte over, a byte changed, nothing
-    for out in ("a\nbc\nd", "a\nbc\nd\n\n", "a\nbd\nd\n", ""):
-        assert not _joins(out, iter(chunks)), out
+    for out in (b"a\nbc\nd", b"a\nbc\nd\n\n", b"a\nbd\nd\n", b""):
+        assert not _joins(io.BytesIO(out), iter(chunks)), out

@@ -274,7 +274,7 @@ class TestCapacityRegion:
                 rows.append(_outcome(check_polymatroid_reference, f, m, tol))
             failing = [i for i, outcome in enumerate(rows) if outcome is not None]
             expect = rows[failing[0]] if failing else None
-            assert _outcome(region._check_polymatroid, np.array(stack), m, tol) == expect
+            assert _outcome(_check_at, np.array(stack), m, tol) == expect
             firsts.append(failing[0] if failing else None)
         assert None in firsts and (m == 1 or any(i for i in firsts if i is not None)), firsts
 
@@ -329,7 +329,7 @@ class TestOneGate:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            region._check_polymatroid(f, 16, region.EXACT_TOL)
+            region._check_polymatroid(f, 16)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -357,7 +357,7 @@ def _agreement_with_the_loop(m) -> list:
         if tol == region.EXACT_TOL:
             assert _outcome(CapacityRegion, m, UNCONSTRAINED, f) == expect
         if f.min() >= -region.EXACT_TOL:
-            assert _outcome(region._check_polymatroid, f, m, tol) == expect
+            assert _outcome(_check_at, f, m, tol) == expect
         if m <= 4 and exact and f.min() >= 0:  # the loop takes no negative bound
             bounds = {t: f[sum(1 << (i - 1) for i in t)] for t in nonempty_subsets(m)}
             assert (expect is None) == is_polymatroid_bruteforce(bounds, m, tol)
@@ -372,6 +372,14 @@ def _outcome(check, *args):
     except ValueError as exc:
         return str(exc)
     return None
+
+
+def _check_at(f, m, tol):
+    """``region._check_polymatroid(f, m)`` with its one tolerance, ``EXACT_TOL``,
+    set to ``tol`` (the cases below tie gains with 2^-20 and 1e-6)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(region, "EXACT_TOL", tol)
+        region._check_polymatroid(f, m)
 
 
 def _check_case(rng, m, kind):
